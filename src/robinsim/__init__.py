@@ -15,6 +15,7 @@ from .mapping import (
     PER_WORD,
     ROBIN,
     TransitionVector,
+    codeword_counts,
     codeword_data_bits,
     map_bit,
     transition_vector,
@@ -22,6 +23,7 @@ from .mapping import (
 )
 from .reliability import (
     DeviceParams,
+    RateAccumulator,
     normalized_increase,
     p_block_success,
     p_block_success_optimal,

@@ -38,6 +38,9 @@ def blocks_to_bits(blocks: np.ndarray) -> np.ndarray:
 
 def stack_blocks(payloads: list[bytes]) -> np.ndarray:
     """Stack 64-byte payloads into an ``(n, 64)`` uint8 matrix."""
+    bad = set(map(len, payloads)) - {BLOCK_BYTES}
+    if bad:
+        raise ValueError(f"block payload must be {BLOCK_BYTES} bytes, got {min(bad)}")
     return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(payloads), BLOCK_BYTES)
 
 

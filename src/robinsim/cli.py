@@ -19,8 +19,8 @@ import numpy as np
 
 from . import secded
 from .config import load_config
-from .mapping import MappingScheme, verify_partition
-from .report import SCHEME_NAMES, ConfigError, emit_csv, emit_svg, format_sig, run_experiment
+from .mapping import KINDS, MappingScheme, verify_partition
+from .report import ConfigError, emit_csv, emit_svg, format_sig, run_experiment
 from .trace import TraceFormatError, save_trace
 from .workloads import KINDS as WORKLOAD_KINDS
 from .workloads import WorkloadSpec, gen_workload
@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--addresses", type=int, default=64)
 
     verify = sub.add_parser("verify-partition", help="print a scheme's partition report")
-    verify.add_argument("--scheme", required=True, choices=SCHEME_NAMES)
+    verify.add_argument("--scheme", required=True, choices=KINDS)
 
     sub.add_parser("codec-selftest", help="exhaustive codec error sweeps")
     return parser

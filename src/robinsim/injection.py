@@ -24,7 +24,7 @@ import numpy as np
 
 from . import secded
 from .bits import block_to_bits
-from .mapping import CODEWORDS, MappingScheme, datawords, scheme_assignment
+from .mapping import CODEWORDS, MappingScheme, codeword_counts, datawords
 
 _MASK64 = (1 << 64) - 1
 # splitmix64: golden-gamma increment and the two finalizer multipliers
@@ -101,7 +101,8 @@ def inject_write(
     transitions = old_bits != new_bits
     failed = transitions & (draws < fail_prob)
     stored = np.where(failed, old_bits, new_bits).astype(np.uint8)
-    counts = np.bincount(scheme_assignment(cfg.scheme)[failed], minlength=CODEWORDS)
+    failed_data, _ = codeword_counts(cfg.scheme, failed[None], include_ecc=False)
+    counts = failed_data[0]
 
     stored_check: tuple[int, ...] | None = None
     if cfg.include_ecc:
@@ -140,26 +141,6 @@ class BlockEstimate:
         return 1.0 - self.p_block
 
 
-def _flip_group_slices(old: bytes, new: bytes, cfg: InjectionConfig) -> tuple[int, np.ndarray]:
-    """Sort the transitioning bit positions by codeword; return (n_flips, group boundaries)."""
-    diff = block_to_bits(old) != block_to_bits(new)
-    ids = scheme_assignment(cfg.scheme)[diff]
-    if cfg.include_ecc:
-        check_diff = secded.encode_words(datawords(cfg.scheme, old)) ^ secded.encode_words(
-            datawords(cfg.scheme, new)
-        )
-        check_counts = (
-            np.unpackbits(check_diff, bitorder="little")
-            .reshape(CODEWORDS, -1)
-            .sum(axis=1)
-            .astype(np.int64)
-        )
-        ids = np.concatenate([ids, np.repeat(np.arange(CODEWORDS), check_counts)])
-    ids = np.sort(ids)
-    bounds = np.searchsorted(ids, np.arange(CODEWORDS + 1))
-    return len(ids), bounds
-
-
 def monte_carlo_block(
     old: bytes, new: bytes, cfg: InjectionConfig, record_index: int = 0
 ) -> BlockEstimate:
@@ -169,7 +150,12 @@ def monte_carlo_block(
     codeword collects at most one failure. Deterministic for a given
     (seed, record_index, trials, scheme) regardless of caller scheduling.
     """
-    n_flips, bounds = _flip_group_slices(old, new, cfg)
+    diff = block_to_bits(old) ^ block_to_bits(new)
+    data, check = codeword_counts(cfg.scheme, diff[None], cfg.include_ecc)
+    counts = data[0] if check is None else data[0] + check[0]
+    # the flipping cells, grouped by codeword: group n is [bounds[n], bounds[n + 1])
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    n_flips = int(bounds[-1])
     if n_flips == 0:
         return BlockEstimate(p_block=1.0, stderr=0.0, trials=cfg.trials, successes=cfg.trials)
 

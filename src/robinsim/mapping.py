@@ -14,6 +14,10 @@ Bit addressing follows :mod:`robinsim.bits`: ``flat = 64*word + 8*byte + pos``.
 Inside a codeword, data bits are ordered by ascending flat index; that order
 defines the dataword slots fed to the codec, so check bits are bit-exact
 functions of the scheme.
+
+:func:`codeword_counts` is the one place that counts, for a batch of writes,
+how many cells of each codeword must flip; :func:`transition_vector` is its
+one-write wrapper.
 """
 
 from __future__ import annotations
@@ -33,44 +37,24 @@ BYTES_PER_WORD = 8
 BITS_PER_BYTE = 8
 CODEWORDS = 8
 DATAWORD_BITS = 64
+# writes per codeword_counts call on the batch paths; float sums are reduced
+# per batch, so rates depend on it
+BATCH = 512
 
 
 class InvalidSchemeError(ValueError):
-    """Scheme kind or geometry outside what the codeword frame supports."""
+    """Scheme kind outside :data:`KINDS`."""
 
 
 @dataclass(frozen=True)
 class MappingScheme:
-    """One of the three partitioning schemes plus its block geometry.
-
-    The eight-codeword SEC-DED(72, 64) frame pins the geometry to 8 words of
-    8 bytes; the robin rotation additionally needs words == bytes_per_word ==
-    bits_per_byte, so anything other than the 8/8/8 geometry is rejected
-    instead of silently generalized.
-    """
+    """One of the three partitioning schemes of the 8-word, 8-byte, 8-bit block."""
 
     kind: str
-    words: int = WORDS
-    bytes_per_word: int = BYTES_PER_WORD
-    bits_per_byte: int = BITS_PER_BYTE
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidSchemeError(f"unknown scheme kind {self.kind!r}; expected one of {KINDS}")
-        if (self.words, self.bytes_per_word, self.bits_per_byte) != (WORDS, BYTES_PER_WORD, BITS_PER_BYTE):
-            raise InvalidSchemeError(
-                "unsupported geometry "
-                f"{self.words}x{self.bytes_per_word}x{self.bits_per_byte}: "
-                "the codeword frame requires words == bytes_per_word == bits_per_byte == 8"
-            )
-
-    @property
-    def block_bits(self) -> int:
-        return self.words * self.bytes_per_word * self.bits_per_byte
-
-    @property
-    def codewords(self) -> int:
-        return self.words
 
 
 PER_WORD = MappingScheme("per-word")
@@ -101,16 +85,6 @@ class BitCoordinate:
         return cls(flat // 64, (flat % 64) // 8, flat % 8)
 
 
-def map_bit(scheme: MappingScheme, coord: BitCoordinate) -> int:
-    """Codeword id in [0, 8) that owns the given data bit."""
-    if scheme.kind == "per-word":
-        return coord.word
-    if scheme.kind == "interleaved":
-        return coord.pos
-    # robin: inverse of "codeword n owns position (i + j + n) mod 8 of byte j in word i"
-    return (coord.pos - coord.word - coord.byte) % 8
-
-
 @lru_cache(maxsize=None)
 def scheme_assignment(scheme: MappingScheme) -> np.ndarray:
     """Length-512 vector mapping each flat bit index to its codeword id."""
@@ -123,10 +97,16 @@ def scheme_assignment(scheme: MappingScheme) -> np.ndarray:
     elif scheme.kind == "interleaved":
         ids = pos
     else:
+        # robin: inverse of "codeword n owns position (i + j + n) mod 8 of byte j in word i"
         ids = (pos - word - byte) % 8
     ids = ids.astype(np.int64)
     ids.setflags(write=False)
     return ids
+
+
+def map_bit(scheme: MappingScheme, coord: BitCoordinate) -> int:
+    """Codeword id in [0, 8) that owns the given data bit."""
+    return int(scheme_assignment(scheme)[coord.flat])
 
 
 @lru_cache(maxsize=None)
@@ -233,19 +213,37 @@ class TransitionVector:
         return sum(self.k)
 
 
+def codeword_counts(
+    scheme: MappingScheme, diff: np.ndarray, include_ecc: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-codeword flip counts of a batch of block writes.
+
+    ``diff`` is the ``(n, 512)`` 0/1 bit matrix of ``old ^ new`` in flat bit
+    order, e.g. ``blocks_to_bits(olds) != blocks_to_bits(news)``. Returns the
+    ``(n, 8)`` data-bit flip counts and, with ``include_ecc``, the ``(n, 8)``
+    check-bit flip counts (``None`` without). Since encoding is linear over
+    GF(2), ``encode(old) ^ encode(new) == encode(old ^ new)``: the check bits
+    that flip are those encoded from the dataword diff.
+    """
+    n = diff.shape[0]
+    slots = diff[:, scheme_perm(scheme)].reshape(n, CODEWORDS, DATAWORD_BITS)
+    data_counts = slots.sum(axis=2, dtype=np.int64)
+    if not include_ecc:
+        return data_counts, None
+    words = np.packbits(slots, axis=2, bitorder="little").view("<u8").reshape(n, CODEWORDS)
+    return data_counts, popcount8(secded.encode_words(words)).astype(np.int64)
+
+
 def transition_vector(
     scheme: MappingScheme, old: bytes, new: bytes, include_ecc: bool = True
 ) -> TransitionVector:
     """Count the bits that must flip in each codeword when `old` is overwritten by `new`.
 
-    With ``include_ecc`` the Hamming distance between the check words encoded
-    from the old and new datawords is added per codeword, since a write
-    touches all k+r cells of a codeword.
+    With ``include_ecc`` the check-bit flips are added per codeword, since a
+    write touches all k+r cells of a codeword. One-write form of
+    :func:`codeword_counts`.
     """
     diff = block_to_bits(old) ^ block_to_bits(new)
-    counts = np.bincount(scheme_assignment(scheme)[diff.astype(bool)], minlength=CODEWORDS)
-    if include_ecc:
-        check_old = secded.encode_words(datawords(scheme, old))
-        check_new = secded.encode_words(datawords(scheme, new))
-        counts = counts + popcount8(check_old ^ check_new).astype(np.int64)
-    return TransitionVector(tuple(int(v) for v in counts), include_ecc=include_ecc)
+    data, check = codeword_counts(scheme, diff[None], include_ecc)
+    counts = data[0] if check is None else data[0] + check[0]
+    return TransitionVector(tuple(counts.tolist()), include_ecc=include_ecc)

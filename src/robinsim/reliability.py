@@ -9,17 +9,22 @@ maximizes the block success probability for fixed K.
 
 ``p_write`` can be supplied directly (the primary experiment pathway) or
 derived from device physics via :func:`p_write_from_device`.
+
+Each formula has one array implementation (``*_array``); the scalar
+``p_*`` functions wrap them, and :class:`RateAccumulator` folds batches of
+per-codeword counts into trace-level means with them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mapping import CODEWORDS, TransitionVector
+from .mapping import BATCH, CODEWORDS, TransitionVector
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -51,6 +56,9 @@ class DeviceParams:
     euler: float = EULER_GAMMA
 
     def __post_init__(self) -> None:
+        for item in fields(self):
+            if not math.isfinite(getattr(self, item.name)):
+                raise ParameterError(f"{item.name} must be finite, got {getattr(self, item.name)}")
         if self.t_write <= 0:
             raise ParameterError(f"t_write must be positive, got {self.t_write}")
         if not 0 < self.polarization < 1:
@@ -84,28 +92,12 @@ def p_write_from_device(params: DeviceParams) -> float:
     return min(1.0, max(0.0, 1.0 - failure))
 
 
-def p_codeword_success(k: float, pw: float) -> float:
-    """Probability that a codeword with k transitioning bits is written correctly.
+def codeword_success_array(k: np.ndarray, pw: float) -> np.ndarray:
+    """Probability that codewords with k transitioning bits are written correctly.
 
     k may be real-valued (used by the idealized uniform bound, where the
     single-failure multiplicity generalizes from C(k,1) to k).
     """
-    if k < 0:
-        raise ParameterError(f"transition count must be non-negative, got {k}")
-    if not 0.0 <= pw <= 1.0:
-        raise ParameterError(f"p_write must lie in [0, 1], got {pw}")
-    if k == 0:
-        return 1.0
-    if pw == 1.0:
-        return 1.0
-    if pw == 0.0:
-        return 1.0 if k <= 1 else 0.0
-    value = pw**k + k * pw ** (k - 1.0) * (1.0 - pw)
-    return min(1.0, max(0.0, value))
-
-
-def codeword_success_array(k: np.ndarray, pw: float) -> np.ndarray:
-    """Vectorized :func:`p_codeword_success` over an array of (real) flip counts."""
     if not 0.0 <= pw <= 1.0:
         raise ParameterError(f"p_write must lie in [0, 1], got {pw}")
     k = np.asarray(k, dtype=np.float64)
@@ -121,6 +113,35 @@ def codeword_success_array(k: np.ndarray, pw: float) -> np.ndarray:
     return np.clip(value, 0.0, 1.0)
 
 
+def block_success_array(counts: np.ndarray, pw: float) -> np.ndarray:
+    """Probability that all eight codewords succeed, per row of a (..., 8) count array."""
+    return codeword_success_array(counts, pw).prod(axis=-1)
+
+
+def block_success_optimal_array(totals: np.ndarray, pw: float) -> np.ndarray:
+    """Idealized bound: each block's total transitions spread uniformly, K/8 each.
+
+    K/8 stays real-valued, so this is an upper bound that is attainable only
+    when 8 divides K; see :func:`block_success_optimal_int_array` for the
+    best integer split.
+    """
+    totals = np.asarray(totals, dtype=np.float64)
+    return codeword_success_array(totals / CODEWORDS, pw) ** CODEWORDS
+
+
+def block_success_optimal_int_array(totals: np.ndarray, pw: float) -> np.ndarray:
+    """Best achievable split with integer per-codeword counts: floor/ceil of K/8."""
+    base, extra = np.divmod(np.asarray(totals).astype(np.int64), CODEWORDS)
+    low = codeword_success_array(base, pw)
+    high = codeword_success_array(base + 1, pw)
+    return high**extra * low ** (CODEWORDS - extra)
+
+
+def p_codeword_success(k: float, pw: float) -> float:
+    """Scalar :func:`codeword_success_array`."""
+    return float(codeword_success_array(k, pw))
+
+
 def _counts(tv: TransitionVector | Sequence[int]) -> np.ndarray:
     k = np.asarray(tv.k if isinstance(tv, TransitionVector) else tv, dtype=np.float64)
     if k.shape != (CODEWORDS,):
@@ -130,29 +151,17 @@ def _counts(tv: TransitionVector | Sequence[int]) -> np.ndarray:
 
 def p_block_success(tv: TransitionVector | Sequence[int], pw: float) -> float:
     """Probability that all eight codewords of a block write succeed."""
-    return float(np.prod(codeword_success_array(_counts(tv), pw)))
+    return float(block_success_array(_counts(tv), pw))
 
 
 def p_block_success_optimal(total: float, pw: float) -> float:
-    """Idealized bound: the block's total transitions spread uniformly, K/8 each.
-
-    K/8 stays real-valued, so this is an upper bound that is attainable only
-    when 8 divides K; see :func:`p_block_success_optimal_int` for the best
-    integer split.
-    """
-    if total < 0:
-        raise ParameterError(f"total transition count must be non-negative, got {total}")
-    return p_codeword_success(total / CODEWORDS, pw) ** CODEWORDS
+    """Scalar :func:`block_success_optimal_array`."""
+    return float(block_success_optimal_array(total, pw))
 
 
 def p_block_success_optimal_int(total: int, pw: float) -> float:
-    """Best achievable split with integer per-codeword counts: floor/ceil of K/8."""
-    if total < 0:
-        raise ParameterError(f"total transition count must be non-negative, got {total}")
-    base, extra = divmod(int(total), CODEWORDS)
-    low = p_codeword_success(base, pw)
-    high = p_codeword_success(base + 1, pw)
-    return high**extra * low ** (CODEWORDS - extra)
+    """Scalar :func:`block_success_optimal_int_array`."""
+    return float(block_success_optimal_int_array(total, pw))
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,41 @@ class TraceErrorRate:
     writes: int
 
 
+class RateAccumulator:
+    """Streaming mean of block failure and of its two uniform-split bounds.
+
+    Fed ``(batch, 8)`` per-codeword count matrices; each batch is reduced to
+    one float per mean before it is added, so results depend on the batching.
+    """
+
+    def __init__(self, pw: float) -> None:
+        self.pw = pw
+        self.writes = 0
+        self._failure_sum = 0.0
+        self._optimal_sum = 0.0
+        self._optimal_int_sum = 0.0
+
+    def add_counts(self, counts: np.ndarray) -> None:
+        counts = np.asarray(counts)
+        if counts.ndim != 2 or counts.shape[1] != CODEWORDS:
+            raise ParameterError(f"count rows need {CODEWORDS} entries, got shape {counts.shape}")
+        self._failure_sum += float((1.0 - block_success_array(counts, self.pw)).sum())
+        totals = counts.sum(axis=1).astype(np.float64)
+        self._optimal_sum += float((1.0 - block_success_optimal_array(totals, self.pw)).sum())
+        self._optimal_int_sum += float((1.0 - block_success_optimal_int_array(totals, self.pw)).sum())
+        self.writes += len(counts)
+
+    def finalize(self) -> TraceErrorRate:
+        if self.writes == 0:
+            raise ValueError("empty transition-vector stream")
+        return TraceErrorRate(
+            rate=self._failure_sum / self.writes,
+            optimal_rate=self._optimal_sum / self.writes,
+            optimal_rate_int=self._optimal_int_sum / self.writes,
+            writes=self.writes,
+        )
+
+
 def trace_error_rate(tvs: Iterable[TransitionVector | Sequence[int]], pw: float) -> TraceErrorRate:
     """Aggregate Eq-style block failure over a stream of transition vectors.
 
@@ -173,25 +217,12 @@ def trace_error_rate(tvs: Iterable[TransitionVector | Sequence[int]], pw: float)
     its integer split, using each write's own total K. Writes with K = 0
     contribute zero to all three.
     """
-    failure_sum = 0.0
-    optimal_sum = 0.0
-    optimal_int_sum = 0.0
-    writes = 0
-    for tv in tvs:
-        counts = _counts(tv)
-        failure_sum += 1.0 - p_block_success(counts, pw)
-        total = float(counts.sum())
-        optimal_sum += 1.0 - p_block_success_optimal(total, pw)
-        optimal_int_sum += 1.0 - p_block_success_optimal_int(int(total), pw)
-        writes += 1
-    if writes == 0:
-        raise ValueError("empty transition-vector stream")
-    return TraceErrorRate(
-        rate=failure_sum / writes,
-        optimal_rate=optimal_sum / writes,
-        optimal_rate_int=optimal_int_sum / writes,
-        writes=writes,
-    )
+    acc = RateAccumulator(pw)
+    tvs = iter(tvs)
+    while chunk := list(islice(tvs, BATCH)):
+        rows = [tv.k if isinstance(tv, TransitionVector) else tv for tv in chunk]
+        acc.add_counts(np.asarray(rows, dtype=np.float64))
+    return acc.finalize()
 
 
 def normalized_increase(rate: float, optimal_rate: float) -> float:

@@ -1,32 +1,33 @@
 """Experiment runner: wires traces or generators through schemes and models.
 
-One streaming pass over the old/new pair stream computes, per scheme, the
-analytic error rate with its optimal companions, the codeword-spread
-statistics, and (optionally) a Monte Carlo estimate; plus the per-bit
-transition histogram. Results are emitted as CSV tables and self-contained
-SVG charts; reruns with the same config and seed are byte-identical.
+One streaming pass over the old/new pair stream, in batches of 512 writes,
+counts each scheme's codeword flips with :func:`robinsim.mapping.codeword_counts`
+and folds them into a :class:`robinsim.reliability.RateAccumulator` (analytic
+error rate with its optimal companions) and a
+:class:`robinsim.trace.StatsAccumulator` (codeword-spread statistics), and
+sums the per-bit transition histogram. With Monte Carlo on, the pairs are kept
+and passed to :func:`robinsim.injection.monte_carlo_trace` per scheme. Results
+are emitted as CSV tables and self-contained SVG charts; reruns with the same
+config and seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from . import reliability, secded
-from .bits import BLOCK_BITS, blocks_to_bits, popcount8, stack_blocks
-from .injection import InjectionConfig, TraceEstimate, monte_carlo_block
-from .mapping import CODEWORDS, MappingScheme, scheme_perm
-from .reliability import DeviceParams
+from . import reliability
+from .bits import BLOCK_BITS, blocks_to_bits, stack_blocks
+from .injection import InjectionConfig, TraceEstimate, monte_carlo_trace
+from .mapping import BATCH, KINDS, MappingScheme, codeword_counts
+from .reliability import DeviceParams, ParameterError, RateAccumulator
 from .trace import CodewordStats, StatsAccumulator, load_trace, old_new_pairs
 from .workloads import WorkloadSpec, gen_workload
-
-SCHEME_NAMES = ("per-word", "interleaved", "robin")
-
-_BATCH = 512
 
 
 class ConfigError(ValueError):
@@ -40,7 +41,7 @@ class ExperimentConfig:
     trace_path: str | None = None
     trace_format: str | None = None
     workload: WorkloadSpec | None = None
-    schemes: tuple[str, ...] = SCHEME_NAMES
+    schemes: tuple[str, ...] = KINDS
     pw: float | None = None
     device: DeviceParams | None = None
     include_ecc: bool = True
@@ -54,8 +55,8 @@ class ExperimentConfig:
         if not self.schemes:
             raise ConfigError("at least one scheme must be selected")
         for name in self.schemes:
-            if name not in SCHEME_NAMES:
-                raise ConfigError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+            if name not in KINDS:
+                raise ConfigError(f"unknown scheme {name!r}; expected one of {KINDS}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes must not repeat")
         if (self.trace_path is None) == (self.workload is None):
@@ -66,8 +67,12 @@ class ExperimentConfig:
             raise ConfigError(f"pw must lie in [0, 1], got {self.pw}")
         if self.warmup < 0:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
-        if self.monte_carlo and self.trials < 1:
+        if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        try:
+            self.resolve_pw()
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def resolve_pw(self) -> float:
         return self.pw if self.pw is not None else reliability.p_write_from_device(self.device)
@@ -93,78 +98,6 @@ class ReportBundle:
     schemes: list[SchemeReport] = field(default_factory=list)
 
 
-class _SchemeAccumulator:
-    """Per-scheme streaming state for one pass over the pair stream."""
-
-    def __init__(self, scheme: MappingScheme, pw: float, include_ecc: bool) -> None:
-        self.scheme = scheme
-        self.pw = pw
-        self.include_ecc = include_ecc
-        self.failure_sum = 0.0
-        self.optimal_sum = 0.0
-        self.optimal_int_sum = 0.0
-        self.stats = StatsAccumulator(scheme.kind)
-        self.mc_failure_sum = 0.0
-        self.mc_variance_sum = 0.0
-
-    def add_batch(self, data_counts: np.ndarray, check_counts: np.ndarray | None) -> None:
-        self.stats.add_counts(data_counts)
-        counts = data_counts if check_counts is None else data_counts + check_counts
-        success = reliability.codeword_success_array(counts, self.pw).prod(axis=1)
-        self.failure_sum += float((1.0 - success).sum())
-        totals = counts.sum(axis=1).astype(np.float64)
-        optimal = reliability.codeword_success_array(totals / CODEWORDS, self.pw) ** CODEWORDS
-        self.optimal_sum += float((1.0 - optimal).sum())
-        base, extra = np.divmod(totals.astype(np.int64), CODEWORDS)
-        low = reliability.codeword_success_array(base, self.pw)
-        high = reliability.codeword_success_array(base + 1, self.pw)
-        self.optimal_int_sum += float((1.0 - high**extra * low ** (CODEWORDS - extra)).sum())
-
-    def finalize(self, writes: int, mc: TraceEstimate | None) -> SchemeReport:
-        rate = self.failure_sum / writes
-        optimal = self.optimal_sum / writes
-        increase = reliability.normalized_increase(rate, optimal) if optimal > 0 else None
-        return SchemeReport(
-            scheme=self.scheme.kind,
-            analytic_rate=rate,
-            optimal_rate=optimal,
-            optimal_rate_int=self.optimal_int_sum / writes,
-            increase_pct=increase,
-            stats=self.stats.finalize(),
-            mc=mc,
-        )
-
-
-def _batched(pairs: Iterator[tuple[bytes, bytes]], size: int) -> Iterator[list[tuple[bytes, bytes]]]:
-    batch: list[tuple[bytes, bytes]] = []
-    for pair in pairs:
-        batch.append(pair)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def _scheme_counts(
-    scheme: MappingScheme,
-    diff: np.ndarray,
-    include_ecc: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(batch, 8) data transition counts, plus check-bit counts when requested."""
-    perm = scheme_perm(scheme)
-    n = diff.shape[0]
-    slots = diff[:, perm].reshape(n, CODEWORDS, 64)
-    data_counts = slots.sum(axis=2).astype(np.int64)
-    if not include_ecc:
-        return data_counts, None
-    # encode is linear over GF(2): check_old ^ check_new == encode(old_word ^ new_word)
-    words = np.packbits(slots, axis=2, bitorder="little").reshape(n, CODEWORDS, 8)
-    words = np.ascontiguousarray(words).view("<u8").reshape(n, CODEWORDS)
-    check_counts = popcount8(secded.encode_words(words)).astype(np.int64)
-    return data_counts, check_counts
-
-
 def make_pairs(cfg: ExperimentConfig) -> Iterator[tuple[bytes, bytes]]:
     """The experiment's old/new pair stream per the configured input source."""
     if cfg.trace_path is not None:
@@ -179,51 +112,54 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     cfg.validate()
     pw = cfg.resolve_pw()
     schemes = [MappingScheme(name) for name in cfg.schemes]
-    accumulators = [_SchemeAccumulator(s, pw, cfg.include_ecc) for s in schemes]
+    rates = [RateAccumulator(pw) for _ in schemes]
+    spreads = [StatsAccumulator(s.kind) for s in schemes]
     histogram = np.zeros(BLOCK_BITS, dtype=np.int64)
     mc_pairs: list[tuple[bytes, bytes]] = []
 
-    writes = 0
-    for batch in _batched(iter(make_pairs(cfg)), _BATCH):
+    pairs = iter(make_pairs(cfg))
+    while batch := list(islice(pairs, BATCH)):
         olds = stack_blocks([p[0] for p in batch])
         news = stack_blocks([p[1] for p in batch])
         diff = blocks_to_bits(olds) != blocks_to_bits(news)
         histogram += diff.sum(axis=0)
-        for acc in accumulators:
-            data_counts, check_counts = _scheme_counts(acc.scheme, diff, cfg.include_ecc)
-            acc.add_batch(data_counts, check_counts)
+        for scheme, rate, spread in zip(schemes, rates, spreads):
+            data_counts, check_counts = codeword_counts(scheme, diff, cfg.include_ecc)
+            spread.add_counts(data_counts)
+            rate.add_counts(data_counts if check_counts is None else data_counts + check_counts)
         if cfg.monte_carlo:
             mc_pairs.extend(batch)
-        writes += len(batch)
 
+    writes = rates[0].writes
     if writes == 0:
         raise ConfigError("input produced no write records after warmup")
 
     bundle = ReportBundle(pw=pw, include_ecc=cfg.include_ecc, writes=writes, histogram=histogram)
-    for acc in accumulators:
-        mc = _run_monte_carlo(mc_pairs, acc.scheme, cfg, pw) if cfg.monte_carlo else None
-        bundle.schemes.append(acc.finalize(writes, mc))
+    for scheme, rate, spread in zip(schemes, rates, spreads):
+        mc = None
+        if cfg.monte_carlo:
+            inj = InjectionConfig(
+                pw=pw, scheme=scheme, trials=cfg.trials, seed=cfg.seed, include_ecc=cfg.include_ecc
+            )
+            mc = monte_carlo_trace(mc_pairs, inj)
+        means = rate.finalize()
+        increase = (
+            reliability.normalized_increase(means.rate, means.optimal_rate)
+            if means.optimal_rate > 0
+            else None
+        )
+        bundle.schemes.append(
+            SchemeReport(
+                scheme=scheme.kind,
+                analytic_rate=means.rate,
+                optimal_rate=means.optimal_rate,
+                optimal_rate_int=means.optimal_rate_int,
+                increase_pct=increase,
+                stats=spread.finalize(),
+                mc=mc,
+            )
+        )
     return bundle
-
-
-def _run_monte_carlo(
-    pairs: list[tuple[bytes, bytes]], scheme: MappingScheme, cfg: ExperimentConfig, pw: float
-) -> TraceEstimate:
-    inj = InjectionConfig(
-        pw=pw, scheme=scheme, trials=cfg.trials, seed=cfg.seed, include_ecc=cfg.include_ecc
-    )
-    failure_sum = 0.0
-    variance_sum = 0.0
-    for index, (old, new) in enumerate(pairs):
-        estimate = monte_carlo_block(old, new, inj, record_index=index)
-        failure_sum += estimate.error_rate
-        variance_sum += estimate.p_block * (1.0 - estimate.p_block) / cfg.trials
-    return TraceEstimate(
-        error_rate=failure_sum / len(pairs),
-        stderr=math.sqrt(variance_sum) / len(pairs),
-        records=len(pairs),
-        trials_per_record=cfg.trials,
-    )
 
 
 def format_sig(value: float | None) -> str:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bits import BLOCK_BITS, BLOCK_BYTES, block_to_bits
-from .mapping import CODEWORDS, MappingScheme, transition_vector
+from .bits import BLOCK_BITS, BLOCK_BYTES, block_to_bits, blocks_to_bits, stack_blocks
+from .mapping import BATCH, CODEWORDS, MappingScheme, codeword_counts
 
 TRACE_MAGIC = b"RBTR"
 TRACE_VERSION = 1
@@ -76,9 +77,8 @@ def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[WriteRecord
 
 def _load_jsonl(path: Path) -> Iterator[WriteRecord]:
     with path.open("r", encoding="ascii") as handle:
-        for index, line in enumerate(handle):
-            if not line.strip():
-                continue
+        lines = (line for line in handle if line.strip())
+        for index, line in enumerate(lines):
             try:
                 obj = json.loads(line)
                 addr = int(obj["addr"], 16)
@@ -260,7 +260,10 @@ def codeword_stats(
 ) -> CodewordStats:
     """Per-write sorted/normalized codeword transitions aggregated over a trace."""
     acc = StatsAccumulator(scheme.kind)
-    for old, new in pairs:
-        tv = transition_vector(scheme, old, new, include_ecc=include_ecc)
-        acc.add_counts(np.asarray([tv.k]))
+    pairs = iter(pairs)
+    while batch := list(islice(pairs, BATCH)):
+        olds = stack_blocks([p[0] for p in batch])
+        news = stack_blocks([p[1] for p in batch])
+        data, check = codeword_counts(scheme, blocks_to_bits(olds ^ news), include_ecc)
+        acc.add_counts(data if check is None else data + check)
     return acc.finalize()

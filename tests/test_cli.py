@@ -102,3 +102,14 @@ def test_run_out_flag_overrides_config(tmp_path, capsys):
     capsys.readouterr()
     assert (out_dir / "error_rates.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_run_non_finite_device_parameter_exits_1(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "workload = irregular\nrecords = 10\ndevice_t_write = nan\ndevice_i_write = 1.5\n"
+        "device_i_c0 = 1.0\ndevice_polarization = 0.5\ndevice_magnetic_moment = 0.75\n",
+    )
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")

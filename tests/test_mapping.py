@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import oracle
 from robinsim import secded
-from robinsim.bits import bits_to_block, block_to_bits
+from robinsim.bits import bits_to_block, block_to_bits, blocks_to_bits
 from robinsim.mapping import (
     INTERLEAVED,
     PER_WORD,
@@ -10,6 +11,7 @@ from robinsim.mapping import (
     BitCoordinate,
     InvalidSchemeError,
     MappingScheme,
+    codeword_counts,
     codeword_data_bits,
     datawords,
     map_bit,
@@ -119,11 +121,26 @@ def test_verify_partition_interleaved():
 
 def test_scheme_geometry_rejected():
     with pytest.raises(InvalidSchemeError):
-        MappingScheme("robin", words=4)
-    with pytest.raises(InvalidSchemeError):
-        MappingScheme("per-word", bytes_per_word=16)
-    with pytest.raises(InvalidSchemeError):
         MappingScheme("hamming-ish")
+
+
+@pytest.mark.parametrize("include_ecc", (False, True), ids=("data", "ecc"))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
+def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
+    rng = np.random.default_rng(2024)
+    olds = rng.integers(0, 256, (24, 64), dtype=np.uint8)
+    # flip densities from none to every bit, so sparse and saturated writes are both covered
+    density = np.linspace(0.0, 1.0, len(olds))[:, None]
+    flips = np.packbits(rng.random((len(olds), 512)) < density, axis=1, bitorder="little")
+    news = olds ^ flips
+    data, check = codeword_counts(scheme, blocks_to_bits(olds) != blocks_to_bits(news), include_ecc)
+    assert data.shape == (len(olds), 8)
+    assert (check is None) == (not include_ecc)
+    for i, (old, new) in enumerate(zip(olds, news)):
+        want_data, want_check = oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), include_ecc)
+        assert data[i].tolist() == want_data
+        if include_ecc:
+            assert check[i].tolist() == want_check
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)

@@ -5,6 +5,7 @@ from math import inf
 import numpy as np
 import pytest
 
+import oracle
 from robinsim.mapping import TransitionVector
 from robinsim.reliability import (
     DeviceParams,
@@ -80,6 +81,10 @@ def test_device_params_validation():
         DeviceParams(**{**FIXED_DEVICE, "delta": -1.0})
     with pytest.raises(ParameterError):
         DeviceParams(**{**FIXED_DEVICE, "i_write": 0.5})
+    for name in FIXED_DEVICE:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                DeviceParams(**{**FIXED_DEVICE, name: bad})
 
 
 def test_p_write_invalid_denominator():
@@ -211,3 +216,19 @@ def test_increase_is_scale_free():
     assert math.isclose(
         normalized_increase(3e-6, 2e-6), normalized_increase(3e-2, 2e-2), rel_tol=1e-12
     )
+
+
+def test_trace_error_rate_across_chunks_matches_oracle():
+    # more vectors than one accumulator chunk, so chunk boundaries are crossed
+    rows = np.random.default_rng(8).integers(0, 30, (1300, 8)).tolist()
+    result = trace_error_rate(rows, 0.995)
+    rate, optimal, optimal_int = oracle.trace_rates(rows, 0.995)
+    assert result.writes == 1300
+    assert result.rate == pytest.approx(rate, rel=1e-12)
+    assert result.optimal_rate == pytest.approx(optimal, rel=1e-12)
+    assert result.optimal_rate_int == pytest.approx(optimal_int, rel=1e-12)
+
+
+def test_trace_error_rate_rejects_wrong_width():
+    with pytest.raises(ParameterError):
+        trace_error_rate([[1] * 7], 0.9)

@@ -5,8 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import oracle
 from robinsim.config import config_from_values, load_config, parse_config_text
-from robinsim.mapping import MappingScheme
 from robinsim.reliability import normalized_increase
 from robinsim.report import (
     ConfigError,
@@ -16,7 +16,7 @@ from robinsim.report import (
     format_sig,
     run_experiment,
 )
-from robinsim.trace import WriteRecord, codeword_stats, old_new_pairs, save_trace
+from robinsim.trace import WriteRecord, old_new_pairs, save_trace
 from robinsim.workloads import WorkloadSpec, gen_workload
 
 
@@ -60,6 +60,23 @@ def test_validation_requires_one_pw_source():
     assert 0 < cfg.resolve_pw() < 1
 
 
+def test_validation_rejects_bad_trials_without_monte_carlo():
+    with pytest.raises(ConfigError, match="trials"):
+        small_config(trials=-5, monte_carlo=False).validate()
+    with pytest.raises(ConfigError, match="trials"):
+        config_from_values({"workload": "irregular", "records": "10", "pw": "0.999", "trials": "0"})
+
+
+def test_validation_maps_device_formula_errors_to_config_error():
+    from robinsim.reliability import DeviceParams
+
+    # a negative magnetic moment makes the formula's denominator negative
+    device = DeviceParams(t_write=2.0, i_write=1.5, i_c0=1.0, polarization=0.5,
+                          magnetic_moment=-10.0, mu_b=1.25, delta=60.0, e_charge=1.0)
+    with pytest.raises(ConfigError, match="denominator"):
+        small_config(pw=None, device=device).validate()
+
+
 def test_validation_schemes():
     with pytest.raises(ConfigError):
         small_config(schemes=()).validate()
@@ -93,26 +110,22 @@ def test_empty_input_rejected(tmp_path):
 
 
 def test_run_experiment_matches_streaming_oracles():
-    """The batched engine must agree with the one-pair-at-a-time reference path."""
-    from robinsim.mapping import transition_vector
-    from robinsim.reliability import trace_error_rate
-
+    """The batched engine must agree with the per-bit, one-pair-at-a-time reference."""
     cfg = small_config(include_ecc=True)
     bundle = run_experiment(cfg)
     pairs = list(old_new_pairs(gen_workload(cfg.workload, cfg.seed)))
     for report in bundle.schemes:
-        scheme = MappingScheme(report.scheme)
-        tvs = [transition_vector(scheme, o, n, include_ecc=True) for o, n in pairs]
-        reference = trace_error_rate(tvs, cfg.pw)
-        assert report.analytic_rate == pytest.approx(reference.rate, rel=1e-9)
-        assert report.optimal_rate == pytest.approx(reference.optimal_rate, rel=1e-9)
-        assert report.optimal_rate_int == pytest.approx(reference.optimal_rate_int, rel=1e-9)
-        assert report.increase_pct == pytest.approx(
-            normalized_increase(reference.rate, reference.optimal_rate), rel=1e-9
+        counts = [oracle.flip_counts(report.scheme, o, n, include_ecc=True) for o, n in pairs]
+        rate, optimal, optimal_int = oracle.trace_rates(
+            [[d + c for d, c in zip(data, check)] for data, check in counts], cfg.pw
         )
-        stats = codeword_stats(pairs, scheme)
-        assert report.stats.min_avg_pct == pytest.approx(stats.min_avg_pct, rel=1e-9)
-        assert report.stats.max_avg_pct == pytest.approx(stats.max_avg_pct, rel=1e-9)
+        assert report.analytic_rate == pytest.approx(rate, rel=1e-9)
+        assert report.optimal_rate == pytest.approx(optimal, rel=1e-9)
+        assert report.optimal_rate_int == pytest.approx(optimal_int, rel=1e-9)
+        assert report.increase_pct == pytest.approx((rate / optimal - 1.0) * 100.0, rel=1e-9)
+        min_avg, max_avg = oracle.spread([data for data, _ in counts])
+        assert report.stats.min_avg_pct == pytest.approx(min_avg, rel=1e-9)
+        assert report.stats.max_avg_pct == pytest.approx(max_avg, rel=1e-9)
 
 
 def test_run_experiment_monte_carlo_within_three_sigma():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from robinsim.mapping import PER_WORD, ROBIN
 from robinsim.trace import (
     ShadowStore,
@@ -96,6 +97,17 @@ def test_jsonl_short_hex_rejected_with_index(tmp_path):
     bad127 = {"addr": "0x40", "data": "0" * 127}
     path.write_text(json.dumps(bad127) + "\n")
     with pytest.raises(TraceFormatError, match="record 0"):
+        list(load_trace(path))
+
+
+def test_jsonl_blank_lines_are_not_records(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n  \n" + '{"addr": "0x0"\n')
+    with pytest.raises(TraceFormatError, match="record 0"):
+        list(load_trace(path))
+    good = json.dumps({"addr": "0x0", "data": "00" * 64})
+    path.write_text(good + "\n\n\n" + '{"addr": "0x0"\n')
+    with pytest.raises(TraceFormatError, match="record 1"):
         list(load_trace(path))
 
 
@@ -215,3 +227,23 @@ def test_codeword_stats_min_below_mean_below_max():
     assert stats.min_avg_pct <= 100.0 <= stats.max_avg_pct
     assert stats.min_extreme_pct <= stats.min_avg_pct
     assert stats.max_extreme_pct >= stats.max_avg_pct
+
+
+@pytest.mark.parametrize("include_ecc", (False, True), ids=("data", "ecc"))
+def test_codeword_stats_across_batches_matches_oracle(include_ecc):
+    # more pairs than one counting batch, so batch boundaries are crossed
+    pairs = list(old_new_pairs(make_records(700, seed=9, addresses=16)))
+    stats = codeword_stats(pairs, ROBIN, include_ecc=include_ecc)
+    rows = []
+    for old, new in pairs:
+        data, check = oracle.flip_counts("robin", old, new, include_ecc)
+        rows.append(data if check is None else [d + c for d, c in zip(data, check)])
+    min_avg, max_avg = oracle.spread(rows)
+    assert stats.writes == 700
+    assert stats.min_avg_pct == pytest.approx(min_avg, rel=1e-12)
+    assert stats.max_avg_pct == pytest.approx(max_avg, rel=1e-12)
+
+
+def test_codeword_stats_rejects_short_payload():
+    with pytest.raises(ValueError, match="64 bytes"):
+        codeword_stats([(bytes(63), bytes(65))], ROBIN)
