@@ -182,6 +182,6 @@ def config_from_values(values: dict[str, str], out_override: str | None = None) 
 def load_config(path: str | Path, out_override: str | None = None) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_values(parse_config_text(text, origin=str(path)), out_override)

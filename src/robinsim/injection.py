@@ -8,6 +8,14 @@ one failure (t = 1 for SEC-DED). The decoder-based view is available as a
 cross-check but is never the ground truth, because triple-and-higher errors
 can alias to a valid correction.
 
+Monte Carlo estimates draw only the cells that fail: a chunk of trials lays
+its flipping cells out as one field, and the failures in it are placed by
+geometric gaps (the distance from one failing cell to the next), which is the
+same independent-cell model sampled exactly. The work scales with the
+expected number of failures, not with the number of flipping cells.
+:func:`inject_write` still draws one uniform per bit, because its outcome
+carries the stored payload the decoder cross-check needs.
+
 Reproducibility: every record of a trace gets its own substream seeded with
 ``mix_seed(seed, record_index)``, a splitmix64 step (constants below), so
 estimates do not depend on processing order. Within a substream, trials are
@@ -40,8 +48,9 @@ def mix_seed(seed: int, index: int) -> int:
     """The (index+1)-th output of the splitmix64 stream started at ``seed``.
 
     Collision-resistant enough to give every (seed, record) pair an
-    independent, order-insensitive substream.
+    independent, order-insensitive substream. numpy integers are accepted.
     """
+    seed, index = int(seed), int(index)
     z = (seed + (index + 1) * SPLITMIX_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & _MASK64
     z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & _MASK64
@@ -146,45 +155,63 @@ def monte_carlo_block(
 ) -> BlockEstimate:
     """Estimate the block write success probability by repeated fault injection.
 
-    Only the transitioning bits are simulated; a trial succeeds when every
-    codeword collects at most one failure. Deterministic for a given
-    (seed, record_index, trials, scheme) regardless of caller scheduling.
+    Only the transitioning cells of codewords with at least two of them are
+    simulated, since a codeword with one can never exceed t = 1. For each
+    chunk of trials those cells form one trial-major field, the failing cells
+    in it are placed by geometric gaps, and a trial succeeds when every
+    codeword collects at most one failure. A record that cannot fail draws
+    nothing. Deterministic for a given (seed, record_index, trials, scheme)
+    regardless of caller scheduling.
     """
     diff = block_to_bits(old) ^ block_to_bits(new)
     data, check = codeword_counts(cfg.scheme, diff[None], cfg.include_ecc)
     counts = data[0] if check is None else data[0] + check[0]
-    # the flipping cells, grouped by codeword: group n is [bounds[n], bounds[n + 1])
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    n_flips = int(bounds[-1])
-    if n_flips == 0:
+    counts = np.where(counts > 1, counts, 0)
+    fail_prob = 1.0 - cfg.pw
+    n_flips = int(counts.sum())
+    if n_flips == 0 or fail_prob == 0.0:
         return BlockEstimate(p_block=1.0, stderr=0.0, trials=cfg.trials, successes=cfg.trials)
 
-    fail_prob = 1.0 - cfg.pw
     rng = substream(cfg.seed, record_index)
-    # codewords with a single transitioning bit can never exceed t=1
-    group_spans = [
-        (int(bounds[n]), int(bounds[n + 1]))
-        for n in range(CODEWORDS)
-        if bounds[n + 1] - bounds[n] > 1
-    ]
+    # the codeword of each simulated cell, cells grouped by codeword
+    cell_codeword = np.repeat(np.arange(CODEWORDS), counts)
     successes = 0
     remaining = cfg.trials
     while remaining > 0:
         chunk = min(_TRIAL_CHUNK, remaining)
-        failures = rng.random((chunk, n_flips)) < fail_prob
-        ok = np.ones(chunk, dtype=bool)
-        for lo, hi in group_spans:
-            ok &= failures[:, lo:hi].sum(axis=1) <= 1
-        successes += int(ok.sum())
+        trial, cell = np.divmod(_failing_cells(rng, fail_prob, n_flips * chunk), n_flips)
+        # failures arrive sorted by (trial, codeword), so a repeated key is a
+        # second failure in one codeword, and its trial fails
+        key = trial * CODEWORDS + cell_codeword[cell]
+        successes += chunk - np.unique(trial[1:][key[1:] == key[:-1]]).size
         remaining -= chunk
 
-    q = successes / cfg.trials
+    p = successes / cfg.trials
     return BlockEstimate(
-        p_block=q,
-        stderr=math.sqrt(q * (1.0 - q) / cfg.trials),
+        p_block=p,
+        stderr=math.sqrt(p * (1.0 - p) / cfg.trials),
         trials=cfg.trials,
         successes=successes,
     )
+
+
+def _failing_cells(rng: np.random.Generator, fail_prob: float, size: int) -> np.ndarray:
+    """Sorted indices in [0, size) of the cells that fail, each with ``fail_prob``.
+
+    Gaps between consecutive failures are geometric. Each gap is clipped to
+    ``size`` before summing: at tiny ``fail_prob`` numpy saturates a gap at
+    2**63 - 1, and an unclipped running sum would wrap around.
+    """
+    expected = size * fail_prob
+    batch = int(expected + 4.0 * math.sqrt(expected)) + 16
+    parts = []
+    last = -1
+    while last < size:
+        positions = last + np.cumsum(np.minimum(rng.geometric(fail_prob, batch), size))
+        parts.append(positions)
+        last = int(positions[-1])
+    positions = np.concatenate(parts)
+    return positions[: np.searchsorted(positions, size)]
 
 
 @dataclass(frozen=True)
@@ -197,32 +224,46 @@ class TraceEstimate:
     trials_per_record: int
 
 
+class MonteCarloAccumulator:
+    """Running trace-level Monte Carlo estimate, fed one (old, new) pair at a time.
+
+    The r-th pair added is record r and uses substream mix_seed(seed, r), so
+    the estimate is independent of how the pairs are batched; partial results
+    merge by summing (failure_fraction, variance_term) pairs.
+    """
+
+    def __init__(self, cfg: InjectionConfig) -> None:
+        self.cfg = cfg
+        self.records = 0
+        self._failure_sum = 0.0
+        self._variance_sum = 0.0
+
+    def add(self, old: bytes, new: bytes) -> None:
+        estimate = monte_carlo_block(old, new, self.cfg, record_index=self.records)
+        self._failure_sum += estimate.error_rate
+        self._variance_sum += estimate.p_block * (1.0 - estimate.p_block) / self.cfg.trials
+        self.records += 1
+
+    def finalize(self) -> TraceEstimate:
+        if self.records == 0:
+            raise ValueError("empty pair stream")
+        return TraceEstimate(
+            error_rate=self._failure_sum / self.records,
+            stderr=math.sqrt(self._variance_sum) / self.records,
+            records=self.records,
+            trials_per_record=self.cfg.trials,
+        )
+
+
 def monte_carlo_trace(
     pairs: Iterable[tuple[bytes, bytes]] | Iterator[tuple[bytes, bytes]],
     cfg: InjectionConfig,
 ) -> TraceEstimate:
-    """Mean block-failure fraction over (records x trials).
-
-    Record r uses substream mix_seed(seed, r), so the estimate is independent
-    of how records are scheduled across workers; partial results merge by
-    summing (failure_fraction, variance_term) pairs.
-    """
-    failure_sum = 0.0
-    variance_sum = 0.0
-    records = 0
-    for index, (old, new) in enumerate(pairs):
-        estimate = monte_carlo_block(old, new, cfg, record_index=index)
-        failure_sum += estimate.error_rate
-        variance_sum += estimate.p_block * (1.0 - estimate.p_block) / cfg.trials
-        records += 1
-    if records == 0:
-        raise ValueError("empty pair stream")
-    return TraceEstimate(
-        error_rate=failure_sum / records,
-        stderr=math.sqrt(variance_sum) / records,
-        records=records,
-        trials_per_record=cfg.trials,
-    )
+    """Mean block-failure fraction over (records x trials); see MonteCarloAccumulator."""
+    accumulator = MonteCarloAccumulator(cfg)
+    for old, new in pairs:
+        accumulator.add(old, new)
+    return accumulator.finalize()
 
 
 @dataclass(frozen=True)

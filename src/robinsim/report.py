@@ -5,8 +5,9 @@ counts each scheme's codeword flips with :func:`robinsim.mapping.codeword_counts
 and folds them into a :class:`robinsim.reliability.RateAccumulator` (analytic
 error rate with its optimal companions) and a
 :class:`robinsim.trace.StatsAccumulator` (codeword-spread statistics), and
-sums the per-bit transition histogram. With Monte Carlo on, the pairs are kept
-and passed to :func:`robinsim.injection.monte_carlo_trace` per scheme. Results
+sums the per-bit transition histogram. With Monte Carlo on, each batch's pairs
+also feed one :class:`robinsim.injection.MonteCarloAccumulator` per scheme, so
+memory stays bounded in the trace length. Results
 are emitted as CSV tables and self-contained SVG charts; reruns with the same
 config and seed are byte-identical.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import reliability
 from .bits import BLOCK_BITS, blocks_to_bits, stack_blocks
-from .injection import InjectionConfig, TraceEstimate, monte_carlo_trace
+from .injection import InjectionConfig, MonteCarloAccumulator, TraceEstimate
 from .mapping import BATCH, KINDS, MappingScheme, codeword_counts
 from .reliability import DeviceParams, ParameterError, RateAccumulator
 from .trace import CodewordStats, StatsAccumulator, load_trace, old_new_pairs
@@ -115,7 +116,16 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     rates = [RateAccumulator(pw) for _ in schemes]
     spreads = [StatsAccumulator(s.kind) for s in schemes]
     histogram = np.zeros(BLOCK_BITS, dtype=np.int64)
-    mc_pairs: list[tuple[bytes, bytes]] = []
+    mcs = [
+        MonteCarloAccumulator(
+            InjectionConfig(
+                pw=pw, scheme=s, trials=cfg.trials, seed=cfg.seed, include_ecc=cfg.include_ecc
+            )
+        )
+        if cfg.monte_carlo
+        else None
+        for s in schemes
+    ]
 
     pairs = iter(make_pairs(cfg))
     while batch := list(islice(pairs, BATCH)):
@@ -128,20 +138,16 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             spread.add_counts(data_counts)
             rate.add_counts(data_counts if check_counts is None else data_counts + check_counts)
         if cfg.monte_carlo:
-            mc_pairs.extend(batch)
+            for mc in mcs:
+                for old, new in batch:
+                    mc.add(old, new)
 
     writes = rates[0].writes
     if writes == 0:
         raise ConfigError("input produced no write records after warmup")
 
     bundle = ReportBundle(pw=pw, include_ecc=cfg.include_ecc, writes=writes, histogram=histogram)
-    for scheme, rate, spread in zip(schemes, rates, spreads):
-        mc = None
-        if cfg.monte_carlo:
-            inj = InjectionConfig(
-                pw=pw, scheme=scheme, trials=cfg.trials, seed=cfg.seed, include_ecc=cfg.include_ecc
-            )
-            mc = monte_carlo_trace(mc_pairs, inj)
+    for scheme, rate, spread, mc in zip(schemes, rates, spreads, mcs):
         means = rate.finalize()
         increase = (
             reliability.normalized_increase(means.rate, means.optimal_rate)
@@ -156,7 +162,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
                 optimal_rate_int=means.optimal_rate_int,
                 increase_pct=increase,
                 stats=spread.finalize(),
-                mc=mc,
+                mc=mc.finalize() if mc is not None else None,
             )
         )
     return bundle

@@ -76,11 +76,12 @@ def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[WriteRecord
 
 
 def _load_jsonl(path: Path) -> Iterator[WriteRecord]:
-    with path.open("r", encoding="ascii") as handle:
+    # read bytes and decode per line, so an undecodable byte (a ValueError) names its record
+    with path.open("rb") as handle:
         lines = (line for line in handle if line.strip())
         for index, line in enumerate(lines):
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("ascii"))
                 addr = int(obj["addr"], 16)
                 data_hex = obj["data"]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

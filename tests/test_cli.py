@@ -113,3 +113,20 @@ def test_run_non_finite_device_parameter_exits_1(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_run_undecodable_jsonl_trace_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff{}\n")
+    cfg = write_config(tmp_path, f"trace = {bad}\npw = 0.999\n")
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:") and "record 0" in err[0]
+
+
+def test_run_undecodable_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "experiment.cfg"
+    path.write_bytes(b"workload = irregular\nrecords = 10\npw = 0.999\n# \xff\n")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from robinsim import injection
 from robinsim.bits import block_to_bits
 from robinsim.injection import (
+    _TRIAL_CHUNK,
     CodecCrossCheck,
     InjectionConfig,
     end_to_end_check,
@@ -32,6 +34,16 @@ def test_mix_seed_reference_vectors():
     assert mix_seed(0, 1) == 0x6E789E6AA1B965F4
     assert mix_seed(0, 2) == 0x06C45D188009454F
     assert mix_seed(0, 3) == 0xF88BB8A8724C81EC
+
+
+def test_mix_seed_accepts_numpy_integers():
+    assert mix_seed(0, np.int64(5)) == mix_seed(0, 5)
+    assert mix_seed(np.uint64(7), np.int32(3)) == mix_seed(7, 3)
+    new = block_with_flips(range(16))
+    cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=500, seed=2, include_ecc=False)
+    assert monte_carlo_block(ZERO, new, cfg, record_index=np.int64(3)) == monte_carlo_block(
+        ZERO, new, cfg, record_index=3
+    )
 
 
 def test_mix_seed_distinct_substreams():
@@ -109,6 +121,73 @@ def test_monte_carlo_block_exact_when_no_transitions():
     assert estimate.p_block == 1.0
     assert estimate.stderr == 0.0
     assert estimate.successes == 1000
+
+
+@pytest.mark.parametrize(
+    "flats,pw",
+    [
+        (range(0, 512, 3), 1.0),  # nothing can fail
+        ([0, 1], 0.0),  # robin codewords 0 and 1 take one flip each
+    ],
+)
+def test_monte_carlo_block_certain_success_draws_nothing(flats, pw, monkeypatch):
+    def no_draws(seed, index):
+        raise AssertionError("a record that cannot fail drew random numbers")
+
+    monkeypatch.setattr(injection, "substream", no_draws)
+    cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=1000, seed=3, include_ecc=False)
+    estimate = monte_carlo_block(ZERO, block_with_flips(flats), cfg)
+    assert (estimate.p_block, estimate.successes, estimate.stderr) == (1.0, 1000, 0.0)
+
+
+@pytest.mark.parametrize(
+    "flats,include_ecc,fails",
+    [
+        ([0, 1], False, False),  # one flip in each of robin codewords 0 and 1
+        ([0, 9], False, True),  # robin codeword 0 twice
+        ([0], True, True),  # one data flip drags several check flips into its codeword
+        (range(64), False, True),
+    ],
+)
+def test_monte_carlo_block_pw_zero_fails_iff_a_codeword_has_two_flips(flats, include_ecc, fails):
+    new = block_with_flips(flats)
+    counts = transition_vector(ROBIN, ZERO, new, include_ecc=include_ecc).k
+    assert (max(counts) >= 2) == fails
+    cfg = InjectionConfig(pw=0.0, scheme=ROBIN, trials=_TRIAL_CHUNK + 5, seed=8, include_ecc=include_ecc)
+    estimate = monte_carlo_block(ZERO, new, cfg)
+    assert estimate.successes == (0 if fails else cfg.trials)
+
+
+def test_monte_carlo_block_across_trial_chunks():
+    new = block_with_flips(range(0, 512, 5))
+    cfg = InjectionConfig(pw=0.99, scheme=INTERLEAVED, trials=_TRIAL_CHUNK + 5, seed=21, include_ecc=True)
+    first = monte_carlo_block(ZERO, new, cfg, record_index=2)
+    assert first == monte_carlo_block(ZERO, new, cfg, record_index=2)
+    assert 0 < first.successes < cfg.trials
+    expected = p_block_success(transition_vector(INTERLEAVED, ZERO, new, include_ecc=True), 0.99)
+    assert abs(first.p_block - expected) < 4 * first.stderr
+
+
+def test_failing_cells_draws_until_the_field_is_covered():
+    class ShortDraws:
+        """Hands out at most three gaps of 2 per call, whatever was asked for."""
+
+        def geometric(self, p, size):
+            return np.full(min(size, 3), 2, dtype=np.int64)
+
+    cells = injection._failing_cells(ShortDraws(), 0.5, 40)
+    assert cells.tolist() == list(range(1, 40, 2))
+
+
+def test_monte_carlo_block_tiny_fail_prob_does_not_overflow():
+    # numpy saturates geometric gaps at 2**63 - 1 for q this small
+    rng = np.random.default_rng(0)
+    old = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
+    new = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
+    cfg = InjectionConfig(pw=1.0 - 2.0**-52, scheme=PER_WORD, trials=3 * _TRIAL_CHUNK, seed=4)
+    assert 1.0 - cfg.pw == 2.0**-52
+    estimate = monte_carlo_block(old, new, cfg)
+    assert estimate.successes == cfg.trials
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ import pytest
 
 import oracle
 from robinsim.config import config_from_values, load_config, parse_config_text
+from robinsim.injection import InjectionConfig, monte_carlo_trace
+from robinsim.mapping import MappingScheme
 from robinsim.reliability import normalized_increase
 from robinsim.report import (
     ConfigError,
@@ -14,6 +16,7 @@ from robinsim.report import (
     emit_csv,
     emit_svg,
     format_sig,
+    make_pairs,
     run_experiment,
 )
 from robinsim.trace import WriteRecord, old_new_pairs, save_trace
@@ -138,6 +141,23 @@ def test_run_experiment_monte_carlo_within_three_sigma():
     for report in bundle.schemes:
         assert report.mc is not None
         assert abs(report.mc.error_rate - report.analytic_rate) <= 3 * max(report.mc.stderr, 1e-9)
+
+
+def test_run_experiment_monte_carlo_independent_of_batches():
+    # 600 records span two 512-write batches of the streaming pass
+    cfg = small_config(
+        workload=WorkloadSpec(kind="irregular", records=600, addresses=16),
+        monte_carlo=True,
+        trials=20,
+    )
+    bundle = run_experiment(cfg)
+    pairs = list(make_pairs(cfg))
+    assert len(pairs) == 600
+    for report in bundle.schemes:
+        inj = InjectionConfig(
+            pw=cfg.pw, scheme=MappingScheme(report.scheme), trials=cfg.trials, seed=cfg.seed
+        )
+        assert report.mc == monte_carlo_trace(pairs, inj)
 
 
 def test_csv_emission_schema(tmp_path):
