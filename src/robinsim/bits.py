@@ -13,8 +13,6 @@ import numpy as np
 BLOCK_BYTES = 64
 BLOCK_BITS = 512
 
-_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
 
 def check_block(data: bytes) -> bytes:
     if len(data) != BLOCK_BYTES:
@@ -22,9 +20,14 @@ def check_block(data: bytes) -> bytes:
     return data
 
 
+def block_bytes(data: bytes) -> np.ndarray:
+    """A 64-byte payload as a read-only uint8 vector."""
+    return np.frombuffer(check_block(data), dtype=np.uint8)
+
+
 def block_to_bits(data: bytes) -> np.ndarray:
     """Unpack a 64-byte payload into a 512-element 0/1 vector indexed by flat position."""
-    return np.unpackbits(np.frombuffer(check_block(data), dtype=np.uint8), bitorder="little")
+    return np.unpackbits(block_bytes(data), bitorder="little")
 
 
 def bits_to_block(bits: np.ndarray) -> bytes:
@@ -43,7 +46,3 @@ def stack_blocks(payloads: list[bytes]) -> np.ndarray:
         raise ValueError(f"block payload must be {BLOCK_BYTES} bytes, got {min(bad)}")
     return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(payloads), BLOCK_BYTES)
 
-
-def popcount8(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint8 array."""
-    return _POPCOUNT8[values]

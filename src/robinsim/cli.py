@@ -91,6 +91,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
+        if args.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed}")
         spec = WorkloadSpec(kind=args.kind, records=args.n, addresses=args.addresses)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

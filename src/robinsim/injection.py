@@ -31,8 +31,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import secded
-from .bits import block_to_bits
-from .mapping import CODEWORDS, MappingScheme, codeword_counts, datawords
+from .bits import BLOCK_BITS, block_bytes, blocks_to_bits, stack_blocks
+from .mapping import CODEWORDS, MappingScheme, block_datawords, codeword_counts
 
 _MASK64 = (1 << 64) - 1
 # splitmix64: golden-gamma increment and the two finalizer multipliers
@@ -103,21 +103,18 @@ def inject_write(
     given generator state.
     """
     fail_prob = 1.0 - cfg.pw
-    old_bits = block_to_bits(old)
-    new_bits = block_to_bits(new)
-    draws = rng.random(len(new_bits))
+    blocks = stack_blocks([old, new])
+    draws = rng.random(BLOCK_BITS)
 
-    transitions = old_bits != new_bits
-    failed = transitions & (draws < fail_prob)
-    stored = np.where(failed, old_bits, new_bits).astype(np.uint8)
+    transitions = blocks_to_bits(blocks[:1] ^ blocks[1:])[0]
+    failed = np.packbits(transitions & (draws < fail_prob), bitorder="little")
     failed_data, _ = codeword_counts(cfg.scheme, failed[None], include_ecc=False)
     counts = failed_data[0]
 
     stored_check: tuple[int, ...] | None = None
     if cfg.include_ecc:
         check_draws = rng.random(CODEWORDS * secded.CHECK_BITS).reshape(CODEWORDS, secded.CHECK_BITS)
-        old_check = secded.encode_words(datawords(cfg.scheme, old))
-        new_check = secded.encode_words(datawords(cfg.scheme, new))
+        old_check, new_check = secded.encode_words(block_datawords(cfg.scheme, blocks))
         check_diff = np.unpackbits(old_check ^ new_check, bitorder="little").reshape(
             CODEWORDS, secded.CHECK_BITS
         )
@@ -129,7 +126,8 @@ def inject_write(
         )
 
     return WriteOutcome(
-        written=np.packbits(stored, bitorder="little").tobytes(),
+        # a failed cell keeps its old value, the complement of the new one
+        written=(blocks[1] ^ failed).tobytes(),
         written_check=stored_check,
         failures_per_codeword=tuple(int(v) for v in counts),
         block_ok=bool(counts.max() <= 1),
@@ -163,7 +161,7 @@ def monte_carlo_block(
     nothing. Deterministic for a given (seed, record_index, trials, scheme)
     regardless of caller scheduling.
     """
-    diff = block_to_bits(old) ^ block_to_bits(new)
+    diff = block_bytes(old) ^ block_bytes(new)
     data, check = codeword_counts(cfg.scheme, diff[None], cfg.include_ecc)
     counts = data[0] if check is None else data[0] + check[0]
     counts = np.where(counts > 1, counts, 0)
@@ -285,8 +283,7 @@ def end_to_end_check(outcome: WriteOutcome, new: bytes, scheme: MappingScheme) -
     """
     if outcome.written_check is None:
         raise ValueError("end_to_end_check needs an outcome produced with include_ecc")
-    stored_words = datawords(scheme, outcome.written)
-    intended_words = datawords(scheme, new)
+    stored_words, intended_words = block_datawords(scheme, stack_blocks([outcome.written, new]))
     intended_check = secded.encode_words(intended_words)
 
     agree = True

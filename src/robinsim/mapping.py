@@ -15,9 +15,12 @@ Inside a codeword, data bits are ordered by ascending flat index; that order
 defines the dataword slots fed to the codec, so check bits are bit-exact
 functions of the scheme.
 
-:func:`codeword_counts` is the one place that counts, for a batch of writes,
-how many cells of each codeword must flip; :func:`transition_vector` is its
-one-write wrapper.
+All three layouts are byte-structured: the 64 bits of word i land in eight
+bytes of the datawords. :func:`block_datawords` therefore builds datawords
+from payload bytes with one lookup per byte and one fixed byte gather, never
+touching single bits. :func:`codeword_counts` is the one place that counts,
+for a batch of writes, how many cells of each codeword must flip;
+:func:`transition_vector` is its one-write wrapper.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import secded
-from .bits import BLOCK_BITS, block_to_bits, popcount8
+from .bits import BLOCK_BITS, BLOCK_BYTES, block_bytes
 
 KINDS = ("per-word", "interleaved", "robin")
 
@@ -124,11 +127,60 @@ def codeword_data_bits(scheme: MappingScheme, n: int) -> list[int]:
     return scheme_perm(scheme).reshape(CODEWORDS, DATAWORD_BITS)[n].tolist()
 
 
+@lru_cache(maxsize=None)
+def _byte_tables(scheme: MappingScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The byte lookup table and the 64-byte gather of :func:`block_datawords`.
+
+    Bit ``flat`` lands at bit ``rank % 8`` of dataword byte ``rank // 8``,
+    where ``rank = 64 * codeword + slot``. Word i's bits fill eight dataword
+    bytes, which become, in ascending order, the eight byte lanes of word i's
+    uint64. Row j of the (64, 256) table, returned flattened, maps each value
+    of payload byte j to its bits placed in those lanes; ``gather[b]`` is the
+    lane byte that holds dataword byte b.
+    """
+    rank = np.empty(BLOCK_BITS, dtype=np.int64)
+    rank[scheme_perm(scheme)] = np.arange(BLOCK_BITS)
+    out_byte, out_bit = np.divmod(rank, BITS_PER_BYTE)
+    word_fills = np.zeros((WORDS, BLOCK_BYTES), dtype=bool)
+    word_fills[np.arange(BLOCK_BITS) // DATAWORD_BITS, out_byte] = True
+    # row-major, so word i's eight dataword bytes, ascending, become lanes 8i .. 8i+7
+    gather = np.empty(BLOCK_BYTES, dtype=np.intp)
+    gather[np.nonzero(word_fills)[1]] = np.arange(BLOCK_BYTES)
+    lane = gather[out_byte] % BYTES_PER_WORD
+    bit_value = np.uint64(1) << (BITS_PER_BYTE * lane + out_bit).astype(np.uint64)
+    bit_value = bit_value.reshape(BLOCK_BYTES, BITS_PER_BYTE)
+    table = np.zeros((BLOCK_BYTES, 256), dtype="<u8")
+    for t in range(BITS_PER_BYTE):
+        # values with top bit t are those below 2**t plus bit t's contribution
+        np.bitwise_or(table[:, : 1 << t], bit_value[:, t : t + 1], out=table[:, 1 << t : 2 << t])
+    table = table.ravel()
+    table.setflags(write=False)
+    gather.setflags(write=False)
+    return table, gather
+
+
+# offset of each payload byte's row in the flattened table
+_TABLE_ROWS = 256 * np.arange(BLOCK_BYTES, dtype=np.intp)
+# payloads looked up per step, so each temporary stays at 64 KB
+_LOOKUP_ROWS = 128
+
+
+def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
+    """The ``(n, 8)`` uint64 datawords, one per codeword, of ``(n, 64)`` uint8 payloads."""
+    if blocks.dtype != np.uint8 or blocks.shape[1:] != (BLOCK_BYTES,):
+        raise ValueError(f"payloads must be (n, {BLOCK_BYTES}) uint8, got {blocks.shape} {blocks.dtype}")
+    table, gather = _byte_tables(scheme)
+    lanes = np.empty((len(blocks), WORDS), dtype="<u8")
+    for start in range(0, len(blocks), _LOOKUP_ROWS):
+        rows = blocks[start : start + _LOOKUP_ROWS]
+        parts = np.take(table, rows + _TABLE_ROWS).reshape(len(rows), WORDS, BYTES_PER_WORD)
+        np.bitwise_or.reduce(parts, axis=2, out=lanes[start : start + _LOOKUP_ROWS])
+    return np.take(lanes.view(np.uint8), gather, axis=1).view("<u8")
+
+
 def datawords(scheme: MappingScheme, data: bytes) -> np.ndarray:
     """Extract the eight 64-bit datawords of a block, one uint64 per codeword."""
-    bits = block_to_bits(data)
-    slots = bits[scheme_perm(scheme)].reshape(CODEWORDS, DATAWORD_BITS)
-    return np.packbits(slots, axis=1, bitorder="little").copy().view("<u8").ravel()
+    return block_datawords(scheme, block_bytes(data)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -218,20 +270,19 @@ def codeword_counts(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-codeword flip counts of a batch of block writes.
 
-    ``diff`` is the ``(n, 512)`` 0/1 bit matrix of ``old ^ new`` in flat bit
-    order, e.g. ``blocks_to_bits(olds) != blocks_to_bits(news)``. Returns the
-    ``(n, 8)`` data-bit flip counts and, with ``include_ecc``, the ``(n, 8)``
-    check-bit flip counts (``None`` without). Since encoding is linear over
-    GF(2), ``encode(old) ^ encode(new) == encode(old ^ new)``: the check bits
+    ``diff`` is the ``(n, 64)`` uint8 XOR of the old and new payloads,
+    ``olds ^ news``. Returns the ``(n, 8)`` data-bit flip counts and, with
+    ``include_ecc``, the ``(n, 8)`` check-bit flip counts (``None`` without).
+    The layout only moves bits, so the datawords of ``old ^ new`` are the
+    XOR of the two writes' datawords; since encoding is linear over GF(2),
+    ``encode(old) ^ encode(new) == encode(old ^ new)``, and the check bits
     that flip are those encoded from the dataword diff.
     """
-    n = diff.shape[0]
-    slots = diff[:, scheme_perm(scheme)].reshape(n, CODEWORDS, DATAWORD_BITS)
-    data_counts = slots.sum(axis=2, dtype=np.int64)
+    words = block_datawords(scheme, diff)
+    data_counts = np.bitwise_count(words).astype(np.int64)
     if not include_ecc:
         return data_counts, None
-    words = np.packbits(slots, axis=2, bitorder="little").view("<u8").reshape(n, CODEWORDS)
-    return data_counts, popcount8(secded.encode_words(words)).astype(np.int64)
+    return data_counts, np.bitwise_count(secded.encode_words(words)).astype(np.int64)
 
 
 def transition_vector(
@@ -243,7 +294,7 @@ def transition_vector(
     write touches all k+r cells of a codeword. One-write form of
     :func:`codeword_counts`.
     """
-    diff = block_to_bits(old) ^ block_to_bits(new)
+    diff = block_bytes(old) ^ block_bytes(new)
     data, check = codeword_counts(scheme, diff[None], include_ecc)
     counts = data[0] if check is None else data[0] + check[0]
     return TransitionVector(tuple(counts.tolist()), include_ecc=include_ecc)

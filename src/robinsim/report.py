@@ -1,15 +1,16 @@
 """Experiment runner: wires traces or generators through schemes and models.
 
 One streaming pass over the old/new pair stream, in batches of 512 writes,
-counts each scheme's codeword flips with :func:`robinsim.mapping.codeword_counts`
-and folds them into a :class:`robinsim.reliability.RateAccumulator` (analytic
-error rate with its optimal companions) and a
-:class:`robinsim.trace.StatsAccumulator` (codeword-spread statistics), and
-sums the per-bit transition histogram. With Monte Carlo on, each batch's pairs
-also feed one :class:`robinsim.injection.MonteCarloAccumulator` per scheme, so
-memory stays bounded in the trace length. Results
-are emitted as CSV tables and self-contained SVG charts; reruns with the same
-config and seed are byte-identical.
+takes each batch's byte XOR ``olds ^ news``, counts each scheme's codeword
+flips from it with :func:`robinsim.mapping.codeword_counts` and folds them
+into a :class:`robinsim.reliability.RateAccumulator` (analytic error rate
+with its optimal companions) and a :class:`robinsim.trace.StatsAccumulator`
+(codeword-spread statistics), and sums the per-bit transition histogram.
+With Monte Carlo on, each batch's pairs also feed one
+:class:`robinsim.injection.MonteCarloAccumulator` per scheme, so memory stays
+bounded in the trace length. Results are emitted as CSV tables and
+self-contained SVG charts; reruns with the same config and seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         try:
             self.resolve_pw()
         except ParameterError as exc:
@@ -131,8 +134,8 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     while batch := list(islice(pairs, BATCH)):
         olds = stack_blocks([p[0] for p in batch])
         news = stack_blocks([p[1] for p in batch])
-        diff = blocks_to_bits(olds) != blocks_to_bits(news)
-        histogram += diff.sum(axis=0)
+        diff = olds ^ news
+        histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.int64)
         for scheme, rate, spread in zip(schemes, rates, spreads):
             data_counts, check_counts = codeword_counts(scheme, diff, cfg.include_ecc)
             spread.add_counts(data_counts)

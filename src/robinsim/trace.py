@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bits import BLOCK_BITS, BLOCK_BYTES, block_to_bits, blocks_to_bits, stack_blocks
+from .bits import BLOCK_BITS, BLOCK_BYTES, blocks_to_bits, stack_blocks
 from .mapping import BATCH, CODEWORDS, MappingScheme, codeword_counts
 
 TRACE_MAGIC = b"RBTR"
@@ -181,11 +181,18 @@ def old_new_pairs(
             yield old, record.data
 
 
+def _batch_diffs(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[np.ndarray]:
+    """The ``(n, 64)`` uint8 ``olds ^ news`` of each run of up to BATCH pairs."""
+    pairs = iter(pairs)
+    while batch := list(islice(pairs, BATCH)):
+        yield stack_blocks([p[0] for p in batch]) ^ stack_blocks([p[1] for p in batch])
+
+
 def per_bit_histogram(pairs: Iterable[tuple[bytes, bytes]]) -> np.ndarray:
     """Count, per flat bit position, how many writes transitioned that data bit."""
     counts = np.zeros(BLOCK_BITS, dtype=np.int64)
-    for old, new in pairs:
-        counts += block_to_bits(old) != block_to_bits(new)
+    for diff in _batch_diffs(pairs):
+        counts += blocks_to_bits(diff).sum(axis=0, dtype=np.int64)
     return counts
 
 
@@ -261,10 +268,7 @@ def codeword_stats(
 ) -> CodewordStats:
     """Per-write sorted/normalized codeword transitions aggregated over a trace."""
     acc = StatsAccumulator(scheme.kind)
-    pairs = iter(pairs)
-    while batch := list(islice(pairs, BATCH)):
-        olds = stack_blocks([p[0] for p in batch])
-        news = stack_blocks([p[1] for p in batch])
-        data, check = codeword_counts(scheme, blocks_to_bits(olds ^ news), include_ecc)
+    for diff in _batch_diffs(pairs):
+        data, check = codeword_counts(scheme, diff, include_ecc)
         acc.add_counts(data if check is None else data + check)
     return acc.finalize()

@@ -130,3 +130,19 @@ def test_run_undecodable_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_run_negative_seed_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, "workload = irregular\nrecords = 10\npw = 0.999\nseed = -1\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_negative_seed_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.bin"
+    assert main(["gen", "--kind", "irregular", "--n", "5", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
+    assert not out.exists()

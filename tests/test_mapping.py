@@ -3,7 +3,7 @@ import pytest
 
 import oracle
 from robinsim import secded
-from robinsim.bits import bits_to_block, block_to_bits, blocks_to_bits
+from robinsim.bits import bits_to_block, block_to_bits
 from robinsim.mapping import (
     INTERLEAVED,
     PER_WORD,
@@ -133,7 +133,7 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
     density = np.linspace(0.0, 1.0, len(olds))[:, None]
     flips = np.packbits(rng.random((len(olds), 512)) < density, axis=1, bitorder="little")
     news = olds ^ flips
-    data, check = codeword_counts(scheme, blocks_to_bits(olds) != blocks_to_bits(news), include_ecc)
+    data, check = codeword_counts(scheme, olds ^ news, include_ecc)
     assert data.shape == (len(olds), 8)
     assert (check is None) == (not include_ecc)
     for i, (old, new) in enumerate(zip(olds, news)):
@@ -141,6 +141,15 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
         assert data[i].tolist() == want_data
         if include_ecc:
             assert check[i].tolist() == want_check
+
+
+def test_codeword_counts_takes_byte_xor_only():
+    with pytest.raises(ValueError, match="uint8"):
+        codeword_counts(ROBIN, np.zeros((2, 512), dtype=np.uint8))
+    with pytest.raises(ValueError, match="uint8"):
+        codeword_counts(ROBIN, np.zeros((2, 64), dtype=bool))
+    data, check = codeword_counts(ROBIN, np.zeros((0, 64), dtype=np.uint8))
+    assert data.shape == check.shape == (0, 8)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)

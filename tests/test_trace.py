@@ -199,6 +199,23 @@ def test_histogram_conservation():
     assert int(hist.sum()) == total
 
 
+def test_histogram_across_batches_matches_per_pair_sum():
+    # more pairs than one batch, counted bit by bit per pair as the reference
+    pairs = list(old_new_pairs(make_records(700, seed=4, addresses=16)))
+    want = [0] * 512
+    for old, new in pairs:
+        for flat in range(512):
+            want[flat] += (old[flat // 8] ^ new[flat // 8]) >> (flat % 8) & 1
+    hist = per_bit_histogram(iter(pairs))
+    assert hist.dtype == np.int64
+    assert hist.tolist() == want
+
+
+def test_histogram_rejects_short_payload():
+    with pytest.raises(ValueError, match="64 bytes"):
+        per_bit_histogram([(bytes(64), bytes(63))])
+
+
 def test_codeword_stats_uniform_write():
     stats = codeword_stats([(bytes(64), bytes([0xFF]) * 64)], ROBIN)
     assert stats.min_avg_pct == pytest.approx(100.0)
