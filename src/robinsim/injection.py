@@ -13,8 +13,8 @@ its flipping cells out as one field, and the failures in it are placed by
 geometric gaps (the distance from one failing cell to the next), which is the
 same independent-cell model sampled exactly. The work scales with the
 expected number of failures, not with the number of flipping cells.
-:func:`inject_write` still draws one uniform per bit, because its outcome
-carries the stored payload the decoder cross-check needs.
+:func:`inject_write` picks its failing cells with the same sampler, so the
+decoder cross-check runs it too.
 
 Reproducibility: every record of a trace gets its own substream seeded with
 ``mix_seed(seed, record_index)``, a splitmix64 step (constants below), so
@@ -31,8 +31,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import secded
-from .bits import BLOCK_BITS, block_bytes, blocks_to_bits, stack_blocks
-from .mapping import CODEWORDS, MappingScheme, block_datawords, codeword_counts
+from .bits import BLOCK_BYTES, block_bytes, stack_blocks
+from .mapping import CODEWORDS, MappingScheme, block_datawords, codeword_counts, scheme_assignment
 
 _MASK64 = (1 << 64) - 1
 # splitmix64: golden-gamma increment and the two finalizer multipliers
@@ -98,37 +98,31 @@ def inject_write(
 ) -> WriteOutcome:
     """Simulate one write of ``new`` over ``old`` with stochastic cell failures.
 
-    Draw order is fixed: one uniform per data bit (512), then one per check
-    bit (64) when check injection is on, so outcomes are reproducible for a
-    given generator state.
+    Cells are laid out in one fixed order: the 512 data bits by flat index,
+    then, when check injection is on, check bit r of codeword n as cell
+    512 + 8n + r. The failing cells among the transitioning ones are drawn
+    with :func:`_failing_cells`, the sampler behind :func:`monte_carlo_block`,
+    so outcomes are reproducible for a given generator state.
     """
-    fail_prob = 1.0 - cfg.pw
     blocks = stack_blocks([old, new])
-    draws = rng.random(BLOCK_BITS)
-
-    transitions = blocks_to_bits(blocks[:1] ^ blocks[1:])[0]
-    failed = np.packbits(transitions & (draws < fail_prob), bitorder="little")
-    failed_data, _ = codeword_counts(cfg.scheme, failed[None], include_ecc=False)
-    counts = failed_data[0]
-
-    stored_check: tuple[int, ...] | None = None
+    # eight cells per byte, in cell order: the payload, then one check word per codeword
+    diff = blocks[0] ^ blocks[1]
+    stored = blocks[1]
     if cfg.include_ecc:
-        check_draws = rng.random(CODEWORDS * secded.CHECK_BITS).reshape(CODEWORDS, secded.CHECK_BITS)
         old_check, new_check = secded.encode_words(block_datawords(cfg.scheme, blocks))
-        check_diff = np.unpackbits(old_check ^ new_check, bitorder="little").reshape(
-            CODEWORDS, secded.CHECK_BITS
-        )
-        check_failed = check_diff.astype(bool) & (check_draws < fail_prob)
-        counts = counts + check_failed.sum(axis=1).astype(np.int64)
-        stored_bits = np.unpackbits(new_check, bitorder="little").reshape(CODEWORDS, -1) ^ check_failed
-        stored_check = tuple(
-            int(v) for v in np.packbits(stored_bits, axis=1, bitorder="little").ravel()
-        )
-
+        diff = np.concatenate([diff, old_check ^ new_check])
+        stored = np.concatenate([stored, new_check])
+    flipping = np.flatnonzero(np.unpackbits(diff, bitorder="little"))
+    failed = flipping[_failing_cells(rng, 1.0 - cfg.pw, flipping.size)]
+    failed_cells = np.zeros(8 * diff.size, dtype=np.uint8)
+    failed_cells[failed] = 1
+    # a failed cell keeps its old value, the complement of the new one
+    stored = stored ^ np.packbits(failed_cells, bitorder="little")
+    owner = np.append(scheme_assignment(cfg.scheme), np.arange(CODEWORDS).repeat(secded.CHECK_BITS))
+    counts = np.bincount(owner[failed], minlength=CODEWORDS)
     return WriteOutcome(
-        # a failed cell keeps its old value, the complement of the new one
-        written=(blocks[1] ^ failed).tobytes(),
-        written_check=stored_check,
+        written=stored[:BLOCK_BYTES].tobytes(),
+        written_check=tuple(int(v) for v in stored[BLOCK_BYTES:]) if cfg.include_ecc else None,
         failures_per_codeword=tuple(int(v) for v in counts),
         block_ok=bool(counts.max() <= 1),
     )
@@ -198,8 +192,11 @@ def _failing_cells(rng: np.random.Generator, fail_prob: float, size: int) -> np.
 
     Gaps between consecutive failures are geometric. Each gap is clipped to
     ``size`` before summing: at tiny ``fail_prob`` numpy saturates a gap at
-    2**63 - 1, and an unclipped running sum would wrap around.
+    2**63 - 1, and an unclipped running sum would wrap around. Nothing is
+    drawn when no cell can fail.
     """
+    if size == 0 or fail_prob == 0.0:
+        return np.empty(0, dtype=np.int64)
     expected = size * fail_prob
     batch = int(expected + 4.0 * math.sqrt(expected)) + 16
     parts = []

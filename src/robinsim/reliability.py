@@ -3,9 +3,10 @@
 Per-bit: a cell that must flip succeeds with probability ``p_write``; cells
 that need no transition never fail. Per-codeword: a write with k transitions
 succeeds when at most one of them fails, i.e. ``pw^k + k*pw^(k-1)*(1-pw)``.
-Per-block: the product over the eight codewords. The optimal reference
-spreads a block's total K transitions uniformly (K/8 per codeword), which
-maximizes the block success probability for fixed K.
+Per-block: the product over the eight codewords, summed in log space; block
+failure is ``-expm1`` of that sum, so it keeps its precision at tiny 1 - pw.
+The optimal reference spreads a block's total K transitions uniformly (K/8 per
+codeword), which maximizes the block success probability for fixed K.
 
 ``p_write`` can be supplied directly (the primary experiment pathway) or
 derived from device physics via :func:`p_write_from_device`.
@@ -59,8 +60,10 @@ class DeviceParams:
         for item in fields(self):
             if not math.isfinite(getattr(self, item.name)):
                 raise ParameterError(f"{item.name} must be finite, got {getattr(self, item.name)}")
-        if self.t_write <= 0:
-            raise ParameterError(f"t_write must be positive, got {self.t_write}")
+        # a negative moment is left to the formula's denominator check
+        for name in ("t_write", "mu_b", "e_charge"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.polarization < 1:
             raise ParameterError(f"polarization must lie in (0, 1), got {self.polarization}")
         if self.delta <= 0:
@@ -92,49 +95,59 @@ def p_write_from_device(params: DeviceParams) -> float:
     return min(1.0, max(0.0, 1.0 - failure))
 
 
-def codeword_success_array(k: np.ndarray, pw: float) -> np.ndarray:
-    """Probability that codewords with k transitioning bits are written correctly.
+def _log1pmx(x: np.ndarray) -> np.ndarray:
+    """log1p(x) - x; a Taylor series below |x| = 1e-3, where the subtraction would cancel."""
+    series = x * x * (-1 / 2 + x * (1 / 3 + x * (-1 / 4 + x / 5)))
+    return np.where(np.abs(x) < 1e-3, series, np.log1p(x) - x)
 
-    k may be real-valued (used by the idealized uniform bound, where the
-    single-failure multiplicity generalizes from C(k,1) to k).
+
+def codeword_log_success_array(k: np.ndarray, pw: float) -> np.ndarray:
+    """Log-probability that codewords with k transitioning bits are written correctly.
+
+    With q = 1 - pw that is (k-1)*log1p(-q) + log1p((k-1)q), whose first-order
+    terms cancel exactly; it is evaluated as (k-1)*g(-q) + g((k-1)q) with
+    g(x) = log1p(x) - x, which stays accurate at tiny q. k may be real-valued
+    (used by the idealized uniform bound, where the single-failure
+    multiplicity generalizes from C(k,1) to k); a real k < 1 is clamped at 0.
     """
     if not 0.0 <= pw <= 1.0:
         raise ParameterError(f"p_write must lie in [0, 1], got {pw}")
     k = np.asarray(k, dtype=np.float64)
     if np.any(k < 0):
         raise ParameterError("transition counts must be non-negative")
-    if pw == 1.0:
-        return np.ones_like(k)
     if pw == 0.0:
-        return (k <= 1).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = pw**k + k * pw ** (k - 1.0) * (1.0 - pw)
-    value = np.where(k == 0, 1.0, value)
-    return np.clip(value, 0.0, 1.0)
+        return np.where(k <= 1, 0.0, -np.inf)
+    q = 1.0 - pw
+    return np.minimum((k - 1.0) * _log1pmx(-q) + _log1pmx((k - 1.0) * q), 0.0)
 
 
-def block_success_array(counts: np.ndarray, pw: float) -> np.ndarray:
-    """Probability that all eight codewords succeed, per row of a (..., 8) count array."""
-    return codeword_success_array(counts, pw).prod(axis=-1)
+def codeword_success_array(k: np.ndarray, pw: float) -> np.ndarray:
+    """Probability that codewords with k transitioning bits are written correctly."""
+    return np.exp(codeword_log_success_array(k, pw))
 
 
-def block_success_optimal_array(totals: np.ndarray, pw: float) -> np.ndarray:
+def block_log_success_array(counts: np.ndarray, pw: float) -> np.ndarray:
+    """Log-probability that all eight codewords succeed, per row of a (..., 8) count array."""
+    return codeword_log_success_array(counts, pw).sum(axis=-1)
+
+
+def block_log_success_optimal_array(totals: np.ndarray, pw: float) -> np.ndarray:
     """Idealized bound: each block's total transitions spread uniformly, K/8 each.
 
     K/8 stays real-valued, so this is an upper bound that is attainable only
-    when 8 divides K; see :func:`block_success_optimal_int_array` for the
+    when 8 divides K; see :func:`block_log_success_optimal_int_array` for the
     best integer split.
     """
     totals = np.asarray(totals, dtype=np.float64)
-    return codeword_success_array(totals / CODEWORDS, pw) ** CODEWORDS
+    return CODEWORDS * codeword_log_success_array(totals / CODEWORDS, pw)
 
 
-def block_success_optimal_int_array(totals: np.ndarray, pw: float) -> np.ndarray:
+def block_log_success_optimal_int_array(totals: np.ndarray, pw: float) -> np.ndarray:
     """Best achievable split with integer per-codeword counts: floor/ceil of K/8."""
     base, extra = np.divmod(np.asarray(totals).astype(np.int64), CODEWORDS)
-    low = codeword_success_array(base, pw)
-    high = codeword_success_array(base + 1, pw)
-    return high**extra * low ** (CODEWORDS - extra)
+    # where no codeword takes base + 1, its -inf at pw = 0 must not meet a zero weight
+    high = np.where(extra > 0, codeword_log_success_array(base + 1, pw), 0.0)
+    return (CODEWORDS - extra) * codeword_log_success_array(base, pw) + extra * high
 
 
 def p_codeword_success(k: float, pw: float) -> float:
@@ -151,17 +164,17 @@ def _counts(tv: TransitionVector | Sequence[int]) -> np.ndarray:
 
 def p_block_success(tv: TransitionVector | Sequence[int], pw: float) -> float:
     """Probability that all eight codewords of a block write succeed."""
-    return float(block_success_array(_counts(tv), pw))
+    return float(np.exp(block_log_success_array(_counts(tv), pw)))
 
 
 def p_block_success_optimal(total: float, pw: float) -> float:
-    """Scalar :func:`block_success_optimal_array`."""
-    return float(block_success_optimal_array(total, pw))
+    """Scalar :func:`block_log_success_optimal_array`, as a probability."""
+    return float(np.exp(block_log_success_optimal_array(total, pw)))
 
 
 def p_block_success_optimal_int(total: int, pw: float) -> float:
-    """Scalar :func:`block_success_optimal_int_array`."""
-    return float(block_success_optimal_int_array(total, pw))
+    """Scalar :func:`block_log_success_optimal_int_array`, as a probability."""
+    return float(np.exp(block_log_success_optimal_int_array(total, pw)))
 
 
 @dataclass(frozen=True)
@@ -192,10 +205,14 @@ class RateAccumulator:
         counts = np.asarray(counts)
         if counts.ndim != 2 or counts.shape[1] != CODEWORDS:
             raise ParameterError(f"count rows need {CODEWORDS} entries, got shape {counts.shape}")
-        self._failure_sum += float((1.0 - block_success_array(counts, self.pw)).sum())
+        # failure is -expm1(log success), which does not cancel against 1 at tiny q
+        pw = self.pw
+        self._failure_sum -= float(np.expm1(block_log_success_array(counts, pw)).sum())
         totals = counts.sum(axis=1).astype(np.float64)
-        self._optimal_sum += float((1.0 - block_success_optimal_array(totals, self.pw)).sum())
-        self._optimal_int_sum += float((1.0 - block_success_optimal_int_array(totals, self.pw)).sum())
+        self._optimal_sum -= float(np.expm1(block_log_success_optimal_array(totals, pw)).sum())
+        self._optimal_int_sum -= float(
+            np.expm1(block_log_success_optimal_int_array(totals, pw)).sum()
+        )
         self.writes += len(counts)
 
     def finalize(self) -> TraceErrorRate:

@@ -28,7 +28,7 @@ from .bits import BLOCK_BITS, blocks_to_bits, stack_blocks
 from .injection import InjectionConfig, MonteCarloAccumulator, TraceEstimate
 from .mapping import BATCH, KINDS, MappingScheme, codeword_counts
 from .reliability import DeviceParams, ParameterError, RateAccumulator
-from .trace import CodewordStats, StatsAccumulator, load_trace, old_new_pairs
+from .trace import FORMATS, CodewordStats, StatsAccumulator, load_trace, old_new_pairs
 from .workloads import WorkloadSpec, gen_workload
 
 
@@ -63,6 +63,10 @@ class ExperimentConfig:
             raise ConfigError("schemes must not repeat")
         if (self.trace_path is None) == (self.workload is None):
             raise ConfigError("exactly one input source required: a trace file or a workload spec")
+        if self.trace_format is not None and self.trace_path is None:
+            raise ConfigError("trace_format given without a trace")
+        if self.trace_format not in (None, *FORMATS):
+            raise ConfigError(f"unknown trace_format {self.trace_format!r}; expected one of {FORMATS}")
         if (self.pw is None) == (self.device is None):
             raise ConfigError("exactly one p_write source required: pw or device parameters")
         if self.pw is not None and not 0.0 <= self.pw <= 1.0:

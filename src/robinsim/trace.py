@@ -82,18 +82,12 @@ def _load_jsonl(path: Path) -> Iterator[WriteRecord]:
         for index, line in enumerate(lines):
             try:
                 obj = json.loads(line.decode("ascii"))
-                addr = int(obj["addr"], 16)
-                data_hex = obj["data"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{path}: record {index}: {exc}") from exc
-            if len(data_hex) != 2 * BLOCK_BYTES:
-                raise TraceFormatError(
-                    f"{path}: record {index}: data must be {2 * BLOCK_BYTES} hex chars,"
-                    f" got {len(data_hex)}"
-                )
-            try:
+                addr, data_hex = int(obj["addr"], 16), obj["data"]
+                # len() and fromhex() raise TypeError on a non-string data field
+                if len(data_hex) != 2 * BLOCK_BYTES:
+                    raise ValueError(f"data must be {2 * BLOCK_BYTES} hex chars, got {len(data_hex)}")
                 record = WriteRecord(addr, bytes.fromhex(data_hex))
-            except ValueError as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(f"{path}: record {index}: {exc}") from exc
             yield record
 

@@ -22,6 +22,7 @@ a fixed pattern of draws from a single generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,8 +30,6 @@ import numpy as np
 
 from .bits import BLOCK_BYTES
 from .trace import WriteRecord
-
-KINDS = ("float64walk", "narrowint32", "partialvalid", "irregular")
 
 _WORDS = 8
 _FIELDS32 = 16
@@ -60,10 +59,14 @@ class WorkloadSpec:
             raise ValueError(f"address count must be >= 1, got {self.addresses}")
         if self.base_addr % BLOCK_BYTES:
             raise ValueError(f"base address {self.base_addr:#x} not block aligned")
+        if not 0 <= self.base_addr <= 2**64 - BLOCK_BYTES * self.addresses:
+            raise ValueError(
+                f"{self.addresses} blocks from base address {self.base_addr:#x} leave the 64-bit range"
+            )
         if not 0.0 < self.walk_scale < 1.0:
             raise ValueError(f"walk_scale must lie in (0, 1), got {self.walk_scale}")
-        if self.walk_jitter < 0:
-            raise ValueError(f"walk_jitter must be non-negative, got {self.walk_jitter}")
+        if not 0 <= self.walk_jitter < math.inf:
+            raise ValueError(f"walk_jitter must be non-negative and finite, got {self.walk_jitter}")
         if not 1 <= self.width <= 32:
             raise ValueError(f"width must lie in [1, 32], got {self.width}")
         if not 0.0 < self.update_rate <= 1.0:
@@ -76,22 +79,25 @@ class WorkloadSpec:
 
 
 def gen_workload(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
-    """Deterministic stream of ``spec.records`` write records."""
-    gen = {
-        "float64walk": _gen_float64walk,
-        "narrowint32": _gen_narrowint32,
-        "partialvalid": _gen_partialvalid,
-        "irregular": _gen_irregular,
-    }[spec.kind]
-    return gen(spec, np.random.default_rng(seed))
+    """Deterministic stream of ``spec.records`` write records.
+
+    Each record picks an address; a cold address first draws its state once,
+    then every write advances that state and stores its payload.
+    """
+    cold, step = _KIND_RULES[spec.kind]
+    rng = np.random.default_rng(seed)
+    states: dict[int, tuple] = {}
+    for _ in range(spec.records):
+        addr = spec.base_addr + BLOCK_BYTES * int(rng.integers(spec.addresses))
+        state = states.get(addr)
+        if state is None:
+            state = states[addr] = cold(spec, rng)
+        yield WriteRecord(addr, step(state, spec, rng))
 
 
-def _pick_addr(spec: WorkloadSpec, rng: np.random.Generator) -> int:
-    return spec.base_addr + BLOCK_BYTES * int(rng.integers(spec.addresses))
-
-
-def _walk_step(values: np.ndarray, live: int, spec: WorkloadSpec, rng: np.random.Generator) -> None:
+def _walk_step(state: tuple, spec: WorkloadSpec, rng: np.random.Generator) -> bytes:
     """Nudge the first ``live`` doubles in place; draw sizes are fixed per call."""
+    live, values = state
     scale = spec.walk_scale * np.exp2(spec.walk_jitter * rng.standard_normal(_WORDS))
     noise = rng.standard_normal(_WORDS)
     values[:live] *= 1.0 + np.minimum(scale[:live], 0.25) * noise[:live]
@@ -99,72 +105,48 @@ def _walk_step(values: np.ndarray, live: int, spec: WorkloadSpec, rng: np.random
     escaped = (np.abs(values[:live]) < 0.25) | (np.abs(values[:live]) > 8.0)
     if escaped.any():
         values[:live][escaped] = rng.uniform(1.0, 2.0, int(escaped.sum()))
-
-
-def _pack_doubles(values: np.ndarray) -> bytes:
     return values.astype(">f8").tobytes()
 
 
-def _gen_float64walk(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[WriteRecord]:
-    blocks: dict[int, np.ndarray] = {}
-    for _ in range(spec.records):
-        addr = _pick_addr(spec, rng)
-        values = blocks.get(addr)
-        if values is None:
-            values = rng.uniform(1.0, 2.0, _WORDS)
-            blocks[addr] = values
-        _walk_step(values, _WORDS, spec, rng)
-        yield WriteRecord(addr, _pack_doubles(values))
+def _rewrite_step(state: tuple, spec: WorkloadSpec, rng: np.random.Generator) -> bytes:
+    """Rewrite each 32-bit field with its rate: pinned high bits, fresh low bits below ``limit``."""
+    rates, pins, limit, values = state
+    update = rng.random(_FIELDS32) < rates
+    fresh = rng.integers(0, limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
+    if pins is not None:  # narrowint32 pins no bits and skips the OR
+        fresh |= pins
+    values[update] = fresh[update]
+    return values.astype("<u4").tobytes()
 
 
-def _gen_narrowint32(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[WriteRecord]:
-    blocks: dict[int, np.ndarray] = {}
-    limit = np.uint64(1) << spec.width
-    for _ in range(spec.records):
-        addr = _pick_addr(spec, rng)
-        values = blocks.get(addr)
-        if values is None:
-            values = rng.integers(0, limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
-            blocks[addr] = values
-        update = rng.random(_FIELDS32) < spec.update_rate
-        fresh = rng.integers(0, limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
-        values[update] = fresh[update]
-        yield WriteRecord(addr, values.astype("<u4").tobytes())
-
-
-def _gen_partialvalid(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[WriteRecord]:
-    blocks: dict[int, tuple[int, np.ndarray]] = {}
+def _partialvalid_cold(spec: WorkloadSpec, rng: np.random.Generator) -> tuple:
     lo, hi = spec.valid_words
-    for _ in range(spec.records):
-        addr = _pick_addr(spec, rng)
-        state = blocks.get(addr)
-        if state is None:
-            live = int(rng.integers(lo, hi + 1))
-            state = (live, rng.uniform(1.0, 2.0, _WORDS))
-            blocks[addr] = state
-        live, values = state
-        _walk_step(values, live, spec, rng)
-        yield WriteRecord(addr, _pack_doubles(values))
+    return int(rng.integers(lo, hi + 1)), rng.uniform(1.0, 2.0, _WORDS)
 
 
-def _gen_irregular(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[WriteRecord]:
-    blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    pin_shift = 32 - spec.pinned_top_bits
-    low_limit = np.uint64(1) << pin_shift
-    for _ in range(spec.records):
-        addr = _pick_addr(spec, rng)
-        state = blocks.get(addr)
-        if state is None:
-            rates = rng.uniform(0.1, 0.9, _FIELDS32)
-            pins = (
-                rng.integers(0, 1 << spec.pinned_top_bits, _FIELDS32, dtype=np.uint64)
-                << np.uint64(pin_shift)
-            ).astype(np.uint32)
-            values = pins | rng.integers(0, low_limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
-            state = (rates, pins, values)
-            blocks[addr] = state
-        rates, pins, values = state
-        update = rng.random(_FIELDS32) < rates
-        fresh = pins | rng.integers(0, low_limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
-        values[update] = fresh[update]
-        yield WriteRecord(addr, values.astype("<u4").tobytes())
+def _narrowint32_cold(spec: WorkloadSpec, rng: np.random.Generator) -> tuple:
+    limit = np.uint64(1) << spec.width
+    values = rng.integers(0, limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
+    return spec.update_rate, None, limit, values
+
+
+def _irregular_cold(spec: WorkloadSpec, rng: np.random.Generator) -> tuple:
+    pin_shift = np.uint64(32 - spec.pinned_top_bits)
+    limit = np.uint64(1) << pin_shift
+    rates = rng.uniform(0.1, 0.9, _FIELDS32)
+    pins = (
+        rng.integers(0, 1 << spec.pinned_top_bits, _FIELDS32, dtype=np.uint64) << pin_shift
+    ).astype(np.uint32)
+    values = pins | rng.integers(0, limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
+    return rates, pins, limit, values
+
+
+# kind -> (cold-address state draw, write step); float64walk is partialvalid
+# with all eight words live, narrowint32 is irregular with one rate and no pins
+_KIND_RULES = {
+    "float64walk": (lambda spec, rng: (_WORDS, rng.uniform(1.0, 2.0, _WORDS)), _walk_step),
+    "narrowint32": (_narrowint32_cold, _rewrite_step),
+    "partialvalid": (_partialvalid_cold, _walk_step),
+    "irregular": (_irregular_cold, _rewrite_step),
+}
+KINDS = tuple(_KIND_RULES)

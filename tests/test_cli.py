@@ -146,3 +146,57 @@ def test_gen_negative_seed_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
     assert not out.exists()
+
+
+DEVICE = (
+    "device_i_write = 1.5\ndevice_i_c0 = 1.0\ndevice_polarization = 0.5\n"
+    "device_magnetic_moment = 0.75\n"
+)
+DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
+
+
+@pytest.mark.parametrize(
+    "config,trace_text,code",
+    [
+        ("trace = {trace}\ntrace_format = xml\npw = 0.999\n", "", 1),
+        ("workload = irregular\nrecords = 10\ntrace_format = jsonl\npw = 0.999\n", None, 1),
+        ("workload = irregular\nrecords = 10\nbase_addr = 0xFFFFFFFFFFFFFFC0\npw = 0.999\n", None, 1),
+        ("workload = irregular\nrecords = 500\nbase_addr = -64\npw = 0.999\n", None, 1),
+        ("workload = irregular\nrecords = 10\naddresses = 100000000000000000000000\npw = 0.999\n",
+         None, 1),
+        ("workload = irregular\nrecords = 10\ndevice_t_write = 1\ndevice_mu_b = -1e300\n" + DEVICE,
+         None, 1),
+        ("trace = {trace}\npw = 0.999\n", DATA_LIST, 2),
+        ("trace = {trace}\npw = 0.999\n", '{"addr": "0x0", "data": 5}\n', 2),
+    ],
+    ids=[
+        "unknown-trace-format",
+        "trace-format-without-trace",
+        "base-addr-past-64-bits",
+        "negative-base-addr",
+        "huge-address-pool",
+        "negative-bohr-magneton",
+        "jsonl-data-list",
+        "jsonl-data-number",
+    ],
+)
+def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text, code):
+    trace_path = tmp_path / "trace.jsonl"
+    if trace_text is not None:
+        trace_path.write_text(trace_text)
+    cfg = write_config(tmp_path, config.format(trace=trace_path))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:" if code == 1 else "i/o error:")
+    if code == 2:
+        assert "record 0" in err[0]
+
+
+def test_gen_huge_address_pool_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.bin"
+    argv = ["gen", "--kind", "irregular", "--n", "5", "--seed", "1", "--out", str(out),
+            "--addresses", str(10**23)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not out.exists()

@@ -344,3 +344,57 @@ def test_end_to_end_random_agreement():
         outcome = inject_write(old, new, cfg, substream(5, trial))
         check = end_to_end_check(outcome, new, ROBIN)
         assert check.agree
+
+
+def test_inject_write_cell_order():
+    # a generator whose gaps are all 2 fails every second transitioning cell
+    class EverySecond:
+        def geometric(self, p, size):
+            return np.full(size, 2, dtype=np.int64)
+
+    from robinsim.mapping import datawords, scheme_assignment
+    from robinsim.secded import encode_words
+
+    rng = np.random.default_rng(12)
+    old = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
+    new = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
+    cfg = InjectionConfig(pw=0.5, scheme=ROBIN, include_ecc=True)
+    outcome = inject_write(old, new, cfg, EverySecond())
+
+    old_check = encode_words(datawords(ROBIN, old))
+    new_check = encode_words(datawords(ROBIN, new))
+    data_cells = [int(f) for f in np.flatnonzero(block_to_bits(old) != block_to_bits(new))]
+    check_cells = [
+        512 + 8 * n + r for n in range(8) for r in range(8) if (old_check[n] ^ new_check[n]) >> r & 1
+    ]
+    failed = (data_cells + check_cells)[1::2]
+    assert len(check_cells) > 0 and len(failed) > 0
+
+    written = block_to_bits(new).copy()
+    stored_check = [int(c) for c in new_check]
+    counts = [0] * 8
+    for cell in failed:
+        if cell < 512:
+            written[cell] ^= 1
+            counts[int(scheme_assignment(ROBIN)[cell])] += 1
+        else:
+            n, r = divmod(cell - 512, 8)
+            stored_check[n] ^= 1 << r
+            counts[n] += 1
+    assert block_to_bits(outcome.written).tolist() == written.tolist()
+    assert outcome.written_check == tuple(stored_check)
+    assert outcome.failures_per_codeword == tuple(counts)
+    assert outcome.block_ok == (max(counts) <= 1)
+
+
+def test_inject_write_failure_rate_matches_closed_form():
+    rng = np.random.default_rng(45)
+    old = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
+    new = bytes(a ^ b for a, b in zip(old, block_with_flips(range(0, 512, 9))))
+    cfg = InjectionConfig(pw=0.97, scheme=INTERLEAVED, include_ecc=True)
+    trials = 4000
+    ok = sum(inject_write(old, new, cfg, substream(6, t)).block_ok for t in range(trials))
+    expected = p_block_success(transition_vector(INTERLEAVED, old, new, include_ecc=True), 0.97)
+    sigma = (expected * (1 - expected) / trials) ** 0.5
+    assert 0.05 < expected < 0.95
+    assert abs(ok / trials - expected) < 4 * sigma

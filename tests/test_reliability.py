@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import inf
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -232,3 +234,55 @@ def test_trace_error_rate_across_chunks_matches_oracle():
 def test_trace_error_rate_rejects_wrong_width():
     with pytest.raises(ParameterError):
         trace_error_rate([[1] * 7], 0.9)
+
+
+TINY_Q = [10.0**-e for e in range(3, 13)]
+
+
+def exact_block_failure(counts, pw):
+    """1 - prod (1-q)^(k-1) (1+(k-1)q) in rationals, with q the exact 1 - pw."""
+    q = Fraction(1) - Fraction(pw)
+    success = Fraction(1)
+    for k in counts:
+        if k:
+            success *= (1 - q) ** (k - 1) * (1 + (k - 1) * q)
+    return 1 - success
+
+
+@pytest.mark.parametrize("q", TINY_Q)
+def test_block_failure_matches_exact_rational_oracle(q):
+    pw = 1.0 - q
+    rng = np.random.default_rng(round(-math.log10(q)))
+    rows = [[3, 2, 1, 0, 0, 0, 0, 0], [2] + [0] * 7, [72] * 8] + rng.integers(0, 73, (5, 8)).tolist()
+    for row in rows:
+        rates = trace_error_rate([row], pw)
+        assert rates.rate == pytest.approx(float(exact_block_failure(row, pw)), rel=1e-12, abs=0)
+        base, extra = divmod(sum(row), 8)
+        split = [base + 1] * extra + [base] * (8 - extra)
+        expected = float(exact_block_failure(split, pw))
+        assert rates.optimal_rate_int == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("q", TINY_Q)
+def test_uniform_bound_matches_high_precision(q):
+    pw = 1.0 - q
+    with mpmath.workdps(50):
+        exact_q = 1 - mpmath.mpf(pw)
+        for total in (2, 6, 9, 13, 40, 200, 576):
+            k = mpmath.mpf(total) / 8
+            success = min((1 - exact_q) ** (k - 1) * (1 + (k - 1) * exact_q), 1)
+            expected = float(1 - success**8)
+            got = trace_error_rate([[total] + [0] * 7], pw).optimal_rate
+            if total < 8:  # K/8 < 1: the bound is clamped at certain success
+                assert expected == 0.0 and got == 0.0
+            else:
+                assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_block_failure_small_q_limit():
+    # two codewords with 3 and 2 flips fail with C(3,2) q^2 + C(2,2) q^2 = 4 q^2 to first order
+    for q in (1e-8, 1e-9, 1e-10, 1e-12):
+        pw = 1.0 - q
+        exact_q = 1.0 - pw
+        rate = trace_error_rate([[3, 2, 1, 0, 0, 0, 0, 0]], pw).rate
+        assert rate / exact_q**2 == pytest.approx(4.0, rel=1e-6)
