@@ -1,10 +1,13 @@
-"""Slow per-bit reference for codeword flip counts and trace rates.
+"""Slow references: per-bit codeword flip counts and trace rates, and the v2 workload stream.
 
-Written independently of ``robinsim.mapping`` and ``robinsim.reliability``:
-each bit's owner comes from the scheme definitions below, each codeword's
-dataword is built slot by slot in ascending flat order and encoded with the
-scalar ``secded.encode``, and rates use plain Python float arithmetic.
+Written independently of ``robinsim.mapping``, ``robinsim.reliability`` and
+``robinsim.workloads``: each bit's owner comes from the scheme definitions
+below, each codeword's dataword is built slot by slot in ascending flat order
+and encoded with the scalar ``secded.encode``, rates use plain Python float
+arithmetic, and workload records are computed one at a time with Python ints.
 """
+
+import math
 
 from robinsim import secded
 
@@ -72,3 +75,91 @@ def spread(rows):
             mins.append(min(row) * 800.0 / total)
             maxs.append(max(row) * 800.0 / total)
     return sum(mins) / len(mins), sum(maxs) / len(maxs)
+
+# -- v2 workload stream, one record at a time ---------------------------------
+#
+# The specification of ``robinsim.workloads.gen_workload``. Every random number
+# is output ``position`` of a splitmix64 stream: record r reads positions
+# 17r .. 17r+16 of the stream keyed splitmix(seed, 0) (the address, then 16
+# payload draws), and address index i sets up its state from positions
+# 16i .. 16i+15 of the stream keyed splitmix(seed, 1) on its first write.
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_RECORD_DRAWS = 17   # address, then 16 payload draws
+_COLD_DRAWS = 16
+_LO = 0x3FD0000000000000      # bit pattern of 0.25
+_WIDTH = 5 << 52              # 0.25 .. 8.0: five binades of bit patterns
+_TOP_LOG2 = 50 << 16          # step magnitudes stay below 2^50
+
+
+def splitmix(key, position):
+    """Output ``position`` (from 0) of the splitmix64 stream keyed ``key``."""
+    z = (key + (position + 1) * _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _normal16(u):
+    """Irwin-Hall sum of three 16-bit lanes: mean 0, std 2^16, range +-3 std."""
+    return 2 * ((u & 0xFFFF) + ((u >> 16) & 0xFFFF) + ((u >> 32) & 0xFFFF)) - 196605
+
+
+def _walk_delta(spec, u_size, u_noise):
+    base = round((52 + math.log2(spec.walk_scale)) * 65536)
+    jitter = round(min(spec.walk_jitter, 64.0) * 65536)
+    log2_size = min(max(base + ((jitter * _normal16(u_size)) >> 16), 0), _TOP_LOG2 - 1)
+    # size * noise, with size = 2^(log2_size / 2^16): 2^f of the fraction f from a
+    # cubic in 16-bit fixed point; 17 dither bits fill the bits below the product
+    frac = log2_size & 0xFFFF
+    mantissa = 0x10000 + (((((5186 * frac >> 16) + 14742) * frac >> 16) + 45608) * frac >> 16)
+    dither = ((u_size >> 48) | ((u_noise >> 48) << 16)) & 0x1FFFF
+    return ((mantissa * _normal16(u_noise) << 17) + dither) >> (49 - (log2_size >> 16))
+
+
+def workload_stream(spec, seed):
+    """(addr, payload bytes) of every record of the v2 stream, computed record by record."""
+    record_key, cold_key = splitmix(seed, 0), splitmix(seed, 1)
+    states = {}
+    for r in range(spec.records):
+        draws = [splitmix(record_key, _RECORD_DRAWS * r + j) for j in range(_RECORD_DRAWS)]
+        index = draws[0] % spec.addresses
+        if index not in states:
+            cold = [splitmix(cold_key, _COLD_DRAWS * index + j) for j in range(_COLD_DRAWS)]
+            states[index] = _cold_state(spec, cold)
+        state = states[index]
+        if spec.kind in ("float64walk", "partialvalid"):
+            live, pos = state
+            for w in range(live):
+                pos[w] += _walk_delta(spec, draws[1 + w], draws[9 + w])
+            payload = b""
+            for p in pos:
+                p %= 2 * _WIDTH
+                payload += (_LO + (p if p < _WIDTH else 2 * _WIDTH - 1 - p)).to_bytes(8, "big")
+        else:
+            thresholds, pins, mask, values = state
+            for f in range(16):
+                u = draws[1 + f]
+                if (u >> 32) < thresholds[f]:
+                    values[f] = pins[f] | (u & mask)
+            payload = b"".join(v.to_bytes(4, "little") for v in values)
+        yield spec.base_addr + 64 * index, payload
+
+
+def _cold_state(spec, cold):
+    if spec.kind in ("float64walk", "partialvalid"):
+        live = 8
+        if spec.kind == "partialvalid":
+            lo, hi = spec.valid_words
+            live = lo + cold[8] % (hi - lo + 1)
+        return live, [(0x3FF0000000000000 | (c >> 12)) - _LO for c in cold[:8]]
+    if spec.kind == "narrowint32":
+        mask = (1 << spec.width) - 1
+        return [int(spec.update_rate * 2**32)] * 16, [0] * 16, mask, [c & mask for c in cold]
+    pinned = spec.pinned_top_bits
+    mask = (1 << (32 - pinned)) - 1
+    pins = [((c >> 32) & ((1 << pinned) - 1)) << (32 - pinned) for c in cold]
+    # per-field rewrite rate in [0.1, 0.9), as a threshold on 32 random bits
+    thresholds = [2**32 // 10 + (((c >> 40) * (8 * 2**32 // 10)) >> 24) for c in cold]
+    return thresholds, pins, mask, [p | (c & mask) for p, c in zip(pins, cold)]

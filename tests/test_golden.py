@@ -1,40 +1,58 @@
 """Golden SHA-256 digests of generator streams and emitted CSVs.
 
-The digests were computed once from the code before the workload generators
-and the fault injector were rewritten, and must never be re-frozen from
+The stream digests are of the v2 workload stream, computed from the slow
+per-record reference ``oracle.workload_stream``, never from
+``robinsim.workloads``; the CSV digests are of ``run_experiment`` on that
+reference stream, saved as a binary trace. They must never be re-frozen from
 changed code: a mismatch means a stream or a CSV changed.
 
-The float-walk kinds (``float64walk``, ``partialvalid``) are left out on
-purpose. Their payloads come from ``np.exp2``, which numpy may dispatch to a
-vectorized math library on some CPUs, so their bytes can differ between
-machines.
+All four kinds are covered. The v2 walk of ``float64walk`` and
+``partialvalid`` is integer arithmetic on the doubles' bit patterns, so its
+bytes do not depend on the machine's math library.
 """
 
 import hashlib
 
 import pytest
 
+import oracle
 from robinsim.report import ExperimentConfig, emit_csv, run_experiment
 from robinsim.workloads import WorkloadSpec, gen_workload
 
 STREAM_RECORDS = 3000
 
 STREAMS = {
+    "float64walk-default": (
+        dict(kind="float64walk"),
+        "d5639aa3eb03e2cde04a49919ce67a4e2c15f69d03870ef27ee2ed676b549e5c",
+    ),
+    "float64walk-knobs": (
+        dict(kind="float64walk", walk_scale=2.0**-10, walk_jitter=1.5, addresses=9, base_addr=0x1000),
+        "8be590274457efe208c694855507da4328dd2ae83f18f5797ba7bf6bc5f0a19b",
+    ),
     "narrowint32-default": (
         dict(kind="narrowint32"),
-        "3aaccd483429449e343e28a35156c0d3e7c4f16d7e70602670acbe92eeed1f93",
+        "e74829f0eb47a1fd75a0fccbb34dabe4972f9729e3e7c7f6deed99a7c3b23c09",
     ),
     "narrowint32-knobs": (
         dict(kind="narrowint32", width=5, update_rate=0.3, addresses=7, base_addr=0x4000),
-        "184f233c64bce11447bca2bfb5fddd61c6106d8bbf09201c2f49ce683ce8ff05",
+        "3ce90ecedc00c9def32b8bd10a095776b1b4e4d5c527d7b64e198856aa5f5ce0",
+    ),
+    "partialvalid-default": (
+        dict(kind="partialvalid"),
+        "599cd5e7c6e61dcd4168ed93aca487c151b34205c50ceffb008fd645662ec7ba",
+    ),
+    "partialvalid-knobs": (
+        dict(kind="partialvalid", valid_words=(2, 5), addresses=5, base_addr=0x80),
+        "0af5c0b3512d50aba5a59a6ee362b1cd8dc031720f4102e1e2dbf1a6f5ed375e",
     ),
     "irregular-default": (
         dict(kind="irregular"),
-        "50bab87f2c44f7726fd0ac84fdbad2107e759134d844387d44d93d03c7aca2cd",
+        "457a26b7a17b315b778c68234649a38666c1d901f3f932c52d0b80029f593aa1",
     ),
     "irregular-knobs": (
         dict(kind="irregular", pinned_top_bits=0, addresses=5, base_addr=0x40),
-        "bf9af6db80cea6585d9536523780f68150d6e0d574a9a85a039d9e568b39ab48",
+        "451b9446e77e5f0b17fd08745f86c91af43cd2ab5b62ae02f4da288d576c287d",
     ),
 }
 
@@ -42,17 +60,25 @@ RUNS = {
     "narrowint32-analytic": (
         dict(workload=WorkloadSpec("narrowint32", records=1500), pw=0.999, seed=3),
         {
-            "histogram.csv": "a4ee5d7afead5b7778e60c8e9e0da56d22c38c695e77d237926d5bd4b2a70c24",
-            "codeword_stats.csv": "3fb3f88b9348615b1664591c1416efd9c94e0b3b8100b1f7eead540c76a1534c",
-            "error_rates.csv": "b6d7367ccf98368092169e2daa7c52ef083ded626346dfd19e0006c47d1d8093",
+            "histogram.csv": "828b01ddfb71f7332b9415fd37952825c622e7f7320434027fe40d48e1cb99e5",
+            "codeword_stats.csv": "d15d63cc7bc40857a0a3809eb6d61baee2cceb4a87955c52fe71d6b35a53c78f",
+            "error_rates.csv": "aa5c8ed35e9bd5908aa5926448baf23bf226260a3d8093e2998409d85b767415",
         },
     ),
     "irregular-analytic": (
         dict(workload=WorkloadSpec("irregular", records=1500, addresses=16), pw=0.99, seed=3),
         {
-            "histogram.csv": "4b6ab4d136a4986b2b28ccd0b825cc1776c3ac05305633f5ba26aa767a0fc71b",
-            "codeword_stats.csv": "349fac5d9e203c13114c25166a524544ea0fa8bf0edbad8f1abe4d15ce5c90ae",
-            "error_rates.csv": "d572298515763e4e3a6e3891efa26c001e3f87c8024c67fb75a744d00896c8c8",
+            "histogram.csv": "a17b37d85d2bb442a98f7b0cc5ab8765a871cef43a41a45c837c7c3995a0a72e",
+            "codeword_stats.csv": "4cf63a6361464067761b603abab852824e27b7ea82e90de84e8e3e4a9dcc3761",
+            "error_rates.csv": "a20cddc077c5de1826e3daacaf39e754854dc0b8eb9da42dd8156a8eee6b170b",
+        },
+    ),
+    "partialvalid-analytic": (
+        dict(workload=WorkloadSpec("partialvalid", records=1500, addresses=16), pw=0.999, seed=3),
+        {
+            "histogram.csv": "ef393001a05507e7547aa7000f468ca574b634f0991c577e92c05e8249761b66",
+            "codeword_stats.csv": "7520d5cfaecc9287ffb0786baccf898e57989cccd470d1fc38275b37da1b2fce",
+            "error_rates.csv": "3c61efbd46620fe1ff139f1ccafe514bdc888f0662f941416ef403a877362e48",
         },
     ),
     "narrowint32-monte-carlo": (
@@ -64,19 +90,20 @@ RUNS = {
             trials=500,
         ),
         {
-            "histogram.csv": "175a081cec90b8c13f55a41d4627665659e92a1cf725a8a7d48b83ab0d6add06",
-            "codeword_stats.csv": "db5fd53ff5950619dfd0d33da9a4676dae8bcc36745679aaf579544d6f8ff69e",
-            "error_rates.csv": "4faac82bfed8766873fb610d3c2dfc253f2fddc39590fc7dc5a603b58a6fb587",
+            "histogram.csv": "eaae2d3acc4a2a8fc56800045f88ec32751b84df6afd761a4e0ed7ff42caf10b",
+            "codeword_stats.csv": "ec1cafcd20bc13edde2fdaf4ddcbeb5b7a705bcc131c6b8625c4dd999900acdc",
+            "error_rates.csv": "ad78decb73b9adaa374711ee549179f7ebb7649dbc5a470c980a5f3ac469e34e",
         },
     ),
 }
 
 
-def stream_digest(spec: WorkloadSpec, seed: int) -> str:
+def stream_digest(records) -> str:
+    """Digest of (addr, payload) pairs: 8-byte little-endian address, then the payload."""
     digest = hashlib.sha256()
-    for record in gen_workload(spec, seed):
-        digest.update(record.addr.to_bytes(8, "little"))
-        digest.update(record.data)
+    for addr, data in records:
+        digest.update(addr.to_bytes(8, "little"))
+        digest.update(data)
     return digest.hexdigest()
 
 
@@ -88,7 +115,14 @@ def csv_digests(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
 @pytest.mark.parametrize("name", STREAMS)
 def test_generator_stream_digest(name):
     kwargs, expected = STREAMS[name]
-    assert stream_digest(WorkloadSpec(records=STREAM_RECORDS, **kwargs), seed=11) == expected
+    records = gen_workload(WorkloadSpec(records=STREAM_RECORDS, **kwargs), seed=11)
+    assert stream_digest((r.addr, r.data) for r in records) == expected
+
+
+@pytest.mark.parametrize("name", STREAMS)
+def test_reference_stream_digest(name):
+    kwargs, expected = STREAMS[name]
+    assert stream_digest(oracle.workload_stream(WorkloadSpec(records=STREAM_RECORDS, **kwargs), seed=11)) == expected
 
 
 @pytest.mark.parametrize("name", RUNS)
