@@ -37,8 +37,8 @@ from .mapping import CODEWORDS, MappingScheme, block_datawords, codeword_counts,
 _MASK64 = (1 << 64) - 1
 # splitmix64: golden-gamma increment and the two finalizer multipliers
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
-_SPLITMIX_MUL2 = 0x94D049BB133111EB
+SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
+SPLITMIX_MUL2 = 0x94D049BB133111EB
 
 # trials are simulated in fixed-size chunks so estimates are reproducible
 _TRIAL_CHUNK = 8192
@@ -52,8 +52,8 @@ def mix_seed(seed: int, index: int) -> int:
     """
     seed, index = int(seed), int(index)
     z = (seed + (index + 1) * SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & _MASK64
+    z = ((z ^ (z >> 30)) * SPLITMIX_MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * SPLITMIX_MUL2) & _MASK64
     return z ^ (z >> 31)
 
 

@@ -60,8 +60,7 @@ class DeviceParams:
         for item in fields(self):
             if not math.isfinite(getattr(self, item.name)):
                 raise ParameterError(f"{item.name} must be finite, got {getattr(self, item.name)}")
-        # a negative moment is left to the formula's denominator check
-        for name in ("t_write", "mu_b", "e_charge"):
+        for name in ("t_write", "magnetic_moment", "mu_b", "e_charge"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.polarization < 1:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,11 +137,22 @@ def repair(data: int, check: int) -> tuple[DecodeOutcome, int, int]:
     return outcome, data, check
 
 
+@lru_cache(maxsize=None)
+def _half_word_tables() -> np.ndarray:
+    """(4, 65536) uint8: check contribution of each value of 16-bit half-word p (bits 16p..16p+15)."""
+    values = np.arange(1 << 16)
+    # C order, so each row is one contiguous table for take()
+    tables = np.ascontiguousarray(_ENCODE_BYTE_NP[0::2, values & 0xFF] ^ _ENCODE_BYTE_NP[1::2, values >> 8])
+    tables.setflags(write=False)
+    return tables
+
+
 def encode_words(words: np.ndarray) -> np.ndarray:
     """Vectorized encode: uint64 dataword array -> uint8 check-word array."""
     words = np.ascontiguousarray(words, dtype="<u8")
-    payload = words.view(np.uint8).reshape(words.shape + (8,))
-    check = _ENCODE_BYTE_NP[0, payload[..., 0]]
-    for byte_pos in range(1, 8):
-        check = check ^ _ENCODE_BYTE_NP[byte_pos, payload[..., byte_pos]]
+    halves = words.view("<u2").reshape(words.shape + (4,))
+    tables = _half_word_tables()
+    check = tables[0].take(halves[..., 0])
+    for half in range(1, 4):
+        check ^= tables[half].take(halves[..., half])
     return check

@@ -16,23 +16,64 @@
                    field, giving an irregular profile with quiet spots just
                    below each 32-bit boundary.
 
-Streams are reproducible bit for bit from (spec, seed): every record consumes
-a fixed pattern of draws from a single generator.
+Streams (version 2) are reproducible bit for bit from (spec, seed) on every
+machine: they use integer arithmetic only. Every random number is one output
+of a counter-based splitmix64 stream (:func:`robinsim.injection.mix_seed`):
+
+* record ``r`` reads positions ``17r .. 17r+16`` of the record stream, keyed
+  ``mix_seed(seed, 0)``: the address index (draw modulo ``addresses``), then
+  16 payload draws;
+* the first write to address index ``i`` sets up its state from positions
+  ``16i .. 16i+15`` of the cold stream, keyed ``mix_seed(seed, 1)``.
+
+A draw depends only on its position, so records are made a chunk at a time:
+a chunk takes its ``(n, 17)`` draws at once, sorts its records stably by
+address and resolves each address's state with segmented scans. The chunk
+size does not change the stream. ``tests/oracle.py`` computes the same stream
+one record at a time; it is the specification.
+
+Field kinds: field f of a record is rewritten when the high 32 bits of its
+draw lie below the field's rate threshold (rate x 2^32); the new value is the
+field's pinned top bits OR the draw's low bits under the field mask. A
+field's current value is the one from its latest rewrite, found by a running
+maximum over the update indices within each address's segment.
+
+Walk kinds: a word's state is an integer position on the bit patterns of the
+doubles in [0.25, 8). Each write adds a step of about ``walk_scale * 2^52 *
+z`` to it, where the step size's log2 carries ``walk_jitter * z'`` and z, z'
+are Irwin-Hall draws with mean 0 and standard deviation 1 (range +-3). The
+size is 2^x in 16.16 fixed point, capped below 2^50 (a relative step of 1/4),
+with 2^frac(x) from a cubic and 17 random bits below the product's
+resolution, so the low mantissa churns uniformly. Positions accumulate as an
+int64 cumulative sum. Band rule: the unbounded sum is reflected at both ends
+of the band (a triangle wave), so a word never leaves [0.25, 8) and never
+jumps across it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .bits import BLOCK_BYTES
+from .injection import SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, mix_seed
 from .trace import WriteRecord
 
 _WORDS = 8
 _FIELDS32 = 16
+# records drawn at once; at most 1024, so a chunk's int64 walk sums (steps
+# below 2^51.6 each) cannot overflow
+_CHUNK = 1024
+_RECORD_DRAWS = 1 + _FIELDS32   # the address, then 16 payload draws
+_COLD_DRAWS = 16
+# walk band: bit patterns of the doubles 0.25 <= v < 8.0, five binades
+_BAND_LO = 0x3FD0000000000000
+_BAND = 5 << 52
+_ONE = 0x3FF0000000000000
+_MAX_LOG2_STEP = (50 << 16) - 1     # 16.16 fixed point
 
 
 @dataclass(frozen=True)
@@ -43,8 +84,8 @@ class WorkloadSpec:
     records: int
     addresses: int = 64
     base_addr: int = 0
-    walk_scale: float = 2.0**-14        # median relative step of the float walk
-    walk_jitter: float = 4.0            # log2 std-dev of the per-word step size
+    walk_scale: float = 2.0**-14        # typical relative step of the float walk
+    walk_jitter: float = 4.0            # log2 std-dev of the per-word step size (capped at 64)
     width: int = 12                     # narrowint32: significant low bits per field
     update_rate: float = 0.6            # narrowint32: per-field rewrite probability
     valid_words: tuple[int, int] = (1, 8)   # partialvalid: inclusive range of live words
@@ -85,68 +126,139 @@ def gen_workload(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
     then every write advances that state and stores its payload.
     """
     cold, step = _KIND_RULES[spec.kind]
-    rng = np.random.default_rng(seed)
-    states: dict[int, tuple] = {}
-    for _ in range(spec.records):
-        addr = spec.base_addr + BLOCK_BYTES * int(rng.integers(spec.addresses))
-        state = states.get(addr)
-        if state is None:
-            state = states[addr] = cold(spec, rng)
-        yield WriteRecord(addr, step(state, spec, rng))
+    record_key, cold_key = mix_seed(seed, 0), mix_seed(seed, 1)
+    rows: dict[int, int] = {}   # address index -> its row of ``table``
+    table = None
+    for start in range(0, spec.records, _CHUNK):
+        n = min(_CHUNK, spec.records - start)
+        positions = np.arange(start * _RECORD_DRAWS, (start + n) * _RECORD_DRAWS, dtype=np.uint64)
+        draws = _splitmix(record_key, positions).reshape(n, _RECORD_DRAWS)
+        index = draws[:, 0] % np.uint64(spec.addresses)
+        seen, inverse = np.unique(index, return_inverse=True)
+        seen = seen.tolist()
+        new = [i for i in seen if i not in rows]
+        if new:
+            cold_positions = np.array(new, dtype=np.uint64)[:, None] * np.uint64(_COLD_DRAWS)
+            cold_positions = cold_positions + np.arange(_COLD_DRAWS, dtype=np.uint64)
+            table = _store(table, len(rows), cold(spec, _splitmix(cold_key, cold_positions)))
+            rows.update(zip(new, range(len(rows), len(rows) + len(new))))
+        record_rows = np.array([rows[i] for i in seen])[inverse]
+        # a stable sort by row keeps each address's records in stream order
+        order = np.argsort(record_rows, kind="stable")
+        sorted_rows = record_rows[order]
+        change = sorted_rows[1:] != sorted_rows[:-1]
+        first = np.flatnonzero(np.concatenate(([True], change)))
+        seg_start = np.repeat(first, np.diff(np.append(first, n)))
+        seg_end = np.concatenate((change, [True]))
+        values = step(spec, table, sorted_rows, draws[order, 1:], seg_start, seg_end)
+        payload = np.empty_like(values)
+        payload[order] = values
+        addrs = (np.uint64(spec.base_addr) + index * np.uint64(BLOCK_BYTES)).tolist()
+        # one 64-byte void scalar per row: tolist() gives each row's bytes
+        yield from map(WriteRecord, addrs, payload.view(f"V{BLOCK_BYTES}").ravel().tolist())
 
 
-def _walk_step(state: tuple, spec: WorkloadSpec, rng: np.random.Generator) -> bytes:
-    """Nudge the first ``live`` doubles in place; draw sizes are fixed per call."""
-    live, values = state
-    scale = spec.walk_scale * np.exp2(spec.walk_jitter * rng.standard_normal(_WORDS))
-    noise = rng.standard_normal(_WORDS)
-    values[:live] *= 1.0 + np.minimum(scale[:live], 0.25) * noise[:live]
-    # keep magnitudes in a band so exponents stay near-constant
-    escaped = (np.abs(values[:live]) < 0.25) | (np.abs(values[:live]) > 8.0)
-    if escaped.any():
-        values[:live][escaped] = rng.uniform(1.0, 2.0, int(escaped.sum()))
-    return values.astype(">f8").tobytes()
+def _splitmix(key: int, positions: np.ndarray) -> np.ndarray:
+    """``mix_seed(key, p)`` for every uint64 position ``p``."""
+    z = (positions + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA) + np.uint64(key)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(SPLITMIX_MUL1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(SPLITMIX_MUL2)
+    return z ^ (z >> np.uint64(31))
 
 
-def _rewrite_step(state: tuple, spec: WorkloadSpec, rng: np.random.Generator) -> bytes:
-    """Rewrite each 32-bit field with its rate: pinned high bits, fresh low bits below ``limit``."""
-    rates, pins, limit, values = state
-    update = rng.random(_FIELDS32) < rates
-    fresh = rng.integers(0, limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
-    if pins is not None:  # narrowint32 pins no bits and skips the OR
-        fresh |= pins
-    values[update] = fresh[update]
-    return values.astype("<u4").tobytes()
+def _store(table: np.ndarray | None, used: int, new: np.ndarray) -> np.ndarray:
+    """``table`` with ``new`` as rows ``used`` on; capacity doubles when full."""
+    if table is None:
+        table = np.empty((0,) + new.shape[1:], dtype=new.dtype)
+    if used + len(new) > len(table):
+        grown = np.empty((max(2 * used, used + len(new)),) + new.shape[1:], dtype=new.dtype)
+        grown[:used] = table[:used]
+        table = grown
+    table[used : used + len(new)] = new
+    return table
 
 
-def _partialvalid_cold(spec: WorkloadSpec, rng: np.random.Generator) -> tuple:
-    lo, hi = spec.valid_words
-    return int(rng.integers(lo, hi + 1)), rng.uniform(1.0, 2.0, _WORDS)
+def _field_mask(spec: WorkloadSpec) -> int:
+    bits = spec.width if spec.kind == "narrowint32" else 32 - spec.pinned_top_bits
+    return (1 << bits) - 1
 
 
-def _narrowint32_cold(spec: WorkloadSpec, rng: np.random.Generator) -> tuple:
-    limit = np.uint64(1) << spec.width
-    values = rng.integers(0, limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
-    return spec.update_rate, None, limit, values
+def _fields_cold(spec: WorkloadSpec, cold: np.ndarray) -> np.ndarray:
+    """Rows of (rate thresholds, pinned bits, values), each one per 32-bit field."""
+    mask = np.uint64(_field_mask(spec))
+    if spec.kind == "narrowint32":
+        thresholds = np.full_like(cold, int(spec.update_rate * 2**32))
+        pins = np.zeros_like(cold)
+    else:
+        pinned = spec.pinned_top_bits
+        pins = ((cold >> np.uint64(32)) & np.uint64((1 << pinned) - 1)) << np.uint64(32 - pinned)
+        # a rate uniform in [0.1, 0.9) from the top 24 bits
+        span = np.uint64(8 * 2**32 // 10)
+        thresholds = np.uint64(2**32 // 10) + (((cold >> np.uint64(40)) * span) >> np.uint64(24))
+    return np.stack([thresholds, pins, pins | (cold & mask)], axis=1)
 
 
-def _irregular_cold(spec: WorkloadSpec, rng: np.random.Generator) -> tuple:
-    pin_shift = np.uint64(32 - spec.pinned_top_bits)
-    limit = np.uint64(1) << pin_shift
-    rates = rng.uniform(0.1, 0.9, _FIELDS32)
-    pins = (
-        rng.integers(0, 1 << spec.pinned_top_bits, _FIELDS32, dtype=np.uint64) << pin_shift
-    ).astype(np.uint32)
-    values = pins | rng.integers(0, limit, _FIELDS32, dtype=np.uint64).astype(np.uint32)
-    return rates, pins, limit, values
+def _fields_step(spec, table, rows, draws, seg_start, seg_end) -> np.ndarray:
+    """Each record's 16 field values; a field keeps its value until its next rewrite."""
+    thresholds, pins, values = table[rows].transpose(1, 0, 2)
+    rewritten = (draws >> np.uint64(32)) < thresholds
+    fresh = pins | (draws & np.uint64(_field_mask(spec)))
+    # 1 + the latest rewrite at or before each record, 0 if none; a rewrite
+    # counts only inside the record's own address segment
+    rank = np.arange(1, len(rows) + 1, dtype=np.int32)[:, None]
+    latest = np.maximum.accumulate(rewritten * rank, axis=0)
+    # latest == 0 takes a wrapped index here; np.where discards it
+    rewrites = fresh.take((latest - 1) * _FIELDS32 + np.arange(_FIELDS32, dtype=np.int32))
+    current = np.where(latest > seg_start[:, None], rewrites, values)
+    table[rows[seg_end], 2] = current[seg_end]
+    return current.astype("<u4")
 
 
-# kind -> (cold-address state draw, write step); float64walk is partialvalid
+def _walk_cold(spec: WorkloadSpec, cold: np.ndarray) -> np.ndarray:
+    """Rows of eight band positions (doubles uniform in [1, 2)) and the live word count."""
+    live = np.full(len(cold), _WORDS, dtype=np.int64)
+    if spec.kind == "partialvalid":
+        lo, hi = spec.valid_words
+        live = lo + (cold[:, 8] % np.uint64(hi - lo + 1)).astype(np.int64)
+    start = ((cold[:, :_WORDS] >> np.uint64(12)) | np.uint64(_ONE)).astype(np.int64) - _BAND_LO
+    return np.column_stack([start, live])
+
+
+def _normal16(draws: np.ndarray) -> np.ndarray:
+    """Irwin-Hall sum of three 16-bit lanes, scaled to mean 0 and std 2^16 (range +-3 std)."""
+    lane = np.uint64(0xFFFF)
+    total = (draws & lane) + ((draws >> np.uint64(16)) & lane) + ((draws >> np.uint64(32)) & lane)
+    return 2 * total.astype(np.int64) - 196605
+
+
+def _walk_step(spec, table, rows, draws, seg_start, seg_end) -> np.ndarray:
+    """Each record's eight big-endian doubles after its walk step; dead words stand still."""
+    base = round((52 + math.log2(spec.walk_scale)) * 65536)
+    jitter = round(min(spec.walk_jitter, 64.0) * 65536)
+    z = _normal16(draws)
+    log2_step = np.clip(base + ((jitter * z[:, :_WORDS]) >> 16), 0, _MAX_LOG2_STEP)
+    frac = log2_step & 0xFFFF
+    mantissa = 0x10000 + (((((5186 * frac >> 16) + 14742) * frac >> 16) + 45608) * frac >> 16)
+    top = (draws >> np.uint64(48)).astype(np.int64)
+    dither = (top[:, :_WORDS] | (top[:, _WORDS:] << 16)) & 0x1FFFF
+    steps = ((mantissa * z[:, _WORDS:] << 17) + dither) >> (49 - (log2_step >> 16))
+    state = table[rows]
+    steps[np.arange(_WORDS) >= state[:, _WORDS:]] = 0
+    # per-segment inclusive sums: the chunk's running sum minus its value before the segment
+    total = np.cumsum(steps, axis=0)
+    position = (state[:, :_WORDS] + total - (total - steps)[seg_start]) % (2 * _BAND)
+    table[rows[seg_end], :_WORDS] = position[seg_end]
+    reflected = np.where(position < _BAND, position, 2 * _BAND - 1 - position)
+    return (_BAND_LO + reflected).astype(">i8")
+
+
+_Rule = tuple[Callable[..., np.ndarray], Callable[..., np.ndarray]]
+# kind -> (cold-address state rows, chunk step); float64walk is partialvalid
 # with all eight words live, narrowint32 is irregular with one rate and no pins
-_KIND_RULES = {
-    "float64walk": (lambda spec, rng: (_WORDS, rng.uniform(1.0, 2.0, _WORDS)), _walk_step),
-    "narrowint32": (_narrowint32_cold, _rewrite_step),
-    "partialvalid": (_partialvalid_cold, _walk_step),
-    "irregular": (_irregular_cold, _rewrite_step),
+_KIND_RULES: dict[str, _Rule] = {
+    "float64walk": (_walk_cold, _walk_step),
+    "narrowint32": (_fields_cold, _fields_step),
+    "partialvalid": (_walk_cold, _walk_step),
+    "irregular": (_fields_cold, _fields_step),
 }
 KINDS = tuple(_KIND_RULES)

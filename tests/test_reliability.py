@@ -77,6 +77,9 @@ def test_p_write_monotonic_in_pulse_and_current():
 def test_device_params_validation():
     with pytest.raises(ParameterError):
         DeviceParams(**{**FIXED_DEVICE, "t_write": 0.0})
+    for moment in (0.0, -0.75):
+        with pytest.raises(ParameterError, match="magnetic_moment"):
+            DeviceParams(**{**FIXED_DEVICE, "magnetic_moment": moment})
     with pytest.raises(ParameterError):
         DeviceParams(**{**FIXED_DEVICE, "polarization": 1.0})
     with pytest.raises(ParameterError):

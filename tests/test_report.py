@@ -73,9 +73,10 @@ def test_validation_rejects_bad_trials_without_monte_carlo():
 def test_validation_maps_device_formula_errors_to_config_error():
     from robinsim.reliability import DeviceParams
 
-    # a negative magnetic moment makes the formula's denominator negative
+    # ln(pi^2 * delta / 4) < 0 for a small delta, and a large moment then drives
+    # the formula's denominator negative (about -16.9 here)
     device = DeviceParams(t_write=2.0, i_write=1.5, i_c0=1.0, polarization=0.5,
-                          magnetic_moment=-10.0, mu_b=1.25, delta=60.0, e_charge=1.0)
+                          magnetic_moment=10.0, mu_b=1.25, delta=0.1, e_charge=1.0)
     with pytest.raises(ConfigError, match="denominator"):
         small_config(pw=None, device=device).validate()
 

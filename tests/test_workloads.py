@@ -1,6 +1,15 @@
+import hashlib
+import tracemalloc
+from collections import defaultdict, deque
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
+from robinsim import workloads
 from robinsim.bits import BLOCK_BITS
 from robinsim.trace import old_new_pairs, per_bit_histogram
 from robinsim.workloads import KINDS, WorkloadSpec, gen_workload
@@ -8,6 +17,21 @@ from robinsim.workloads import KINDS, WorkloadSpec, gen_workload
 
 def histogram_for(spec, seed=1, warmup=0):
     return per_bit_histogram(old_new_pairs(gen_workload(spec, seed), warmup=warmup))
+
+
+def payloads_by_address(spec, seed=1):
+    """Each address's payloads in write order, the cold write first."""
+    by_addr = defaultdict(list)
+    for record in gen_workload(spec, seed):
+        by_addr[record.addr].append(record.data)
+    return by_addr
+
+
+def stream_digest(spec, seed):
+    digest = hashlib.sha256()
+    for record in gen_workload(spec, seed):
+        digest.update(record.addr.to_bytes(8, "little") + record.data)
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -113,3 +137,82 @@ def test_irregular_field_rates_differ():
     spec = WorkloadSpec(kind="irregular", records=4_000, addresses=2)
     per_field = histogram_for(spec).reshape(16, 32).sum(axis=1)
     assert per_field.max() > 2 * per_field.min()
+
+
+@pytest.mark.parametrize("valid_words", [(1, 8), (2, 5), (3, 3)])
+def test_partialvalid_words_from_v_on_never_transition(valid_words):
+    # per address, the words that change after its cold write are words
+    # 0 .. V-1 for one V in the valid_words range; words V .. 7 never transition
+    lo, hi = valid_words
+    spec = WorkloadSpec(kind="partialvalid", records=3_000, addresses=16, valid_words=valid_words)
+    seen_live = set()
+    for payloads in payloads_by_address(spec).values():
+        words = np.frombuffer(b"".join(payloads), dtype=">u8").reshape(-1, 8)
+        changed = (words[1:] != words[:-1]).any(axis=0)
+        live = int(changed.sum())
+        assert lo <= live <= hi
+        assert changed[:live].all() and not changed[live:].any()
+        seen_live.add(live)
+    assert len(seen_live) >= min(2, hi - lo + 1)
+
+
+@pytest.mark.parametrize("pinned", [1, 3, 8])
+def test_irregular_pinned_top_bits_never_transition(pinned):
+    spec = WorkloadSpec(kind="irregular", records=3_000, addresses=16, pinned_top_bits=pinned)
+    for payloads in payloads_by_address(spec).values():
+        fields = np.frombuffer(b"".join(payloads), dtype="<u4").reshape(-1, 16)
+        tops = fields >> (32 - pinned)
+        assert (tops == tops[0]).all()
+        low = fields & ((1 << (32 - pinned)) - 1)
+        assert (low != low[0]).any(axis=0).all()  # every field's free bits do change
+
+
+@st.composite
+def workload_specs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    addresses = draw(st.one_of(st.integers(1, 40), st.integers(1, 2**58)))
+    lo = draw(st.integers(1, 8))
+    return WorkloadSpec(
+        kind=kind,
+        records=draw(st.integers(1, 300)),
+        addresses=addresses,
+        base_addr=64 * draw(st.integers(0, 2**58 - addresses)),
+        walk_scale=draw(st.floats(1e-12, 0.99)),
+        walk_jitter=draw(st.floats(0.0, 80.0)),
+        width=draw(st.integers(1, 32)),
+        update_rate=draw(st.floats(1e-9, 1.0, exclude_min=True)),
+        valid_words=(lo, draw(st.integers(lo, 8))),
+        pinned_top_bits=draw(st.integers(0, 8)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=workload_specs(), seed=st.integers(0, 2**70), chunk=st.sampled_from([1, 7, 64, 1024]))
+def test_generator_matches_reference(spec, seed, chunk):
+    with mock.patch.object(workloads, "_CHUNK", chunk):
+        fast = [(record.addr, record.data) for record in gen_workload(spec, seed)]
+    assert fast == list(oracle.workload_stream(spec, seed))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stream_does_not_depend_on_chunk_size(kind):
+    spec = WorkloadSpec(kind=kind, records=2_500, addresses=24)
+    digests = set()
+    for chunk in (1, 7, workloads._CHUNK):
+        with mock.patch.object(workloads, "_CHUNK", chunk):
+            digests.add(stream_digest(spec, seed=5))
+    assert len(digests) == 1
+
+
+def test_generator_memory_is_bounded():
+    # irregular carries the most state per record: rates, pins and values per field
+    def peak(records):
+        tracemalloc.start()
+        try:
+            spec = WorkloadSpec(kind="irregular", records=records, addresses=64)
+            deque(gen_workload(spec, seed=2), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200_000) <= 2 * peak(20_000)
