@@ -57,7 +57,6 @@ def _byte_tables() -> list[list[int]]:
 
 
 _ENCODE_BYTE = _byte_tables()
-_ENCODE_BYTE_NP = np.array(_ENCODE_BYTE, dtype=np.uint8)
 
 
 class DecodeStatus(Enum):
@@ -140,9 +139,10 @@ def repair(data: int, check: int) -> tuple[DecodeOutcome, int, int]:
 @lru_cache(maxsize=None)
 def _half_word_tables() -> np.ndarray:
     """(4, 65536) uint8: check contribution of each value of 16-bit half-word p (bits 16p..16p+15)."""
+    byte_tables = np.array(_ENCODE_BYTE, dtype=np.uint8)
     values = np.arange(1 << 16)
     # C order, so each row is one contiguous table for take()
-    tables = np.ascontiguousarray(_ENCODE_BYTE_NP[0::2, values & 0xFF] ^ _ENCODE_BYTE_NP[1::2, values >> 8])
+    tables = np.ascontiguousarray(byte_tables[0::2, values & 0xFF] ^ byte_tables[1::2, values >> 8])
     tables.setflags(write=False)
     return tables
 

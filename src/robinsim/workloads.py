@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -198,7 +198,14 @@ def _fields_cold(spec: WorkloadSpec, cold: np.ndarray) -> np.ndarray:
     return np.stack([thresholds, pins, pins | (cold & mask)], axis=1)
 
 
-def _fields_step(spec, table, rows, draws, seg_start, seg_end) -> np.ndarray:
+def _fields_step(
+    spec: WorkloadSpec,
+    table: np.ndarray,
+    rows: np.ndarray,
+    draws: np.ndarray,
+    seg_start: np.ndarray,
+    seg_end: np.ndarray,
+) -> np.ndarray:
     """Each record's 16 field values; a field keeps its value until its next rewrite."""
     thresholds, pins, values = table[rows].transpose(1, 0, 2)
     rewritten = (draws >> np.uint64(32)) < thresholds
@@ -231,7 +238,14 @@ def _normal16(draws: np.ndarray) -> np.ndarray:
     return 2 * total.astype(np.int64) - 196605
 
 
-def _walk_step(spec, table, rows, draws, seg_start, seg_end) -> np.ndarray:
+def _walk_step(
+    spec: WorkloadSpec,
+    table: np.ndarray,
+    rows: np.ndarray,
+    draws: np.ndarray,
+    seg_start: np.ndarray,
+    seg_end: np.ndarray,
+) -> np.ndarray:
     """Each record's eight big-endian doubles after its walk step; dead words stand still."""
     base = round((52 + math.log2(spec.walk_scale)) * 65536)
     jitter = round(min(spec.walk_jitter, 64.0) * 65536)
@@ -252,10 +266,13 @@ def _walk_step(spec, table, rows, draws, seg_start, seg_end) -> np.ndarray:
     return (_BAND_LO + reflected).astype(">i8")
 
 
-_Rule = tuple[Callable[..., np.ndarray], Callable[..., np.ndarray]]
 # kind -> (cold-address state rows, chunk step); float64walk is partialvalid
-# with all eight words live, narrowint32 is irregular with one rate and no pins
-_KIND_RULES: dict[str, _Rule] = {
+# with all eight words live, narrowint32 is irregular with one rate and no pins.
+# A step gets a chunk's records sorted stably by address: their table rows and
+# 16 payload draws, the index of each record's segment start and a mask of each
+# segment's last record. It returns their payloads and writes each address's
+# final state back to its row.
+_KIND_RULES = {
     "float64walk": (_walk_cold, _walk_step),
     "narrowint32": (_fields_cold, _fields_step),
     "partialvalid": (_walk_cold, _walk_step),
