@@ -41,7 +41,8 @@ BITS_PER_BYTE = 8
 CODEWORDS = 8
 DATAWORD_BITS = 64
 # writes per codeword_counts call on the batch paths; float sums are reduced
-# per batch, so rates depend on it
+# per batch, so rates depend on it. Must stay <= 65535: per-bit histograms
+# sum one batch in uint16.
 BATCH = 512
 
 

@@ -12,25 +12,35 @@ codeword), which maximizes the block success probability for fixed K.
 derived from device physics via :func:`p_write_from_device`.
 
 Each formula has one array implementation (``*_array``); the scalar
-``p_*`` functions wrap them, and :class:`RateAccumulator` folds batches of
-per-codeword counts into trace-level means with them.
+``p_*`` functions wrap them. :class:`RateAccumulator` folds batches of
+per-codeword counts into trace-level means. Its counts are whole numbers in
+[0, 576], 576 being the cells of a block, so it evaluates the closed form
+once per pw, for every possible count and block total, and then only looks
+values up: cached tables of those same ``*_array`` values, not a second
+formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bits import BLOCK_BITS
 from .mapping import BATCH, CODEWORDS, TransitionVector
+from .secded import CHECK_BITS
 
 EULER_GAMMA = 0.5772156649015329
 
 # preset operating point: per-bit failure probability 1e-3
 DEFAULT_P_WRITE = 0.999
+
+# cells of one block, data and check bits: the largest count a row entry may hold
+BLOCK_CELLS = BLOCK_BITS + CODEWORDS * CHECK_BITS
 
 
 class ParameterError(ValueError):
@@ -186,11 +196,49 @@ class TraceErrorRate:
     writes: int
 
 
+def count_rows(counts: np.ndarray) -> np.ndarray:
+    """``counts`` as an ``(n, 8)`` int64 array, checked to hold whole numbers in [0, 576].
+
+    Whole-valued floats are converted; any other value raises :class:`ParameterError`.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[1] != CODEWORDS:
+        raise ParameterError(f"count rows need {CODEWORDS} entries, got shape {counts.shape}")
+    # NaN fails both comparisons
+    if counts.size and not (counts.min() >= 0 and counts.max() <= BLOCK_CELLS):
+        raise ParameterError(f"transition counts must lie in [0, {BLOCK_CELLS}]")
+    if counts.dtype != np.int64:
+        whole = counts.astype(np.int64)
+        if not np.array_equal(whole, counts):
+            raise ParameterError("transition counts must be whole numbers")
+        counts = whole
+    return counts
+
+
+@lru_cache(maxsize=16)
+def _rate_tables(pw: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form values at pw for every count a row can hold, about 80 KB.
+
+    The log success of a codeword with k = 0 .. 576 flips, and the block
+    failure ``expm1`` of both uniform-split bounds for a total of 0 .. 8 * 576.
+    """
+    log_success = codeword_log_success_array(np.arange(BLOCK_CELLS + 1), pw)
+    totals = np.arange(CODEWORDS * BLOCK_CELLS + 1)
+    optimal = np.expm1(block_log_success_optimal_array(totals, pw))
+    optimal_int = np.expm1(block_log_success_optimal_int_array(totals, pw))
+    for table in (log_success, optimal, optimal_int):
+        table.setflags(write=False)
+    return log_success, optimal, optimal_int
+
+
 class RateAccumulator:
     """Streaming mean of block failure and of its two uniform-split bounds.
 
-    Fed ``(batch, 8)`` per-codeword count matrices; each batch is reduced to
-    one float per mean before it is added, so results depend on the batching.
+    Fed ``(batch, 8)`` per-codeword count matrices of whole numbers in
+    [0, 576] (see :func:`count_rows`). Each count and each row total indexes
+    a table of the closed form at pw, built on first use and cached per pw.
+    Each batch is reduced to one float per mean before it is added, so
+    results depend on the batching.
     """
 
     def __init__(self, pw: float) -> None:
@@ -201,17 +249,13 @@ class RateAccumulator:
         self._optimal_int_sum = 0.0
 
     def add_counts(self, counts: np.ndarray) -> None:
-        counts = np.asarray(counts)
-        if counts.ndim != 2 or counts.shape[1] != CODEWORDS:
-            raise ParameterError(f"count rows need {CODEWORDS} entries, got shape {counts.shape}")
+        counts = count_rows(counts)
+        log_success, optimal, optimal_int = _rate_tables(self.pw)
         # failure is -expm1(log success), which does not cancel against 1 at tiny q
-        pw = self.pw
-        self._failure_sum -= float(np.expm1(block_log_success_array(counts, pw)).sum())
-        totals = counts.sum(axis=1).astype(np.float64)
-        self._optimal_sum -= float(np.expm1(block_log_success_optimal_array(totals, pw)).sum())
-        self._optimal_int_sum -= float(
-            np.expm1(block_log_success_optimal_int_array(totals, pw)).sum()
-        )
+        self._failure_sum -= float(np.expm1(log_success.take(counts).sum(axis=-1)).sum())
+        totals = counts.sum(axis=1)
+        self._optimal_sum -= float(optimal.take(totals).sum())
+        self._optimal_int_sum -= float(optimal_int.take(totals).sum())
         self.writes += len(counts)
 
     def finalize(self) -> TraceErrorRate:
@@ -237,7 +281,7 @@ def trace_error_rate(tvs: Iterable[TransitionVector | Sequence[int]], pw: float)
     tvs = iter(tvs)
     while chunk := list(islice(tvs, BATCH)):
         rows = [tv.k if isinstance(tv, TransitionVector) else tv for tv in chunk]
-        acc.add_counts(np.asarray(rows, dtype=np.float64))
+        acc.add_counts(np.asarray(rows))
     return acc.finalize()
 
 

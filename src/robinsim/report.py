@@ -139,7 +139,8 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         olds = stack_blocks([p[0] for p in batch])
         news = stack_blocks([p[1] for p in batch])
         diff = olds ^ news
-        histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.int64)
+        # exact: a batch holds at most BATCH <= 65535 flips per bit
+        histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
         for scheme, rate, spread in zip(schemes, rates, spreads):
             data_counts, check_counts = codeword_counts(scheme, diff, cfg.include_ecc)
             spread.add_counts(data_counts)

@@ -148,9 +148,12 @@ def _half_word_tables() -> np.ndarray:
 
 
 def encode_words(words: np.ndarray) -> np.ndarray:
-    """Vectorized encode: uint64 dataword array -> uint8 check-word array."""
-    words = np.ascontiguousarray(words, dtype="<u8")
-    halves = words.view("<u2").reshape(words.shape + (4,))
+    """Vectorized encode: uint64 dataword array -> uint8 check words of the same shape.
+
+    As with numpy ufuncs, a 0-d input gives a numpy scalar.
+    """
+    shape = np.shape(words)   # ascontiguousarray makes a 0-d array 1-d
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u2").reshape(shape + (4,))
     tables = _half_word_tables()
     check = tables[0].take(halves[..., 0])
     for half in range(1, 4):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bits import BLOCK_BITS, BLOCK_BYTES, blocks_to_bits, stack_blocks
 from .mapping import BATCH, CODEWORDS, MappingScheme, codeword_counts
+from .reliability import count_rows
 
 TRACE_MAGIC = b"RBTR"
 TRACE_VERSION = 1
@@ -168,11 +169,15 @@ def old_new_pairs(
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
     store = store if store is not None else ShadowStore()
+    # the store's dict directly: two method calls per record fewer
+    blocks = store._blocks
+    get = blocks.get
     for index, record in enumerate(records):
-        old = store.get(record.addr)
-        store.put(record.addr, record.data)
+        addr, data = record.addr, record.data
+        old = get(addr, _ZERO_BLOCK)
+        blocks[addr] = data
         if index >= warmup:
-            yield old, record.data
+            yield old, data
 
 
 def _batch_diffs(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[np.ndarray]:
@@ -186,7 +191,8 @@ def per_bit_histogram(pairs: Iterable[tuple[bytes, bytes]]) -> np.ndarray:
     """Count, per flat bit position, how many writes transitioned that data bit."""
     counts = np.zeros(BLOCK_BITS, dtype=np.int64)
     for diff in _batch_diffs(pairs):
-        counts += blocks_to_bits(diff).sum(axis=0, dtype=np.int64)
+        # exact: a batch holds at most BATCH <= 65535 flips per bit
+        counts += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
     return counts
 
 
@@ -225,17 +231,27 @@ class StatsAccumulator:
         self._max_extreme = float("-inf")
 
     def add_counts(self, counts: np.ndarray) -> None:
-        """Fold a (batch, 8) matrix of per-codeword transition counts."""
-        counts = np.asarray(counts, dtype=np.float64)
+        """Fold a (batch, 8) matrix of per-codeword transition counts.
+
+        The counts are whole numbers in [0, 576] (see
+        :func:`robinsim.reliability.count_rows`); row sums, minima and maxima
+        stay integers until each is divided by its row's uniform share.
+        """
+        counts = count_rows(counts)
         totals = counts.sum(axis=1)
+        mins = counts.min(axis=1)
+        maxs = counts.max(axis=1)
         live = totals > 0
-        self.skipped_zero += int(len(totals) - live.sum())
-        if not live.any():
+        writes = int(np.count_nonzero(live))
+        self.skipped_zero += len(totals) - writes
+        if writes == 0:
             return
-        share = totals[live] / CODEWORDS
-        mins = counts[live].min(axis=1) / share * 100.0
-        maxs = counts[live].max(axis=1) / share * 100.0
-        self.writes += int(live.sum())
+        if writes < len(totals):
+            totals, mins, maxs = totals[live], mins[live], maxs[live]
+        share = totals / CODEWORDS
+        mins = mins / share * 100.0
+        maxs = maxs / share * 100.0
+        self.writes += writes
         self._min_sum += float(mins.sum())
         self._max_sum += float(maxs.sum())
         self._min_extreme = min(self._min_extreme, float(mins.min()))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracle
 from robinsim import secded
@@ -229,3 +231,37 @@ def test_transition_vector_validation():
     with pytest.raises(ValueError):
         TransitionVector((65,) + (0,) * 7, include_ecc=False)
     assert TransitionVector((72,) + (0,) * 7, include_ecc=True).total == 72
+
+
+codewords = st.integers(0, 7)
+index8 = st.integers(0, 7)
+
+
+@given(st.sampled_from(SCHEMES), codewords)
+def test_every_codeword_owns_64_distinct_bits(scheme, n):
+    bits = codeword_data_bits(scheme, n)
+    assert len(set(bits)) == 64
+    for flat in bits:
+        assert map_bit(scheme, BitCoordinate.from_flat(flat)) == n
+        assert oracle.owner(scheme.kind, flat) == n
+
+
+def robin_owner(word, byte, pos):
+    return map_bit(ROBIN, BitCoordinate(word, byte, pos))
+
+
+@given(codewords, index8, index8)
+def test_robin_takes_one_bit_from_every_byte(n, word, byte):
+    assert [robin_owner(word, byte, pos) for pos in range(8)].count(n) == 1
+
+
+@given(codewords, index8)
+def test_robin_takes_eight_bits_from_every_word(n, word):
+    owners = [robin_owner(word, byte, pos) for byte in range(8) for pos in range(8)]
+    assert owners.count(n) == 8
+
+
+@given(codewords, index8)
+def test_robin_takes_every_intra_byte_position_eight_times(n, pos):
+    owners = [robin_owner(word, byte, pos) for word in range(8) for byte in range(8)]
+    assert owners.count(n) == 8

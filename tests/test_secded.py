@@ -2,6 +2,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from robinsim.secded import (
     CHECK_COLUMNS,
@@ -177,3 +180,32 @@ def test_double_error_sweep_never_miscorrects():
         for a, b in combinations(range(CODEWORD_BITS), 2):
             outcome = decode(*flip(*flip(data, check, a), b))
             assert outcome.status is DecodeStatus.UNCORRECTABLE
+
+
+words64 = st.integers(0, 2**64 - 1)
+
+
+@given(words64, words64)
+def test_encode_is_linear_over_gf2(a, b):
+    assert encode(a ^ b) == encode(a) ^ encode(b)
+
+
+word_arrays = hnp.arrays(np.uint64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_arrays)
+def test_encode_words_matches_scalar_on_any_shape(words):
+    checks = encode_words(words)
+    assert checks.shape == words.shape
+    assert checks.dtype == np.uint8
+    assert [int(c) for c in checks.ravel()] == [encode(int(w)) for w in words.ravel()]
+    # a strided view encodes like the copy it views
+    assert np.array_equal(encode_words(words.T), checks.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(*[hnp.arrays(np.uint64, n)] * 2)))
+def test_encode_words_is_linear_over_gf2(pair):
+    a, b = pair
+    assert np.array_equal(encode_words(a ^ b), encode_words(a) ^ encode_words(b))
