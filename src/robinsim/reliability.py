@@ -115,8 +115,10 @@ def codeword_log_success_array(k: np.ndarray, pw: float) -> np.ndarray:
 
     With q = 1 - pw that is (k-1)*log1p(-q) + log1p((k-1)q), whose first-order
     terms cancel exactly; it is evaluated as (k-1)*g(-q) + g((k-1)q) with
-    g(x) = log1p(x) - x, which stays accurate at tiny q. k may be real-valued
-    (used by the idealized uniform bound, where the single-failure
+    g(x) = log1p(x) - x, which stays accurate at tiny q. Below pw = 1/2 it is
+    evaluated as (k-1)*log(pw) + log(pw + kq) instead: there 1 - pw may round
+    to 1 (for pw <= 2^-54), which would turn the first form into NaN. k may be
+    real-valued (used by the idealized uniform bound, where the single-failure
     multiplicity generalizes from C(k,1) to k); a real k < 1 is clamped at 0.
     """
     if not 0.0 <= pw <= 1.0:
@@ -127,6 +129,8 @@ def codeword_log_success_array(k: np.ndarray, pw: float) -> np.ndarray:
     if pw == 0.0:
         return np.where(k <= 1, 0.0, -np.inf)
     q = 1.0 - pw
+    if pw < 0.5:
+        return np.minimum((k - 1.0) * np.log(pw) + np.log(pw + k * q), 0.0)
     return np.minimum((k - 1.0) * _log1pmx(-q) + _log1pmx((k - 1.0) * q), 0.0)
 
 

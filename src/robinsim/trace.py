@@ -1,11 +1,18 @@
 """Cache-write traces: file formats, shadow store, and per-write statistics.
 
-A trace is an ordered stream of (address, 64-byte payload) records. Two file
-formats are supported:
+A trace is an ordered stream of (address, 64-byte payload) records, each a
+:class:`WriteRecord` (an immutable named tuple). Two file formats are
+supported:
 
-* ``jsonl``   one JSON object per line: {"addr": "0x...", "data": "<128 hex chars>"}
+* ``jsonl``   one JSON object per line: {"addr": "0x...", "data": "<128 hex chars>"}.
+              :func:`save_trace` writes one canonical form of that line, which
+              the loader parses with a single regular-expression match; any
+              other line holding a JSON object with both keys (other key order
+              or spacing, uppercase hex, escapes, CRLF) is still accepted,
+              through ``json.loads``.
 * ``binary``  magic ``RBTR`` + version byte 0x01, then repeated
-              [8-byte little-endian address][64-byte payload]
+              [8-byte little-endian address][64-byte payload]. The loader reads
+              and validates 1024 records at a time.
 
 Old/new block pairs are derived by replaying records against a shadow store
 that remembers the last payload written to each address; never-written
@@ -16,10 +23,13 @@ from statistics while still updating the store.
 from __future__ import annotations
 
 import json
+import re
+from binascii import unhexlify
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +40,13 @@ from .reliability import count_rows
 TRACE_MAGIC = b"RBTR"
 TRACE_VERSION = 1
 _RECORD_BYTES = 8 + BLOCK_BYTES
+# binary records decoded per read: a 72 KB buffer
+_CHUNK_RECORDS = 1024
+_BINARY_RECORD = np.dtype([("addr", "<u8"), ("data", f"V{BLOCK_BYTES}")])
+# The JSONL line save_trace writes, and the loader's pattern for it (a zero-padded
+# address matches too). A matching line holds the same record json.loads would find.
+_CANONICAL_LINE = '{{"addr": "0x{:x}", "data": "{}"}}\n'
+_CANONICAL = re.compile(rb'\{"addr": "0x([0-9a-f]{1,16})", "data": "([0-9a-f]{128})"\}\n?')
 
 FORMATS = ("jsonl", "binary")
 
@@ -38,20 +55,44 @@ class TraceFormatError(ValueError):
     """Malformed trace file; message carries the file and record index."""
 
 
-@dataclass(frozen=True)
-class WriteRecord:
-    """One cache write: block-aligned address and the new 64-byte content."""
-
+class _WriteRecordFields(NamedTuple):
     addr: int
     data: bytes
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.addr < 1 << 64:
-            raise ValueError(f"address out of 64-bit range: {self.addr:#x}")
-        if self.addr % BLOCK_BYTES:
-            raise ValueError(f"address {self.addr:#x} not aligned to {BLOCK_BYTES} bytes")
-        if len(self.data) != BLOCK_BYTES:
-            raise ValueError(f"payload must be {BLOCK_BYTES} bytes, got {len(self.data)}")
+
+class WriteRecord(_WriteRecordFields):
+    """One cache write: block-aligned address and the new 64-byte content.
+
+    An immutable named tuple; the constructor checks both fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, addr: int, data: bytes) -> WriteRecord:
+        if not 0 <= addr < 1 << 64:
+            raise ValueError(f"address out of 64-bit range: {addr:#x}")
+        if addr % BLOCK_BYTES:
+            raise ValueError(f"address {addr:#x} not aligned to {BLOCK_BYTES} bytes")
+        if len(data) != BLOCK_BYTES:
+            raise ValueError(f"payload must be {BLOCK_BYTES} bytes, got {len(data)}")
+        return tuple.__new__(cls, (addr, data))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> WriteRecord:
+        # through the checks, and so is _replace, which calls _make
+        return cls(*iterable)
+
+
+_new_record = partial(tuple.__new__, WriteRecord)
+
+
+def _records(addrs: Iterable[int], datas: Iterable[bytes]) -> Iterator[WriteRecord]:
+    """Records from parallel address and payload sequences, without per-record checks.
+
+    Only for a producer that has already checked every address (aligned, in
+    the 64-bit range) and every payload (64 bytes) it passes.
+    """
+    return map(_new_record, zip(addrs, datas))
 
 
 def detect_format(path: str | Path) -> str:
@@ -65,32 +106,42 @@ def _check_format(fmt: str) -> str:
 
 
 def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[WriteRecord]:
-    """Yield the records of a trace file in order.
+    """An iterator over the records of a trace file, in order.
 
-    The format is inferred from the ``.jsonl`` suffix unless given explicitly.
+    The format is inferred from the ``.jsonl`` suffix unless given explicitly;
+    an unknown format raises at once, and the file is opened on the first
+    ``next()``.
     """
     fmt = _check_format(fmt or detect_format(path))
-    if fmt == "jsonl":
-        yield from _load_jsonl(Path(path))
-    else:
-        yield from _load_binary(Path(path))
+    return (_load_jsonl if fmt == "jsonl" else _load_binary)(Path(path))
 
 
 def _load_jsonl(path: Path) -> Iterator[WriteRecord]:
-    # read bytes and decode per line, so an undecodable byte (a ValueError) names its record
+    canonical = _CANONICAL.fullmatch
     with path.open("rb") as handle:
-        lines = (line for line in handle if line.strip())
-        for index, line in enumerate(lines):
+        index = 0
+        for line in handle:
             try:
-                obj = json.loads(line.decode("ascii"))
-                addr, data_hex = int(obj["addr"], 16), obj["data"]
-                # len() and fromhex() raise TypeError on a non-string data field
-                if len(data_hex) != 2 * BLOCK_BYTES:
-                    raise ValueError(f"data must be {2 * BLOCK_BYTES} hex chars, got {len(data_hex)}")
-                record = WriteRecord(addr, bytes.fromhex(data_hex))
+                if match := canonical(line):
+                    record = WriteRecord(int(match[1], 16), unhexlify(match[2]))
+                elif line.strip():
+                    record = _parse_json_line(line)
+                else:
+                    continue
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(f"{path}: record {index}: {exc}") from exc
             yield record
+            index += 1
+
+
+def _parse_json_line(line: bytes) -> WriteRecord:
+    # decoded per line, so an undecodable byte (a ValueError) names its record
+    obj = json.loads(line.decode("ascii"))
+    addr, data_hex = int(obj["addr"], 16), obj["data"]
+    # len() and fromhex() raise TypeError on a non-string data field
+    if len(data_hex) != 2 * BLOCK_BYTES:
+        raise ValueError(f"data must be {2 * BLOCK_BYTES} hex chars, got {len(data_hex)}")
+    return WriteRecord(addr, bytes.fromhex(data_hex))
 
 
 def _load_binary(path: Path) -> Iterator[WriteRecord]:
@@ -101,21 +152,24 @@ def _load_binary(path: Path) -> Iterator[WriteRecord]:
         if len(header) < len(TRACE_MAGIC) + 1 or header[-1] != TRACE_VERSION:
             raise TraceFormatError(f"{path}: unsupported version byte {header[4:]!r}")
         index = 0
-        while True:
-            chunk = handle.read(_RECORD_BYTES)
-            if not chunk:
-                return
-            if len(chunk) != _RECORD_BYTES:
+        while chunk := handle.read(_CHUNK_RECORDS * _RECORD_BYTES):
+            # a short read ends on a whole record unless the file ends first
+            while (tail := len(chunk) % _RECORD_BYTES) and (more := handle.read(_RECORD_BYTES - tail)):
+                chunk += more
+            rows = np.frombuffer(chunk, _BINARY_RECORD, count=len(chunk) // _RECORD_BYTES)
+            misaligned = np.flatnonzero(rows["addr"] % BLOCK_BYTES)
+            valid = int(misaligned[0]) if len(misaligned) else len(rows)
+            yield from _records(rows["addr"][:valid].tolist(), rows["data"][:valid].tolist())
+            if valid < len(rows):
+                addr = int(rows["addr"][valid])
                 raise TraceFormatError(
-                    f"{path}: record {index}: truncated ({len(chunk)} of {_RECORD_BYTES} bytes)"
+                    f"{path}: record {index + valid}: address {addr:#x} not aligned to {BLOCK_BYTES} bytes"
                 )
-            addr = int.from_bytes(chunk[:8], "little")
-            try:
-                record = WriteRecord(addr, chunk[8:])
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}: record {index}: {exc}") from exc
-            yield record
-            index += 1
+            index += len(rows)
+            if tail:
+                raise TraceFormatError(
+                    f"{path}: record {index}: truncated ({tail} of {_RECORD_BYTES} bytes)"
+                )
 
 
 def save_trace(path: str | Path, records: Iterable[WriteRecord], fmt: str | None = None) -> int:
@@ -124,9 +178,8 @@ def save_trace(path: str | Path, records: Iterable[WriteRecord], fmt: str | None
     count = 0
     if fmt == "jsonl":
         with Path(path).open("w", encoding="ascii") as handle:
-            for record in records:
-                handle.write(json.dumps({"addr": f"0x{record.addr:x}", "data": record.data.hex()}))
-                handle.write("\n")
+            for addr, data in records:
+                handle.write(_CANONICAL_LINE.format(addr, data.hex()))
                 count += 1
     else:
         with Path(path).open("wb") as handle:
@@ -172,12 +225,13 @@ def old_new_pairs(
     # the store's dict directly: two method calls per record fewer
     blocks = store._blocks
     get = blocks.get
-    for index, record in enumerate(records):
-        addr, data = record.addr, record.data
+    records = iter(records)
+    for addr, data in islice(records, warmup):
+        blocks[addr] = data
+    for addr, data in records:
         old = get(addr, _ZERO_BLOCK)
         blocks[addr] = data
-        if index >= warmup:
-            yield old, data
+        yield old, data
 
 
 def _batch_diffs(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[np.ndarray]:

@@ -1,12 +1,15 @@
-"""Slow references: per-bit codeword flip counts and trace rates, and the v2 workload stream.
+"""Slow references: per-bit codeword flip counts and trace rates, the v2 workload
+stream, and a trace-file loader.
 
-Written independently of ``robinsim.mapping``, ``robinsim.reliability`` and
-``robinsim.workloads``: each bit's owner comes from the scheme definitions
-below, each codeword's dataword is built slot by slot in ascending flat order
-and encoded with the scalar ``secded.encode``, rates use plain Python float
-arithmetic, and workload records are computed one at a time with Python ints.
+Written independently of ``robinsim.mapping``, ``robinsim.reliability``,
+``robinsim.workloads`` and ``robinsim.trace``: each bit's owner comes from the
+scheme definitions below, each codeword's dataword is built slot by slot in
+ascending flat order and encoded with the scalar ``secded.encode``, rates use
+plain Python float arithmetic, workload records are computed one at a time
+with Python ints, and trace files are parsed one record at a time.
 """
 
+import json
 import math
 
 from robinsim import secded
@@ -163,3 +166,41 @@ def _cold_state(spec, cold):
     # per-field rewrite rate in [0.1, 0.9), as a threshold on 32 random bits
     thresholds = [2**32 // 10 + (((c >> 40) * (8 * 2**32 // 10)) >> 24) for c in cold]
     return thresholds, pins, mask, [p | (c & mask) for p, c in zip(pins, cold)]
+
+
+# -- trace files, one record at a time -----------------------------------------
+
+
+def load_trace(data, fmt):
+    """(records, bad) for the bytes of a trace file: the (addr, payload) pairs before
+    its first bad record, and that record's index, or None if every record is good.
+
+    A record is good when its address is a multiple of 64 below 2^64 and its
+    payload has 64 bytes. Binary: the 5-byte header ``RBTR\\x01``, then 72-byte
+    records (a shorter tail is bad). JSONL: every line that is not all
+    whitespace is one record, a JSON object whose ``addr`` is a hex string and
+    whose ``data`` is a string of 128 hex digits.
+    """
+    records = []
+    if fmt == "binary":
+        assert data[:5] == b"RBTR\x01"
+        for index, start in enumerate(range(5, len(data), 72)):
+            record = data[start : start + 72]
+            addr = int.from_bytes(record[:8], "little")
+            if len(record) < 72 or addr % 64:
+                return records, index
+            records.append((addr, record[8:]))
+        return records, None
+    lines = [line for line in data.split(b"\n") if line.strip()]
+    for index, line in enumerate(lines):
+        try:
+            obj = json.loads(line.decode("ascii"))
+            addr, text = int(obj["addr"], 16), obj["data"]
+            payload = bytes.fromhex(text)
+            good = len(text) == 128 and len(payload) == 64 and 0 <= addr < 2**64 and addr % 64 == 0
+        except (KeyError, TypeError, ValueError):
+            good = False
+        if not good:
+            return records, index
+        records.append((addr, payload))
+    return records, None

@@ -104,6 +104,16 @@ def test_run_out_flag_overrides_config(tmp_path, capsys):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_run_tiny_pw_writes_no_nan(tmp_path, capsys):
+    # 1 - 1e-300 rounds to exactly 1; the rates must still be numbers
+    out_dir = tmp_path / "results"
+    cfg = write_config(tmp_path, f"workload = irregular\nrecords = 50\npw = 1e-300\nout = {out_dir}\n")
+    assert main(["run", "--config", cfg]) == 0
+    capsys.readouterr()
+    text = (out_dir / "error_rates.csv").read_text()
+    assert "nan" not in text.lower()
+
+
 def test_run_non_finite_device_parameter_exits_1(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

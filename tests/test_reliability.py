@@ -12,6 +12,7 @@ from robinsim.mapping import TransitionVector
 from robinsim.reliability import (
     DeviceParams,
     ParameterError,
+    codeword_log_success_array,
     codeword_success_array,
     normalized_increase,
     p_block_success,
@@ -257,6 +258,23 @@ def test_block_failure_matches_exact_rational_oracle(q):
     pw = 1.0 - q
     rng = np.random.default_rng(round(-math.log10(q)))
     rows = [[3, 2, 1, 0, 0, 0, 0, 0], [2] + [0] * 7, [72] * 8] + rng.integers(0, 73, (5, 8)).tolist()
+    for row in rows:
+        rates = trace_error_rate([row], pw)
+        assert rates.rate == pytest.approx(float(exact_block_failure(row, pw)), rel=1e-12, abs=0)
+        base, extra = divmod(sum(row), 8)
+        split = [base + 1] * extra + [base] * (8 - extra)
+        expected = float(exact_block_failure(split, pw))
+        assert rates.optimal_rate_int == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("pw", [1e-300, 2.0**-60, 0.3])
+def test_small_pw_matches_exact_rational_oracle(pw):
+    # for pw <= 2^-54, 1 - pw rounds to exactly 1; no rate may become NaN
+    for k in range(6):
+        exact = 1 - exact_block_failure([k], pw)
+        want = math.log(exact.numerator) - math.log(exact.denominator)
+        assert codeword_log_success_array(np.array([k]), pw)[0] == pytest.approx(want, rel=1e-12, abs=0)
+    rows = [[0] * 8, [1] * 8, [3, 2, 1, 0, 0, 0, 0, 0], [2] + [0] * 7, [9, 0, 7, 1, 30, 2, 0, 5]]
     for row in rows:
         rates = trace_error_rate([row], pw)
         assert rates.rate == pytest.approx(float(exact_block_failure(row, pw)), rel=1e-12, abs=0)

@@ -42,6 +42,31 @@ def test_record_validation():
         WriteRecord(addr=1 << 64, data=bytes(64))
 
 
+def test_record_is_an_immutable_named_tuple():
+    record = WriteRecord(addr=64, data=bytes(64))
+    with pytest.raises(AttributeError):
+        record.addr = 128
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == WriteRecord(64, bytes(64)) != WriteRecord(128, bytes(64))
+    assert hash(record) == hash(WriteRecord(64, bytes(64)))
+    assert repr(record) == f"WriteRecord(addr=64, data={bytes(64)!r})"
+    addr, data = record
+    assert (addr, data) == (record.addr, record.data) == (64, bytes(64))
+    assert record._replace(addr=128) == WriteRecord(128, bytes(64))
+    with pytest.raises(ValueError, match="aligned"):
+        record._replace(addr=32)
+
+
+def test_jsonl_lines_equal_json_dumps(tmp_path):
+    records = [WriteRecord(0, bytes(64)), WriteRecord(2**64 - 64, bytes([0xFF]) * 64)]
+    records += make_records(20, seed=2, addresses=1 << 20)
+    path = tmp_path / "trace.jsonl"
+    save_trace(path, records)
+    want = "".join(json.dumps({"addr": f"0x{r.addr:x}", "data": r.data.hex()}) + "\n" for r in records)
+    assert path.read_bytes() == want.encode()
+
+
 @pytest.mark.parametrize("fmt,suffix", [("jsonl", ".jsonl"), ("binary", ".trace")])
 def test_roundtrip(tmp_path, fmt, suffix):
     records = make_records(25, seed=3)
@@ -115,6 +140,14 @@ def test_jsonl_malformed_json(tmp_path):
     path = tmp_path / "garbled.jsonl"
     path.write_text('{"addr": "0x0"\n')
     with pytest.raises(TraceFormatError, match="record 0"):
+        list(load_trace(path))
+
+
+def test_jsonl_near_canonical_line_keeps_the_json_error(tmp_path):
+    # laid out like a canonical line but not hex: the json.loads path reports it
+    path = tmp_path / "nothex.jsonl"
+    path.write_text('{"addr": "0x40", "data": "' + "0g" * 64 + '"}\n')
+    with pytest.raises(TraceFormatError, match="record 0: non-hexadecimal number found in fromhex"):
         list(load_trace(path))
 
 
