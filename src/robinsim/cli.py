@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations
 
 import numpy as np
 
@@ -113,38 +112,34 @@ def _cmd_verify_partition(args) -> int:
 
 
 def _cmd_codec_selftest() -> int:
-    """Sweep all single and double flips over random datawords."""
+    """Sweep all single and double flips over random datawords, every flip at once."""
     rng = np.random.default_rng(0xC0DEC)
-    words = [int(v) for v in rng.integers(0, 1 << 63, 10, dtype=np.uint64)]
-    failures = 0
-    for data in words:
-        check = secded.encode(data)
-        if secded.decode(data, check).status is not secded.DecodeStatus.NO_ERROR:
-            failures += 1
-        for bit in range(secded.CODEWORD_BITS):
-            bad_data = data ^ (1 << bit) if bit < 64 else data
-            bad_check = check ^ (1 << (bit - 64)) if bit >= 64 else check
-            outcome, fixed_data, fixed_check = secded.repair(bad_data, bad_check)
-            if (
-                outcome.status is not secded.DecodeStatus.CORRECTED
-                or outcome.bit_index != bit
-                or (fixed_data, fixed_check) != (data, check)
-            ):
-                failures += 1
-        for a, b in combinations(range(secded.CODEWORD_BITS), 2):
-            bad_data = data
-            bad_check = check
-            for bit in (a, b):
-                if bit < 64:
-                    bad_data ^= 1 << bit
-                else:
-                    bad_check ^= 1 << (bit - 64)
-            if secded.decode(bad_data, bad_check).status is not secded.DecodeStatus.UNCORRECTABLE:
-                failures += 1
-    pairs = secded.CODEWORD_BITS * (secded.CODEWORD_BITS - 1) // 2
+    words = rng.integers(0, 1 << 63, 1000, dtype=np.uint64)
+    checks = secded.encode_words(words)
+    n_bits = secded.CODEWORD_BITS
+    eye = np.eye(n_bits, dtype=np.uint8)
+    first, second = np.triu_indices(n_bits, k=1)
+    # one 72-bit error mask per flip: single flips, then double flips in combinations() order
+    masks = np.packbits(np.concatenate([eye, eye[first] | eye[second]]), axis=1, bitorder="little")
+    data_masks = np.ascontiguousarray(masks[:, :8]).view("<u8")[:, 0]
+
+    syndromes, found, _, _ = secded.repair_words(words, checks)
+    failures = np.count_nonzero((syndromes != 0) | (found != -1))
+    syndromes, found, data, check = secded.repair_words(
+        words[:, None] ^ data_masks, checks[:, None] ^ masks[:, 8]
+    )
+    single, double = slice(None, n_bits), slice(n_bits, None)
+    # a single flip is corrected at its own bit and restores the codeword
+    failures += np.count_nonzero(
+        (found[:, single] != np.arange(n_bits))
+        | (data[:, single] != words[:, None])
+        | (check[:, single] != checks[:, None])
+    )
+    # a double flip is detected and never corrected
+    failures += np.count_nonzero((syndromes[:, double] == 0) | (found[:, double] != -1))
     print(
-        f"codec self-test: {len(words)} datawords x ({secded.CODEWORD_BITS} single"
-        f" + {pairs} double) flips, {failures} failures"
+        f"codec self-test: {len(words)} datawords x ({n_bits} single"
+        f" + {first.size} double) flips, {failures} failures"
     )
     return EXIT_OK if failures == 0 else EXIT_SELFTEST
 

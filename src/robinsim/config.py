@@ -44,43 +44,6 @@ _DEVICE_KEYS = {
     "device_e_charge": "e_charge",
 }
 
-_WORKLOAD_KEYS = (
-    "records",
-    "addresses",
-    "base_addr",
-    "walk_scale",
-    "walk_jitter",
-    "width",
-    "update_rate",
-    "valid_words_min",
-    "valid_words_max",
-    "pinned_top_bits",
-)
-
-_KNOWN_KEYS = (
-    {"trace", "trace_format", "workload", "schemes", "pw", "include_ecc", "monte_carlo",
-     "trials", "seed", "warmup", "out"}
-    | set(_DEVICE_KEYS)
-    | set(_WORKLOAD_KEYS)
-)
-
-
-def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    return values
-
 
 def _as_bool(key: str, value: str) -> bool:
     lowered = value.lower()
@@ -105,33 +68,66 @@ def _as_float(key: str, value: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
 
 
+# workload key -> parser; WorkloadSpec's defaults fill the absent keys
+_WORKLOAD_KEYS = {
+    "records": _as_int,
+    "addresses": _as_int,
+    "base_addr": _as_int,
+    "walk_scale": _as_float,
+    "walk_jitter": _as_float,
+    "width": _as_int,
+    "update_rate": _as_float,
+    "valid_words_min": _as_int,
+    "valid_words_max": _as_int,
+    "pinned_top_bits": _as_int,
+}
+
+# experiment key -> (parser, value when absent), in parse order
+_SCALAR_KEYS = {
+    "pw": (_as_float, None),
+    "include_ecc": (_as_bool, True),
+    "monte_carlo": (_as_bool, False),
+    "trials": (_as_int, 1000),
+    "seed": (_as_int, 0),
+    "warmup": (_as_int, 0),
+}
+
+_KNOWN_KEYS = (
+    {"trace", "trace_format", "workload", "schemes", "out"}
+    | set(_SCALAR_KEYS)
+    | set(_DEVICE_KEYS)
+    | set(_WORKLOAD_KEYS)
+)
+
+
+def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
+        values[key] = value
+    return values
+
+
 def _build_workload(kind: str, values: dict[str, str]) -> WorkloadSpec:
     if kind not in WORKLOAD_KINDS:
         raise ConfigError(f"workload: unknown kind {kind!r}; expected one of {WORKLOAD_KINDS}")
-    kwargs: dict[str, object] = {"kind": kind}
-    if "records" in values:
-        kwargs["records"] = _as_int("records", values["records"])
-    else:
+    if "records" not in values:
         raise ConfigError("workload input requires a records count")
-    if "addresses" in values:
-        kwargs["addresses"] = _as_int("addresses", values["addresses"])
-    if "base_addr" in values:
-        kwargs["base_addr"] = _as_int("base_addr", values["base_addr"])
-    if "walk_scale" in values:
-        kwargs["walk_scale"] = _as_float("walk_scale", values["walk_scale"])
-    if "walk_jitter" in values:
-        kwargs["walk_jitter"] = _as_float("walk_jitter", values["walk_jitter"])
-    if "width" in values:
-        kwargs["width"] = _as_int("width", values["width"])
-    if "update_rate" in values:
-        kwargs["update_rate"] = _as_float("update_rate", values["update_rate"])
-    lo = _as_int("valid_words_min", values["valid_words_min"]) if "valid_words_min" in values else 1
-    hi = _as_int("valid_words_max", values["valid_words_max"]) if "valid_words_max" in values else 8
-    kwargs["valid_words"] = (lo, hi)
-    if "pinned_top_bits" in values:
-        kwargs["pinned_top_bits"] = _as_int("pinned_top_bits", values["pinned_top_bits"])
+    kwargs = {
+        key: parse(key, values[key]) for key, parse in _WORKLOAD_KEYS.items() if key in values
+    }
+    kwargs["valid_words"] = (kwargs.pop("valid_words_min", 1), kwargs.pop("valid_words_max", 8))
     try:
-        return WorkloadSpec(**kwargs)
+        return WorkloadSpec(kind=kind, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -161,19 +157,18 @@ def config_from_values(values: dict[str, str], out_override: str | None = None) 
         if name.strip()
     )
 
+    scalars = {
+        key: parse(key, values[key]) if key in values else default
+        for key, (parse, default) in _SCALAR_KEYS.items()
+    }
     cfg = ExperimentConfig(
         trace_path=values.get("trace"),
         trace_format=values.get("trace_format"),
         workload=workload,
         schemes=schemes,
-        pw=_as_float("pw", values["pw"]) if "pw" in values else None,
         device=device,
-        include_ecc=_as_bool("include_ecc", values["include_ecc"]) if "include_ecc" in values else True,
-        monte_carlo=_as_bool("monte_carlo", values["monte_carlo"]) if "monte_carlo" in values else False,
-        trials=_as_int("trials", values["trials"]) if "trials" in values else 1000,
-        seed=_as_int("seed", values["seed"]) if "seed" in values else 0,
-        warmup=_as_int("warmup", values["warmup"]) if "warmup" in values else 0,
         out_dir=out_override or values.get("out", "results"),
+        **scalars,
     )
     cfg.validate()
     return cfg

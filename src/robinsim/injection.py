@@ -281,24 +281,19 @@ def end_to_end_check(outcome: WriteOutcome, new: bytes, scheme: MappingScheme) -
     if outcome.written_check is None:
         raise ValueError("end_to_end_check needs an outcome produced with include_ecc")
     stored_words, intended_words = block_datawords(scheme, stack_blocks([outcome.written, new]))
-    intended_check = secded.encode_words(intended_words)
-
-    agree = True
-    aliased = 0
-    for n in range(CODEWORDS):
-        failures = outcome.failures_per_codeword[n]
-        result, fixed_data, fixed_check = secded.repair(
-            int(stored_words[n]), outcome.written_check[n]
-        )
-        if result.status is secded.DecodeStatus.NO_ERROR:
-            decoder_ok = True
-        elif result.status is secded.DecodeStatus.CORRECTED:
-            decoder_ok = fixed_data == int(intended_words[n]) and fixed_check == int(intended_check[n])
-        else:
-            decoder_ok = False
-        count_ok = failures <= 1
-        if failures <= 2:
-            agree &= decoder_ok == count_ok
-        elif decoder_ok != count_ok:
-            aliased += 1
-    return CodecCrossCheck(agree=agree, codewords_checked=CODEWORDS, aliased=aliased)
+    syndromes, bits, fixed_data, fixed_check = secded.repair_words(
+        stored_words, np.array(outcome.written_check, dtype=np.uint8)
+    )
+    # NO_ERROR, or a correction that restores the intended content
+    decoder_ok = (syndromes == 0) | (
+        (bits >= 0)
+        & (fixed_data == intended_words)
+        & (fixed_check == secded.encode_words(intended_words))
+    )
+    failures = np.array(outcome.failures_per_codeword)
+    disagree = decoder_ok != (failures <= 1)
+    return CodecCrossCheck(
+        agree=not disagree[failures <= 2].any(),
+        codewords_checked=CODEWORDS,
+        aliased=int(disagree[failures > 2].sum()),
+    )

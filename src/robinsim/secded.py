@@ -11,13 +11,16 @@ data columns are the 56 weight-3 bytes in ascending numeric order followed by
 the 8 numerically smallest weight-5 bytes. Codeword bit order is data slots
 0..63 then check bits 64..71; datawords and check words are plain ints with
 bit ``s`` = slot ``s``.
+
+The codec is two tables, the check contribution of each 16-bit quarter of a
+dataword and the codeword bit of each syndrome; the array functions and the
+scalar ones index the same two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,27 +39,27 @@ DATA_COLUMNS = _data_columns()
 CHECK_COLUMNS = tuple(1 << r for r in range(CHECK_BITS))
 COLUMNS = DATA_COLUMNS + CHECK_COLUMNS
 
-# syndrome value -> codeword bit it implicates (all 72 columns are distinct)
-_BIT_FOR_SYNDROME = {column: bit for bit, column in enumerate(COLUMNS)}
 
-
-def _byte_tables() -> list[list[int]]:
-    """Check contribution of each payload byte: table[byte_pos][byte_value]."""
-    table = []
-    for byte_pos in range(8):
-        cols = DATA_COLUMNS[8 * byte_pos : 8 * byte_pos + 8]
-        row = []
-        for value in range(256):
-            acc = 0
-            for t in range(8):
-                if (value >> t) & 1:
-                    acc ^= cols[t]
-            row.append(acc)
-        table.append(row)
+def _encoder_table() -> np.ndarray:
+    """(4, 65536) uint8: check contribution of each value of 16-bit half-word p (bits 16p..16p+15)."""
+    columns = np.array(DATA_COLUMNS, dtype=np.uint8).reshape(4, 16)
+    table = np.zeros((4, 1 << 16), dtype=np.uint8)
+    for t in range(16):
+        # values with top bit t are those below 2**t, XOR column t
+        np.bitwise_xor(table[:, : 1 << t], columns[:, t : t + 1], out=table[:, 1 << t : 2 << t])
+    table.setflags(write=False)
     return table
 
 
-_ENCODE_BYTE = _byte_tables()
+_ENCODER = _encoder_table()
+# syndrome -> the codeword bit whose column equals it, or -1 (all 72 columns are distinct)
+_SYNDROME_BIT = np.full(1 << CHECK_BITS, -1, dtype=np.int8)
+_SYNDROME_BIT[list(COLUMNS)] = np.arange(CODEWORD_BITS)
+_SYNDROME_BIT.setflags(write=False)
+# views of the same two tables for the scalar functions: indexing them with a
+# Python int gives a Python int, without a numpy call per codeword
+_ENCODER_ROWS = tuple(memoryview(row) for row in _ENCODER)
+_SYNDROME_BIT_VIEW = memoryview(_SYNDROME_BIT)
 
 
 class DecodeStatus(Enum):
@@ -89,17 +92,8 @@ def encode(data: int) -> int:
     """
     if data < 0 or data >> DATA_BITS:
         raise ValueError("dataword must be an unsigned 64-bit value")
-    table = _ENCODE_BYTE
-    return (
-        table[0][data & 0xFF]
-        ^ table[1][(data >> 8) & 0xFF]
-        ^ table[2][(data >> 16) & 0xFF]
-        ^ table[3][(data >> 24) & 0xFF]
-        ^ table[4][(data >> 32) & 0xFF]
-        ^ table[5][(data >> 40) & 0xFF]
-        ^ table[6][(data >> 48) & 0xFF]
-        ^ table[7][(data >> 56) & 0xFF]
-    )
+    t0, t1, t2, t3 = _ENCODER_ROWS
+    return t0[data & 0xFFFF] ^ t1[(data >> 16) & 0xFFFF] ^ t2[(data >> 32) & 0xFFFF] ^ t3[data >> 48]
 
 
 def syndrome(data: int, check: int) -> int:
@@ -107,6 +101,7 @@ def syndrome(data: int, check: int) -> int:
     if check < 0 or check >> CHECK_BITS:
         raise ValueError("check word must be an unsigned 8-bit value")
     return encode(data) ^ check
+
 
 def decode(data: int, check: int) -> DecodeOutcome:
     """Classify a received codeword.
@@ -119,8 +114,8 @@ def decode(data: int, check: int) -> DecodeOutcome:
     s = syndrome(data, check)
     if s == 0:
         return DecodeOutcome(DecodeStatus.NO_ERROR)
-    bit = _BIT_FOR_SYNDROME.get(s)
-    if bit is None:
+    bit = _SYNDROME_BIT_VIEW[s]
+    if bit < 0:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE)
     return DecodeOutcome(DecodeStatus.CORRECTED, bit)
 
@@ -136,17 +131,6 @@ def repair(data: int, check: int) -> tuple[DecodeOutcome, int, int]:
     return outcome, data, check
 
 
-@lru_cache(maxsize=None)
-def _half_word_tables() -> np.ndarray:
-    """(4, 65536) uint8: check contribution of each value of 16-bit half-word p (bits 16p..16p+15)."""
-    byte_tables = np.array(_ENCODE_BYTE, dtype=np.uint8)
-    values = np.arange(1 << 16)
-    # C order, so each row is one contiguous table for take()
-    tables = np.ascontiguousarray(byte_tables[0::2, values & 0xFF] ^ byte_tables[1::2, values >> 8])
-    tables.setflags(write=False)
-    return tables
-
-
 def encode_words(words: np.ndarray) -> np.ndarray:
     """Vectorized encode: uint64 dataword array -> uint8 check words of the same shape.
 
@@ -154,8 +138,30 @@ def encode_words(words: np.ndarray) -> np.ndarray:
     """
     shape = np.shape(words)   # ascontiguousarray makes a 0-d array 1-d
     halves = np.ascontiguousarray(words, dtype="<u8").view("<u2").reshape(shape + (4,))
-    tables = _half_word_tables()
-    check = tables[0].take(halves[..., 0])
+    check = _ENCODER[0].take(halves[..., 0])
     for half in range(1, 4):
-        check ^= tables[half].take(halves[..., half])
+        check ^= _ENCODER[half].take(halves[..., half])
     return check
+
+
+def repair_words(
+    data: np.ndarray, check: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`repair`: (syndromes, bits, data, check), each the shape of ``data``.
+
+    ``bits`` is the corrected codeword bit (0..63 data, 64..71 check) or -1,
+    so a zero syndrome is NO_ERROR and a nonzero one with bit -1 UNCORRECTABLE.
+    The returned data and check words have the correction applied.
+    """
+    data = np.asarray(data, dtype=np.uint64)
+    check = np.asarray(check, dtype=np.uint8)
+    syndromes = encode_words(data) ^ check
+    bits = _SYNDROME_BIT[syndromes]
+    # bit -1 is in neither part, so its masked shift amount does not matter
+    in_data = (bits >= 0) & (bits < DATA_BITS)
+    in_check = bits >= DATA_BITS
+    fixed_data = np.left_shift(in_data, (bits & (DATA_BITS - 1)).view(np.uint8), dtype=np.uint64)
+    fixed_data ^= data
+    fixed_check = np.left_shift(in_check, (bits & (CHECK_BITS - 1)).view(np.uint8), dtype=np.uint8)
+    fixed_check ^= check
+    return syndromes, bits, fixed_data, fixed_check

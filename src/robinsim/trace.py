@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from binascii import unhexlify
 from dataclasses import dataclass
 from functools import partial
@@ -226,7 +227,8 @@ def old_new_pairs(
     blocks = store._blocks
     get = blocks.get
     records = iter(records)
-    for addr, data in islice(records, warmup):
+    # islice takes no stop above sys.maxsize, and no trace holds that many records
+    for addr, data in islice(records, min(warmup, sys.maxsize)):
         blocks[addr] = data
     for addr, data in records:
         old = get(addr, _ZERO_BLOCK)

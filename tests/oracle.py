@@ -1,18 +1,37 @@
-"""Slow references: per-bit codeword flip counts and trace rates, the v2 workload
-stream, and a trace-file loader.
+"""Slow references: the SEC-DED check bits, per-bit codeword flip counts and
+trace rates, the v2 workload stream, and a trace-file loader.
 
-Written independently of ``robinsim.mapping``, ``robinsim.reliability``,
-``robinsim.workloads`` and ``robinsim.trace``: each bit's owner comes from the
-scheme definitions below, each codeword's dataword is built slot by slot in
-ascending flat order and encoded with the scalar ``secded.encode``, rates use
-plain Python float arithmetic, workload records are computed one at a time
-with Python ints, and trace files are parsed one record at a time.
+Written independently of ``robinsim.secded``, ``robinsim.mapping``,
+``robinsim.reliability``, ``robinsim.workloads`` and ``robinsim.trace``: the
+code's columns are recomputed from their definition and a dataword is encoded
+one bit at a time over GF(2), each bit's owner comes from the scheme
+definitions below, each codeword's dataword is built slot by slot in
+ascending flat order, rates use plain Python float arithmetic, workload
+records are computed one at a time with Python ints, and trace files are
+parsed one record at a time.
 """
 
 import json
 import math
 
-from robinsim import secded
+
+def data_columns():
+    """SEC-DED(72, 64) data columns: weight-3 bytes ascending, then the 8 smallest weight-5 bytes."""
+    weight3 = [v for v in range(256) if bin(v).count("1") == 3]
+    weight5 = sorted(v for v in range(256) if bin(v).count("1") == 5)
+    return tuple(weight3 + weight5[:8])
+
+
+DATA_COLUMNS = data_columns()
+
+
+def encode(data):
+    """Check bits of a 64-bit dataword: the GF(2) sum of the columns of its set bits."""
+    check = 0
+    for slot in range(64):
+        if (data >> slot) & 1:
+            check ^= DATA_COLUMNS[slot]
+    return check
 
 
 def owner(kind, flat):
@@ -43,7 +62,7 @@ def flip_counts(kind, old, new, include_ecc):
         data[n] += a ^ b
     if not include_ecc:
         return data, None
-    check = [bin(secded.encode(a) ^ secded.encode(b)).count("1") for a, b in zip(old_words, new_words)]
+    check = [bin(encode(a) ^ encode(b)).count("1") for a, b in zip(old_words, new_words)]
     return data, check
 
 

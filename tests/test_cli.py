@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from robinsim import secded
 from robinsim.cli import main
 from robinsim.trace import load_trace
 
@@ -25,6 +28,21 @@ def test_verify_partition_all_schemes():
 def test_codec_selftest(capsys):
     assert main(["codec-selftest"]) == 0
     assert "0 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "syndrome,bit",
+    [(secded.COLUMNS[5], 6), (0b11, 0), (0, 5)],
+    ids=["column-moved-to-another-bit", "even-syndrome-mapped-to-a-bit", "zero-syndrome-mapped-to-a-bit"],
+)
+def test_codec_selftest_fails_on_a_broken_syndrome_table(monkeypatch, capsys, syndrome, bit):
+    table = secded._SYNDROME_BIT.copy()
+    table[syndrome] = bit
+    monkeypatch.setattr(secded, "_SYNDROME_BIT", table)
+    assert main(["codec-selftest"]) == 3
+    out = capsys.readouterr().out
+    assert "1000 datawords x (72 single + 2556 double) flips" in out
+    assert int(re.search(r"(\d+) failures", out).group(1)) > 0
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -176,6 +194,8 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
          None, 1),
         ("workload = irregular\nrecords = 10\ndevice_t_write = 1\ndevice_mu_b = -1e300\n" + DEVICE,
          None, 1),
+        ("workload = narrowint32\nrecords = 100\npw = 0.999\nwarmup = 100000000000000000000\n",
+         None, 1),
         ("trace = {trace}\npw = 0.999\n", DATA_LIST, 2),
         ("trace = {trace}\npw = 0.999\n", '{"addr": "0x0", "data": 5}\n', 2),
     ],
@@ -186,6 +206,7 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         "negative-base-addr",
         "huge-address-pool",
         "negative-bohr-magneton",
+        "huge-warmup",
         "jsonl-data-list",
         "jsonl-data-number",
     ],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robinsim import injection
+from robinsim import injection, secded
 from robinsim.bits import block_to_bits
 from robinsim.injection import (
     _TRIAL_CHUNK,
@@ -333,6 +333,31 @@ def test_end_to_end_double_failure_sweep():
     outcome = forced_outcome(new, ROBIN, failed_flats=[slots[0]], failed_checks=[(3, 5)])
     assert not outcome.block_ok
     assert end_to_end_check(outcome, new, ROBIN).agree
+
+
+def test_end_to_end_counts_an_undetected_quadruple_failure_as_aliased():
+    # two data failures plus the check bits of their column sum form a codeword: zero syndrome
+    new = bytes(range(64))
+    slots = codeword_data_bits(ROBIN, 3)
+    both = secded.DATA_COLUMNS[0] ^ secded.DATA_COLUMNS[1]
+    checks = [(3, r) for r in range(8) if both >> r & 1]
+    outcome = forced_outcome(new, ROBIN, failed_flats=[slots[0], slots[1]], failed_checks=checks)
+    assert outcome.failures_per_codeword[3] == 4
+    assert end_to_end_check(outcome, new, ROBIN) == CodecCrossCheck(
+        agree=True, codewords_checked=8, aliased=1
+    )
+
+
+def test_end_to_end_flags_a_codec_that_misses_a_double_failure(monkeypatch):
+    new = bytes(range(64))
+    slots = codeword_data_bits(ROBIN, 3)
+    assert end_to_end_check(forced_outcome(new, ROBIN, failed_flats=slots[:2]), new, ROBIN).agree
+    # with two equal data columns, flipping both bits leaves a zero syndrome
+    columns = (secded.DATA_COLUMNS[0],) + secded.DATA_COLUMNS[:1] + secded.DATA_COLUMNS[2:]
+    monkeypatch.setattr(secded, "DATA_COLUMNS", columns)
+    monkeypatch.setattr(secded, "_ENCODER", secded._encoder_table())
+    outcome = forced_outcome(new, ROBIN, failed_flats=slots[:2])
+    assert not end_to_end_check(outcome, new, ROBIN).agree
 
 
 def test_end_to_end_random_agreement():

@@ -287,6 +287,36 @@ def test_parse_config_text_and_build():
     assert cfg.out_dir == "somewhere"
 
 
+def test_config_parses_every_workload_key():
+    text = """
+    workload = irregular
+    records = 0x20
+    addresses = 8
+    base_addr = 0x40
+    walk_scale = 0.5
+    walk_jitter = 1.5
+    width = 10
+    update_rate = 0.25
+    valid_words_min = 2
+    valid_words_max = 5
+    pinned_top_bits = 4
+    pw = 0.9
+    """
+    assert config_from_values(parse_config_text(text)).workload == WorkloadSpec(
+        kind="irregular", records=32, addresses=8, base_addr=64, walk_scale=0.5, walk_jitter=1.5,
+        width=10, update_rate=0.25, valid_words=(2, 5), pinned_top_bits=4,
+    )
+    for key in ("addresses", "base_addr", "width", "valid_words_min", "pinned_top_bits"):
+        with pytest.raises(ConfigError, match=f"^{key}: expected an integer, got '1.5'$"):
+            config_from_values(parse_config_text(f"workload = irregular\nrecords = 5\n{key} = 1.5"))
+    # the missing records count is reported before any bad value
+    with pytest.raises(ConfigError, match="requires a records count"):
+        config_from_values(parse_config_text("workload = irregular\nwidth = junk\npw = x"))
+    # scalar keys are parsed in a fixed order: pw, include_ecc, monte_carlo, trials, seed, warmup
+    with pytest.raises(ConfigError, match="^trials: "):
+        config_from_values(parse_config_text("workload = irregular\nrecords = 5\nwarmup = x\ntrials = x"))
+
+
 def test_parse_config_rejects_unknown_and_duplicate_keys():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("bogus = 1")

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracle import data_columns as reference_data_columns
+from oracle import encode as matrix_encode
 from robinsim.secded import (
     CHECK_COLUMNS,
     CODEWORD_BITS,
@@ -17,6 +19,7 @@ from robinsim.secded import (
     encode,
     encode_words,
     repair,
+    repair_words,
     syndrome,
 )
 
@@ -28,23 +31,6 @@ FROZEN_ENCODINGS = {
     0xFFFFFFFFFFFFFFFF: 0xD8,
     0x0123456789ABCDEF: 0x42,
 }
-
-
-def reference_data_columns():
-    """Column construction recomputed from its definition, not from the module."""
-    weight3 = [v for v in range(256) if bin(v).count("1") == 3]
-    weight5 = sorted(v for v in range(256) if bin(v).count("1") == 5)
-    return tuple(weight3 + weight5[:8])
-
-
-def matrix_encode(data):
-    """GF(2) matrix-vector oracle for the check bits."""
-    cols = reference_data_columns()
-    check = 0
-    for s in range(64):
-        if (data >> s) & 1:
-            check ^= cols[s]
-    return check
 
 
 def flip(data, check, bit):
@@ -91,7 +77,7 @@ def test_encode_words_matches_scalar():
     words = rng.integers(0, 1 << 63, 50, dtype=np.uint64)
     checks = encode_words(words)
     for word, check in zip(words, checks):
-        assert int(check) == encode(int(word))
+        assert int(check) == encode(int(word)) == matrix_encode(int(word))
 
 
 def test_encode_rejects_out_of_range():
@@ -200,6 +186,7 @@ def test_encode_words_matches_scalar_on_any_shape(words):
     assert checks.shape == words.shape
     assert checks.dtype == np.uint8
     assert [int(c) for c in checks.ravel()] == [encode(int(w)) for w in words.ravel()]
+    assert [int(c) for c in checks.ravel()] == [matrix_encode(int(w)) for w in words.ravel()]
     # a strided view encodes like the copy it views
     assert np.array_equal(encode_words(words.T), checks.T)
 
@@ -209,3 +196,57 @@ def test_encode_words_matches_scalar_on_any_shape(words):
 def test_encode_words_is_linear_over_gf2(pair):
     a, b = pair
     assert np.array_equal(encode_words(a ^ b), encode_words(a) ^ encode_words(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_repair_words_matches_scalar_on_any_shape(data):
+    words = data.draw(word_arrays)
+    checks = data.draw(hnp.arrays(np.uint8, words.shape))
+    syndromes, bits, fixed_data, fixed_check = repair_words(words, checks)
+    outputs = (syndromes, bits, fixed_data, fixed_check)
+    for array, dtype in zip(outputs, (np.uint8, np.int8, np.uint64, np.uint8)):
+        assert array.shape == words.shape
+        assert array.dtype == dtype
+    rows = zip(*(np.ravel(a).tolist() for a in (words, checks) + outputs))
+    for word, check, s, bit, fixed_word, fixed_check_word in rows:
+        outcome, repaired_word, repaired_check = repair(word, check)
+        assert s == syndrome(word, check)
+        assert (s == 0) == (outcome.status is DecodeStatus.NO_ERROR)
+        assert bit == (-1 if outcome.bit_index is None else outcome.bit_index)
+        assert (fixed_word, fixed_check_word) == (repaired_word, repaired_check)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_repair_words_classifies_zero_one_and_two_flips(data):
+    words = data.draw(word_arrays)
+    shape = words.shape
+    n_flips = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 2)))
+    first = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, CODEWORD_BITS - 1)))
+    # a second bit distinct from the first
+    offset = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(1, CODEWORD_BITS - 1)))
+    second = (first + offset) % CODEWORD_BITS
+    received_data = np.empty(shape, dtype=np.uint64)
+    received_check = np.empty(shape, dtype=np.uint8)
+    for index in np.ndindex(shape):
+        word = int(words[index])
+        received = (word, matrix_encode(word))
+        for bit in (int(first[index]), int(second[index]))[: n_flips[index]]:
+            received = flip(*received, bit)
+        received_data[index], received_check[index] = received
+
+    syndromes, bits, fixed_data, fixed_check = repair_words(received_data, received_check)
+    for index in np.ndindex(shape):
+        word = int(words[index])
+        if n_flips[index] == 0:
+            assert syndromes[index] == 0 and bits[index] == -1
+        elif n_flips[index] == 1:
+            assert syndromes[index] != 0 and bits[index] == first[index]
+            assert (int(fixed_data[index]), int(fixed_check[index])) == (word, matrix_encode(word))
+        else:
+            assert syndromes[index] != 0 and bits[index] == -1
+        if n_flips[index] != 1:
+            # nothing is corrected
+            assert int(fixed_data[index]) == int(received_data[index])
+            assert int(fixed_check[index]) == int(received_check[index])

@@ -203,6 +203,16 @@ def test_pairs_warmup_updates_store_but_skips_emission():
         list(old_new_pairs(records, warmup=-1))
 
 
+def test_pairs_warmup_beyond_any_trace_emits_nothing():
+    records = make_records(10, seed=8, addresses=3)
+    store = ShadowStore()
+    # islice rejects a stop above sys.maxsize; a larger warmup still consumes every record
+    assert list(old_new_pairs(records, store, warmup=2**70)) == []
+    expected = {record.addr: record.data for record in records}
+    assert len(store) == len(expected)
+    assert all(store.get(addr) == data for addr, data in expected.items())
+
+
 def test_pairs_replay_is_deterministic():
     records = make_records(100, seed=9)
     first = list(old_new_pairs(records))
