@@ -162,7 +162,9 @@ def _byte_tables(scheme: MappingScheme) -> tuple[np.ndarray, np.ndarray]:
 
 # offset of each payload byte's row in the flattened table
 _TABLE_ROWS = 256 * np.arange(BLOCK_BYTES, dtype=np.intp)
-# payloads looked up per step, so each temporary stays at 64 KB
+# payloads looked up per step, so each temporary stays at 64 KB. A step's
+# lookups are laid out (byte in word, payload, word) and ORed over the first
+# axis: eight passes along rows * 8 lanes, not rows * 8 reductions of length 8
 _LOOKUP_ROWS = 128
 
 
@@ -174,8 +176,8 @@ def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
     lanes = np.empty((len(blocks), WORDS), dtype="<u8")
     for start in range(0, len(blocks), _LOOKUP_ROWS):
         rows = blocks[start : start + _LOOKUP_ROWS]
-        parts = np.take(table, rows + _TABLE_ROWS).reshape(len(rows), WORDS, BYTES_PER_WORD)
-        np.bitwise_or.reduce(parts, axis=2, out=lanes[start : start + _LOOKUP_ROWS])
+        index = (rows + _TABLE_ROWS).reshape(len(rows), WORDS, BYTES_PER_WORD).transpose(2, 0, 1)
+        np.bitwise_or.reduce(table.take(index), axis=0, out=lanes[start : start + _LOOKUP_ROWS])
     return np.take(lanes.view(np.uint8), gather, axis=1).view("<u8")
 
 

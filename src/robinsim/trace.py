@@ -5,11 +5,15 @@ A trace is an ordered stream of (address, 64-byte payload) records, each a
 supported:
 
 * ``jsonl``   one JSON object per line: {"addr": "0x...", "data": "<128 hex chars>"}.
-              :func:`save_trace` writes one canonical form of that line, which
-              the loader parses with a single regular-expression match; any
-              other line holding a JSON object with both keys (other key order
-              or spacing, uppercase hex, escapes, CRLF) is still accepted,
-              through ``json.loads``.
+              :func:`save_trace` writes one canonical form of that line. The
+              loader reads about 64 KiB at a time, cut at the last newline,
+              and decodes a block whose lines are all canonical at once: fixed
+              text checked at fixed offsets, every address and every payload
+              joined into one ``unhexlify`` call each, alignment checked
+              vectorized. Any other block goes line by line: a canonical line
+              by one regular-expression match, any other line holding a JSON
+              object with both keys (other key order or spacing, uppercase
+              hex, escapes, CRLF) through ``json.loads``.
 * ``binary``  magic ``RBTR`` + version byte 0x01, then repeated
               [8-byte little-endian address][64-byte payload]. The loader reads
               and validates 1024 records at a time.
@@ -22,6 +26,7 @@ from statistics while still updating the store.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -30,9 +35,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bits import BLOCK_BITS, BLOCK_BYTES, blocks_to_bits, stack_blocks
 from .mapping import BATCH, CODEWORDS, MappingScheme, codeword_counts
@@ -48,6 +54,16 @@ _BINARY_RECORD = np.dtype([("addr", "<u8"), ("data", f"V{BLOCK_BYTES}")])
 # address matches too). A matching line holds the same record json.loads would find.
 _CANONICAL_LINE = '{{"addr": "0x{:x}", "data": "{}"}}\n'
 _CANONICAL = re.compile(rb'\{"addr": "0x([0-9a-f]{1,16})", "data": "([0-9a-f]{128})"\}\n?')
+# JSONL bytes read per step; each block is cut at its last newline
+_JSONL_BLOCK = 1 << 16
+# the canonical line's fixed text: before the address, between it and the
+# payload, and after the payload
+_PREFIX = np.frombuffer(b'{"addr": "0x', np.uint8)
+_MIDDLE = np.frombuffer(b'", "data": "', np.uint8)
+_SUFFIX = np.frombuffer(b'"}', np.uint8)
+_HEX_CHARS = 2 * BLOCK_BYTES
+# a canonical line's length, newline excluded, is this plus its 1 to 16 address digits
+_FIXED_CHARS = len(_PREFIX) + len(_MIDDLE) + _HEX_CHARS + len(_SUFFIX)
 
 FORMATS = ("jsonl", "binary")
 
@@ -121,18 +137,87 @@ def _load_jsonl(path: Path) -> Iterator[WriteRecord]:
     canonical = _CANONICAL.fullmatch
     with path.open("rb") as handle:
         index = 0
-        for line in handle:
-            try:
-                if match := canonical(line):
-                    record = WriteRecord(int(match[1], 16), unhexlify(match[2]))
-                elif line.strip():
-                    record = _parse_json_line(line)
-                else:
-                    continue
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{path}: record {index}: {exc}") from exc
-            yield record
-            index += 1
+        for block in _line_blocks(handle):
+            if decoded := _canonical_block(block):
+                addrs, datas = decoded
+                yield from _records(addrs, datas)
+                index += len(addrs)
+                continue
+            # split on b"\n" only, as file iteration does
+            for line in io.BytesIO(block):
+                try:
+                    if match := canonical(line):
+                        record = WriteRecord(int(match[1], 16), unhexlify(match[2]))
+                    elif line.strip():
+                        record = _parse_json_line(line)
+                    else:
+                        continue
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise TraceFormatError(f"{path}: record {index}: {exc}") from exc
+                yield record
+                index += 1
+
+
+def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines; only the last may lack its newline."""
+    pieces = []
+    while chunk := handle.read(_JSONL_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            yield b"".join(pieces)
+            pieces = [chunk[cut:]]
+        else:
+            pieces.append(chunk)
+    if tail := b"".join(pieces):
+        yield tail
+
+
+def _canonical_block(block: bytes) -> tuple[list[int], list[bytes]] | None:
+    """Addresses and payloads of a block whose every line is canonical and valid, else None.
+
+    A line passes when its fixed text, its 1 to 16 lowercase address digits
+    and its 128 lowercase payload digits are exactly where save_trace puts
+    them and its address is aligned: a line :data:`_CANONICAL` matches, whose
+    record is valid.
+    """
+    chars = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    if not len(ends) or ends[-1] != len(chars) - 1:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    addr_len = ends - starts - _FIXED_CHARS
+    if not (addr_len.min() >= 1 and addr_len.max() <= 16):
+        return None
+    data_at = ends - len(_SUFFIX) - _HEX_CHARS
+    middle_at = data_at - len(_MIDDLE)
+    # row i: the bytes from byte i on, as many as the payload and the suffix; every
+    # line is longer, so each row read below lies inside the block
+    rows = sliding_window_view(chars, _HEX_CHARS + len(_SUFFIX))
+    tails = rows[data_at]
+    if not (
+        (rows[starts, : len(_PREFIX)] == _PREFIX).all()
+        and (rows[middle_at, : len(_MIDDLE)] == _MIDDLE).all()
+        and (tails[:, _HEX_CHARS:] == _SUFFIX).all()
+    ):
+        return None
+    # the 16 bytes before the middle, '0' where they precede the address (those
+    # before a short first address are clipped to the block's first byte)
+    at = np.maximum(middle_at[:, None] + np.arange(-16, 0), 0)
+    addr_chars = np.where(at >= (starts + len(_PREFIX))[:, None], chars[at], ord("0"))
+    data_chars = tails[:, :_HEX_CHARS]
+    if not (_lower_hex(addr_chars) and _lower_hex(data_chars)):
+        return None
+    addrs = np.frombuffer(unhexlify(addr_chars.tobytes()), ">u8")
+    if (addrs % BLOCK_BYTES).any():
+        return None
+    datas = np.frombuffer(unhexlify(data_chars.tobytes()), f"V{BLOCK_BYTES}")
+    return addrs.tolist(), datas.tolist()
+
+
+def _lower_hex(chars: np.ndarray) -> bool:
+    """Whether every byte is a digit or a lowercase hex letter."""
+    return bool((((chars - ord("0")) < 10) | ((chars - ord("a")) < 6)).all())
 
 
 def _parse_json_line(line: bytes) -> WriteRecord:
@@ -291,12 +376,13 @@ class StatsAccumulator:
 
         The counts are whole numbers in [0, 576] (see
         :func:`robinsim.reliability.count_rows`); row sums, minima and maxima
-        stay integers until each is divided by its row's uniform share.
+        stay integers until each is divided by its row's uniform share, so
+        reducing a codeword-major copy over its long axis gives the same values.
         """
-        counts = count_rows(counts)
-        totals = counts.sum(axis=1)
-        mins = counts.min(axis=1)
-        maxs = counts.max(axis=1)
+        columns = np.ascontiguousarray(count_rows(counts).T)
+        totals = columns.sum(axis=0)
+        mins = columns.min(axis=0)
+        maxs = columns.max(axis=0)
         live = totals > 0
         writes = int(np.count_nonzero(live))
         self.skipped_zero += len(totals) - writes

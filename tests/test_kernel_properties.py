@@ -72,13 +72,25 @@ def slot_datawords(scheme, bits):
     ]
 
 
+EMPTY_BATCH = (np.zeros((0, 64), dtype=np.uint8),) * 2
+
+
 @settings(max_examples=25, deadline=None)
 @given(write_batches(40))
+@example(EMPTY_BATCH)
+# one row, and either side of each boundary of block_datawords' 128-row lookup steps
+@example(seeded_batch(1, 1, 0, 0))
+@example(seeded_batch(127, 2, 0, 126))
+@example(seeded_batch(128, 3, 127, 0))
+@example(seeded_batch(129, 4, 0, 128))
+@example(seeded_batch(257, 5, 256, 128))
 def test_datawords_match_slot_definition(batch):
     _, news = batch
     bits = blocks_to_bits(news)
     for scheme in SCHEMES:
         want = slot_datawords(scheme, bits)
-        assert block_datawords(scheme, news).tolist() == want
+        got = block_datawords(scheme, news)
+        assert got.shape == (len(news), 8) and got.dtype == np.uint64
+        assert got.tolist() == want
         for row, words in zip(news, want):
             assert datawords(scheme, row.tobytes()).tolist() == words

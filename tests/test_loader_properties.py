@@ -7,10 +7,12 @@ import pathlib
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from robinsim import trace
 from robinsim.trace import TRACE_MAGIC, TRACE_VERSION, TraceFormatError, WriteRecord, load_trace
 
 ADDRS = st.one_of(st.sampled_from((0, 2**64 - 64)), st.integers(0, 2**58 - 1).map(lambda i: 64 * i))
@@ -100,6 +102,37 @@ def test_jsonl_loader_matches_reference(tmp_path_factory, data):
     want = (records, None) if bad is None else (records[:bad], bad)
     assert oracle.load_trace(text, "jsonl") == want
     assert load(path, "jsonl") == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_jsonl_loader_matches_reference_across_blocks(tmp_path_factory, data):
+    """Blocks of a few hundred bytes: each holds at most a few lines, so blocks of
+    canonical lines (decoded at once) alternate with blocks read line by line."""
+    count = data.draw(st.integers(0, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    records = [(data.draw(ADDRS), rng.bytes(64)) for _ in range(count)]
+    variants = set(data.draw(st.lists(st.integers(0, max(0, count - 1)), max_size=4)))
+    lines = [
+        data.draw(jsonl_lines(addr, payload)) if i in variants else canonical(addr, payload)
+        for i, (addr, payload) in enumerate(records)
+    ]
+    bad = data.draw(st.none() | st.integers(0, count))
+    if bad is not None:
+        lines.insert(bad, data.draw(BAD_LINES))
+    for position in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(position, data.draw(BLANKS))
+    if lines:
+        lines[-1] = lines[-1].rstrip(b"\r\n")   # no newline at the end of the file
+    text = b"".join(lines)
+    path = tmp_path_factory.mktemp("jsonl") / "trace.jsonl"
+    path.write_bytes(text)
+
+    want = (records, None) if bad is None else (records[:bad], bad)
+    assert oracle.load_trace(text, "jsonl") == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "_JSONL_BLOCK", data.draw(st.integers(100, 600)))
+        assert load(path, "jsonl") == want
 
 
 # -- binary --------------------------------------------------------------------

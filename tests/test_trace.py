@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+from robinsim import trace
 from robinsim.mapping import PER_WORD, ROBIN
 from robinsim.trace import (
     ShadowStore,
@@ -156,6 +157,48 @@ def test_jsonl_misaligned_addr(tmp_path):
     path.write_text(json.dumps({"addr": "0x20", "data": "00" * 64}) + "\n")
     with pytest.raises(TraceFormatError, match="aligned"):
         list(load_trace(path))
+
+
+def test_jsonl_canonical_blocks_decode_at_once(tmp_path):
+    # a one-digit address on the first line: its padding reaches back before the block
+    records = [WriteRecord(0, bytes(64))] + make_records(40, seed=4, addresses=1 << 20)
+    path = tmp_path / "trace.jsonl"
+    save_trace(path, records)
+    text = path.read_bytes()
+    assert trace._canonical_block(text) == ([r.addr for r in records], [r.data for r in records])
+    # uppercase payload digits, a CRLF line end, a final line without its newline
+    payload = records[1].data.hex().encode()
+    for changed in (text.replace(payload, payload.upper()), text.replace(b"}\n", b"}\r\n", 1), text[:-1]):
+        assert changed != text
+        assert trace._canonical_block(changed) is None
+
+
+def test_jsonl_lone_cr_is_json_whitespace(tmp_path, monkeypatch):
+    # bytes.splitlines would end a line at the \r; file iteration and the loader do not
+    records = make_records(6, seed=5, addresses=1 << 10)
+    path = tmp_path / "cr.jsonl"
+    save_trace(path, records)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b", ", b",\r", 1)
+    path.write_bytes(b"".join(lines))
+    for block in (trace._JSONL_BLOCK, 200):
+        monkeypatch.setattr(trace, "_JSONL_BLOCK", block)
+        assert list(load_trace(path)) == records
+
+
+def test_jsonl_misaligned_line_in_a_canonical_block(tmp_path):
+    records = make_records(5, seed=6, addresses=1 << 10)
+    path = tmp_path / "misaligned.jsonl"
+    save_trace(path, records)
+    bad = records[2].addr + 32
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(f'"0x{records[2].addr:x}"'.encode(), f'"0x{bad:x}"'.encode())
+    path.write_bytes(b"".join(lines))
+    loaded = []
+    with pytest.raises(TraceFormatError) as error:
+        loaded.extend(load_trace(path))
+    assert loaded == records[:2]
+    assert str(error.value) == f"{path}: record 2: address {bad:#x} not aligned to 64 bytes"
 
 
 def test_unknown_format_rejected(tmp_path):
