@@ -7,13 +7,13 @@ supported:
 * ``jsonl``   one JSON object per line: {"addr": "0x...", "data": "<128 hex chars>"}.
               :func:`save_trace` writes one canonical form of that line. The
               loader reads about 64 KiB at a time, cut at the last newline,
-              and decodes a block whose lines are all canonical at once: fixed
-              text checked at fixed offsets, every address and every payload
+              and decodes the block's canonical lines at once: fixed text
+              checked at fixed offsets, every address and every payload
               joined into one ``unhexlify`` call each, alignment checked
-              vectorized. Any other block goes line by line: a canonical line
-              by one regular-expression match, any other line holding a JSON
-              object with both keys (other key order or spacing, uppercase
-              hex, escapes, CRLF) through ``json.loads``.
+              vectorized. Each other line, in its place, goes through
+              ``json.loads``: a JSON object with both keys (other key order
+              or spacing, uppercase hex, escapes, CRLF) is read, anything
+              else is an error.
 * ``binary``  magic ``RBTR`` + version byte 0x01, then repeated
               [8-byte little-endian address][64-byte payload]. The loader reads
               and validates 1024 records at a time.
@@ -26,9 +26,7 @@ from statistics while still updating the store.
 
 from __future__ import annotations
 
-import io
 import json
-import re
 import sys
 from binascii import unhexlify
 from dataclasses import dataclass
@@ -50,17 +48,14 @@ _RECORD_BYTES = 8 + BLOCK_BYTES
 # binary records decoded per read: a 72 KB buffer
 _CHUNK_RECORDS = 1024
 _BINARY_RECORD = np.dtype([("addr", "<u8"), ("data", f"V{BLOCK_BYTES}")])
-# The JSONL line save_trace writes, and the loader's pattern for it (a zero-padded
-# address matches too). A matching line holds the same record json.loads would find.
-_CANONICAL_LINE = '{{"addr": "0x{:x}", "data": "{}"}}\n'
-_CANONICAL = re.compile(rb'\{"addr": "0x([0-9a-f]{1,16})", "data": "([0-9a-f]{128})"\}\n?')
+# save_trace's JSONL line: _PREFIX, the address in lowercase hex, _MIDDLE, the
+# payload in lowercase hex, _SUFFIX and a newline
+_PREFIX, _MIDDLE, _SUFFIX = '{"addr": "0x', '", "data": "', '"}'
+_PREFIX_CHARS, _MIDDLE_CHARS, _SUFFIX_CHARS = (
+    np.frombuffer(text.encode(), np.uint8) for text in (_PREFIX, _MIDDLE, _SUFFIX)
+)
 # JSONL bytes read per step; each block is cut at its last newline
 _JSONL_BLOCK = 1 << 16
-# the canonical line's fixed text: before the address, between it and the
-# payload, and after the payload
-_PREFIX = np.frombuffer(b'{"addr": "0x', np.uint8)
-_MIDDLE = np.frombuffer(b'", "data": "', np.uint8)
-_SUFFIX = np.frombuffer(b'"}', np.uint8)
 _HEX_CHARS = 2 * BLOCK_BYTES
 # a canonical line's length, newline excluded, is this plus its 1 to 16 address digits
 _FIXED_CHARS = len(_PREFIX) + len(_MIDDLE) + _HEX_CHARS + len(_SUFFIX)
@@ -134,28 +129,27 @@ def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[WriteRecord
 
 
 def _load_jsonl(path: Path) -> Iterator[WriteRecord]:
-    canonical = _CANONICAL.fullmatch
     with path.open("rb") as handle:
         index = 0
         for block in _line_blocks(handle):
-            if decoded := _canonical_block(block):
-                addrs, datas = decoded
-                yield from _records(addrs, datas)
-                index += len(addrs)
-                continue
-            # split on b"\n" only, as file iteration does
-            for line in io.BytesIO(block):
+            starts, ends, addrs, datas, others = _scan_block(block)
+            canonical = _records(addrs, datas)
+            done = 0  # lines of the block handled so far
+            for line in others:
+                yield from islice(canonical, line - done)
+                index += line - done
+                done = line + 1
+                text = block[starts[line] : ends[line] + 1]
+                if not text.strip():
+                    continue
                 try:
-                    if match := canonical(line):
-                        record = WriteRecord(int(match[1], 16), unhexlify(match[2]))
-                    elif line.strip():
-                        record = _parse_json_line(line)
-                    else:
-                        continue
+                    record = _parse_json_line(text)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise TraceFormatError(f"{path}: record {index}: {exc}") from exc
                 yield record
                 index += 1
+            yield from canonical
+            index += len(starts) - done
 
 
 def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
@@ -173,51 +167,65 @@ def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
         yield tail
 
 
-def _canonical_block(block: bytes) -> tuple[list[int], list[bytes]] | None:
-    """Addresses and payloads of a block whose every line is canonical and valid, else None.
+def _scan_block(block: bytes) -> tuple[np.ndarray, np.ndarray, list[int], list[bytes], list[int]]:
+    """A block's lines, with its canonical lines decoded at once.
 
-    A line passes when its fixed text, its 1 to 16 lowercase address digits
+    Returns the lines' start offsets, their end offsets (the newline, or the
+    block's end for a last line without one), the addresses and payloads of
+    the canonical lines in order, and the indices of the other lines. A line
+    is canonical when its fixed text, its 1 to 16 lowercase address digits
     and its 128 lowercase payload digits are exactly where save_trace puts
-    them and its address is aligned: a line :data:`_CANONICAL` matches, whose
-    record is valid.
+    them and its address is aligned, so that it holds a valid record.
     """
     chars = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(chars == ord("\n"))
     if not len(ends) or ends[-1] != len(chars) - 1:
-        return None
+        ends = np.append(ends, len(chars))
     starts = np.concatenate(([0], ends[:-1] + 1))
     addr_len = ends - starts - _FIXED_CHARS
-    if not (addr_len.min() >= 1 and addr_len.max() <= 16):
-        return None
-    data_at = ends - len(_SUFFIX) - _HEX_CHARS
+    # the lines of a canonical length; every offset read below lies inside them
+    sized = np.flatnonzero((addr_len >= 1) & (addr_len <= 16))
+    if not len(sized):
+        return starts, ends, [], [], list(range(len(starts)))
+    start, end = starts[sized], ends[sized]
+    data_at = end - len(_SUFFIX) - _HEX_CHARS
     middle_at = data_at - len(_MIDDLE)
-    # row i: the bytes from byte i on, as many as the payload and the suffix; every
-    # line is longer, so each row read below lies inside the block
+    # row i: the bytes from byte i on, as many as the payload and the suffix
     rows = sliding_window_view(chars, _HEX_CHARS + len(_SUFFIX))
     tails = rows[data_at]
-    if not (
-        (rows[starts, : len(_PREFIX)] == _PREFIX).all()
-        and (rows[middle_at, : len(_MIDDLE)] == _MIDDLE).all()
-        and (tails[:, _HEX_CHARS:] == _SUFFIX).all()
-    ):
-        return None
     # the 16 bytes before the middle, '0' where they precede the address (those
     # before a short first address are clipped to the block's first byte)
     at = np.maximum(middle_at[:, None] + np.arange(-16, 0), 0)
-    addr_chars = np.where(at >= (starts + len(_PREFIX))[:, None], chars[at], ord("0"))
+    addr_chars = np.where(at >= (start + len(_PREFIX))[:, None], chars[at], ord("0"))
     data_chars = tails[:, :_HEX_CHARS]
-    if not (_lower_hex(addr_chars) and _lower_hex(data_chars)):
-        return None
+    hexed = (
+        _rows_all(rows[start, : len(_PREFIX)] == _PREFIX_CHARS)
+        & _rows_all(rows[middle_at, : len(_MIDDLE)] == _MIDDLE_CHARS)
+        & _rows_all(tails[:, _HEX_CHARS:] == _SUFFIX_CHARS)
+        & _rows_all(_lower_hex(addr_chars))
+        & _rows_all(_lower_hex(data_chars))
+    )
+    # drop the lines that fail, if any: none in a block save_trace wrote
+    if not hexed.all():
+        sized, addr_chars, data_chars = sized[hexed], addr_chars[hexed], data_chars[hexed]
     addrs = np.frombuffer(unhexlify(addr_chars.tobytes()), ">u8")
-    if (addrs % BLOCK_BYTES).any():
-        return None
+    aligned = addrs % BLOCK_BYTES == 0
+    if not aligned.all():
+        sized, addrs, data_chars = sized[aligned], addrs[aligned], data_chars[aligned]
     datas = np.frombuffer(unhexlify(data_chars.tobytes()), f"V{BLOCK_BYTES}")
-    return addrs.tolist(), datas.tolist()
+    other = np.ones(len(starts), bool)
+    other[sized] = False
+    return starts, ends, addrs.tolist(), datas.tolist(), np.flatnonzero(other).tolist()
 
 
-def _lower_hex(chars: np.ndarray) -> bool:
-    """Whether every byte is a digit or a lowercase hex letter."""
-    return bool((((chars - ord("0")) < 10) | ((chars - ord("a")) < 6)).all())
+def _lower_hex(chars: np.ndarray) -> np.ndarray:
+    """Whether each byte is a digit or a lowercase hex letter."""
+    return ((chars - ord("0")) < 10) | ((chars - ord("a")) < 6)
+
+
+def _rows_all(matches: np.ndarray) -> np.ndarray:
+    """Per row, whether all of it is true; a single pass when everything is."""
+    return np.ones(len(matches), bool) if matches.all() else matches.all(axis=1)
 
 
 def _parse_json_line(line: bytes) -> WriteRecord:
@@ -265,7 +273,7 @@ def save_trace(path: str | Path, records: Iterable[WriteRecord], fmt: str | None
     if fmt == "jsonl":
         with Path(path).open("w", encoding="ascii") as handle:
             for addr, data in records:
-                handle.write(_CANONICAL_LINE.format(addr, data.hex()))
+                handle.write(f"{_PREFIX}{addr:x}{_MIDDLE}{data.hex()}{_SUFFIX}\n")
                 count += 1
     else:
         with Path(path).open("wb") as handle:

@@ -159,18 +159,30 @@ def test_jsonl_misaligned_addr(tmp_path):
         list(load_trace(path))
 
 
-def test_jsonl_canonical_blocks_decode_at_once(tmp_path):
+def test_jsonl_canonical_lines_decode_at_once(tmp_path):
     # a one-digit address on the first line: its padding reaches back before the block
     records = [WriteRecord(0, bytes(64))] + make_records(40, seed=4, addresses=1 << 20)
     path = tmp_path / "trace.jsonl"
     save_trace(path, records)
     text = path.read_bytes()
-    assert trace._canonical_block(text) == ([r.addr for r in records], [r.data for r in records])
-    # uppercase payload digits, a CRLF line end, a final line without its newline
-    payload = records[1].data.hex().encode()
-    for changed in (text.replace(payload, payload.upper()), text.replace(b"}\n", b"}\r\n", 1), text[:-1]):
-        assert changed != text
-        assert trace._canonical_block(changed) is None
+    _, _, addrs, datas, others = trace._scan_block(text)
+    assert (addrs, datas, others) == ([r.addr for r in records], [r.data for r in records], [])
+    # uppercase payload digits on line 1, a CRLF end on line 0, a misaligned address
+    # on line 2 and a blank line after it: only those lines are left to json.loads
+    lines = text.splitlines(keepends=True)
+    lines[1] = lines[1].upper().replace(b"0X", b"0x")
+    lines[0] = lines[0].replace(b"}\n", b"}\r\n")
+    lines[2] = lines[2].replace(f"0x{records[2].addr:x}".encode(), f"0x{records[2].addr + 8:x}".encode())
+    lines.insert(3, b"\n")
+    starts, ends, addrs, datas, others = trace._scan_block(b"".join(lines))
+    assert others == [0, 1, 2, 3]
+    assert (addrs, datas) == ([r.addr for r in records[3:]], [r.data for r in records[3:]])
+    assert len(starts) == len(ends) == len(lines)
+    # a final canonical line without its newline still decodes at once
+    _, ends, addrs, _, others = trace._scan_block(text[:-1])
+    assert ends[-1] == len(text) - 1 and len(addrs) == len(records) and others == []
+    # a block too short to hold a canonical line
+    assert trace._scan_block(b"\n{}")[2:] == ([], [], [0, 1])
 
 
 def test_jsonl_lone_cr_is_json_whitespace(tmp_path, monkeypatch):
