@@ -90,8 +90,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
-        if args.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {args.seed}")
+        # seeds are mixed modulo 2**64, so a larger one would alias a smaller one
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {args.seed}")
         spec = WorkloadSpec(kind=args.kind, records=args.n, addresses=args.addresses)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,10 +16,16 @@ expected number of failures, not with the number of flipping cells.
 :func:`inject_write` picks its failing cells with the same sampler, so the
 decoder cross-check runs it too.
 
+:func:`monte_carlo_block` takes one write or a batch of them. A batch is
+counted with one :func:`robinsim.mapping.codeword_counts` call, and the
+failures of its records are classified together, a bounded number of failure
+positions at a time. :class:`MonteCarloAccumulator` feeds it the batches of
+``run_experiment``.
+
 Reproducibility: every record of a trace gets its own substream seeded with
 ``mix_seed(seed, record_index)``, a splitmix64 step (constants below), so
-estimates do not depend on processing order. Within a substream, trials are
-consumed in fixed-size chunks.
+estimates do not depend on processing order or batching. Within a substream,
+trials are consumed in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ SPLITMIX_MUL2 = 0x94D049BB133111EB
 
 # trials are simulated in fixed-size chunks so estimates are reproducible
 _TRIAL_CHUNK = 8192
+# failure positions a batch holds before it classifies them (512 KB of int64);
+# one record chunk alone can hold more, about 490k at p_write 0.5
+_HELD_POSITIONS = 1 << 16
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -130,61 +139,108 @@ def inject_write(
 
 @dataclass(frozen=True)
 class BlockEstimate:
-    """Monte Carlo estimate of a block write's success probability."""
+    """Monte Carlo estimate of a block write's success probability.
 
-    p_block: float
-    stderr: float
+    For a batch of writes, ``p_block``, ``stderr`` and ``successes`` are
+    ``(n,)`` arrays, one entry per write.
+    """
+
+    p_block: float | np.ndarray
+    stderr: float | np.ndarray
     trials: int
-    successes: int
+    successes: int | np.ndarray
 
     @property
-    def error_rate(self) -> float:
+    def error_rate(self) -> float | np.ndarray:
         return 1.0 - self.p_block
 
 
 def monte_carlo_block(
-    old: bytes, new: bytes, cfg: InjectionConfig, record_index: int = 0
+    old: bytes | np.ndarray, new: bytes | np.ndarray, cfg: InjectionConfig, record_index: int = 0
 ) -> BlockEstimate:
-    """Estimate the block write success probability by repeated fault injection.
+    """Estimate block write success probabilities by repeated fault injection.
+
+    ``old`` and ``new`` are one write as two 64-byte payloads, or a batch as
+    two ``(n, 64)`` uint8 arrays holding records ``record_index`` to
+    ``record_index + n - 1``; for a batch, ``p_block``, ``stderr`` and
+    ``successes`` are ``(n,)`` arrays. Record r draws from its own
+    ``substream(seed, r)``, so a record's estimate is the same in any batch.
 
     Only the transitioning cells of codewords with at least two of them are
     simulated, since a codeword with one can never exceed t = 1. For each
-    chunk of trials those cells form one trial-major field, the failing cells
-    in it are placed by geometric gaps, and a trial succeeds when every
+    chunk of trials a record's cells form one trial-major field, the failing
+    cells in it are placed by geometric gaps, and a trial succeeds when every
     codeword collects at most one failure. A record that cannot fail draws
-    nothing. Deterministic for a given (seed, record_index, trials, scheme)
-    regardless of caller scheduling.
+    nothing. All n writes are counted at once, and the failures of many
+    records are classified together (see :func:`_failed_trials`).
     """
-    diff = block_bytes(old) ^ block_bytes(new)
-    data, check = codeword_counts(cfg.scheme, diff[None], cfg.include_ecc)
-    counts = data[0] if check is None else data[0] + check[0]
-    counts = np.where(counts > 1, counts, 0)
-    fail_prob = 1.0 - cfg.pw
-    n_flips = int(counts.sum())
-    if n_flips == 0 or fail_prob == 0.0:
-        return BlockEstimate(p_block=1.0, stderr=0.0, trials=cfg.trials, successes=cfg.trials)
-
-    rng = substream(cfg.seed, record_index)
-    # the codeword of each simulated cell, cells grouped by codeword
-    cell_codeword = np.repeat(np.arange(CODEWORDS), counts)
-    successes = 0
-    remaining = cfg.trials
-    while remaining > 0:
-        chunk = min(_TRIAL_CHUNK, remaining)
-        trial, cell = np.divmod(_failing_cells(rng, fail_prob, n_flips * chunk), n_flips)
-        # failures arrive sorted by (trial, codeword), so a repeated key is a
-        # second failure in one codeword, and its trial fails
-        key = trial * CODEWORDS + cell_codeword[cell]
-        successes += chunk - np.unique(trial[1:][key[1:] == key[:-1]]).size
-        remaining -= chunk
-
+    batch = np.ndim(old) == 2
+    diff = old ^ new if batch else (block_bytes(old) ^ block_bytes(new))[None]
+    data, check = codeword_counts(cfg.scheme, diff, cfg.include_ecc)
+    counts = data if check is None else data + check
+    successes = cfg.trials - _failed_trials(np.where(counts > 1, counts, 0), cfg, int(record_index))
     p = successes / cfg.trials
+    stderr = np.sqrt(p * (1.0 - p) / cfg.trials)
+    if batch:
+        return BlockEstimate(p_block=p, stderr=stderr, trials=cfg.trials, successes=successes)
     return BlockEstimate(
-        p_block=p,
-        stderr=math.sqrt(p * (1.0 - p) / cfg.trials),
-        trials=cfg.trials,
-        successes=successes,
+        p_block=float(p[0]), stderr=float(stderr[0]), trials=cfg.trials, successes=int(successes[0])
     )
+
+
+def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) -> np.ndarray:
+    """Failed trials of each row of simulated-cell ``counts``; row i is record first_record + i.
+
+    Record by record and chunk by chunk, the failing cells are drawn from the
+    record's substream exactly as a record on its own would draw them. The
+    failures are held, laid end to end, and classified together whenever
+    more than ``_HELD_POSITIONS`` are held. A failure is keyed by (record
+    chunk, trial, codeword) and the keys arrive sorted, so a repeated key is
+    a second failure in one codeword, and its trial fails.
+    """
+    failed = np.zeros(len(counts), dtype=np.int64)
+    fail_prob = 1.0 - cfg.pw
+    rows = np.flatnonzero(counts.any(axis=1))
+    if fail_prob == 0.0 or rows.size == 0:
+        return failed
+    sizes = counts[rows].sum(axis=1)
+    # the codeword of each simulated cell: a record's cells grouped by codeword,
+    # the records laid end to end, record i's cells from cell_start[i]
+    cell_codeword = np.repeat(np.tile(np.arange(CODEWORDS), rows.size), counts[rows].ravel())
+    cell_start = np.cumsum(sizes) - sizes
+    held, owners = [], []   # the failures of record chunks, and the record index into rows of each
+
+    def classify() -> None:
+        lengths = [cells.size for cells in held]
+        owner = np.array(owners)
+        trial, cell = np.divmod(np.concatenate(held), np.repeat(sizes[owner], lengths))
+        # one trial number per (record chunk, trial), still increasing along the failures
+        trial += np.repeat(np.arange(len(held)) * _TRIAL_CHUNK, lengths)
+        cell += np.repeat(cell_start[owner], lengths)
+        key = trial * CODEWORDS + cell_codeword[cell]
+        twice = trial[1:][key[1:] == key[:-1]]
+        first = np.ones(twice.size, dtype=bool)
+        first[1:] = twice[1:] != twice[:-1]
+        failed[rows] += np.bincount(owner[twice[first] // _TRIAL_CHUNK], minlength=rows.size)
+        held.clear()
+        owners.clear()
+
+    held_size = 0
+    for i, row in enumerate(rows.tolist()):
+        rng = substream(cfg.seed, first_record + row)
+        for start in range(0, cfg.trials, _TRIAL_CHUNK):
+            chunk = min(_TRIAL_CHUNK, cfg.trials - start)
+            cells = _failing_cells(rng, fail_prob, int(sizes[i]) * chunk)
+            if cells.size:
+                held.append(cells)
+                owners.append(i)
+                held_size += cells.size
+                if held_size > _HELD_POSITIONS:
+                    classify()
+                    held_size = 0
+    if held:
+        classify()
+    return failed
 
 
 def _failing_cells(rng: np.random.Generator, fail_prob: float, size: int) -> np.ndarray:
@@ -220,11 +276,11 @@ class TraceEstimate:
 
 
 class MonteCarloAccumulator:
-    """Running trace-level Monte Carlo estimate, fed one (old, new) pair at a time.
+    """Running trace-level Monte Carlo estimate, fed (old, new) writes in record order.
 
-    The r-th pair added is record r and uses substream mix_seed(seed, r), so
-    the estimate is independent of how the pairs are batched; partial results
-    merge by summing (failure_fraction, variance_term) pairs.
+    The r-th write added is record r and uses substream mix_seed(seed, r), so
+    the estimate is independent of how the writes are batched; partial
+    results merge by summing (failure_fraction, variance_term) pairs.
     """
 
     def __init__(self, cfg: InjectionConfig) -> None:
@@ -234,10 +290,17 @@ class MonteCarloAccumulator:
         self._variance_sum = 0.0
 
     def add(self, old: bytes, new: bytes) -> None:
-        estimate = monte_carlo_block(old, new, self.cfg, record_index=self.records)
-        self._failure_sum += estimate.error_rate
-        self._variance_sum += estimate.p_block * (1.0 - estimate.p_block) / self.cfg.trials
-        self.records += 1
+        self.add_batch(block_bytes(old)[None], block_bytes(new)[None])
+
+    def add_batch(self, olds: np.ndarray, news: np.ndarray) -> None:
+        """Add the writes of two ``(n, 64)`` uint8 arrays as the next n records."""
+        estimate = monte_carlo_block(olds, news, self.cfg, record_index=self.records)
+        variance = estimate.p_block * (1.0 - estimate.p_block) / self.cfg.trials
+        # one record at a time, so the sums do not depend on the batching
+        for failure, term in zip(estimate.error_rate.tolist(), variance.tolist()):
+            self._failure_sum += failure
+            self._variance_sum += term
+        self.records += len(olds)
 
     def finalize(self) -> TraceEstimate:
         if self.records == 0:

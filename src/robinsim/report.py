@@ -6,7 +6,7 @@ flips from it with :func:`robinsim.mapping.codeword_counts` and folds them
 into a :class:`robinsim.reliability.RateAccumulator` (analytic error rate
 with its optimal companions) and a :class:`robinsim.trace.StatsAccumulator`
 (codeword-spread statistics), and sums the per-bit transition histogram.
-With Monte Carlo on, each batch's pairs also feed one
+With Monte Carlo on, each batch's ``olds`` and ``news`` also feed one
 :class:`robinsim.injection.MonteCarloAccumulator` per scheme, so memory stays
 bounded in the trace length. Results are emitted as CSV tables and
 self-contained SVG charts; reruns with the same config and seed are
@@ -75,8 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         try:
             self.resolve_pw()
         except ParameterError as exc:
@@ -147,8 +147,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             rate.add_counts(data_counts if check_counts is None else data_counts + check_counts)
         if cfg.monte_carlo:
             for mc in mcs:
-                for old, new in batch:
-                    mc.add(old, new)
+                mc.add_batch(olds, news)
 
     writes = rates[0].writes
     if writes == 0:

@@ -1,5 +1,6 @@
 """Slow references: the SEC-DED check bits, per-bit codeword flip counts and
-trace rates, the v2 workload stream, and a trace-file loader.
+trace rates, the v2 workload stream, a trace-file loader, and Monte Carlo
+classified one record at a time.
 
 Written independently of ``robinsim.secded``, ``robinsim.mapping``,
 ``robinsim.reliability``, ``robinsim.workloads`` and ``robinsim.trace``: the
@@ -8,11 +9,17 @@ one bit at a time over GF(2), each bit's owner comes from the scheme
 definitions below, each codeword's dataword is built slot by slot in
 ascending flat order, rates use plain Python float arithmetic, workload
 records are computed one at a time with Python ints, and trace files are
-parsed one record at a time.
+parsed one record at a time. The Monte Carlo reference draws its failing
+cells with ``robinsim.injection``'s own sampler, which defines the stream, and
+classifies each record's trial chunks on their own.
 """
 
 import json
 import math
+
+import numpy as np
+
+from robinsim import injection
 
 
 def data_columns():
@@ -223,3 +230,35 @@ def load_trace(data, fmt):
             return records, index
         records.append((addr, payload))
     return records, None
+
+
+# -- Monte Carlo, one record at a time -----------------------------------------
+
+
+def mc_successes(counts, pw, trials, seed, record_index):
+    """Successful trials of one record whose codewords have ``counts`` transitioning cells."""
+    counts = np.where(np.asarray(counts) > 1, counts, 0)
+    fail_prob = 1.0 - pw
+    n_flips = int(counts.sum())
+    if n_flips == 0 or fail_prob == 0.0:
+        return trials
+    rng = injection.substream(seed, record_index)
+    cell_codeword = np.repeat(np.arange(8), counts)
+    successes = 0
+    for start in range(0, trials, injection._TRIAL_CHUNK):
+        chunk = min(injection._TRIAL_CHUNK, trials - start)
+        trial, cell = np.divmod(injection._failing_cells(rng, fail_prob, n_flips * chunk), n_flips)
+        # a repeated (trial, codeword) key is a second failure in one codeword
+        key = trial * 8 + cell_codeword[cell]
+        successes += chunk - np.unique(trial[1:][key[1:] == key[:-1]]).size
+    return successes
+
+
+def mc_trace(rows, pw, trials, seed):
+    """(error rate, stderr) of the trace estimate over count rows, record r using substream r."""
+    failure = variance = 0.0
+    for index, row in enumerate(rows):
+        p = mc_successes(row, pw, trials, seed, index) / trials
+        failure += 1.0 - p
+        variance += p * (1.0 - p) / trials
+    return failure / len(rows), math.sqrt(variance) / len(rows)

@@ -176,6 +176,27 @@ def test_gen_negative_seed_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_seed_past_64_bits_exits_1(tmp_path, capsys):
+    # seeds 2**64 apart would otherwise give identical streams
+    cfg = write_config(tmp_path, f"workload = irregular\nrecords = 10\npw = 0.999\nseed = {2**64}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
+    assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path, f"workload = irregular\nrecords = 10\npw = 0.999\nseed = {2**64 - 1}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_gen_seed_past_64_bits_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.bin"
+    argv = ["gen", "--kind", "irregular", "--n", "5", "--out", str(out), "--seed"]
+    assert main(argv + [str(3 + 2**64)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
+    assert not out.exists()
+    assert main(argv + [str(2**64 - 1)]) == 0
+
+
 DEVICE = (
     "device_i_write = 1.5\ndevice_i_c0 = 1.0\ndevice_polarization = 0.5\n"
     "device_magnetic_moment = 0.75\n"

@@ -1,0 +1,108 @@
+"""Property tests: the batch Monte Carlo kernel against the record-by-record reference."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracle
+from robinsim import injection
+from robinsim.injection import _TRIAL_CHUNK, InjectionConfig, monte_carlo_block
+from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, MappingScheme, codeword_counts, codeword_data_bits
+from robinsim.report import ExperimentConfig, make_pairs, run_experiment
+from robinsim.workloads import WorkloadSpec
+
+SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
+
+
+def blocks_with_counts(scheme, rows):
+    """(olds, news) of writes over zero blocks; write i flips rows[i][n] data bits of codeword n."""
+    bits = np.zeros((len(rows), 512), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        for n, k in enumerate(row):
+            bits[i, codeword_data_bits(scheme, n)[:k]] = 1
+    return np.zeros((len(rows), 64), dtype=np.uint8), np.packbits(bits, axis=1, bitorder="little")
+
+
+@st.composite
+def mc_cases(draw):
+    """(scheme, count rows, failure probability, trials, seed, first record index).
+
+    Failure probabilities of 1/3 and more take numpy's search branch of
+    ``geometric``; the rows are kept few and small when the trials are many.
+    """
+    scheme = draw(st.sampled_from(SCHEMES))
+    trials = draw(st.one_of(st.sampled_from([1, _TRIAL_CHUNK, _TRIAL_CHUNK + 5]), st.integers(1, 300)))
+    fail_prob = draw(st.one_of(st.sampled_from([2.0**-52, 1.0]), st.floats(1 / 3, 1.0), st.floats(1e-4, 1 / 3)))
+    few = trials > 300
+    rows = draw(st.lists(st.lists(st.integers(0, 6 if few else 16), min_size=8, max_size=8),
+                         min_size=1, max_size=3 if few else 24))
+    seed = draw(st.integers(0, 2**64 - 1))
+    record_index = draw(st.integers(0, 2**40))
+    return scheme, rows, fail_prob, trials, seed, record_index
+
+
+@settings(max_examples=40, deadline=None)
+@given(mc_cases())
+@example((ROBIN, [[6] * 8, [0, 1] * 4, [2, 0, 0, 0, 0, 0, 0, 3]], 1.0, _TRIAL_CHUNK + 5, 3, 7))
+@example((PER_WORD, [[6] * 8, [0] * 8, [5, 2, 0, 0, 0, 0, 0, 1]], 2.0**-52, _TRIAL_CHUNK, 2**64 - 1, 0))
+@example((INTERLEAVED, [[16] * 8] * 24, 0.5, 1, 11, 2**40))
+def test_monte_carlo_block_matches_record_by_record_reference(case):
+    scheme, rows, fail_prob, trials, seed, record_index = case
+    olds, news = blocks_with_counts(scheme, rows)
+    pw = 1.0 - fail_prob
+    cfg = InjectionConfig(pw=pw, scheme=scheme, trials=trials, seed=seed, include_ecc=False)
+    estimate = monte_carlo_block(olds, news, cfg, record_index=record_index)
+    want = [oracle.mc_successes(row, pw, trials, seed, record_index + i) for i, row in enumerate(rows)]
+    assert estimate.successes.tolist() == want
+    assert estimate.p_block.tolist() == [s / trials for s in want]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SCHEMES), st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(0, 2**40))
+def test_monte_carlo_block_with_check_bits_matches_reference(scheme, n, seed, record_index):
+    rng = np.random.default_rng(seed)
+    olds = rng.integers(0, 256, (n, 64), dtype=np.uint8)
+    news = olds ^ np.packbits(rng.random((n, 512)) < rng.random((n, 1)) / 8, axis=1, bitorder="little")
+    cfg = InjectionConfig(pw=0.9, scheme=scheme, trials=200, seed=seed, include_ecc=True)
+    estimate = monte_carlo_block(olds, news, cfg, record_index=record_index)
+    for i, (old, new) in enumerate(zip(olds, news)):
+        data, check = oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), True)
+        counts = [d + c for d, c in zip(data, check)]
+        assert estimate.successes[i] == oracle.mc_successes(counts, 0.9, 200, seed, record_index + i)
+        one = monte_carlo_block(old.tobytes(), new.tobytes(), cfg, record_index=record_index + i)
+        assert (one.successes, one.p_block, one.stderr) == (
+            estimate.successes[i], estimate.p_block[i], estimate.stderr[i]
+        )
+
+
+def test_monte_carlo_block_held_position_cap_does_not_change_results(monkeypatch):
+    rows = [[(3 * i + n) % 9 for n in range(8)] for i in range(40)]
+    olds, news = blocks_with_counts(ROBIN, rows)
+    cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=_TRIAL_CHUNK + 300, seed=5, include_ecc=False)
+    # about a million failures in all, so a cap of 300 classifies them many times over
+    expected = sum(k for row in rows for k in row if k > 1) * cfg.trials * (1.0 - cfg.pw)
+    assert expected > 1000 * 300
+    whole = monte_carlo_block(olds, news, cfg, record_index=17)
+    monkeypatch.setattr(injection, "_HELD_POSITIONS", 300)
+    capped = monte_carlo_block(olds, news, cfg, record_index=17)
+    assert capped.successes.tolist() == whole.successes.tolist()
+    assert 0 < whole.successes.sum() < len(rows) * cfg.trials
+
+
+def test_run_experiment_monte_carlo_matches_reference_across_batches():
+    # 1100 records are three batches of 512 writes: record offsets carry across batches
+    cfg = ExperimentConfig(
+        workload=WorkloadSpec("narrowint32", records=1100, addresses=16),
+        pw=0.99,
+        monte_carlo=True,
+        trials=50,
+        seed=12,
+    )
+    bundle = run_experiment(cfg)
+    pairs = list(make_pairs(cfg))
+    assert len(pairs) == 1100
+    diff = np.array([np.frombuffer(old, np.uint8) ^ np.frombuffer(new, np.uint8) for old, new in pairs])
+    for report in bundle.schemes:
+        data, check = codeword_counts(MappingScheme(report.scheme), diff, include_ecc=True)
+        rate, stderr = oracle.mc_trace((data + check).tolist(), cfg.pw, cfg.trials, cfg.seed)
+        assert (report.mc.error_rate, report.mc.stderr, report.mc.records) == (rate, stderr, 1100)

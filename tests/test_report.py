@@ -70,6 +70,13 @@ def test_validation_rejects_bad_trials_without_monte_carlo():
         config_from_values({"workload": "irregular", "records": "10", "pw": "0.999", "trials": "0"})
 
 
+def test_validation_rejects_seeds_outside_64_bits():
+    small_config(seed=2**64 - 1).validate()
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=seed).validate()
+
+
 def test_validation_maps_device_formula_errors_to_config_error():
     from robinsim.reliability import DeviceParams
 
