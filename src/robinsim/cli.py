@@ -72,6 +72,10 @@ def _cmd_run(args) -> int:
     except (TraceFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        # any other bad value the library rejects is a configuration problem
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     print(f"writes analyzed: {bundle.writes}  p_write: {format_sig(bundle.pw)}")
     for report in bundle.schemes:

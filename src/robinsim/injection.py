@@ -1,55 +1,78 @@
 """Monte Carlo fault injection for block writes.
 
 Each bit that must flip (data bits, and check bits when enabled) fails
-independently with probability 1 - p_write and then retains its old value;
-bits that need no transition never fail. A write outcome is classified by
-the count rule: the block is recoverable when no codeword suffered more than
-one failure (t = 1 for SEC-DED). The decoder-based view is available as a
-cross-check but is never the ground truth, because triple-and-higher errors
+independently with probability q = 1 - p_write and then retains its old
+value; bits that need no transition never fail. A write outcome is classified
+by the count rule: the block is recoverable when no codeword suffered more
+than one failure (t = 1 for SEC-DED). The decoder-based view is available as
+a cross-check but is never the ground truth, because triple-and-higher errors
 can alias to a valid correction.
 
-Monte Carlo estimates draw only the cells that fail: a chunk of trials lays
-its flipping cells out as one field, and the failures in it are placed by
-geometric gaps (the distance from one failing cell to the next), which is the
-same independent-cell model sampled exactly. The work scales with the
-expected number of failures, not with the number of flipping cells.
-:func:`inject_write` picks its failing cells with the same sampler, so the
-decoder cross-check runs it too.
+Monte Carlo estimates draw only the cells that fail. A record's simulated
+cells are the transitioning cells of its codewords with at least two of them
+(one can never exceed t = 1), grouped by codeword. A chunk of up to
+``_TRIAL_CHUNK`` trials lays them out trial-major as one field of
+``trials x cells`` cells, and the failures in it are placed by geometric gaps
+(the distance from one failing cell to the next), which is the same
+independent-cell model sampled exactly. The work scales with the expected
+number of failures, not with the number of flipping cells.
 
-:func:`monte_carlo_block` takes one write or a batch of them. A batch is
-counted with one :func:`robinsim.mapping.codeword_counts` call, and the
-failures of its records are classified together, a bounded number of failure
-positions at a time. :class:`MonteCarloAccumulator` feeds it the batches of
-``run_experiment``.
+The stream (version 2) is a counter-based splitmix64 stream (:func:`splitmix`):
+every draw is a function of its index alone, so nothing depends on batching,
+on grouping or on how many draws are made at once.
 
-Reproducibility: every record of a trace gets its own substream seeded with
-``mix_seed(seed, record_index)``, a splitmix64 step (constants below), so
-estimates do not depend on processing order or batching. Within a substream,
-trials are consumed in fixed-size chunks.
+* Record ``r`` of a run with seed ``s`` has the key ``K = mix_seed(s, r)``.
+* Draw ``i`` of trial chunk ``c`` is ``h = mix_seed(K, c * 2**32 + i)``.
+* ``u = ((h >> 11) + 1) * 2**-53`` lies in (0, 1], and the gap is
+  ``1 + min(floor(ln u / ln(1 - q)), field)``; the clip comes before the
+  conversion to an integer.
+* The failure positions are the running sums of the gaps minus 1, and the
+  chunk's failing cells are the positions below ``field``. Draws after the
+  first position at or past ``field`` are discarded.
+* At q = 1 every simulated cell fails, and at q = 0 nothing is drawn.
+
+A trial fails when some codeword collects two failures. ``tests/oracle.py``
+computes the stream one gap at a time and is its specification. The logarithm
+is the platform's, so a gap can differ between machines only where
+``ln u / ln(1 - q)`` lies within rounding of an integer.
+
+:func:`monte_carlo_block` takes one write or a batch. A batch is counted with
+one :func:`robinsim.mapping.codeword_counts` call, the counters of all its
+(record, trial chunk) segments are hashed at once, a bounded number of draws
+at a time, and their failures are classified together.
+:class:`MonteCarloAccumulator` feeds it the batches of ``run_experiment``.
+:func:`inject_write` draws one 64-bit key from its generator and places its
+failing cells with the same sampler, so the decoder cross-check runs it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import secded
 from .bits import BLOCK_BYTES, block_bytes, stack_blocks
-from .mapping import CODEWORDS, MappingScheme, block_datawords, codeword_counts, scheme_assignment
+from .mapping import BATCH, CODEWORDS, MappingScheme, block_datawords, codeword_counts, scheme_assignment
 
 _MASK64 = (1 << 64) - 1
 # splitmix64: golden-gamma increment and the two finalizer multipliers
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
 SPLITMIX_MUL2 = 0x94D049BB133111EB
+# the same as 0-d uint64 arrays, which numpy combines with arrays faster than scalars
+_U64 = {
+    v: np.array(v, dtype=np.uint64)
+    for v in (1, 11, 27, 30, 31, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2)
+}
 
-# trials are simulated in fixed-size chunks so estimates are reproducible
+# trials are simulated in fixed-size chunks
 _TRIAL_CHUNK = 8192
-# failure positions a batch holds before it classifies them (512 KB of int64);
-# one record chunk alone can hold more, about 490k at p_write 0.5
+# draws a batch holds at once (512 KB per int64 array); one record chunk alone
+# can need more, about 2.4 million at p_write 0.5
 _HELD_POSITIONS = 1 << 16
 
 
@@ -57,7 +80,7 @@ def mix_seed(seed: int, index: int) -> int:
     """The (index+1)-th output of the splitmix64 stream started at ``seed``.
 
     Collision-resistant enough to give every (seed, record) pair an
-    independent, order-insensitive substream. numpy integers are accepted.
+    independent, order-insensitive key. numpy integers are accepted.
     """
     seed, index = int(seed), int(index)
     z = (seed + (index + 1) * SPLITMIX_GAMMA) & _MASK64
@@ -66,9 +89,21 @@ def mix_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-record random generator."""
-    return np.random.default_rng(mix_seed(seed, index))
+def splitmix(keys: int | np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``mix_seed(key, p)`` elementwise over a uint64 ``positions`` array and ``keys``.
+
+    ``keys`` is one key or an array of them of the shape of ``positions``.
+    """
+    z = positions + _U64[1]
+    z *= _U64[SPLITMIX_GAMMA]
+    z += np.asarray(keys, dtype=np.uint64)
+    shifted = z >> _U64[30]
+    z ^= shifted
+    z *= _U64[SPLITMIX_MUL1]
+    z ^= np.right_shift(z, _U64[27], out=shifted)
+    z *= _U64[SPLITMIX_MUL2]
+    z ^= np.right_shift(z, _U64[31], out=shifted)
+    return z
 
 
 @dataclass(frozen=True)
@@ -84,6 +119,11 @@ class InjectionConfig:
             raise ValueError(f"p_write must lie in [0, 1], got {self.pw}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials >= 2**32:
+            # a trial chunk's index fills the high 32 bits of its draw counters
+            raise ValueError(f"trials must be below 2**32, got {self.trials}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -109,9 +149,10 @@ def inject_write(
 
     Cells are laid out in one fixed order: the 512 data bits by flat index,
     then, when check injection is on, check bit r of codeword n as cell
-    512 + 8n + r. The failing cells among the transitioning ones are drawn
-    with :func:`_failing_cells`, the sampler behind :func:`monte_carlo_block`,
-    so outcomes are reproducible for a given generator state.
+    512 + 8n + r. One 64-bit key is drawn from ``rng``, and the transitioning
+    cells form the field of trial chunk 0 of that key in the sampler behind
+    :func:`monte_carlo_block`, so outcomes are reproducible for a given
+    generator state.
     """
     blocks = stack_blocks([old, new])
     # eight cells per byte, in cell order: the payload, then one check word per codeword
@@ -122,7 +163,10 @@ def inject_write(
         diff = np.concatenate([diff, old_check ^ new_check])
         stored = np.concatenate([stored, new_check])
     flipping = np.flatnonzero(np.unpackbits(diff, bitorder="little"))
-    failed = flipping[_failing_cells(rng, 1.0 - cfg.pw, flipping.size)]
+    key = rng.bit_generator.random_raw()
+    failed = flipping[:0]
+    if cfg.pw < 1.0 and flipping.size:
+        failed = flipping[_field_failures(key, 0, -1, flipping.size, 1.0 - cfg.pw)]
     failed_cells = np.zeros(8 * diff.size, dtype=np.uint8)
     failed_cells[failed] = 1
     # a failed cell keeps its old value, the complement of the new one
@@ -163,16 +207,15 @@ def monte_carlo_block(
     ``old`` and ``new`` are one write as two 64-byte payloads, or a batch as
     two ``(n, 64)`` uint8 arrays holding records ``record_index`` to
     ``record_index + n - 1``; for a batch, ``p_block``, ``stderr`` and
-    ``successes`` are ``(n,)`` arrays. Record r draws from its own
-    ``substream(seed, r)``, so a record's estimate is the same in any batch.
+    ``successes`` are ``(n,)`` arrays. Record r draws from the key
+    ``mix_seed(seed, r)`` (see the module docstring), so a record's estimate
+    is the same in any batch.
 
     Only the transitioning cells of codewords with at least two of them are
-    simulated, since a codeword with one can never exceed t = 1. For each
-    chunk of trials a record's cells form one trial-major field, the failing
-    cells in it are placed by geometric gaps, and a trial succeeds when every
-    codeword collects at most one failure. A record that cannot fail draws
-    nothing. All n writes are counted at once, and the failures of many
-    records are classified together (see :func:`_failed_trials`).
+    simulated, since a codeword with one can never exceed t = 1. A trial
+    succeeds when every codeword collects at most one failure. A record that
+    cannot fail draws nothing. All n writes are counted at once, and their
+    failures are drawn and classified together (see :func:`_failed_trials`).
     """
     batch = np.ndim(old) == 2
     diff = old ^ new if batch else (block_bytes(old) ^ block_bytes(new))[None]
@@ -191,78 +234,151 @@ def monte_carlo_block(
 def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) -> np.ndarray:
     """Failed trials of each row of simulated-cell ``counts``; row i is record first_record + i.
 
-    Record by record and chunk by chunk, the failing cells are drawn from the
-    record's substream exactly as a record on its own would draw them. The
-    failures are held, laid end to end, and classified together whenever
-    more than ``_HELD_POSITIONS`` are held. A failure is keyed by (record
-    chunk, trial, codeword) and the keys arrive sorted, so a repeated key is
-    a second failure in one codeword, and its trial fails.
+    Each (record, trial chunk) is one segment of the stream. Consecutive
+    segments are drawn together, at most ``_HELD_POSITIONS`` draws at a time
+    (a larger segment alone). A failure is keyed by (segment, trial,
+    codeword), and the keys arrive sorted, so a repeated key is a second
+    failure in one codeword, and its trial fails.
     """
     failed = np.zeros(len(counts), dtype=np.int64)
     fail_prob = 1.0 - cfg.pw
     rows = np.flatnonzero(counts.any(axis=1))
     if fail_prob == 0.0 or rows.size == 0:
         return failed
+    if fail_prob == 1.0:
+        # every simulated cell fails, and each row has a codeword with two of them
+        failed[rows] = cfg.trials
+        return failed
     sizes = counts[rows].sum(axis=1)
     # the codeword of each simulated cell: a record's cells grouped by codeword,
     # the records laid end to end, record i's cells from cell_start[i]
     cell_codeword = np.repeat(np.tile(np.arange(CODEWORDS), rows.size), counts[rows].ravel())
     cell_start = np.cumsum(sizes) - sizes
-    held, owners = [], []   # the failures of record chunks, and the record index into rows of each
+    # segments record-major: record seg_row[j], trial chunk seg_chunk[j]
+    chunks = -(-cfg.trials // _TRIAL_CHUNK)
+    seg_row = np.repeat(np.arange(rows.size), chunks)
+    seg_chunk = np.tile(np.arange(chunks), rows.size)
+    seg_size = sizes[seg_row]
+    seg_field = seg_size * np.minimum(cfg.trials - seg_chunk * _TRIAL_CHUNK, _TRIAL_CHUNK)
+    seg_key = splitmix(cfg.seed, np.uint64(first_record & _MASK64) + rows.astype(np.uint64))[seg_row]
+    seg_cell_start = cell_start[seg_row]
 
-    def classify() -> None:
-        lengths = [cells.size for cells in held]
-        owner = np.array(owners)
-        trial, cell = np.divmod(np.concatenate(held), np.repeat(sizes[owner], lengths))
-        # one trial number per (record chunk, trial), still increasing along the failures
-        trial += np.repeat(np.arange(len(held)) * _TRIAL_CHUNK, lengths)
-        cell += np.repeat(cell_start[owner], lengths)
-        key = trial * CODEWORDS + cell_codeword[cell]
+    bounds, held = [0], 0
+    for j, draws in enumerate(_draw_count(seg_field * fail_prob).tolist()):
+        if held and held + draws > _HELD_POSITIONS:
+            bounds.append(j)
+            held = 0
+        held += draws
+    bounds.append(seg_row.size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        fields = seg_field[lo:hi]
+        cell = _failures(seg_key[lo:hi], seg_chunk[lo:hi], fields, fail_prob)
+        # the group's fields lie end to end, so each segment's failures are a run
+        ends = np.cumsum(fields)
+        found = np.diff(cell.searchsorted(ends), prepend=0)
+        cell -= (ends - fields).repeat(found)   # the position in its segment
+        size = seg_size[lo:hi].repeat(found)
+        # exact: a position is below 2**53, and a quotient with a remainder lies
+        # at least 1/size below the next integer, far above float64 rounding here
+        trial = (cell / size).astype(np.int64)
+        cell -= trial * size
+        # one trial number per (segment, trial), still increasing along the failures
+        trial += (np.arange(lo, hi) * _TRIAL_CHUNK).repeat(found)
+        cell += seg_cell_start[lo:hi].repeat(found)
+        key = cell_codeword[cell]
+        key += trial * CODEWORDS
         twice = trial[1:][key[1:] == key[:-1]]
         first = np.ones(twice.size, dtype=bool)
         first[1:] = twice[1:] != twice[:-1]
-        failed[rows] += np.bincount(owner[twice[first] // _TRIAL_CHUNK], minlength=rows.size)
-        held.clear()
-        owners.clear()
-
-    held_size = 0
-    for i, row in enumerate(rows.tolist()):
-        rng = substream(cfg.seed, first_record + row)
-        for start in range(0, cfg.trials, _TRIAL_CHUNK):
-            chunk = min(_TRIAL_CHUNK, cfg.trials - start)
-            cells = _failing_cells(rng, fail_prob, int(sizes[i]) * chunk)
-            if cells.size:
-                held.append(cells)
-                owners.append(i)
-                held_size += cells.size
-                if held_size > _HELD_POSITIONS:
-                    classify()
-                    held_size = 0
-    if held:
-        classify()
+        failed[rows] += np.bincount(seg_row[twice[first] // _TRIAL_CHUNK], minlength=rows.size)
     return failed
 
 
-def _failing_cells(rng: np.random.Generator, fail_prob: float, size: int) -> np.ndarray:
-    """Sorted indices in [0, size) of the cells that fail, each with ``fail_prob``.
+def _draw_count(expected: np.ndarray) -> np.ndarray:
+    """Draws to make at once for ``expected`` failures: 4 sigma over the mean, plus 16.
 
-    Gaps between consecutive failures are geometric. Each gap is clipped to
-    ``size`` before summing: at tiny ``fail_prob`` numpy saturates a gap at
-    2**63 - 1, and an unclipped running sum would wrap around. Nothing is
-    drawn when no cell can fail.
+    Too few only costs another round of draws; the output does not depend on it.
     """
-    if size == 0 or fail_prob == 0.0:
-        return np.empty(0, dtype=np.int64)
-    expected = size * fail_prob
-    batch = int(expected + 4.0 * math.sqrt(expected)) + 16
-    parts = []
-    last = -1
-    while last < size:
-        positions = last + np.cumsum(np.minimum(rng.geometric(fail_prob, batch), size))
-        parts.append(positions)
-        last = int(positions[-1])
-    positions = np.concatenate(parts)
-    return positions[: np.searchsorted(positions, size)]
+    return (expected + 4.0 * np.sqrt(expected)).astype(np.int64) + 16
+
+
+def _gap_sums(h: np.ndarray, fail_prob: float, cap: float) -> np.ndarray:
+    """Running sums of the gaps of the uint64 hashes ``h``, in ``h``'s buffer.
+
+    A gap is 1 + min(floor(ln u / ln(1 - q)), ``cap``); any ``cap`` at least
+    the cells left to cover places the same failures, since a longer gap
+    passes the field.
+    """
+    h >>= _U64[11]
+    h += _U64[1]
+    x = h * 2.0**-53
+    np.log(x, out=x)
+    x /= math.log1p(-fail_prob)
+    np.minimum(x, cap, out=x)
+    # x >= 0, so truncation is the floor; h's buffer takes the gaps and their sums
+    gaps = h.view(np.int64)
+    np.copyto(gaps, x, casting="unsafe")
+    gaps += 1
+    return gaps.cumsum(out=gaps)
+
+
+def _field_failures(key: int, counter: int, last: int, end: int, fail_prob: float) -> np.ndarray:
+    """Positions of one segment's failing cells after ``last`` and below ``end``.
+
+    Draws come from the segment's ``counter`` on, a round at a time, until a
+    position reaches ``end``.
+    """
+    if fail_prob == 1.0:
+        return np.arange(last + 1, end)
+    cap = float(end - 1 - last)
+    rounds = []
+    while last < end:
+        n = int(_draw_count((end - 1 - last) * fail_prob))
+        hashes = splitmix(key, np.arange(counter, counter + n, dtype=np.uint64))
+        position = _gap_sums(hashes, fail_prob, cap)
+        position += last
+        rounds.append(position)
+        counter += n
+        last = int(position[-1])
+    position = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
+    return position[: position.searchsorted(end)]
+
+
+def _failures(keys: np.ndarray, chunks: np.ndarray, fields: np.ndarray, fail_prob: float) -> np.ndarray:
+    """Sorted positions of the failing cells of segments laid end to end.
+
+    Segment j is trial chunk ``chunks[j]`` of the record keyed ``keys[j]``, a
+    field of ``fields[j]`` cells that starts where segment j - 1 ends;
+    ``0 < fail_prob < 1``. The first draws of all segments are hashed at
+    once; a segment whose positions fall short of its field draws the rest
+    on its own, from its next counters.
+    """
+    first = chunks << 32   # each segment's first counter
+    if len(fields) == 1:
+        # a segment alone, often a large one, needs no per-draw keys and bases
+        return _field_failures(keys[0], int(first[0]), -1, int(fields[0]), fail_prob)
+    ends = np.cumsum(fields)
+    n = _draw_count(fields * fail_prob)
+    stop = n.cumsum()
+    index = np.arange(stop[-1]) + (first - (stop - n)).repeat(n)
+    hashes = splitmix(keys.repeat(n), index.view(np.uint64))
+    # a gap that passes its segment's field ends the segment, so clipping at the
+    # largest field places the same failures as clipping at each one
+    position = _gap_sums(hashes, fail_prob, float(fields.max()))
+    # each segment's running sum, started at its first cell
+    before = np.zeros(len(n), dtype=np.int64)
+    before[1:] = position[stop[:-1] - 1]
+    position += (ends - fields - 1 - before).repeat(n)
+    last = position[stop - 1]
+    position = position[position < ends.repeat(n)]
+    short = np.flatnonzero(last < ends).tolist()
+    if short:
+        tails = [
+            _field_failures(keys[j], int(first[j] + n[j]), int(last[j]), int(ends[j]), fail_prob)
+            for j in short
+        ]
+        position = np.sort(np.concatenate([position, *tails]))
+    return position
 
 
 @dataclass(frozen=True)
@@ -278,7 +394,7 @@ class TraceEstimate:
 class MonteCarloAccumulator:
     """Running trace-level Monte Carlo estimate, fed (old, new) writes in record order.
 
-    The r-th write added is record r and uses substream mix_seed(seed, r), so
+    The r-th write added is record r and draws from the key mix_seed(seed, r), so
     the estimate is independent of how the writes are batched; partial
     results merge by summing (failure_fraction, variance_term) pairs.
     """
@@ -319,8 +435,9 @@ def monte_carlo_trace(
 ) -> TraceEstimate:
     """Mean block-failure fraction over (records x trials); see MonteCarloAccumulator."""
     accumulator = MonteCarloAccumulator(cfg)
-    for old, new in pairs:
-        accumulator.add(old, new)
+    pairs = iter(pairs)
+    while batch := list(islice(pairs, BATCH)):
+        accumulator.add_batch(stack_blocks([p[0] for p in batch]), stack_blocks([p[1] for p in batch]))
     return accumulator.finalize()
 
 

@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.trials >= 2**32:
+            # a trial chunk's index fills the high 32 bits of its Monte Carlo counters
+            raise ConfigError(f"trials must be below 2**32, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         try:

@@ -18,7 +18,7 @@
 
 Streams (version 2) are reproducible bit for bit from (spec, seed) on every
 machine: they use integer arithmetic only. Every random number is one output
-of a counter-based splitmix64 stream (:func:`robinsim.injection.mix_seed`):
+of a counter-based splitmix64 stream (:func:`robinsim.injection.splitmix`):
 
 * record ``r`` reads positions ``17r .. 17r+16`` of the record stream, keyed
   ``mix_seed(seed, 0)``: the address index (draw modulo ``addresses``), then
@@ -59,7 +59,7 @@ from typing import Iterator
 import numpy as np
 
 from .bits import BLOCK_BYTES
-from .injection import SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, mix_seed
+from .injection import mix_seed, splitmix
 from .trace import WriteRecord, _records
 
 _WORDS = 8
@@ -123,8 +123,12 @@ def gen_workload(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
     """Deterministic stream of ``spec.records`` write records.
 
     Each record picks an address; a cold address first draws its state once,
-    then every write advances that state and stores its payload.
+    then every write advances that state and stores its payload. A seed
+    outside [0, 2**64) raises ``ValueError`` before the first record.
     """
+    # seeds are mixed modulo 2**64, so a larger one would alias a smaller one
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     cold, step = _KIND_RULES[spec.kind]
     record_key, cold_key = mix_seed(seed, 0), mix_seed(seed, 1)
     rows: dict[int, int] = {}   # address index -> its row of ``table``
@@ -132,7 +136,7 @@ def gen_workload(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
     for start in range(0, spec.records, _CHUNK):
         n = min(_CHUNK, spec.records - start)
         positions = np.arange(start * _RECORD_DRAWS, (start + n) * _RECORD_DRAWS, dtype=np.uint64)
-        draws = _splitmix(record_key, positions).reshape(n, _RECORD_DRAWS)
+        draws = splitmix(record_key, positions).reshape(n, _RECORD_DRAWS)
         index = draws[:, 0] % np.uint64(spec.addresses)
         seen, inverse = np.unique(index, return_inverse=True)
         seen = seen.tolist()
@@ -140,7 +144,7 @@ def gen_workload(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
         if new:
             cold_positions = np.array(new, dtype=np.uint64)[:, None] * np.uint64(_COLD_DRAWS)
             cold_positions = cold_positions + np.arange(_COLD_DRAWS, dtype=np.uint64)
-            table = _store(table, len(rows), cold(spec, _splitmix(cold_key, cold_positions)))
+            table = _store(table, len(rows), cold(spec, splitmix(cold_key, cold_positions)))
             rows.update(zip(new, range(len(rows), len(rows) + len(new))))
         record_rows = np.array([rows[i] for i in seen])[inverse]
         # a stable sort by row keeps each address's records in stream order
@@ -157,14 +161,6 @@ def gen_workload(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
         # one 64-byte void scalar per row: tolist() gives each row's bytes.
         # WorkloadSpec keeps every address aligned and in range, so no record needs checking
         yield from _records(addrs, payload.view(f"V{BLOCK_BYTES}").ravel().tolist())
-
-
-def _splitmix(key: int, positions: np.ndarray) -> np.ndarray:
-    """``mix_seed(key, p)`` for every uint64 position ``p``."""
-    z = (positions + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA) + np.uint64(key)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(SPLITMIX_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(SPLITMIX_MUL2)
-    return z ^ (z >> np.uint64(31))
 
 
 def _store(table: np.ndarray | None, used: int, new: np.ndarray) -> np.ndarray:

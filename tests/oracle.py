@@ -9,17 +9,14 @@ one bit at a time over GF(2), each bit's owner comes from the scheme
 definitions below, each codeword's dataword is built slot by slot in
 ascending flat order, rates use plain Python float arithmetic, workload
 records are computed one at a time with Python ints, and trace files are
-parsed one record at a time. The Monte Carlo reference draws its failing
-cells with ``robinsim.injection``'s own sampler, which defines the stream, and
-classifies each record's trial chunks on their own.
+parsed one record at a time. The Monte Carlo reference places every failing
+cell one gap at a time with Python-int splitmix64 and classifies each
+record's trial chunks on their own.
 """
 
+import itertools
 import json
 import math
-
-import numpy as np
-
-from robinsim import injection
 
 
 def data_columns():
@@ -232,30 +229,55 @@ def load_trace(data, fmt):
     return records, None
 
 
-# -- Monte Carlo, one record at a time -----------------------------------------
+# -- Monte Carlo, one gap at a time -------------------------------------------
+#
+# The specification of the v2 Monte Carlo stream behind
+# ``robinsim.injection.monte_carlo_block``. Record r of a run with seed s has
+# the key K = splitmix(s, r); draw i of trial chunk c is
+# h = splitmix(K, c * 2**32 + i), u = ((h >> 11) + 1) * 2**-53 and the gap
+# 1 + min(floor(ln u / ln(1 - q)), field). A chunk's failing cells are the
+# running sums of its gaps, minus 1, that lie below its field of
+# trials x cells cells; at q = 1 every gap is 1. ``math.log`` here and numpy's
+# log in the kernel can differ in the last bit, which changes a gap only where
+# ln u / ln(1 - q) lies within that rounding of an integer.
+
+TRIAL_CHUNK = 8192
 
 
 def mc_successes(counts, pw, trials, seed, record_index):
     """Successful trials of one record whose codewords have ``counts`` transitioning cells."""
-    counts = np.where(np.asarray(counts) > 1, counts, 0)
-    fail_prob = 1.0 - pw
-    n_flips = int(counts.sum())
-    if n_flips == 0 or fail_prob == 0.0:
+    counts = [int(k) if k > 1 else 0 for k in counts]
+    q = 1.0 - pw
+    cells = sum(counts)
+    if cells == 0 or q == 0.0:
         return trials
-    rng = injection.substream(seed, record_index)
-    cell_codeword = np.repeat(np.arange(8), counts)
+    codeword = [n for n, k in enumerate(counts) for _ in range(k)]
+    key = splitmix(seed, record_index)
     successes = 0
-    for start in range(0, trials, injection._TRIAL_CHUNK):
-        chunk = min(injection._TRIAL_CHUNK, trials - start)
-        trial, cell = np.divmod(injection._failing_cells(rng, fail_prob, n_flips * chunk), n_flips)
-        # a repeated (trial, codeword) key is a second failure in one codeword
-        key = trial * 8 + cell_codeword[cell]
-        successes += chunk - np.unique(trial[1:][key[1:] == key[:-1]]).size
+    for chunk, start in enumerate(range(0, trials, TRIAL_CHUNK)):
+        chunk_trials = min(TRIAL_CHUNK, trials - start)
+        field = cells * chunk_trials
+        hit, failed = set(), set()
+        position = -1
+        for i in itertools.count():
+            if q == 1.0:
+                gap = 1
+            else:
+                u = ((splitmix(key, chunk * 2**32 + i) >> 11) + 1) * 2.0**-53
+                gap = 1 + min(math.floor(math.log(u) / math.log1p(-q)), field)
+            position += gap
+            if position >= field:
+                break
+            trial, cell = divmod(position, cells)
+            if (trial, codeword[cell]) in hit:
+                failed.add(trial)   # a second failure in one codeword
+            hit.add((trial, codeword[cell]))
+        successes += chunk_trials - len(failed)
     return successes
 
 
 def mc_trace(rows, pw, trials, seed):
-    """(error rate, stderr) of the trace estimate over count rows, record r using substream r."""
+    """(error rate, stderr) of the trace estimate over count rows, record r keyed splitmix(seed, r)."""
     failure = variance = 0.0
     for index, row in enumerate(rows):
         p = mc_successes(row, pw, trials, seed, index) / trials

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from robinsim import secded
+from robinsim import cli, secded
 from robinsim.cli import main
 from robinsim.trace import load_trace
 
@@ -217,6 +217,8 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
          None, 1),
         ("workload = narrowint32\nrecords = 100\npw = 0.999\nwarmup = 100000000000000000000\n",
          None, 1),
+        ("workload = irregular\nrecords = 10\npw = 1.0\nmonte_carlo = true\n"
+         "trials = 9223372036854775808\n", None, 1),
         ("trace = {trace}\npw = 0.999\n", DATA_LIST, 2),
         ("trace = {trace}\npw = 0.999\n", '{"addr": "0x0", "data": 5}\n', 2),
     ],
@@ -228,6 +230,7 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         "huge-address-pool",
         "negative-bohr-magneton",
         "huge-warmup",
+        "trials-past-32-bits",
         "jsonl-data-list",
         "jsonl-data-number",
     ],
@@ -242,6 +245,17 @@ def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text
     assert len(err) == 1 and err[0].startswith("config error:" if code == 1 else "i/o error:")
     if code == 2:
         assert "record 0" in err[0]
+
+
+def test_run_maps_other_value_errors_to_exit_1(tmp_path, capsys, monkeypatch):
+    def reject(cfg):
+        raise ValueError("a value the library rejects")
+
+    monkeypatch.setattr(cli, "run_experiment", reject)
+    cfg = write_config(tmp_path, "workload = irregular\nrecords = 10\npw = 0.999\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: a value the library rejects"]
 
 
 def test_gen_huge_address_pool_exits_1(tmp_path, capsys):

@@ -9,6 +9,11 @@ changed code: a mismatch means a stream or a CSV changed.
 All four kinds are covered. The v2 walk of ``float64walk`` and
 ``partialvalid`` is integer arithmetic on the doubles' bit patterns, so its
 bytes do not depend on the machine's math library.
+
+The Monte Carlo columns of ``narrowint32-monte-carlo``'s ``error_rates.csv``
+come from the v2 Monte Carlo stream; that digest was re-frozen when the
+stream was declared, and ``test_monte_carlo_columns_match_reference`` checks
+those columns against the gap-by-gap reference ``oracle.mc_trace``.
 """
 
 import hashlib
@@ -16,7 +21,7 @@ import hashlib
 import pytest
 
 import oracle
-from robinsim.report import ExperimentConfig, emit_csv, run_experiment
+from robinsim.report import ExperimentConfig, emit_csv, format_sig, run_experiment
 from robinsim.workloads import WorkloadSpec, gen_workload
 
 STREAM_RECORDS = 3000
@@ -92,7 +97,7 @@ RUNS = {
         {
             "histogram.csv": "eaae2d3acc4a2a8fc56800045f88ec32751b84df6afd761a4e0ed7ff42caf10b",
             "codeword_stats.csv": "ec1cafcd20bc13edde2fdaf4ddcbeb5b7a705bcc131c6b8625c4dd999900acdc",
-            "error_rates.csv": "ad78decb73b9adaa374711ee549179f7ebb7649dbc5a470c980a5f3ac469e34e",
+            "error_rates.csv": "6e3c4c1f929cfd87bb4e5f6cc3fa1a183561bf67fc7f183e5ac413575baa1eaa",
         },
     ),
 }
@@ -129,3 +134,23 @@ def test_reference_stream_digest(name):
 def test_emitted_csv_digests(name, tmp_path):
     kwargs, expected = RUNS[name]
     assert csv_digests(ExperimentConfig(**kwargs), tmp_path) == expected
+
+
+def test_monte_carlo_columns_match_reference(tmp_path):
+    kwargs, _ = RUNS["narrowint32-monte-carlo"]
+    cfg = ExperimentConfig(**kwargs)
+    # the reference stream replayed against a dict store, counted bit by bit
+    store, rows = {}, {kind: [] for kind in cfg.schemes}
+    for addr, new in oracle.workload_stream(cfg.workload, cfg.seed):
+        old = store.get(addr, bytes(64))
+        store[addr] = new
+        for kind in cfg.schemes:
+            data, check = oracle.flip_counts(kind, old, new, cfg.include_ecc)
+            rows[kind].append([d + c for d, c in zip(data, check)])
+    emit_csv(run_experiment(cfg), tmp_path)
+    lines = (tmp_path / "error_rates.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(cfg.schemes)
+    for line in lines[1:]:
+        scheme, *_, mc_rate, mc_stderr = line.split(",")
+        rate, stderr = oracle.mc_trace(rows[scheme], cfg.pw, cfg.trials, cfg.seed)
+        assert (mc_rate, mc_stderr) == (format_sig(rate), format_sig(stderr))

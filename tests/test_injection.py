@@ -7,17 +7,29 @@ from robinsim.injection import (
     _TRIAL_CHUNK,
     CodecCrossCheck,
     InjectionConfig,
+    MonteCarloAccumulator,
     end_to_end_check,
     inject_write,
     mix_seed,
     monte_carlo_block,
     monte_carlo_trace,
-    substream,
 )
 from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, codeword_data_bits, transition_vector
 from robinsim.reliability import p_block_success
 
 ZERO = bytes(64)
+# a hash value whose gap is 2 at fail probability 1/2: u = 3/8
+GAP_TWO_HASH = (3 * 2**50 - 1) << 11
+
+
+def substream(seed, index):
+    """A generator for inject_write, one per (seed, index)."""
+    return np.random.default_rng(mix_seed(seed, index))
+
+
+def constant_hash(value):
+    """A stand-in for ``injection.splitmix`` that gives every draw the hash ``value``."""
+    return lambda keys, positions: np.full(np.shape(positions), value, dtype=np.uint64)
 
 
 def block_with_flips(flats):
@@ -56,6 +68,16 @@ def test_config_validation():
         InjectionConfig(pw=1.5, scheme=ROBIN)
     with pytest.raises(ValueError):
         InjectionConfig(pw=0.9, scheme=ROBIN, trials=0)
+
+
+def test_config_rejects_seeds_and_trials_out_of_range():
+    InjectionConfig(pw=0.9, scheme=ROBIN, trials=2**32 - 1, seed=2**64 - 1)
+    for seed in (-1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError, match="seed"):
+            InjectionConfig(pw=0.9, scheme=ROBIN, seed=seed)
+    for trials in (2**32, 2**63):
+        with pytest.raises(ValueError, match="trials"):
+            InjectionConfig(pw=0.9, scheme=ROBIN, trials=trials)
 
 
 def test_inject_pw_one_always_clean():
@@ -131,10 +153,10 @@ def test_monte_carlo_block_exact_when_no_transitions():
     ],
 )
 def test_monte_carlo_block_certain_success_draws_nothing(flats, pw, monkeypatch):
-    def no_draws(seed, index):
+    def no_draws(keys, positions):
         raise AssertionError("a record that cannot fail drew random numbers")
 
-    monkeypatch.setattr(injection, "substream", no_draws)
+    monkeypatch.setattr(injection, "splitmix", no_draws)
     cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=1000, seed=3, include_ecc=False)
     estimate = monte_carlo_block(ZERO, block_with_flips(flats), cfg)
     assert (estimate.p_block, estimate.successes, estimate.stderr) == (1.0, 1000, 0.0)
@@ -168,19 +190,19 @@ def test_monte_carlo_block_across_trial_chunks():
     assert abs(first.p_block - expected) < 4 * first.stderr
 
 
-def test_failing_cells_draws_until_the_field_is_covered():
-    class ShortDraws:
-        """Hands out at most three gaps of 2 per call, whatever was asked for."""
-
-        def geometric(self, p, size):
-            return np.full(min(size, 3), 2, dtype=np.int64)
-
-    cells = injection._failing_cells(ShortDraws(), 0.5, 40)
-    assert cells.tolist() == list(range(1, 40, 2))
+def test_failing_cells_draws_until_the_field_is_covered(monkeypatch):
+    # gaps of 2, drawn three at a time: the sampler tops up until the field is covered
+    monkeypatch.setattr(injection, "splitmix", constant_hash(GAP_TWO_HASH))
+    monkeypatch.setattr(injection, "_draw_count", lambda expected: np.full(np.shape(expected), 3))
+    keys, chunks = np.array([5, 6], dtype=np.uint64), np.zeros(2, dtype=np.int64)
+    # the second field starts at position 40
+    cells = injection._failures(keys, chunks, np.array([40, 7]), 0.5)
+    assert cells.tolist() == list(range(1, 40, 2)) + [41, 43, 45]
+    assert injection._field_failures(keys[0], 0, -1, 40, 0.5).tolist() == list(range(1, 40, 2))
 
 
 def test_monte_carlo_block_tiny_fail_prob_does_not_overflow():
-    # numpy saturates geometric gaps at 2**63 - 1 for q this small
+    # gaps reach about 2**57 for q this small before they are clipped to the field
     rng = np.random.default_rng(0)
     old = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
     new = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
@@ -259,6 +281,21 @@ def test_monte_carlo_trace_matches_analytic_on_skewed_trace():
     cfg = InjectionConfig(pw=pw, scheme=PER_WORD, trials=20_000, seed=13, include_ecc=False)
     estimate = monte_carlo_trace(pairs, cfg)
     assert abs(estimate.error_rate - analytic) < 4 * max(estimate.stderr, 1e-9)
+
+
+def test_monte_carlo_trace_equals_per_pair_accumulation():
+    # 1100 pairs are three batches of BATCH = 512
+    rng = np.random.default_rng(46)
+    olds = rng.integers(0, 256, (1100, 64), dtype=np.uint8)
+    news = olds ^ np.packbits(rng.random((1100, 512)) < 0.02, axis=1, bitorder="little")
+    pairs = [(old.tobytes(), new.tobytes()) for old, new in zip(olds, news)]
+    cfg = InjectionConfig(pw=0.95, scheme=INTERLEAVED, trials=40, seed=31, include_ecc=True)
+    one_by_one = MonteCarloAccumulator(cfg)
+    for old, new in pairs:
+        one_by_one.add(old, new)
+    estimate = monte_carlo_trace(iter(pairs), cfg)
+    assert estimate == one_by_one.finalize()
+    assert estimate.records == 1100 and 0 < estimate.error_rate < 1
 
 
 def test_monte_carlo_trace_rejects_empty():
@@ -371,11 +408,9 @@ def test_end_to_end_random_agreement():
         assert check.agree
 
 
-def test_inject_write_cell_order():
-    # a generator whose gaps are all 2 fails every second transitioning cell
-    class EverySecond:
-        def geometric(self, p, size):
-            return np.full(size, 2, dtype=np.int64)
+def test_inject_write_cell_order(monkeypatch):
+    # a hash whose gaps are all 2 fails every second transitioning cell
+    monkeypatch.setattr(injection, "splitmix", constant_hash(GAP_TWO_HASH))
 
     from robinsim.mapping import datawords, scheme_assignment
     from robinsim.secded import encode_words
@@ -384,7 +419,7 @@ def test_inject_write_cell_order():
     old = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
     new = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, include_ecc=True)
-    outcome = inject_write(old, new, cfg, EverySecond())
+    outcome = inject_write(old, new, cfg, substream(0, 0))
 
     old_check = encode_words(datawords(ROBIN, old))
     new_check = encode_words(datawords(ROBIN, new))

@@ -1,4 +1,4 @@
-"""Property tests: the batch Monte Carlo kernel against the record-by-record reference."""
+"""Property tests: the batch Monte Carlo kernel against the gap-by-gap reference."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -27,8 +27,8 @@ def blocks_with_counts(scheme, rows):
 def mc_cases(draw):
     """(scheme, count rows, failure probability, trials, seed, first record index).
 
-    Failure probabilities of 1/3 and more take numpy's search branch of
-    ``geometric``; the rows are kept few and small when the trials are many.
+    Failure probabilities of 1/3 and more make most draws gaps of 1 or 2; the
+    rows are kept few and small when the trials are many.
     """
     scheme = draw(st.sampled_from(SCHEMES))
     trials = draw(st.one_of(st.sampled_from([1, _TRIAL_CHUNK, _TRIAL_CHUNK + 5]), st.integers(1, 300)))
@@ -46,6 +46,8 @@ def mc_cases(draw):
 @example((ROBIN, [[6] * 8, [0, 1] * 4, [2, 0, 0, 0, 0, 0, 0, 3]], 1.0, _TRIAL_CHUNK + 5, 3, 7))
 @example((PER_WORD, [[6] * 8, [0] * 8, [5, 2, 0, 0, 0, 0, 0, 1]], 2.0**-52, _TRIAL_CHUNK, 2**64 - 1, 0))
 @example((INTERLEAVED, [[16] * 8] * 24, 0.5, 1, 11, 2**40))
+# a second full trial chunk whose successes depend on its own counters
+@example((ROBIN, [[2, 2, 2, 0, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0, 0, 2]], 0.05, 2 * _TRIAL_CHUNK, 13, 5))
 def test_monte_carlo_block_matches_record_by_record_reference(case):
     scheme, rows, fail_prob, trials, seed, record_index = case
     olds, news = blocks_with_counts(scheme, rows)
@@ -75,6 +77,21 @@ def test_monte_carlo_block_with_check_bits_matches_reference(scheme, n, seed, re
         )
 
 
+@settings(max_examples=25, deadline=None)
+@given(mc_cases(), st.lists(st.integers(0, 24), max_size=4))
+def test_split_batches_give_the_same_successes(case, cuts):
+    scheme, rows, fail_prob, trials, seed, record_index = case
+    olds, news = blocks_with_counts(scheme, rows)
+    cfg = InjectionConfig(pw=1.0 - fail_prob, scheme=scheme, trials=trials, seed=seed, include_ecc=False)
+    whole = monte_carlo_block(olds, news, cfg, record_index=record_index).successes
+    bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
+    parts = [
+        monte_carlo_block(olds[lo:hi], news[lo:hi], cfg, record_index=record_index + lo).successes
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    assert np.concatenate(parts).tolist() == whole.tolist()
+
+
 def test_monte_carlo_block_held_position_cap_does_not_change_results(monkeypatch):
     rows = [[(3 * i + n) % 9 for n in range(8)] for i in range(40)]
     olds, news = blocks_with_counts(ROBIN, rows)
@@ -86,6 +103,19 @@ def test_monte_carlo_block_held_position_cap_does_not_change_results(monkeypatch
     monkeypatch.setattr(injection, "_HELD_POSITIONS", 300)
     capped = monte_carlo_block(olds, news, cfg, record_index=17)
     assert capped.successes.tolist() == whole.successes.tolist()
+    assert 0 < whole.successes.sum() < len(rows) * cfg.trials
+
+
+def test_monte_carlo_block_single_draw_rounds_do_not_change_results(monkeypatch):
+    # with one draw per segment and round, every failure after the first comes from a top-up
+    rows = [[(5 * i + n) % 7 for n in range(8)] for i in range(12)]
+    olds, news = blocks_with_counts(INTERLEAVED, rows)
+    cfg = InjectionConfig(pw=0.995, scheme=INTERLEAVED, trials=_TRIAL_CHUNK + 40, seed=9, include_ecc=False)
+    whole = monte_carlo_block(olds, news, cfg, record_index=3)
+    monkeypatch.setattr(injection, "_draw_count", lambda expected: np.ones(np.shape(expected), dtype=np.int64))
+    monkeypatch.setattr(injection, "_HELD_POSITIONS", 5)
+    single = monte_carlo_block(olds, news, cfg, record_index=3)
+    assert single.successes.tolist() == whole.successes.tolist()
     assert 0 < whole.successes.sum() < len(rows) * cfg.trials
 
 

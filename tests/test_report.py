@@ -77,6 +77,13 @@ def test_validation_rejects_seeds_outside_64_bits():
             small_config(seed=seed).validate()
 
 
+def test_validation_rejects_trials_past_32_bits():
+    small_config(trials=2**32 - 1).validate()
+    for trials in (2**32, 2**63):
+        with pytest.raises(ConfigError, match="trials"):
+            small_config(trials=trials).validate()
+
+
 def test_validation_maps_device_formula_errors_to_config_error():
     from robinsim.reliability import DeviceParams
 

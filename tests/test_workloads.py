@@ -179,11 +179,18 @@ def workload_specs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec=workload_specs(), seed=st.integers(0, 2**70), chunk=st.sampled_from([1, 7, 64, 1024]))
+@given(spec=workload_specs(), seed=st.integers(0, 2**64 - 1), chunk=st.sampled_from([1, 7, 64, 1024]))
 def test_generator_matches_reference(spec, seed, chunk):
     with mock.patch.object(workloads, "_CHUNK", chunk):
         fast = [(record.addr, record.data) for record in gen_workload(spec, seed)]
     assert fast == list(oracle.workload_stream(spec, seed))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_generator_rejects_seeds_outside_64_bits(seed):
+    records = gen_workload(WorkloadSpec(kind="irregular", records=10), seed)
+    with pytest.raises(ValueError, match="seed"):
+        next(records)
 
 
 @pytest.mark.parametrize("kind", KINDS)
