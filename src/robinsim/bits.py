@@ -22,7 +22,8 @@ def check_block(data: bytes) -> bytes:
 
 def block_bytes(data: bytes) -> np.ndarray:
     """A 64-byte payload as a read-only uint8 vector."""
-    return np.frombuffer(check_block(data), dtype=np.uint8)
+    # checked by bytes, not items: a 64-item uint16 array is 128 bytes
+    return check_block(np.frombuffer(data, dtype=np.uint8))
 
 
 def block_to_bits(data: bytes) -> np.ndarray:

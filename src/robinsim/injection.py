@@ -56,7 +56,7 @@ import numpy as np
 
 from . import secded
 from .bits import BLOCK_BYTES, block_bytes, stack_blocks
-from .mapping import BATCH, CODEWORDS, MappingScheme, block_datawords, codeword_counts, scheme_assignment
+from .mapping import BATCH, CODEWORDS, MappingScheme, block_datawords, cell_assignment, codeword_counts
 
 _MASK64 = (1 << 64) - 1
 # splitmix64: golden-gamma increment and the two finalizer multipliers
@@ -171,13 +171,12 @@ def inject_write(
     failed_cells[failed] = 1
     # a failed cell keeps its old value, the complement of the new one
     stored = stored ^ np.packbits(failed_cells, bitorder="little")
-    owner = np.append(scheme_assignment(cfg.scheme), np.arange(CODEWORDS).repeat(secded.CHECK_BITS))
-    counts = np.bincount(owner[failed], minlength=CODEWORDS)
+    counts = np.bincount(cell_assignment(cfg.scheme)[failed], minlength=CODEWORDS).tolist()
     return WriteOutcome(
         written=stored[:BLOCK_BYTES].tobytes(),
-        written_check=tuple(int(v) for v in stored[BLOCK_BYTES:]) if cfg.include_ecc else None,
-        failures_per_codeword=tuple(int(v) for v in counts),
-        block_ok=bool(counts.max() <= 1),
+        written_check=tuple(stored[BLOCK_BYTES:].tolist()) if cfg.include_ecc else None,
+        failures_per_codeword=tuple(counts),
+        block_ok=max(counts) <= 1,
     )
 
 

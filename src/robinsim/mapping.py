@@ -16,11 +16,17 @@ defines the dataword slots fed to the codec, so check bits are bit-exact
 functions of the scheme.
 
 All three layouts are byte-structured: the 64 bits of word i land in eight
-bytes of the datawords. :func:`block_datawords` therefore builds datawords
-from payload bytes with one lookup per byte and one fixed byte gather, never
-touching single bits. :func:`codeword_counts` is the one place that counts,
-for a batch of writes, how many cells of each codeword must flip;
-:func:`transition_vector` is its one-write wrapper.
+bytes of the datawords. :func:`block_datawords` has two routes to the same
+datawords, chosen by the number of payloads. From ``_SMALL_ROWS`` payloads
+up it builds them with one lookup per byte and one fixed byte gather, never
+touching single bits; below that, where numpy's per-call overhead dominates,
+it unpacks the bits, permutes them into slot order with :func:`scheme_perm`
+and packs them again, which is the slot-order definition itself.
+:func:`codeword_counts` counts, for a batch of writes, how many cells of
+each codeword must flip. :func:`transition_vector` applies the same counting
+rule to one write: it XORs the two payloads, builds their datawords by the
+small route and encodes them with :func:`robinsim.secded.encode_words`,
+whose scalar route takes eight words.
 """
 
 from __future__ import annotations
@@ -108,6 +114,18 @@ def scheme_assignment(scheme: MappingScheme) -> np.ndarray:
     return ids
 
 
+@lru_cache(maxsize=None)
+def cell_assignment(scheme: MappingScheme) -> np.ndarray:
+    """Length-576 vector mapping each cell of a block to its codeword id.
+
+    Cells 0..511 are the data bits by flat index; cell 512 + 8n + r is check
+    bit r of codeword n.
+    """
+    ids = np.append(scheme_assignment(scheme), np.arange(CODEWORDS).repeat(secded.CHECK_BITS))
+    ids.setflags(write=False)
+    return ids
+
+
 def map_bit(scheme: MappingScheme, coord: BitCoordinate) -> int:
     """Codeword id in [0, 8) that owns the given data bit."""
     return int(scheme_assignment(scheme)[coord.flat])
@@ -166,12 +184,23 @@ _TABLE_ROWS = 256 * np.arange(BLOCK_BYTES, dtype=np.intp)
 # lookups are laid out (byte in word, payload, word) and ORed over the first
 # axis: eight passes along rows * 8 lanes, not rows * 8 reductions of length 8
 _LOOKUP_ROWS = 128
+# block_datawords permutes the bits of fewer payloads directly; the two routes
+# took the same time at 14-16 payloads (2-core x86-64 virtual machine)
+_SMALL_ROWS = 16
 
 
 def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
-    """The ``(n, 8)`` uint64 datawords, one per codeword, of ``(n, 64)`` uint8 payloads."""
+    """The ``(n, 8)`` uint64 datawords, one per codeword, of ``(n, 64)`` uint8 payloads.
+
+    Fewer than ``_SMALL_ROWS`` payloads go bit by bit through
+    :func:`scheme_perm`, more through the byte tables; both give the same words.
+    """
     if blocks.dtype != np.uint8 or blocks.shape[1:] != (BLOCK_BYTES,):
         raise ValueError(f"payloads must be (n, {BLOCK_BYTES}) uint8, got {blocks.shape} {blocks.dtype}")
+    if len(blocks) < _SMALL_ROWS:
+        # slot s of codeword n is bit 64n + s of the permuted row; 512 bits pack into whole rows
+        slots = np.unpackbits(blocks, axis=1, bitorder="little").take(scheme_perm(scheme), axis=1)
+        return np.packbits(slots, bitorder="little").view("<u8").reshape(len(blocks), CODEWORDS)
     table, gather = _byte_tables(scheme)
     lanes = np.empty((len(blocks), WORDS), dtype="<u8")
     for start in range(0, len(blocks), _LOOKUP_ROWS):
@@ -294,10 +323,13 @@ def transition_vector(
     """Count the bits that must flip in each codeword when `old` is overwritten by `new`.
 
     With ``include_ecc`` the check-bit flips are added per codeword, since a
-    write touches all k+r cells of a codeword. One-write form of
-    :func:`codeword_counts`.
+    write touches all k+r cells of a codeword. The counting rule of
+    :func:`codeword_counts`, on one write: the datawords of ``old ^ new``
+    come from :func:`block_datawords`' small route and their check words
+    from :func:`robinsim.secded.encode_words`' scalar one.
     """
-    diff = block_bytes(old) ^ block_bytes(new)
-    data, check = codeword_counts(scheme, diff[None], include_ecc)
-    counts = data[0] if check is None else data[0] + check[0]
+    words = block_datawords(scheme, (block_bytes(old) ^ block_bytes(new))[None])[0]
+    counts = np.bitwise_count(words)
+    if include_ecc:
+        counts += np.bitwise_count(secded.encode_words(words))
     return TransitionVector(tuple(counts.tolist()), include_ecc=include_ecc)

@@ -14,7 +14,11 @@ bit ``s`` = slot ``s``.
 
 The codec is two tables, the check contribution of each 16-bit quarter of a
 dataword and the codeword bit of each syndrome; the array functions and the
-scalar ones index the same two.
+scalar ones index the same two, read at call time. :func:`encode_words` has
+two routes to the same check words: an input of fewer than
+``_SMALL_WORDS`` words is encoded one word at a time by the scalar lookups of
+:func:`encode`, which costs less than numpy's per-call overhead at that size;
+a larger one takes one array lookup per quarter over all its words.
 """
 
 from __future__ import annotations
@@ -56,10 +60,9 @@ _ENCODER = _encoder_table()
 _SYNDROME_BIT = np.full(1 << CHECK_BITS, -1, dtype=np.int8)
 _SYNDROME_BIT[list(COLUMNS)] = np.arange(CODEWORD_BITS)
 _SYNDROME_BIT.setflags(write=False)
-# views of the same two tables for the scalar functions: indexing them with a
-# Python int gives a Python int, without a numpy call per codeword
-_ENCODER_ROWS = tuple(memoryview(row) for row in _ENCODER)
-_SYNDROME_BIT_VIEW = memoryview(_SYNDROME_BIT)
+# encode_words encodes inputs of fewer words one at a time; the two routes
+# took the same time at 11 words (2-core x86-64 virtual machine)
+_SMALL_WORDS = 12
 
 
 class DecodeStatus(Enum):
@@ -92,8 +95,23 @@ def encode(data: int) -> int:
     """
     if data < 0 or data >> DATA_BITS:
         raise ValueError("dataword must be an unsigned 64-bit value")
-    t0, t1, t2, t3 = _ENCODER_ROWS
-    return t0[data & 0xFFFF] ^ t1[(data >> 16) & 0xFFFF] ^ t2[(data >> 32) & 0xFFFF] ^ t3[data >> 48]
+    return _encode_ints([data])[0]
+
+
+def _encode_ints(words: list[int]) -> list[int]:
+    """Check words of 64-bit Python ints, by scalar lookups in the encoder table.
+
+    A flat memoryview gives a Python int per lookup, without a numpy call per
+    word; quarter p of a word indexes row p, at offset ``p << 16``.
+    """
+    table = _ENCODER.data.cast("B")
+    return [
+        table[w & 0xFFFF]
+        ^ table[0x10000 | (w >> 16) & 0xFFFF]
+        ^ table[0x20000 | (w >> 32) & 0xFFFF]
+        ^ table[0x30000 | w >> 48]
+        for w in words
+    ]
 
 
 def syndrome(data: int, check: int) -> int:
@@ -114,7 +132,7 @@ def decode(data: int, check: int) -> DecodeOutcome:
     s = syndrome(data, check)
     if s == 0:
         return DecodeOutcome(DecodeStatus.NO_ERROR)
-    bit = _SYNDROME_BIT_VIEW[s]
+    bit = int(_SYNDROME_BIT[s])
     if bit < 0:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE)
     return DecodeOutcome(DecodeStatus.CORRECTED, bit)
@@ -134,10 +152,14 @@ def repair(data: int, check: int) -> tuple[DecodeOutcome, int, int]:
 def encode_words(words: np.ndarray) -> np.ndarray:
     """Vectorized encode: uint64 dataword array -> uint8 check words of the same shape.
 
-    As with numpy ufuncs, a 0-d input gives a numpy scalar.
+    As with numpy ufuncs, a 0-d input gives a numpy scalar. Fewer than
+    ``_SMALL_WORDS`` words are encoded by :func:`encode`'s scalar lookups,
+    more by one array lookup per quarter; both give the same check words.
     """
-    shape = np.shape(words)   # ascontiguousarray makes a 0-d array 1-d
-    halves = np.ascontiguousarray(words, dtype="<u8").view("<u2").reshape(shape + (4,))
+    words = np.asarray(words, dtype="<u8")
+    if words.size < _SMALL_WORDS:
+        return np.array(_encode_ints(words.ravel().tolist()), dtype=np.uint8).reshape(words.shape)[()]
+    halves = np.ascontiguousarray(words).view("<u2").reshape(words.shape + (4,))
     check = _ENCODER[0].take(halves[..., 0])
     for half in range(1, 4):
         check ^= _ENCODER[half].take(halves[..., half])

@@ -11,10 +11,12 @@ from robinsim.mapping import (
     INTERLEAVED,
     PER_WORD,
     ROBIN,
+    _SMALL_ROWS,
     block_datawords,
     codeword_counts,
     codeword_data_bits,
     datawords,
+    transition_vector,
 )
 
 SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
@@ -78,8 +80,12 @@ EMPTY_BATCH = (np.zeros((0, 64), dtype=np.uint8),) * 2
 @settings(max_examples=25, deadline=None)
 @given(write_batches(40))
 @example(EMPTY_BATCH)
-# one row, and either side of each boundary of block_datawords' 128-row lookup steps
+# one row, either side of the row count where block_datawords changes route,
+# and either side of each boundary of its byte-table route's 128-row lookup steps
 @example(seeded_batch(1, 1, 0, 0))
+@example(seeded_batch(_SMALL_ROWS - 1, 6, 0, _SMALL_ROWS - 2))
+@example(seeded_batch(_SMALL_ROWS, 7, _SMALL_ROWS - 1, 0))
+@example(seeded_batch(_SMALL_ROWS + 1, 8, 1, _SMALL_ROWS))
 @example(seeded_batch(127, 2, 0, 126))
 @example(seeded_batch(128, 3, 127, 0))
 @example(seeded_batch(129, 4, 0, 128))
@@ -94,3 +100,26 @@ def test_datawords_match_slot_definition(batch):
         assert got.tolist() == want
         for row, words in zip(news, want):
             assert datawords(scheme, row.tobytes()).tolist() == words
+
+
+payloads = st.binary(min_size=64, max_size=64)
+ZERO, ONES = bytes(64), b"\xff" * 64
+
+
+@settings(max_examples=40, deadline=None)
+@given(payloads, payloads)
+# the zero diff and the all-ones diff, from a blank and from a patterned block
+@example(ZERO, ZERO)
+@example(bytes(range(64)), bytes(range(64)))
+@example(ZERO, ONES)
+@example(bytes(range(64)), bytes(255 - b for b in range(64)))
+def test_transition_vector_matches_batch_kernel_and_oracle(old, new):
+    diff = np.frombuffer(old, dtype=np.uint8) ^ np.frombuffer(new, dtype=np.uint8)
+    for scheme in SCHEMES:
+        data, check = codeword_counts(scheme, diff[None], include_ecc=True)
+        want_data, want_check = oracle.flip_counts(scheme.kind, old, new, True)
+        assert data[0].tolist() == want_data and check[0].tolist() == want_check
+        without = transition_vector(scheme, old, new, include_ecc=False)
+        assert without.k == tuple(want_data) and not without.include_ecc
+        with_ecc = transition_vector(scheme, old, new, include_ecc=True)
+        assert with_ecc.k == tuple((data[0] + check[0]).tolist()) and with_ecc.include_ecc

@@ -233,6 +233,26 @@ def test_transition_vector_validation():
     assert TransitionVector((72,) + (0,) * 7, include_ecc=True).total == 72
 
 
+@pytest.mark.parametrize(
+    ("payload", "size"),
+    [
+        (bytes(63), 63),
+        (bytes(65), 65),
+        # 64 items but 128 bytes; zero high bytes, then high bytes that do not fit 64 bytes
+        (np.zeros(64, dtype=np.uint16), 128),
+        (np.full(64, 0xFFFF, dtype=np.uint16), 128),
+    ],
+    ids=("63-bytes", "65-bytes", "uint16-zeros", "uint16-ones"),
+)
+@pytest.mark.parametrize("include_ecc", (False, True), ids=("data", "ecc"))
+def test_transition_vector_rejects_payloads_that_are_not_64_bytes(payload, size, include_ecc):
+    message = f"block payload must be 64 bytes, got {size}$"
+    with pytest.raises(ValueError, match=message):
+        transition_vector(ROBIN, payload, bytes(64), include_ecc)
+    with pytest.raises(ValueError, match=message):
+        transition_vector(ROBIN, bytes(64), payload, include_ecc)
+
+
 codewords = st.integers(0, 7)
 index8 = st.integers(0, 7)
 

@@ -2,12 +2,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracle import data_columns as reference_data_columns
 from oracle import encode as matrix_encode
+from robinsim import secded
 from robinsim.secded import (
     CHECK_COLUMNS,
     CODEWORD_BITS,
@@ -179,8 +180,19 @@ def test_encode_is_linear_over_gf2(a, b):
 word_arrays = hnp.arrays(np.uint64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
 
 
+def seeded_words(shape, seed):
+    return np.random.default_rng(seed).integers(0, 2**64, shape, dtype=np.uint64)
+
+
 @settings(max_examples=60, deadline=None)
 @given(word_arrays)
+# a codeword's eight words and a write's sixteen, and either side of the
+# word count where encode_words changes route
+@example(seeded_words((8,), 1))
+@example(seeded_words((2, 8), 2))
+@example(seeded_words((secded._SMALL_WORDS - 1,), 3))
+@example(seeded_words((secded._SMALL_WORDS,), 4))
+@example(seeded_words((1, secded._SMALL_WORDS + 1), 5))
 def test_encode_words_matches_scalar_on_any_shape(words):
     checks = encode_words(words)
     assert checks.shape == words.shape
@@ -189,6 +201,17 @@ def test_encode_words_matches_scalar_on_any_shape(words):
     assert [int(c) for c in checks.ravel()] == [matrix_encode(int(w)) for w in words.ravel()]
     # a strided view encodes like the copy it views
     assert np.array_equal(encode_words(words.T), checks.T)
+
+
+def test_encode_routes_read_the_encoder_table_at_call_time(monkeypatch):
+    table = np.zeros((4, 1 << 16), dtype=np.uint8)
+    table[1] = np.arange(1 << 16) >> 8   # the check word becomes bits 24..31 of the dataword
+    monkeypatch.setattr(secded, "_ENCODER", table)
+    words = seeded_words((2 * secded._SMALL_WORDS,), 6)
+    want = [(int(w) >> 24) & 0xFF for w in words]
+    assert [encode(int(w)) for w in words] == want
+    assert encode_words(words[:8]).tolist() == want[:8]
+    assert encode_words(words).tolist() == want
 
 
 @settings(max_examples=40, deadline=None)
