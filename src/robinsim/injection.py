@@ -40,7 +40,9 @@ is the platform's, so a gap can differ between machines only where
 one :func:`robinsim.mapping.codeword_counts` call, the counters of all its
 (record, trial chunk) segments are hashed at once, a bounded number of draws
 at a time, and their failures are classified together.
-:class:`MonteCarloAccumulator` feeds it the batches of ``run_experiment``.
+:class:`MonteCarloAccumulator` feeds it the batches of
+:func:`robinsim.trace.pair_batches`, for ``run_experiment`` and
+:func:`monte_carlo_trace` alike.
 :func:`inject_write` draws one 64-bit key from its generator and places its
 failing cells with the same sampler, so the decoder cross-check runs it too.
 """
@@ -49,14 +51,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from . import secded
 from .bits import BLOCK_BYTES, block_bytes, stack_blocks
-from .mapping import BATCH, CODEWORDS, MappingScheme, block_datawords, cell_assignment, codeword_counts
+from .mapping import CODEWORDS, MappingScheme, block_datawords, cell_assignment, codeword_counts
+from .trace import pair_batches
 
 _MASK64 = (1 << 64) - 1
 # splitmix64: golden-gamma increment and the two finalizer multipliers
@@ -429,14 +431,12 @@ class MonteCarloAccumulator:
 
 
 def monte_carlo_trace(
-    pairs: Iterable[tuple[bytes, bytes]] | Iterator[tuple[bytes, bytes]],
-    cfg: InjectionConfig,
+    pairs: Iterable[tuple[bytes, bytes]], cfg: InjectionConfig
 ) -> TraceEstimate:
     """Mean block-failure fraction over (records x trials); see MonteCarloAccumulator."""
     accumulator = MonteCarloAccumulator(cfg)
-    pairs = iter(pairs)
-    while batch := list(islice(pairs, BATCH)):
-        accumulator.add_batch(stack_blocks([p[0] for p in batch]), stack_blocks([p[1] for p in batch]))
+    for olds, news in pair_batches(pairs):
+        accumulator.add_batch(olds, news)
     return accumulator.finalize()
 
 

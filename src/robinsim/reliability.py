@@ -36,9 +36,6 @@ from .secded import CHECK_BITS
 
 EULER_GAMMA = 0.5772156649015329
 
-# preset operating point: per-bit failure probability 1e-3
-DEFAULT_P_WRITE = 0.999
-
 # cells of one block, data and check bits: the largest count a row entry may hold
 BLOCK_CELLS = BLOCK_BITS + CODEWORDS * CHECK_BITS
 
@@ -148,19 +145,10 @@ def block_log_success_optimal_array(totals: np.ndarray, pw: float) -> np.ndarray
     """Idealized bound: each block's total transitions spread uniformly, K/8 each.
 
     K/8 stays real-valued, so this is an upper bound that is attainable only
-    when 8 divides K; see :func:`block_log_success_optimal_int_array` for the
-    best integer split.
+    when 8 divides K.
     """
     totals = np.asarray(totals, dtype=np.float64)
     return CODEWORDS * codeword_log_success_array(totals / CODEWORDS, pw)
-
-
-def block_log_success_optimal_int_array(totals: np.ndarray, pw: float) -> np.ndarray:
-    """Best achievable split with integer per-codeword counts: floor/ceil of K/8."""
-    base, extra = np.divmod(np.asarray(totals).astype(np.int64), CODEWORDS)
-    # where no codeword takes base + 1, its -inf at pw = 0 must not meet a zero weight
-    high = np.where(extra > 0, codeword_log_success_array(base + 1, pw), 0.0)
-    return (CODEWORDS - extra) * codeword_log_success_array(base, pw) + extra * high
 
 
 def p_codeword_success(k: float, pw: float) -> float:
@@ -185,18 +173,12 @@ def p_block_success_optimal(total: float, pw: float) -> float:
     return float(np.exp(block_log_success_optimal_array(total, pw)))
 
 
-def p_block_success_optimal_int(total: int, pw: float) -> float:
-    """Scalar :func:`block_log_success_optimal_int_array`, as a probability."""
-    return float(np.exp(block_log_success_optimal_int_array(total, pw)))
-
-
 @dataclass(frozen=True)
 class TraceErrorRate:
-    """Mean per-write block-failure probability over a trace, with its optimal companions."""
+    """Mean per-write block-failure probability over a trace, and its uniform-split optimum."""
 
     rate: float
     optimal_rate: float
-    optimal_rate_int: float
     writes: int
 
 
@@ -220,23 +202,21 @@ def count_rows(counts: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _rate_tables(pw: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form values at pw for every count a row can hold, about 80 KB.
+def _rate_tables(pw: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form values at pw for every count a row can hold.
 
     The log success of a codeword with k = 0 .. 576 flips, and the block
-    failure ``expm1`` of both uniform-split bounds for a total of 0 .. 8 * 576.
+    failure ``expm1`` of the uniform-split bound for a total of 0 .. 8 * 576.
     """
     log_success = codeword_log_success_array(np.arange(BLOCK_CELLS + 1), pw)
-    totals = np.arange(CODEWORDS * BLOCK_CELLS + 1)
-    optimal = np.expm1(block_log_success_optimal_array(totals, pw))
-    optimal_int = np.expm1(block_log_success_optimal_int_array(totals, pw))
-    for table in (log_success, optimal, optimal_int):
+    optimal = np.expm1(block_log_success_optimal_array(np.arange(CODEWORDS * BLOCK_CELLS + 1), pw))
+    for table in (log_success, optimal):
         table.setflags(write=False)
-    return log_success, optimal, optimal_int
+    return log_success, optimal
 
 
 class RateAccumulator:
-    """Streaming mean of block failure and of its two uniform-split bounds.
+    """Streaming mean of block failure and of its uniform-split bound.
 
     Fed ``(batch, 8)`` per-codeword count matrices of whole numbers in
     [0, 576] (see :func:`count_rows`). Each count and each row total indexes
@@ -250,16 +230,13 @@ class RateAccumulator:
         self.writes = 0
         self._failure_sum = 0.0
         self._optimal_sum = 0.0
-        self._optimal_int_sum = 0.0
 
     def add_counts(self, counts: np.ndarray) -> None:
         counts = count_rows(counts)
-        log_success, optimal, optimal_int = _rate_tables(self.pw)
+        log_success, optimal = _rate_tables(self.pw)
         # failure is -expm1(log success), which does not cancel against 1 at tiny q
         self._failure_sum -= float(np.expm1(log_success.take(counts).sum(axis=-1)).sum())
-        totals = counts.sum(axis=1)
-        self._optimal_sum -= float(optimal.take(totals).sum())
-        self._optimal_int_sum -= float(optimal_int.take(totals).sum())
+        self._optimal_sum -= float(optimal.take(counts.sum(axis=1)).sum())
         self.writes += len(counts)
 
     def finalize(self) -> TraceErrorRate:
@@ -268,7 +245,6 @@ class RateAccumulator:
         return TraceErrorRate(
             rate=self._failure_sum / self.writes,
             optimal_rate=self._optimal_sum / self.writes,
-            optimal_rate_int=self._optimal_int_sum / self.writes,
             writes=self.writes,
         )
 
@@ -277,9 +253,9 @@ def trace_error_rate(tvs: Iterable[TransitionVector | Sequence[int]], pw: float)
     """Aggregate Eq-style block failure over a stream of transition vectors.
 
     The cache error rate is the mean over writes of (1 - p_block_success);
-    alongside it the same mean is computed against the uniform K/8 bound and
-    its integer split, using each write's own total K. Writes with K = 0
-    contribute zero to all three.
+    alongside it the same mean is computed against the uniform K/8 bound,
+    using each write's own total K. Writes with K = 0 contribute zero to
+    both.
     """
     acc = RateAccumulator(pw)
     tvs = iter(tvs)
@@ -290,7 +266,7 @@ def trace_error_rate(tvs: Iterable[TransitionVector | Sequence[int]], pw: float)
 
 
 def normalized_increase(rate: float, optimal_rate: float) -> float:
-    """Percent increase of an error rate over its optimal companion.
+    """Percent increase of an error rate over its uniform-split optimum.
 
     Both zero means the trace never risked a failure: 0%. A zero optimal with
     a positive rate is reported as an infinite increase.

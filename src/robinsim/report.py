@@ -1,10 +1,11 @@
 """Experiment runner: wires traces or generators through schemes and models.
 
-One streaming pass over the old/new pair stream, in batches of 512 writes,
-takes each batch's byte XOR ``olds ^ news``, counts each scheme's codeword
-flips from it with :func:`robinsim.mapping.codeword_counts` and folds them
-into a :class:`robinsim.reliability.RateAccumulator` (analytic error rate
-with its optimal companions) and a :class:`robinsim.trace.StatsAccumulator`
+One streaming pass over the old/new pair stream, in the batches of up to
+512 writes of :func:`robinsim.trace.pair_batches`, takes each batch's byte XOR
+``olds ^ news``, counts each scheme's codeword flips from it with
+:func:`robinsim.mapping.codeword_counts` and folds them into a
+:class:`robinsim.reliability.RateAccumulator` (analytic error rate and its
+uniform-split optimum) and a :class:`robinsim.trace.StatsAccumulator`
 (codeword-spread statistics), and sums the per-bit transition histogram.
 With Monte Carlo on, each batch's ``olds`` and ``news`` also feed one
 :class:`robinsim.injection.MonteCarloAccumulator` per scheme, so memory stays
@@ -17,18 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from . import reliability
-from .bits import BLOCK_BITS, blocks_to_bits, stack_blocks
+from .bits import BLOCK_BITS, blocks_to_bits
 from .injection import InjectionConfig, MonteCarloAccumulator, TraceEstimate
-from .mapping import BATCH, KINDS, MappingScheme, codeword_counts
+from .mapping import KINDS, MappingScheme, codeword_counts
 from .reliability import DeviceParams, ParameterError, RateAccumulator
-from .trace import FORMATS, CodewordStats, StatsAccumulator, load_trace, old_new_pairs
+from .trace import FORMATS, CodewordStats, StatsAccumulator, load_trace, old_new_pairs, pair_batches
 from .workloads import WorkloadSpec, gen_workload
 
 
@@ -94,7 +94,6 @@ class SchemeReport:
     scheme: str
     analytic_rate: float
     optimal_rate: float
-    optimal_rate_int: float
     increase_pct: float | None
     stats: CodewordStats
     mc: TraceEstimate | None = None
@@ -137,10 +136,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         for s in schemes
     ]
 
-    pairs = iter(make_pairs(cfg))
-    while batch := list(islice(pairs, BATCH)):
-        olds = stack_blocks([p[0] for p in batch])
-        news = stack_blocks([p[1] for p in batch])
+    for olds, news in pair_batches(make_pairs(cfg)):
         diff = olds ^ news
         # exact: a batch holds at most BATCH <= 65535 flips per bit
         histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
@@ -169,7 +165,6 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
                 scheme=scheme.kind,
                 analytic_rate=means.rate,
                 optimal_rate=means.optimal_rate,
-                optimal_rate_int=means.optimal_rate_int,
                 increase_pct=increase,
                 stats=spread.finalize(),
                 mc=mc.finalize() if mc is not None else None,

@@ -144,7 +144,7 @@ def _load_jsonl(path: Path) -> Iterator[WriteRecord]:
                     continue
                 try:
                     record = _parse_json_line(text)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise TraceFormatError(f"{path}: record {index}: {exc}") from exc
                 yield record
                 index += 1
@@ -229,7 +229,8 @@ def _rows_all(matches: np.ndarray) -> np.ndarray:
 
 
 def _parse_json_line(line: bytes) -> WriteRecord:
-    # decoded per line, so an undecodable byte (a ValueError) names its record
+    # decoded per line, so an undecodable byte (a ValueError) names its record; a
+    # line nested too deep makes json.loads raise RecursionError
     obj = json.loads(line.decode("ascii"))
     addr, data_hex = int(obj["addr"], 16), obj["data"]
     # len() and fromhex() raise TypeError on a non-string data field
@@ -329,19 +330,23 @@ def old_new_pairs(
         yield old, data
 
 
-def _batch_diffs(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[np.ndarray]:
-    """The ``(n, 64)`` uint8 ``olds ^ news`` of each run of up to BATCH pairs."""
+def pair_batches(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``(n, 64)`` uint8 ``olds`` and ``news`` of each run of up to BATCH pairs.
+
+    A batch's pairs are drawn only when the batch is, so at most BATCH pairs
+    are held at a time, whatever the length of the stream.
+    """
     pairs = iter(pairs)
     while batch := list(islice(pairs, BATCH)):
-        yield stack_blocks([p[0] for p in batch]) ^ stack_blocks([p[1] for p in batch])
+        yield stack_blocks([p[0] for p in batch]), stack_blocks([p[1] for p in batch])
 
 
 def per_bit_histogram(pairs: Iterable[tuple[bytes, bytes]]) -> np.ndarray:
     """Count, per flat bit position, how many writes transitioned that data bit."""
     counts = np.zeros(BLOCK_BITS, dtype=np.int64)
-    for diff in _batch_diffs(pairs):
+    for olds, news in pair_batches(pairs):
         # exact: a batch holds at most BATCH <= 65535 flips per bit
-        counts += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
+        counts += blocks_to_bits(olds ^ news).sum(axis=0, dtype=np.uint16)
     return counts
 
 
@@ -428,7 +433,7 @@ def codeword_stats(
 ) -> CodewordStats:
     """Per-write sorted/normalized codeword transitions aggregated over a trace."""
     acc = StatsAccumulator(scheme.kind)
-    for diff in _batch_diffs(pairs):
-        data, check = codeword_counts(scheme, diff, include_ecc)
+    for olds, news in pair_batches(pairs):
+        data, check = codeword_counts(scheme, olds ^ news, include_ecc)
         acc.add_counts(data if check is None else data + check)
     return acc.finalize()

@@ -78,18 +78,15 @@ def codeword_success(k, pw):
 
 
 def trace_rates(rows, pw):
-    """(mean block failure, uniform K/8 bound, integer floor/ceil bound) over count rows."""
-    failure = optimal = optimal_int = 0.0
+    """(mean block failure, uniform K/8 bound) over count rows."""
+    failure = optimal = 0.0
     for row in rows:
         success = 1.0
         for k in row:
             success *= codeword_success(k, pw)
         failure += 1.0 - success
-        total = sum(row)
-        optimal += 1.0 - codeword_success(total / 8, pw) ** 8
-        base, extra = divmod(total, 8)
-        optimal_int += 1.0 - codeword_success(base + 1, pw) ** extra * codeword_success(base, pw) ** (8 - extra)
-    return failure / len(rows), optimal / len(rows), optimal_int / len(rows)
+        optimal += 1.0 - codeword_success(sum(row) / 8, pw) ** 8
+    return failure / len(rows), optimal / len(rows)
 
 
 def spread(rows):

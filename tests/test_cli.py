@@ -221,6 +221,7 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
          "trials = 9223372036854775808\n", None, 1),
         ("trace = {trace}\npw = 0.999\n", DATA_LIST, 2),
         ("trace = {trace}\npw = 0.999\n", '{"addr": "0x0", "data": 5}\n', 2),
+        ("trace = {trace}\npw = 0.999\n", "[" * 100_000 + "]" * 100_000 + "\n", 2),
     ],
     ids=[
         "unknown-trace-format",
@@ -233,6 +234,7 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         "trials-past-32-bits",
         "jsonl-data-list",
         "jsonl-data-number",
+        "jsonl-deep-nesting",
     ],
 )
 def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text, code):

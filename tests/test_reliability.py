@@ -17,7 +17,6 @@ from robinsim.reliability import (
     normalized_increase,
     p_block_success,
     p_block_success_optimal,
-    p_block_success_optimal_int,
     p_codeword_success,
     p_write_from_device,
     trace_error_rate,
@@ -157,11 +156,8 @@ def test_block_success_optimal_reference_points():
     assert p_block_success_optimal(0, 0.9) == 1.0
     assert p_block_success_optimal(8, 0.123) == pytest.approx(1.0)
     assert p_block_success_optimal(16, 0.9) == pytest.approx(0.99**8)
-    assert p_block_success_optimal_int(16, 0.9) == pytest.approx(0.99**8)
-    # non-multiple of 8: integer split uses floor/ceil parts
-    expected = p_codeword_success(2, 0.9) ** 4 * p_codeword_success(1, 0.9) ** 4
-    assert p_block_success_optimal_int(12, 0.9) == pytest.approx(expected)
-    assert p_block_success_optimal(12, 0.9) >= p_block_success_optimal_int(12, 0.9)
+    # non-multiple of 8: the real-valued split bounds the best integer one
+    assert p_block_success_optimal(12, 0.9) >= p_block_success([2] * 4 + [1] * 4, 0.9)
 
 
 def test_uniform_composition_is_optimal_small_k():
@@ -228,11 +224,10 @@ def test_trace_error_rate_across_chunks_matches_oracle():
     # more vectors than one accumulator chunk, so chunk boundaries are crossed
     rows = np.random.default_rng(8).integers(0, 30, (1300, 8)).tolist()
     result = trace_error_rate(rows, 0.995)
-    rate, optimal, optimal_int = oracle.trace_rates(rows, 0.995)
+    rate, optimal = oracle.trace_rates(rows, 0.995)
     assert result.writes == 1300
     assert result.rate == pytest.approx(rate, rel=1e-12)
     assert result.optimal_rate == pytest.approx(optimal, rel=1e-12)
-    assert result.optimal_rate_int == pytest.approx(optimal_int, rel=1e-12)
 
 
 def test_trace_error_rate_rejects_wrong_width():
@@ -262,9 +257,9 @@ def test_block_failure_matches_exact_rational_oracle(q):
         rates = trace_error_rate([row], pw)
         assert rates.rate == pytest.approx(float(exact_block_failure(row, pw)), rel=1e-12, abs=0)
         base, extra = divmod(sum(row), 8)
-        split = [base + 1] * extra + [base] * (8 - extra)
-        expected = float(exact_block_failure(split, pw))
-        assert rates.optimal_rate_int == pytest.approx(expected, rel=1e-12, abs=0)
+        if not extra:  # the uniform split is a whole number of flips per codeword
+            expected = float(exact_block_failure([base] * 8, pw))
+            assert rates.optimal_rate == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("pw", [1e-300, 2.0**-60, 0.3])
@@ -279,9 +274,9 @@ def test_small_pw_matches_exact_rational_oracle(pw):
         rates = trace_error_rate([row], pw)
         assert rates.rate == pytest.approx(float(exact_block_failure(row, pw)), rel=1e-12, abs=0)
         base, extra = divmod(sum(row), 8)
-        split = [base + 1] * extra + [base] * (8 - extra)
-        expected = float(exact_block_failure(split, pw))
-        assert rates.optimal_rate_int == pytest.approx(expected, rel=1e-12, abs=0)
+        if not extra:  # the uniform split is a whole number of flips per codeword
+            expected = float(exact_block_failure([base] * 8, pw))
+            assert rates.optimal_rate == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("q", TINY_Q)

@@ -5,7 +5,8 @@ import pytest
 
 import oracle
 from robinsim import trace
-from robinsim.mapping import PER_WORD, ROBIN
+from robinsim.bits import stack_blocks
+from robinsim.mapping import BATCH, PER_WORD, ROBIN
 from robinsim.trace import (
     ShadowStore,
     TraceFormatError,
@@ -13,6 +14,7 @@ from robinsim.trace import (
     codeword_stats,
     load_trace,
     old_new_pairs,
+    pair_batches,
     per_bit_histogram,
     save_trace,
 )
@@ -312,6 +314,51 @@ def test_histogram_across_batches_matches_per_pair_sum():
 def test_histogram_rejects_short_payload():
     with pytest.raises(ValueError, match="64 bytes"):
         per_bit_histogram([(bytes(64), bytes(63))])
+
+
+class CountingIterator:
+    """An iterator over ``items`` that counts the items handed out so far."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.drawn = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.drawn += 1
+        return item
+
+
+@pytest.mark.parametrize("n", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1])
+def test_pair_batches_stack_every_pair_a_bounded_run_at_a_time(n):
+    pairs = list(old_new_pairs(make_records(n, seed=n, addresses=16)))
+    source = CountingIterator(pairs)
+    batches = pair_batches(source)
+    assert source.drawn == 0
+    got, yielded = [], 0
+    for olds, news in batches:
+        yielded += len(olds)
+        # memory stays bounded: no more than one batch is drawn ahead of what was handed out
+        assert source.drawn <= yielded + BATCH
+        assert olds.dtype == news.dtype == np.uint8
+        assert olds.shape == news.shape == (len(olds), 64)
+        got.append((olds, news))
+    assert [len(olds) for olds, _ in got] == [BATCH] * (n // BATCH) + [n % BATCH] * (n % BATCH > 0)
+    for side in (0, 1):
+        stacked = np.concatenate([stack_blocks([])] + [batch[side] for batch in got])
+        np.testing.assert_array_equal(stacked, stack_blocks([pair[side] for pair in pairs]))
+
+
+def test_pair_batches_reject_a_short_payload_when_its_batch_is_drawn():
+    good = (bytes(64), bytes(64))
+    batches = pair_batches([good] * BATCH + [good, (bytes(64), bytes(63))])
+    olds, news = next(batches)
+    assert len(olds) == len(news) == BATCH
+    with pytest.raises(ValueError, match="64 bytes"):
+        next(batches)
 
 
 def test_codeword_stats_uniform_write():
