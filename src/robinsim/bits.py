@@ -1,4 +1,4 @@
-"""Packed-block helpers: 64-byte cache-line payloads to flat bit vectors and back.
+"""Packed-block helpers: 64-byte cache-line payloads as byte vectors and bit matrices.
 
 Flat bit index convention used everywhere in this package:
 ``flat = 64*word + 8*byte + pos`` where ``pos`` counts from the least
@@ -14,25 +14,13 @@ BLOCK_BYTES = 64
 BLOCK_BITS = 512
 
 
-def check_block(data: bytes) -> bytes:
-    if len(data) != BLOCK_BYTES:
-        raise ValueError(f"block payload must be {BLOCK_BYTES} bytes, got {len(data)}")
-    return data
-
-
 def block_bytes(data: bytes) -> np.ndarray:
     """A 64-byte payload as a read-only uint8 vector."""
     # checked by bytes, not items: a 64-item uint16 array is 128 bytes
-    return check_block(np.frombuffer(data, dtype=np.uint8))
-
-
-def block_to_bits(data: bytes) -> np.ndarray:
-    """Unpack a 64-byte payload into a 512-element 0/1 vector indexed by flat position."""
-    return np.unpackbits(block_bytes(data), bitorder="little")
-
-
-def bits_to_block(bits: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
+    payload = np.frombuffer(data, dtype=np.uint8)
+    if len(payload) != BLOCK_BYTES:
+        raise ValueError(f"block payload must be {BLOCK_BYTES} bytes, got {len(payload)}")
+    return payload
 
 
 def blocks_to_bits(blocks: np.ndarray) -> np.ndarray:

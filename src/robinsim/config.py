@@ -113,6 +113,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
+        if not value:
+            raise ConfigError(f"{origin}:{lineno}: key {key!r} has an empty value")
         values[key] = value
     return values
 

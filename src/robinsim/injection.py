@@ -220,9 +220,8 @@ def monte_carlo_block(
     """
     batch = np.ndim(old) == 2
     diff = old ^ new if batch else (block_bytes(old) ^ block_bytes(new))[None]
-    data, check = codeword_counts(cfg.scheme, diff, cfg.include_ecc)
-    counts = data if check is None else data + check
-    successes = cfg.trials - _failed_trials(np.where(counts > 1, counts, 0), cfg, int(record_index))
+    cells = codeword_counts(cfg.scheme, diff, cfg.include_ecc)[1]
+    successes = cfg.trials - _failed_trials(np.where(cells > 1, cells, 0), cfg, int(record_index))
     p = successes / cfg.trials
     stderr = np.sqrt(p * (1.0 - p) / cfg.trials)
     if batch:
@@ -250,10 +249,13 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
         # every simulated cell fails, and each row has a codeword with two of them
         failed[rows] = cfg.trials
         return failed
-    sizes = counts[rows].sum(axis=1)
+    # int64 once: the kernel counts in uint8, and the cell positions and
+    # field sizes below are sums of those counts far past 255
+    live = counts[rows].astype(np.int64)
+    sizes = live.sum(axis=1)
     # the codeword of each simulated cell: a record's cells grouped by codeword,
     # the records laid end to end, record i's cells from cell_start[i]
-    cell_codeword = np.repeat(np.tile(np.arange(CODEWORDS), rows.size), counts[rows].ravel())
+    cell_codeword = np.repeat(np.tile(np.arange(CODEWORDS), rows.size), live.ravel())
     cell_start = np.cumsum(sizes) - sizes
     # segments record-major: record seg_row[j], trial chunk seg_chunk[j]
     chunks = -(-cfg.trials // _TRIAL_CHUNK)
@@ -457,7 +459,7 @@ def end_to_end_check(outcome: WriteOutcome, new: bytes, scheme: MappingScheme) -
     content). With three or more failures the syndrome may alias; those
     disagreements are only counted.
     """
-    if outcome.written_check is None:
+    if not outcome.written_check:
         raise ValueError("end_to_end_check needs an outcome produced with include_ecc")
     stored_words, intended_words = block_datawords(scheme, stack_blocks([outcome.written, new]))
     syndromes, bits, fixed_data, fixed_check = secded.repair_words(

@@ -22,11 +22,12 @@ up it builds them with one lookup per byte and one fixed byte gather, never
 touching single bits; below that, where numpy's per-call overhead dominates,
 it unpacks the bits, permutes them into slot order with :func:`scheme_perm`
 and packs them again, which is the slot-order definition itself.
-:func:`codeword_counts` counts, for a batch of writes, how many cells of
-each codeword must flip. :func:`transition_vector` applies the same counting
-rule to one write: it XORs the two payloads, builds their datawords by the
-small route and encodes them with :func:`robinsim.secded.encode_words`,
-whose scalar route takes eight words.
+:func:`codeword_counts` is the one place that turns payload XORs into
+per-codeword flip counts: for a batch of writes, how many data bits and how
+many cells (data plus check bits) of each codeword must flip. Every consumer
+reads those counts; :func:`transition_vector` is its one-row call, on which
+:func:`block_datawords` and :func:`robinsim.secded.encode_words` take their
+small routes.
 """
 
 from __future__ import annotations
@@ -299,37 +300,32 @@ class TransitionVector:
 
 def codeword_counts(
     scheme: MappingScheme, diff: np.ndarray, include_ecc: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-codeword flip counts of a batch of block writes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-codeword flip counts of a batch of block writes: the one counting rule.
 
     ``diff`` is the ``(n, 64)`` uint8 XOR of the old and new payloads,
-    ``olds ^ news``. Returns the ``(n, 8)`` data-bit flip counts and, with
-    ``include_ecc``, the ``(n, 8)`` check-bit flip counts (``None`` without).
-    The layout only moves bits, so the datawords of ``old ^ new`` are the
-    XOR of the two writes' datawords; since encoding is linear over GF(2),
-    ``encode(old) ^ encode(new) == encode(old ^ new)``, and the check bits
-    that flip are those encoded from the dataword diff.
+    ``olds ^ news``. Returns ``(data, cells)``, both ``(n, 8)`` uint8:
+    ``data`` counts the data bits that flip in each codeword, and ``cells``
+    the cells a write touches, data plus check bits with ``include_ecc`` and
+    ``data`` itself without. The layout only moves bits, so the datawords of
+    ``old ^ new`` are the XOR of the two writes' datawords; since encoding is
+    linear over GF(2), ``encode(old) ^ encode(new) == encode(old ^ new)``,
+    and the check bits that flip are those encoded from the dataword diff.
     """
     words = block_datawords(scheme, diff)
-    data_counts = np.bitwise_count(words).astype(np.int64)
+    data = np.bitwise_count(words)
     if not include_ecc:
-        return data_counts, None
-    return data_counts, np.bitwise_count(secded.encode_words(words)).astype(np.int64)
+        return data, data
+    return data, data + np.bitwise_count(secded.encode_words(words))
 
 
 def transition_vector(
     scheme: MappingScheme, old: bytes, new: bytes, include_ecc: bool = True
 ) -> TransitionVector:
-    """Count the bits that must flip in each codeword when `old` is overwritten by `new`.
+    """Count the cells that must flip in each codeword when `old` is overwritten by `new`.
 
-    With ``include_ecc`` the check-bit flips are added per codeword, since a
-    write touches all k+r cells of a codeword. The counting rule of
-    :func:`codeword_counts`, on one write: the datawords of ``old ^ new``
-    come from :func:`block_datawords`' small route and their check words
-    from :func:`robinsim.secded.encode_words`' scalar one.
+    One row of :func:`codeword_counts`' ``cells``: with ``include_ecc`` a
+    write touches all k + r cells of a codeword, so the check-bit flips count.
     """
-    words = block_datawords(scheme, (block_bytes(old) ^ block_bytes(new))[None])[0]
-    counts = np.bitwise_count(words)
-    if include_ecc:
-        counts += np.bitwise_count(secded.encode_words(words))
-    return TransitionVector(tuple(counts.tolist()), include_ecc=include_ecc)
+    cells = codeword_counts(scheme, (block_bytes(old) ^ block_bytes(new))[None], include_ecc)[1]
+    return TransitionVector(tuple(cells[0].tolist()), include_ecc=include_ecc)

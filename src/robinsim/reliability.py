@@ -11,13 +11,16 @@ codeword), which maximizes the block success probability for fixed K.
 ``p_write`` can be supplied directly (the primary experiment pathway) or
 derived from device physics via :func:`p_write_from_device`.
 
-Each formula has one array implementation (``*_array``); the scalar
-``p_*`` functions wrap them. :class:`RateAccumulator` folds batches of
-per-codeword counts into trace-level means. Its counts are whole numbers in
-[0, 576], 576 being the cells of a block, so it evaluates the closed form
-once per pw, for every possible count and block total, and then only looks
-values up: cached tables of those same ``*_array`` values, not a second
-formula.
+Each formula has one array implementation: :func:`codeword_log_success_array`
+for a codeword, whose sum over a row is the block's log success, and
+:func:`block_log_success_optimal_array` for the uniform-split bound. The
+scalar ``p_*`` functions evaluate those two and nothing else.
+:class:`RateAccumulator` folds batches of per-codeword cell counts, as
+:func:`robinsim.mapping.codeword_counts` returns them, into trace-level
+means. Its counts are whole numbers in [0, 576], 576 being the cells of a
+block, so it evaluates the closed form once per pw, for every possible count
+and block total, and then only looks values up: cached tables of those same
+two arrays, not a second formula.
 """
 
 from __future__ import annotations
@@ -131,16 +134,6 @@ def codeword_log_success_array(k: np.ndarray, pw: float) -> np.ndarray:
     return np.minimum((k - 1.0) * _log1pmx(-q) + _log1pmx((k - 1.0) * q), 0.0)
 
 
-def codeword_success_array(k: np.ndarray, pw: float) -> np.ndarray:
-    """Probability that codewords with k transitioning bits are written correctly."""
-    return np.exp(codeword_log_success_array(k, pw))
-
-
-def block_log_success_array(counts: np.ndarray, pw: float) -> np.ndarray:
-    """Log-probability that all eight codewords succeed, per row of a (..., 8) count array."""
-    return codeword_log_success_array(counts, pw).sum(axis=-1)
-
-
 def block_log_success_optimal_array(totals: np.ndarray, pw: float) -> np.ndarray:
     """Idealized bound: each block's total transitions spread uniformly, K/8 each.
 
@@ -152,8 +145,8 @@ def block_log_success_optimal_array(totals: np.ndarray, pw: float) -> np.ndarray
 
 
 def p_codeword_success(k: float, pw: float) -> float:
-    """Scalar :func:`codeword_success_array`."""
-    return float(codeword_success_array(k, pw))
+    """Probability that a codeword with k transitioning bits is written correctly."""
+    return float(np.exp(codeword_log_success_array(k, pw)))
 
 
 def _counts(tv: TransitionVector | Sequence[int]) -> np.ndarray:
@@ -165,7 +158,7 @@ def _counts(tv: TransitionVector | Sequence[int]) -> np.ndarray:
 
 def p_block_success(tv: TransitionVector | Sequence[int], pw: float) -> float:
     """Probability that all eight codewords of a block write succeed."""
-    return float(np.exp(block_log_success_array(_counts(tv), pw)))
+    return float(np.exp(codeword_log_success_array(_counts(tv), pw).sum()))
 
 
 def p_block_success_optimal(total: float, pw: float) -> float:
@@ -185,7 +178,8 @@ class TraceErrorRate:
 def count_rows(counts: np.ndarray) -> np.ndarray:
     """``counts`` as an ``(n, 8)`` int64 array, checked to hold whole numbers in [0, 576].
 
-    Whole-valued floats are converted; any other value raises :class:`ParameterError`.
+    Integer and bool counts are converted; so are whole-valued floats, and any
+    other value raises :class:`ParameterError`.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[1] != CODEWORDS:
@@ -193,12 +187,10 @@ def count_rows(counts: np.ndarray) -> np.ndarray:
     # NaN fails both comparisons
     if counts.size and not (counts.min() >= 0 and counts.max() <= BLOCK_CELLS):
         raise ParameterError(f"transition counts must lie in [0, {BLOCK_CELLS}]")
-    if counts.dtype != np.int64:
-        whole = counts.astype(np.int64)
-        if not np.array_equal(whole, counts):
-            raise ParameterError("transition counts must be whole numbers")
-        counts = whole
-    return counts
+    whole = counts.astype(np.int64, copy=False)
+    if counts.dtype.kind not in "biu" and not np.array_equal(whole, counts):
+        raise ParameterError("transition counts must be whole numbers")
+    return whole
 
 
 @lru_cache(maxsize=16)

@@ -141,9 +141,9 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         # exact: a batch holds at most BATCH <= 65535 flips per bit
         histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
         for scheme, rate, spread in zip(schemes, rates, spreads):
-            data_counts, check_counts = codeword_counts(scheme, diff, cfg.include_ecc)
-            spread.add_counts(data_counts)
-            rate.add_counts(data_counts if check_counts is None else data_counts + check_counts)
+            data, cells = codeword_counts(scheme, diff, cfg.include_ecc)
+            spread.add_counts(data)
+            rate.add_counts(cells)
         if cfg.monte_carlo:
             for mc in mcs:
                 mc.add_batch(olds, news)

@@ -434,6 +434,5 @@ def codeword_stats(
     """Per-write sorted/normalized codeword transitions aggregated over a trace."""
     acc = StatsAccumulator(scheme.kind)
     for olds, news in pair_batches(pairs):
-        data, check = codeword_counts(scheme, olds ^ news, include_ecc)
-        acc.add_counts(data if check is None else data + check)
+        acc.add_counts(codeword_counts(scheme, olds ^ news, include_ecc)[1])
     return acc.finalize()

@@ -1,6 +1,6 @@
-"""Slow references: the SEC-DED check bits, per-bit codeword flip counts and
-trace rates, the v2 workload stream, a trace-file loader, and Monte Carlo
-classified one record at a time.
+"""Slow references: payloads as flat bit vectors, the SEC-DED check bits,
+per-bit codeword flip counts and trace rates, the v2 workload stream, a
+trace-file loader, and Monte Carlo classified one record at a time.
 
 Written independently of ``robinsim.secded``, ``robinsim.mapping``,
 ``robinsim.reliability``, ``robinsim.workloads`` and ``robinsim.trace``: the
@@ -17,6 +17,18 @@ record's trial chunks on their own.
 import itertools
 import json
 import math
+
+import numpy as np
+
+
+def block_to_bits(data):
+    """Unpack a 64-byte payload into a 512-element 0/1 vector indexed by flat position."""
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+
+
+def bits_to_block(bits):
+    """Pack a 512-element 0/1 vector, indexed by flat position, into a 64-byte payload."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
 
 
 def data_columns():

@@ -15,8 +15,8 @@ from robinsim.reliability import (
     BLOCK_CELLS,
     ParameterError,
     RateAccumulator,
-    block_log_success_array,
     block_log_success_optimal_array,
+    codeword_log_success_array,
 )
 from robinsim.trace import StatsAccumulator
 
@@ -51,7 +51,7 @@ def test_rate_accumulator_equals_closed_form(counts, pw):
     n = len(counts)
     assert got.writes == n
     want = [
-        -float(np.expm1(block_log_success_array(counts, pw)).sum()) / n,
+        -float(np.expm1(codeword_log_success_array(counts, pw).sum(axis=1)).sum()) / n,
         -float(np.expm1(block_log_success_optimal_array(totals, pw)).sum()) / n,
     ]
     # exact equality; a NaN of the closed form must be a NaN here too
@@ -67,6 +67,20 @@ def test_rate_accumulator_takes_whole_valued_floats(counts, pw):
     np.testing.assert_array_equal(
         dataclasses.astuple(floats.finalize()), dataclasses.astuple(ints.finalize())
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(count_batches(zero_rows=True), pws, st.sampled_from((np.uint8, np.int32, np.bool_)))
+def test_accumulators_take_narrow_integer_and_bool_counts(counts, pw, dtype):
+    """uint8, int32 and bool counts give the results of the same counts as int64."""
+    narrow = np.minimum(counts, np.iinfo(np.uint8).max).astype(dtype)
+    for make in (lambda: RateAccumulator(pw), lambda: StatsAccumulator("robin")):
+        got, want = make(), make()
+        got.add_counts(narrow)
+        want.add_counts(narrow.astype(np.int64))
+        np.testing.assert_array_equal(
+            dataclasses.astuple(got.finalize()), dataclasses.astuple(want.finalize())
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,6 +108,11 @@ BAD_ROWS = {
     "above-576": [[577, 0, 0, 0, 0, 0, 0, 0]],
     "fraction": [[2.5, 0, 0, 0, 0, 0, 0, 0]],
     "nan": [[math.nan, 0, 0, 0, 0, 0, 0, 0]],
+    # integer counts skip the whole-number check, never the range check
+    "negative-int32": np.array([[3, -1, 0, 0, 0, 0, 0, 0]], dtype=np.int32),
+    "above-576-uint16": np.array([[577, 0, 0, 0, 0, 0, 0, 0]], dtype=np.uint16),
+    "fraction-1.5": [[1.5, 0, 0, 0, 0, 0, 0, 0]],
+    "nan-float32": np.array([[math.nan, 0, 0, 0, 0, 0, 0, 0]], dtype=np.float32),
 }
 
 ADDERS = {

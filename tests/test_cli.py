@@ -222,6 +222,7 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         ("trace = {trace}\npw = 0.999\n", DATA_LIST, 2),
         ("trace = {trace}\npw = 0.999\n", '{"addr": "0x0", "data": 5}\n', 2),
         ("trace = {trace}\npw = 0.999\n", "[" * 100_000 + "]" * 100_000 + "\n", 2),
+        ("trace =\npw = 0.999\n", None, 1),
     ],
     ids=[
         "unknown-trace-format",
@@ -235,6 +236,7 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         "jsonl-data-list",
         "jsonl-data-number",
         "jsonl-deep-nesting",
+        "empty-trace",
     ],
 )
 def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text, code):
@@ -247,6 +249,17 @@ def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text
     assert len(err) == 1 and err[0].startswith("config error:" if code == 1 else "i/o error:")
     if code == 2:
         assert "record 0" in err[0]
+
+
+def test_run_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # with no --out, an empty out would resolve to the current directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "workload = irregular\nrecords = 10\npw = 0.999\nout =\n")
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert ":4:" in err[0] and "'out'" in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["experiment.cfg"]
 
 
 def test_run_maps_other_value_errors_to_exit_1(tmp_path, capsys, monkeypatch):

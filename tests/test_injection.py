@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from oracle import bits_to_block, block_to_bits
 from robinsim import injection, secded
-from robinsim.bits import block_to_bits
 from robinsim.injection import (
     _TRIAL_CHUNK,
     CodecCrossCheck,
@@ -321,7 +321,6 @@ def test_end_to_end_no_failures():
 
 def forced_outcome(new, scheme, failed_flats=(), failed_checks=()):
     """Hand-built WriteOutcome with an exact failure pattern relative to `new`."""
-    from robinsim.bits import bits_to_block
     from robinsim.injection import WriteOutcome
     from robinsim.mapping import datawords, scheme_assignment
     from robinsim.secded import encode_words

@@ -56,14 +56,17 @@ def write_batches(draw, max_rows):
 def test_codeword_counts_match_per_bit_oracle(batch):
     olds, news = batch
     for scheme in SCHEMES:
-        data, check = codeword_counts(scheme, olds ^ news, include_ecc=True)
-        data_only, none = codeword_counts(scheme, olds ^ news, include_ecc=False)
-        assert none is None
+        data, cells = codeword_counts(scheme, olds ^ news, include_ecc=True)
+        data_only, data_cells = codeword_counts(scheme, olds ^ news, include_ecc=False)
+        for counts in (data, cells, data_only, data_cells):
+            assert counts.dtype == np.uint8 and counts.shape == (len(olds), 8)
         assert np.array_equal(data, data_only)
+        # without ECC a write touches only its data cells
+        assert np.array_equal(data_cells, data_only)
         for i, (old, new) in enumerate(zip(olds, news)):
             want_data, want_check = oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), True)
             assert data[i].tolist() == want_data
-            assert check[i].tolist() == want_check
+            assert (cells[i] - data[i]).tolist() == want_check
 
 
 def slot_datawords(scheme, bits):
@@ -116,10 +119,11 @@ ZERO, ONES = bytes(64), b"\xff" * 64
 def test_transition_vector_matches_batch_kernel_and_oracle(old, new):
     diff = np.frombuffer(old, dtype=np.uint8) ^ np.frombuffer(new, dtype=np.uint8)
     for scheme in SCHEMES:
-        data, check = codeword_counts(scheme, diff[None], include_ecc=True)
         want_data, want_check = oracle.flip_counts(scheme.kind, old, new, True)
-        assert data[0].tolist() == want_data and check[0].tolist() == want_check
-        without = transition_vector(scheme, old, new, include_ecc=False)
-        assert without.k == tuple(want_data) and not without.include_ecc
-        with_ecc = transition_vector(scheme, old, new, include_ecc=True)
-        assert with_ecc.k == tuple((data[0] + check[0]).tolist()) and with_ecc.include_ecc
+        for include_ecc in (False, True):
+            data, cells = codeword_counts(scheme, diff[None], include_ecc)
+            assert data.dtype == cells.dtype == np.uint8 and data.shape == cells.shape == (1, 8)
+            assert data[0].tolist() == want_data
+            assert (cells - data)[0].tolist() == (want_check if include_ecc else [0] * 8)
+            tv = transition_vector(scheme, old, new, include_ecc)
+            assert tv.k == tuple(cells[0].tolist()) and tv.include_ecc == include_ecc

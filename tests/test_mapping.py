@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
+from oracle import bits_to_block, block_to_bits
 from robinsim import secded
-from robinsim.bits import bits_to_block, block_to_bits
 from robinsim.mapping import (
     INTERLEAVED,
     PER_WORD,
@@ -135,14 +135,17 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
     density = np.linspace(0.0, 1.0, len(olds))[:, None]
     flips = np.packbits(rng.random((len(olds), 512)) < density, axis=1, bitorder="little")
     news = olds ^ flips
-    data, check = codeword_counts(scheme, olds ^ news, include_ecc)
-    assert data.shape == (len(olds), 8)
-    assert (check is None) == (not include_ecc)
+    data, cells = codeword_counts(scheme, olds ^ news, include_ecc)
+    assert data.dtype == cells.dtype == np.uint8
+    assert data.shape == cells.shape == (len(olds), 8)
+    if not include_ecc:
+        assert np.array_equal(cells, data)
     for i, (old, new) in enumerate(zip(olds, news)):
-        want_data, want_check = oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), include_ecc)
+        want_data, want_check = oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), True)
         assert data[i].tolist() == want_data
-        if include_ecc:
-            assert check[i].tolist() == want_check
+        assert (cells[i] - data[i]).tolist() == (want_check if include_ecc else [0] * 8)
+        tv = transition_vector(scheme, old.tobytes(), new.tobytes(), include_ecc)
+        assert tv.k == tuple(cells[i].tolist())
 
 
 def test_codeword_counts_takes_byte_xor_only():
@@ -150,8 +153,8 @@ def test_codeword_counts_takes_byte_xor_only():
         codeword_counts(ROBIN, np.zeros((2, 512), dtype=np.uint8))
     with pytest.raises(ValueError, match="uint8"):
         codeword_counts(ROBIN, np.zeros((2, 64), dtype=bool))
-    data, check = codeword_counts(ROBIN, np.zeros((0, 64), dtype=np.uint8))
-    assert data.shape == check.shape == (0, 8)
+    data, cells = codeword_counts(ROBIN, np.zeros((0, 64), dtype=np.uint8))
+    assert data.shape == cells.shape == (0, 8)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)

@@ -133,6 +133,6 @@ def test_run_experiment_monte_carlo_matches_reference_across_batches():
     assert len(pairs) == 1100
     diff = np.array([np.frombuffer(old, np.uint8) ^ np.frombuffer(new, np.uint8) for old, new in pairs])
     for report in bundle.schemes:
-        data, check = codeword_counts(MappingScheme(report.scheme), diff, include_ecc=True)
-        rate, stderr = oracle.mc_trace((data + check).tolist(), cfg.pw, cfg.trials, cfg.seed)
+        cells = codeword_counts(MappingScheme(report.scheme), diff, include_ecc=True)[1]
+        rate, stderr = oracle.mc_trace(cells.tolist(), cfg.pw, cfg.trials, cfg.seed)
         assert (report.mc.error_rate, report.mc.stderr, report.mc.records) == (rate, stderr, 1100)

@@ -13,7 +13,6 @@ from robinsim.reliability import (
     DeviceParams,
     ParameterError,
     codeword_log_success_array,
-    codeword_success_array,
     normalized_increase,
     p_block_success,
     p_block_success_optimal,
@@ -137,10 +136,10 @@ def test_codeword_success_rejects_negative():
         p_codeword_success(2, 1.5)
 
 
-def test_codeword_success_array_matches_scalar():
+def test_codeword_log_success_array_matches_scalar():
     ks = np.array([0.0, 0.5, 1.0, 2.0, 7.25, 64.0])
     for pw in (0.0, 0.5, 0.999, 1.0):
-        array = codeword_success_array(ks, pw)
+        array = np.exp(codeword_log_success_array(ks, pw))
         scalar = [p_codeword_success(float(k), pw) for k in ks]
         assert np.allclose(array, scalar, rtol=1e-12, atol=0)
 

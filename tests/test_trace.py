@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+from oracle import block_to_bits
 from robinsim import trace
 from robinsim.bits import stack_blocks
 from robinsim.mapping import BATCH, PER_WORD, ROBIN
@@ -293,8 +294,6 @@ def test_histogram_conservation():
     records = make_records(60, seed=10)
     pairs = list(old_new_pairs(records))
     hist = per_bit_histogram(pairs)
-    from robinsim.bits import block_to_bits
-
     total = sum(int((block_to_bits(o) != block_to_bits(n)).sum()) for o, n in pairs)
     assert int(hist.sum()) == total
 
