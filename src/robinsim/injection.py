@@ -253,6 +253,7 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
     # field sizes below are sums of those counts far past 255
     live = counts[rows].astype(np.int64)
     sizes = live.sum(axis=1)
+    reach = int(live.max())   # failures of one (trial, codeword) lie less than this apart
     # the codeword of each simulated cell: a record's cells grouped by codeword,
     # the records laid end to end, record i's cells from cell_start[i]
     cell_codeword = np.repeat(np.tile(np.arange(CODEWORDS), rows.size), live.ravel())
@@ -276,6 +277,10 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         fields = seg_field[lo:hi]
         cell = _failures(seg_key[lo:hi], seg_chunk[lo:hi], fields, fail_prob)
+        # sorted keys: only failures nearer than reach to a neighbour can share its key
+        near = np.diff(cell) < reach
+        if 4 * np.count_nonzero(near) < near.size:   # dropping the rest pays only then
+            cell = cell[np.append(near, False) | np.insert(near, 0, False)]
         # the group's fields lie end to end, so each segment's failures are a run
         ends = np.cumsum(fields)
         found = np.diff(cell.searchsorted(ends), prepend=0)

@@ -15,19 +15,12 @@ Inside a codeword, data bits are ordered by ascending flat index; that order
 defines the dataword slots fed to the codec, so check bits are bit-exact
 functions of the scheme.
 
-All three layouts are byte-structured: the 64 bits of word i land in eight
-bytes of the datawords. :func:`block_datawords` has two routes to the same
-datawords, chosen by the number of payloads. From ``_SMALL_ROWS`` payloads
-up it builds them with one lookup per byte and one fixed byte gather, never
-touching single bits; below that, where numpy's per-call overhead dominates,
-it unpacks the bits, permutes them into slot order with :func:`scheme_perm`
-and packs them again, which is the slot-order definition itself.
-:func:`codeword_counts` is the one place that turns payload XORs into
-per-codeword flip counts: for a batch of writes, how many data bits and how
-many cells (data plus check bits) of each codeword must flip. Every consumer
-reads those counts; :func:`transition_vector` is its one-row call, on which
-:func:`block_datawords` and :func:`robinsim.secded.encode_words` take their
-small routes.
+:func:`scheme_counts` is the batch kernel, valid for any assignment of bits
+to codewords: each payload byte is looked up once in a data table and once in
+a check table, with one byte lane per codeword of every scheme of the call.
+:func:`codeword_counts`, the one counting rule, is its one-scheme call, and
+:func:`transition_vector` its one-row call; below ``_SMALL_ROWS`` rows it
+encodes the bit-permuted datawords of :func:`block_datawords` instead.
 """
 
 from __future__ import annotations
@@ -147,68 +140,28 @@ def codeword_data_bits(scheme: MappingScheme, n: int) -> list[int]:
     return scheme_perm(scheme).reshape(CODEWORDS, DATAWORD_BITS)[n].tolist()
 
 
-@lru_cache(maxsize=None)
-def _byte_tables(scheme: MappingScheme) -> tuple[np.ndarray, np.ndarray]:
-    """The byte lookup table and the 64-byte gather of :func:`block_datawords`.
-
-    Bit ``flat`` lands at bit ``rank % 8`` of dataword byte ``rank // 8``,
-    where ``rank = 64 * codeword + slot``. Word i's bits fill eight dataword
-    bytes, which become, in ascending order, the eight byte lanes of word i's
-    uint64. Row j of the (64, 256) table, returned flattened, maps each value
-    of payload byte j to its bits placed in those lanes; ``gather[b]`` is the
-    lane byte that holds dataword byte b.
-    """
-    rank = np.empty(BLOCK_BITS, dtype=np.int64)
-    rank[scheme_perm(scheme)] = np.arange(BLOCK_BITS)
-    out_byte, out_bit = np.divmod(rank, BITS_PER_BYTE)
-    word_fills = np.zeros((WORDS, BLOCK_BYTES), dtype=bool)
-    word_fills[np.arange(BLOCK_BITS) // DATAWORD_BITS, out_byte] = True
-    # row-major, so word i's eight dataword bytes, ascending, become lanes 8i .. 8i+7
-    gather = np.empty(BLOCK_BYTES, dtype=np.intp)
-    gather[np.nonzero(word_fills)[1]] = np.arange(BLOCK_BYTES)
-    lane = gather[out_byte] % BYTES_PER_WORD
-    bit_value = np.uint64(1) << (BITS_PER_BYTE * lane + out_bit).astype(np.uint64)
-    bit_value = bit_value.reshape(BLOCK_BYTES, BITS_PER_BYTE)
-    table = np.zeros((BLOCK_BYTES, 256), dtype="<u8")
-    for t in range(BITS_PER_BYTE):
-        # values with top bit t are those below 2**t plus bit t's contribution
-        np.bitwise_or(table[:, : 1 << t], bit_value[:, t : t + 1], out=table[:, 1 << t : 2 << t])
-    table = table.ravel()
-    table.setflags(write=False)
-    gather.setflags(write=False)
-    return table, gather
-
-
-# offset of each payload byte's row in the flattened table
-_TABLE_ROWS = 256 * np.arange(BLOCK_BYTES, dtype=np.intp)
-# payloads looked up per step, so each temporary stays at 64 KB. A step's
-# lookups are laid out (byte in word, payload, word) and ORed over the first
-# axis: eight passes along rows * 8 lanes, not rows * 8 reductions of length 8
-_LOOKUP_ROWS = 128
-# block_datawords permutes the bits of fewer payloads directly; the two routes
-# took the same time at 14-16 payloads (2-core x86-64 virtual machine)
+_BYTE_OFFSETS = (256 * np.arange(BLOCK_BYTES, dtype=np.uint16))[:, None]   # byte j's table entries
+# codeword_counts encodes fewer rows by secded.encode_words, whose benchmark
+# span the per-write workload needs, though the lane kernel is faster even at
+# one row (8.6 against 11.2 us, 2-core x86-64 VM)
 _SMALL_ROWS = 16
+
+
+def _check_payloads(blocks: np.ndarray) -> None:
+    if blocks.dtype != np.uint8 or blocks.shape[1:] != (BLOCK_BYTES,):
+        raise ValueError(f"payloads must be (n, {BLOCK_BYTES}) uint8, got {blocks.shape} {blocks.dtype}")
 
 
 def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
     """The ``(n, 8)`` uint64 datawords, one per codeword, of ``(n, 64)`` uint8 payloads.
 
-    Fewer than ``_SMALL_ROWS`` payloads go bit by bit through
-    :func:`scheme_perm`, more through the byte tables; both give the same words.
+    The bits are unpacked, permuted into slot order by :func:`scheme_perm`
+    and packed again: the slot-order definition itself.
     """
-    if blocks.dtype != np.uint8 or blocks.shape[1:] != (BLOCK_BYTES,):
-        raise ValueError(f"payloads must be (n, {BLOCK_BYTES}) uint8, got {blocks.shape} {blocks.dtype}")
-    if len(blocks) < _SMALL_ROWS:
-        # slot s of codeword n is bit 64n + s of the permuted row; 512 bits pack into whole rows
-        slots = np.unpackbits(blocks, axis=1, bitorder="little").take(scheme_perm(scheme), axis=1)
-        return np.packbits(slots, bitorder="little").view("<u8").reshape(len(blocks), CODEWORDS)
-    table, gather = _byte_tables(scheme)
-    lanes = np.empty((len(blocks), WORDS), dtype="<u8")
-    for start in range(0, len(blocks), _LOOKUP_ROWS):
-        rows = blocks[start : start + _LOOKUP_ROWS]
-        index = (rows + _TABLE_ROWS).reshape(len(rows), WORDS, BYTES_PER_WORD).transpose(2, 0, 1)
-        np.bitwise_or.reduce(table.take(index), axis=0, out=lanes[start : start + _LOOKUP_ROWS])
-    return np.take(lanes.view(np.uint8), gather, axis=1).view("<u8")
+    _check_payloads(blocks)
+    # slot s of codeword n is bit 64n + s of the permuted row; 512 bits pack into whole rows
+    slots = np.unpackbits(blocks, axis=1, bitorder="little").take(scheme_perm(scheme), axis=1)
+    return np.packbits(slots, bitorder="little").view("<u8").reshape(len(blocks), CODEWORDS)
 
 
 def datawords(scheme: MappingScheme, data: bytes) -> np.ndarray:
@@ -298,6 +251,54 @@ class TransitionVector:
         return sum(self.k)
 
 
+@lru_cache(maxsize=8)
+def _lane_tables(schemes: tuple[MappingScheme, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only data and check tables of :func:`scheme_counts`.
+
+    Entry ``256 * j + v`` is one ``V(8 * lanes)`` item: a ``<u8`` per scheme,
+    zero-padded to a power-of-two count, the item sizes ``np.take`` copies
+    fastest. Data lane n counts the bits of value v at payload byte j that
+    codeword n owns (at most 8, and 64 per block, so sums never carry);
+    check lane n is the XOR of those bits' H columns.
+    """
+    # rank[j, b, s] = 64 * codeword + slot of bit b of payload byte j under scheme s
+    rank = np.argsort([scheme_perm(scheme) for scheme in schemes], axis=1).T
+    codeword, slot = np.divmod(rank.reshape(BLOCK_BYTES, BITS_PER_BYTE, len(schemes)), DATAWORD_BITS)
+    lane = (BITS_PER_BYTE * codeword).astype(np.uint64)
+    columns = np.array(secded.DATA_COLUMNS, dtype=np.uint64)
+    lanes, used = 1 << (len(schemes) - 1).bit_length(), len(schemes)
+    tables = []
+    for combine, bit_value in ((np.add, np.uint64(1) << lane), (np.bitwise_xor, columns[slot] << lane)):
+        table = np.zeros((BLOCK_BYTES, 256, lanes), dtype="<u8")
+        for t in range(BITS_PER_BYTE):
+            # values with top bit t are those below 2**t plus bit t's contribution
+            combine(table[:, : 1 << t, :used], bit_value[:, t : t + 1], out=table[:, 1 << t : 2 << t, :used])
+        table = table.reshape(-1).view(f"V{8 * lanes}")
+        table.setflags(write=False)
+        tables.append(table)
+    return tuple(tables)
+
+
+def scheme_counts(
+    schemes: tuple[MappingScheme, ...], diff: np.ndarray, include_ecc: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`codeword_counts` of ``(n, 64)`` uint8 ``diff`` under S schemes at once.
+
+    Returns ``(data, cells)``, both ``(n, S, 8)`` uint8 in the given scheme
+    order. The byte-major ``(64, n * lanes)`` lookups are reduced over their
+    outer axis: data lanes summed, check lanes XORed and then bit-counted.
+    """
+    _check_payloads(diff)
+    data_table, check_table = _lane_tables(tuple(schemes))
+    index = diff.T + _BYTE_OFFSETS
+    shape, used = (len(diff), data_table.itemsize // 8, CODEWORDS), len(schemes)
+    data = np.add.reduce(data_table.take(index).view("<u8"), axis=0).view(np.uint8).reshape(shape)[:, :used]
+    if not include_ecc:
+        return data, data
+    check = np.bitwise_xor.reduce(check_table.take(index).view("<u8"), axis=0).view(np.uint8)
+    return data, data + np.bitwise_count(check).reshape(shape)[:, :used]
+
+
 def codeword_counts(
     scheme: MappingScheme, diff: np.ndarray, include_ecc: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +312,11 @@ def codeword_counts(
     ``old ^ new`` are the XOR of the two writes' datawords; since encoding is
     linear over GF(2), ``encode(old) ^ encode(new) == encode(old ^ new)``,
     and the check bits that flip are those encoded from the dataword diff.
+    From ``_SMALL_ROWS`` rows up it is :func:`scheme_counts` of one scheme.
     """
+    if len(diff) >= _SMALL_ROWS:
+        data, cells = scheme_counts((scheme,), diff, include_ecc)
+        return data[:, 0], cells[:, 0]
     words = block_datawords(scheme, diff)
     data = np.bitwise_count(words)
     if not include_ecc:

@@ -2,8 +2,8 @@
 
 One streaming pass over the old/new pair stream, in the batches of up to
 512 writes of :func:`robinsim.trace.pair_batches`, takes each batch's byte XOR
-``olds ^ news``, counts each scheme's codeword flips from it with
-:func:`robinsim.mapping.codeword_counts` and folds them into a
+``olds ^ news``, counts every scheme's codeword flips from it with one
+:func:`robinsim.mapping.scheme_counts` call and folds each scheme's into a
 :class:`robinsim.reliability.RateAccumulator` (analytic error rate and its
 uniform-split optimum) and a :class:`robinsim.trace.StatsAccumulator`
 (codeword-spread statistics), and sums the per-bit transition histogram.
@@ -26,7 +26,7 @@ import numpy as np
 from . import reliability
 from .bits import BLOCK_BITS, blocks_to_bits
 from .injection import InjectionConfig, MonteCarloAccumulator, TraceEstimate
-from .mapping import KINDS, MappingScheme, codeword_counts
+from .mapping import KINDS, MappingScheme, scheme_counts
 from .reliability import DeviceParams, ParameterError, RateAccumulator
 from .trace import FORMATS, CodewordStats, StatsAccumulator, load_trace, old_new_pairs, pair_batches
 from .workloads import WorkloadSpec, gen_workload
@@ -121,7 +121,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     """Single pass over the input pairs; returns all per-scheme results."""
     cfg.validate()
     pw = cfg.resolve_pw()
-    schemes = [MappingScheme(name) for name in cfg.schemes]
+    schemes = tuple(MappingScheme(name) for name in cfg.schemes)
     rates = [RateAccumulator(pw) for _ in schemes]
     spreads = [StatsAccumulator(s.kind) for s in schemes]
     histogram = np.zeros(BLOCK_BITS, dtype=np.int64)
@@ -140,10 +140,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         diff = olds ^ news
         # exact: a batch holds at most BATCH <= 65535 flips per bit
         histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
-        for scheme, rate, spread in zip(schemes, rates, spreads):
-            data, cells = codeword_counts(scheme, diff, cfg.include_ecc)
-            spread.add_counts(data)
-            rate.add_counts(cells)
+        data, cells = scheme_counts(schemes, diff, cfg.include_ecc)
+        for s, (rate, spread) in enumerate(zip(rates, spreads)):
+            spread.add_counts(data[:, s])
+            rate.add_counts(cells[:, s])
         if cfg.monte_carlo:
             for mc in mcs:
                 mc.add_batch(olds, news)

@@ -1,6 +1,9 @@
 """Property tests: the byte-level kernel against per-bit definitions."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,14 +15,18 @@ from robinsim.mapping import (
     PER_WORD,
     ROBIN,
     _SMALL_ROWS,
+    _lane_tables,
     block_datawords,
     codeword_counts,
     codeword_data_bits,
     datawords,
+    scheme_counts,
     transition_vector,
 )
 
 SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
+# every ordered non-empty subset of the kinds
+SCHEME_TUPLES = [t for r in range(1, 4) for t in itertools.permutations(SCHEMES, r)]
 
 
 def seeded_batch(n, seed, zero_row, ones_row):
@@ -37,13 +44,13 @@ def seeded_batch(n, seed, zero_row, ones_row):
 
 
 @st.composite
-def write_batches(draw, max_rows):
-    """A :func:`seeded_batch` of 1 to ``max_rows`` writes.
+def write_batches(draw, rows):
+    """A :func:`seeded_batch` of a number of writes drawn from ``rows``, at least 1.
 
     The rows come from a drawn seed, since hypothesis buffers cannot hold
     hundreds of blocks. A single row is the all-ones one.
     """
-    n = draw(st.integers(1, max_rows))
+    n = draw(rows)
     seed = draw(st.integers(0, 2**32 - 1))
     zero_row = draw(st.integers(0, n - 1))
     ones_row = (zero_row + draw(st.integers(1, max(1, n - 1)))) % n
@@ -51,8 +58,13 @@ def write_batches(draw, max_rows):
 
 
 @settings(max_examples=12, deadline=None)
-@given(write_batches(BATCH + 40))
+@given(write_batches(st.integers(1, BATCH + 40)))
 @example(seeded_batch(BATCH + 40, 0, 0, BATCH))
+# one row, and either side of the row count where codeword_counts changes route
+@example(seeded_batch(1, 1, 0, 0))
+@example(seeded_batch(_SMALL_ROWS - 1, 6, 0, _SMALL_ROWS - 2))
+@example(seeded_batch(_SMALL_ROWS, 7, _SMALL_ROWS - 1, 0))
+@example(seeded_batch(_SMALL_ROWS + 1, 8, 1, _SMALL_ROWS))
 def test_codeword_counts_match_per_bit_oracle(batch):
     olds, news = batch
     for scheme in SCHEMES:
@@ -69,6 +81,40 @@ def test_codeword_counts_match_per_bit_oracle(batch):
             assert (cells[i] - data[i]).tolist() == want_check
 
 
+@settings(max_examples=8, deadline=None)
+@given(write_batches(st.sampled_from([_SMALL_ROWS - 1, _SMALL_ROWS, _SMALL_ROWS + 1, BATCH])))
+@example(seeded_batch(BATCH, 9, BATCH - 1, 0))
+def test_scheme_counts_match_codeword_counts_and_oracle(batch):
+    olds, news = batch
+    diff = olds ^ news
+    want = {}
+    for scheme in SCHEMES:
+        rows = [oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), True) for old, new in zip(olds, news)]
+        want[scheme] = np.array([data for data, _ in rows]), np.array([check for _, check in rows])
+    for schemes in SCHEME_TUPLES:
+        for include_ecc in (False, True):
+            data, cells = scheme_counts(schemes, diff, include_ecc)
+            assert data.dtype == cells.dtype == np.uint8
+            assert data.shape == cells.shape == (len(diff), len(schemes), 8)
+            for s, scheme in enumerate(schemes):
+                want_data, want_check = want[scheme]
+                assert np.array_equal(data[:, s], want_data)
+                assert np.array_equal(cells[:, s], want_data + want_check if include_ecc else want_data)
+                one_data, one_cells = codeword_counts(scheme, diff, include_ecc)
+                assert np.array_equal(data[:, s], one_data) and np.array_equal(cells[:, s], one_cells)
+
+
+@pytest.mark.parametrize("schemes", SCHEME_TUPLES, ids=lambda t: ",".join(s.kind for s in t))
+def test_lane_tables_are_read_only(schemes):
+    scheme_counts(schemes, np.zeros((1, 64), dtype=np.uint8))
+    for table in _lane_tables(schemes):
+        # one uint64 per scheme, padded to a power of two
+        assert table.shape == (64 * 256,) and table.dtype.itemsize in {8 * len(schemes), 32}
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[:1] = table[1:2]
+
+
 def slot_datawords(scheme, bits):
     """Dataword n of each row: slot s holds flat bit ``codeword_data_bits(scheme, n)[s]``."""
     return [
@@ -81,18 +127,9 @@ EMPTY_BATCH = (np.zeros((0, 64), dtype=np.uint8),) * 2
 
 
 @settings(max_examples=25, deadline=None)
-@given(write_batches(40))
+@given(write_batches(st.integers(1, 40)))
 @example(EMPTY_BATCH)
-# one row, either side of the row count where block_datawords changes route,
-# and either side of each boundary of its byte-table route's 128-row lookup steps
 @example(seeded_batch(1, 1, 0, 0))
-@example(seeded_batch(_SMALL_ROWS - 1, 6, 0, _SMALL_ROWS - 2))
-@example(seeded_batch(_SMALL_ROWS, 7, _SMALL_ROWS - 1, 0))
-@example(seeded_batch(_SMALL_ROWS + 1, 8, 1, _SMALL_ROWS))
-@example(seeded_batch(127, 2, 0, 126))
-@example(seeded_batch(128, 3, 127, 0))
-@example(seeded_batch(129, 4, 0, 128))
-@example(seeded_batch(257, 5, 256, 128))
 def test_datawords_match_slot_definition(batch):
     _, news = batch
     bits = blocks_to_bits(news)

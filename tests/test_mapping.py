@@ -7,9 +7,11 @@ import oracle
 from oracle import bits_to_block, block_to_bits
 from robinsim import secded
 from robinsim.mapping import (
+    BATCH,
     INTERLEAVED,
     PER_WORD,
     ROBIN,
+    _SMALL_ROWS,
     BitCoordinate,
     InvalidSchemeError,
     MappingScheme,
@@ -17,6 +19,7 @@ from robinsim.mapping import (
     codeword_data_bits,
     datawords,
     map_bit,
+    scheme_counts,
     transition_vector,
     verify_partition,
 )
@@ -149,12 +152,21 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
 
 
 def test_codeword_counts_takes_byte_xor_only():
-    with pytest.raises(ValueError, match="uint8"):
-        codeword_counts(ROBIN, np.zeros((2, 512), dtype=np.uint8))
-    with pytest.raises(ValueError, match="uint8"):
-        codeword_counts(ROBIN, np.zeros((2, 64), dtype=bool))
-    data, cells = codeword_counts(ROBIN, np.zeros((0, 64), dtype=np.uint8))
+    # on either side of the row count where codeword_counts changes route, and
+    # through the multi-scheme kernel
+    for n in (2, _SMALL_ROWS - 1, _SMALL_ROWS, BATCH):
+        for shape, dtype in (((512,), np.uint8), ((63,), np.uint8), ((64,), bool), ((64,), np.int64)):
+            diff = np.zeros((n, *shape), dtype=dtype)
+            for include_ecc in (False, True):
+                with pytest.raises(ValueError, match=r"payloads must be \(n, 64\) uint8"):
+                    codeword_counts(ROBIN, diff, include_ecc)
+                with pytest.raises(ValueError, match=r"payloads must be \(n, 64\) uint8"):
+                    scheme_counts((ROBIN, PER_WORD), diff, include_ecc)
+    empty = np.zeros((0, 64), dtype=np.uint8)
+    data, cells = codeword_counts(ROBIN, empty)
     assert data.shape == cells.shape == (0, 8)
+    data, cells = scheme_counts((ROBIN, PER_WORD), empty)
+    assert data.shape == cells.shape == (0, 2, 8)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)

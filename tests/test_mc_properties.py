@@ -48,6 +48,11 @@ def mc_cases(draw):
 @example((INTERLEAVED, [[16] * 8] * 24, 0.5, 1, 11, 2**40))
 # a second full trial chunk whose successes depend on its own counters
 @example((ROBIN, [[2, 2, 2, 0, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0, 0, 2]], 0.05, 2 * _TRIAL_CHUNK, 13, 5))
+# failure probabilities of 0.9 and more, where nearly every failure is near the next
+@example((ROBIN, [[6] * 8, [3, 2, 0, 0, 0, 0, 0, 4], [2] * 8], 0.95, 300, 21, 9))
+@example((PER_WORD, [[16] * 8, [0, 0, 2, 0, 0, 0, 0, 9]], 0.9, 300, 8, 0))
+# reach 2: only adjacent failures can share a codeword, and most are dropped unkeyed
+@example((INTERLEAVED, [[2, 0, 2, 0, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0, 0, 2], [1] * 8], 0.05, 3000, 4, 1))
 def test_monte_carlo_block_matches_record_by_record_reference(case):
     scheme, rows, fail_prob, trials, seed, record_index = case
     olds, news = blocks_with_counts(scheme, rows)
