@@ -8,16 +8,13 @@ trace-driven transition statistics.
 
 from .injection import InjectionConfig, WriteOutcome, inject_write, mix_seed, monte_carlo_block, monte_carlo_trace
 from .mapping import (
-    BitCoordinate,
     INTERLEAVED,
     InvalidSchemeError,
     MappingScheme,
     PER_WORD,
     ROBIN,
-    TransitionVector,
     codeword_counts,
     codeword_data_bits,
-    map_bit,
     transition_vector,
     verify_partition,
 )
@@ -32,7 +29,7 @@ from .reliability import (
     trace_error_rate,
 )
 from .report import ExperimentConfig, ReportBundle, emit_csv, emit_svg, run_experiment
-from .trace import ShadowStore, WriteRecord, codeword_stats, load_trace, old_new_pairs, per_bit_histogram, save_trace
+from .trace import ShadowStore, WriteRecord, codeword_stats, load_trace, old_new_pairs, save_trace
 from .workloads import WorkloadSpec, gen_workload
 
 __version__ = "0.1.0"

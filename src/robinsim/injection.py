@@ -400,7 +400,7 @@ class TraceEstimate:
 
 
 class MonteCarloAccumulator:
-    """Running trace-level Monte Carlo estimate, fed (old, new) writes in record order.
+    """Running trace-level Monte Carlo estimate, fed batches of (old, new) writes in record order.
 
     The r-th write added is record r and draws from the key mix_seed(seed, r), so
     the estimate is independent of how the writes are batched; partial
@@ -412,9 +412,6 @@ class MonteCarloAccumulator:
         self.records = 0
         self._failure_sum = 0.0
         self._variance_sum = 0.0
-
-    def add(self, old: bytes, new: bytes) -> None:
-        self.add_batch(block_bytes(old)[None], block_bytes(new)[None])
 
     def add_batch(self, olds: np.ndarray, news: np.ndarray) -> None:
         """Add the writes of two ``(n, 64)`` uint8 arrays as the next n records."""

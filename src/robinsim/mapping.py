@@ -16,11 +16,12 @@ defines the dataword slots fed to the codec, so check bits are bit-exact
 functions of the scheme.
 
 :func:`scheme_counts` is the batch kernel, valid for any assignment of bits
-to codewords: each payload byte is looked up once in a data table and once in
-a check table, with one byte lane per codeword of every scheme of the call.
-:func:`codeword_counts`, the one counting rule, is its one-scheme call, and
-:func:`transition_vector` its one-row call; below ``_SMALL_ROWS`` rows it
-encodes the bit-permuted datawords of :func:`block_datawords` instead.
+to codewords: each payload byte is looked up once in a data table and, when
+check bits count, once in a check table, with one byte lane per codeword of
+every scheme of the call. :func:`codeword_counts`, the one counting rule, is
+its one-scheme call; below ``_SMALL_ROWS`` rows it encodes the bit-permuted
+datawords of :func:`block_datawords` instead. :func:`transition_vector`
+returns one write's row of eight counts as a tuple of ints.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .bits import BLOCK_BITS, BLOCK_BYTES, block_bytes
 KINDS = ("per-word", "interleaved", "robin")
 
 WORDS = 8
-BYTES_PER_WORD = 8
 BITS_PER_BYTE = 8
 CODEWORDS = 8
 DATAWORD_BITS = 64
@@ -64,29 +64,6 @@ class MappingScheme:
 PER_WORD = MappingScheme("per-word")
 INTERLEAVED = MappingScheme("interleaved")
 ROBIN = MappingScheme("robin")
-
-
-@dataclass(frozen=True)
-class BitCoordinate:
-    """(word, byte, pos) address of one data bit; bijective with the flat index."""
-
-    word: int
-    byte: int
-    pos: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.word < WORDS and 0 <= self.byte < BYTES_PER_WORD and 0 <= self.pos < BITS_PER_BYTE):
-            raise ValueError(f"coordinate out of range: word={self.word} byte={self.byte} pos={self.pos}")
-
-    @property
-    def flat(self) -> int:
-        return 64 * self.word + 8 * self.byte + self.pos
-
-    @classmethod
-    def from_flat(cls, flat: int) -> "BitCoordinate":
-        if not 0 <= flat < BLOCK_BITS:
-            raise ValueError(f"flat index out of range: {flat}")
-        return cls(flat // 64, (flat % 64) // 8, flat % 8)
 
 
 @lru_cache(maxsize=None)
@@ -118,11 +95,6 @@ def cell_assignment(scheme: MappingScheme) -> np.ndarray:
     ids = np.append(scheme_assignment(scheme), np.arange(CODEWORDS).repeat(secded.CHECK_BITS))
     ids.setflags(write=False)
     return ids
-
-
-def map_bit(scheme: MappingScheme, coord: BitCoordinate) -> int:
-    """Codeword id in [0, 8) that owns the given data bit."""
-    return int(scheme_assignment(scheme)[coord.flat])
 
 
 @lru_cache(maxsize=None)
@@ -162,11 +134,6 @@ def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
     # slot s of codeword n is bit 64n + s of the permuted row; 512 bits pack into whole rows
     slots = np.unpackbits(blocks, axis=1, bitorder="little").take(scheme_perm(scheme), axis=1)
     return np.packbits(slots, bitorder="little").view("<u8").reshape(len(blocks), CODEWORDS)
-
-
-def datawords(scheme: MappingScheme, data: bytes) -> np.ndarray:
-    """Extract the eight 64-bit datawords of a block, one uint64 per codeword."""
-    return block_datawords(scheme, block_bytes(data)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -231,29 +198,9 @@ def verify_partition(scheme: MappingScheme) -> PartitionReport:
     )
 
 
-@dataclass(frozen=True)
-class TransitionVector:
-    """Per-codeword flip counts for one block write."""
-
-    k: tuple[int, ...]
-    include_ecc: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.k) != CODEWORDS:
-            raise ValueError(f"transition vector needs {CODEWORDS} entries, got {len(self.k)}")
-        cap = DATAWORD_BITS + (secded.CHECK_BITS if self.include_ecc else 0)
-        for i, v in enumerate(self.k):
-            if not 0 <= v <= cap:
-                raise ValueError(f"k[{i}]={v} outside [0, {cap}]")
-
-    @property
-    def total(self) -> int:
-        return sum(self.k)
-
-
-@lru_cache(maxsize=8)
-def _lane_tables(schemes: tuple[MappingScheme, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only data and check tables of :func:`scheme_counts`.
+@lru_cache(maxsize=16)
+def _lane_table(schemes: tuple[MappingScheme, ...], check: bool) -> np.ndarray:
+    """The read-only data table of :func:`scheme_counts`, or with ``check`` its check table.
 
     Entry ``256 * j + v`` is one ``V(8 * lanes)`` item: a ``<u8`` per scheme,
     zero-padded to a power-of-two count, the item sizes ``np.take`` copies
@@ -265,18 +212,23 @@ def _lane_tables(schemes: tuple[MappingScheme, ...]) -> tuple[np.ndarray, np.nda
     rank = np.argsort([scheme_perm(scheme) for scheme in schemes], axis=1).T
     codeword, slot = np.divmod(rank.reshape(BLOCK_BYTES, BITS_PER_BYTE, len(schemes)), DATAWORD_BITS)
     lane = (BITS_PER_BYTE * codeword).astype(np.uint64)
-    columns = np.array(secded.DATA_COLUMNS, dtype=np.uint64)
+    if check:
+        combine, bit_value = np.bitwise_xor, np.array(secded.DATA_COLUMNS, dtype=np.uint64)[slot] << lane
+    else:
+        combine, bit_value = np.add, np.uint64(1) << lane
     lanes, used = 1 << (len(schemes) - 1).bit_length(), len(schemes)
-    tables = []
-    for combine, bit_value in ((np.add, np.uint64(1) << lane), (np.bitwise_xor, columns[slot] << lane)):
-        table = np.zeros((BLOCK_BYTES, 256, lanes), dtype="<u8")
-        for t in range(BITS_PER_BYTE):
-            # values with top bit t are those below 2**t plus bit t's contribution
-            combine(table[:, : 1 << t, :used], bit_value[:, t : t + 1], out=table[:, 1 << t : 2 << t, :used])
-        table = table.reshape(-1).view(f"V{8 * lanes}")
-        table.setflags(write=False)
-        tables.append(table)
-    return tuple(tables)
+    table = np.zeros((BLOCK_BYTES, 256, lanes), dtype="<u8")
+    for t in range(BITS_PER_BYTE):
+        # values with top bit t are those below 2**t plus bit t's contribution
+        combine(table[:, : 1 << t, :used], bit_value[:, t : t + 1], out=table[:, 1 << t : 2 << t, :used])
+    table = table.reshape(-1).view(f"V{8 * lanes}")
+    table.setflags(write=False)
+    return table
+
+
+def _lane_tables(schemes: tuple[MappingScheme, ...], include_ecc: bool = True) -> tuple[np.ndarray, ...]:
+    """The data table of ``schemes`` and, with ``include_ecc``, its check table, each cached alone."""
+    return tuple(_lane_table(schemes, check) for check in (False, True)[: 1 + include_ecc])
 
 
 def scheme_counts(
@@ -288,14 +240,17 @@ def scheme_counts(
     order. The byte-major ``(64, n * lanes)`` lookups are reduced over their
     outer axis: data lanes summed, check lanes XORed and then bit-counted.
     """
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("scheme_counts needs at least one scheme")
     _check_payloads(diff)
-    data_table, check_table = _lane_tables(tuple(schemes))
+    tables = _lane_tables(schemes, include_ecc)
     index = diff.T + _BYTE_OFFSETS
-    shape, used = (len(diff), data_table.itemsize // 8, CODEWORDS), len(schemes)
-    data = np.add.reduce(data_table.take(index).view("<u8"), axis=0).view(np.uint8).reshape(shape)[:, :used]
+    shape, used = (len(diff), tables[0].itemsize // 8, CODEWORDS), len(schemes)
+    data = np.add.reduce(tables[0].take(index).view("<u8"), axis=0).view(np.uint8).reshape(shape)[:, :used]
     if not include_ecc:
         return data, data
-    check = np.bitwise_xor.reduce(check_table.take(index).view("<u8"), axis=0).view(np.uint8)
+    check = np.bitwise_xor.reduce(tables[1].take(index).view("<u8"), axis=0).view(np.uint8)
     return data, data + np.bitwise_count(check).reshape(shape)[:, :used]
 
 
@@ -326,11 +281,12 @@ def codeword_counts(
 
 def transition_vector(
     scheme: MappingScheme, old: bytes, new: bytes, include_ecc: bool = True
-) -> TransitionVector:
-    """Count the cells that must flip in each codeword when `old` is overwritten by `new`.
+) -> tuple[int, ...]:
+    """The cells that must flip in each codeword when `old` is overwritten by `new`.
 
-    One row of :func:`codeword_counts`' ``cells``: with ``include_ecc`` a
-    write touches all k + r cells of a codeword, so the check-bit flips count.
+    The eight counts of one row of :func:`codeword_counts`' ``cells``: with
+    ``include_ecc`` a write touches all k + r cells of a codeword, so the
+    check-bit flips count.
     """
     cells = codeword_counts(scheme, (block_bytes(old) ^ block_bytes(new))[None], include_ecc)[1]
-    return TransitionVector(tuple(cells[0].tolist()), include_ecc=include_ecc)
+    return tuple(cells[0].tolist())

@@ -15,7 +15,8 @@ Each formula has one array implementation: :func:`codeword_log_success_array`
 for a codeword, whose sum over a row is the block's log success, and
 :func:`block_log_success_optimal_array` for the uniform-split bound. The
 scalar ``p_*`` functions evaluate those two and nothing else.
-:class:`RateAccumulator` folds batches of per-codeword cell counts, as
+A write's counts are a row of eight, one per codeword, checked by
+:func:`count_rows`. :class:`RateAccumulator` folds batches of such rows, as
 :func:`robinsim.mapping.codeword_counts` returns them, into trace-level
 means. Its counts are whole numbers in [0, 576], 576 being the cells of a
 block, so it evaluates the closed form once per pw, for every possible count
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bits import BLOCK_BITS
-from .mapping import BATCH, CODEWORDS, TransitionVector
+from .mapping import BATCH, CODEWORDS
 from .secded import CHECK_BITS
 
 EULER_GAMMA = 0.5772156649015329
@@ -149,16 +150,9 @@ def p_codeword_success(k: float, pw: float) -> float:
     return float(np.exp(codeword_log_success_array(k, pw)))
 
 
-def _counts(tv: TransitionVector | Sequence[int]) -> np.ndarray:
-    k = np.asarray(tv.k if isinstance(tv, TransitionVector) else tv, dtype=np.float64)
-    if k.shape != (CODEWORDS,):
-        raise ParameterError(f"transition vector needs {CODEWORDS} entries, got shape {k.shape}")
-    return k
-
-
-def p_block_success(tv: TransitionVector | Sequence[int], pw: float) -> float:
-    """Probability that all eight codewords of a block write succeed."""
-    return float(np.exp(codeword_log_success_array(_counts(tv), pw).sum()))
+def p_block_success(row: Sequence[int], pw: float) -> float:
+    """Probability that all eight codewords of a block write succeed, given their counts."""
+    return float(np.exp(codeword_log_success_array(count_rows([row])[0], pw).sum()))
 
 
 def p_block_success_optimal(total: float, pw: float) -> float:
@@ -179,9 +173,12 @@ def count_rows(counts: np.ndarray) -> np.ndarray:
     """``counts`` as an ``(n, 8)`` int64 array, checked to hold whole numbers in [0, 576].
 
     Integer and bool counts are converted; so are whole-valued floats, and any
-    other value raises :class:`ParameterError`.
+    other value, or rows of ragged lengths, raises :class:`ParameterError`.
     """
-    counts = np.asarray(counts)
+    try:
+        counts = np.asarray(counts)
+    except ValueError as exc:
+        raise ParameterError(f"count rows need {CODEWORDS} entries each: {exc}") from exc
     if counts.ndim != 2 or counts.shape[1] != CODEWORDS:
         raise ParameterError(f"count rows need {CODEWORDS} entries, got shape {counts.shape}")
     # NaN fails both comparisons
@@ -233,7 +230,7 @@ class RateAccumulator:
 
     def finalize(self) -> TraceErrorRate:
         if self.writes == 0:
-            raise ValueError("empty transition-vector stream")
+            raise ValueError("empty count-row stream")
         return TraceErrorRate(
             rate=self._failure_sum / self.writes,
             optimal_rate=self._optimal_sum / self.writes,
@@ -241,8 +238,8 @@ class RateAccumulator:
         )
 
 
-def trace_error_rate(tvs: Iterable[TransitionVector | Sequence[int]], pw: float) -> TraceErrorRate:
-    """Aggregate Eq-style block failure over a stream of transition vectors.
+def trace_error_rate(rows: Iterable[Sequence[int]], pw: float) -> TraceErrorRate:
+    """Aggregate Eq-style block failure over a stream of rows of eight counts.
 
     The cache error rate is the mean over writes of (1 - p_block_success);
     alongside it the same mean is computed against the uniform K/8 bound,
@@ -250,10 +247,9 @@ def trace_error_rate(tvs: Iterable[TransitionVector | Sequence[int]], pw: float)
     both.
     """
     acc = RateAccumulator(pw)
-    tvs = iter(tvs)
-    while chunk := list(islice(tvs, BATCH)):
-        rows = [tv.k if isinstance(tv, TransitionVector) else tv for tv in chunk]
-        acc.add_counts(np.asarray(rows))
+    rows = iter(rows)
+    while chunk := list(islice(rows, BATCH)):
+        acc.add_counts(chunk)
     return acc.finalize()
 
 

@@ -21,7 +21,8 @@ supported:
 Old/new block pairs are derived by replaying records against a shadow store
 that remembers the last payload written to each address; never-written
 addresses read as all zeros. A warmup count can suppress the first records
-from statistics while still updating the store.
+from statistics while still updating the store. :func:`pair_batches` is the
+one batching of a pair stream.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bits import BLOCK_BITS, BLOCK_BYTES, blocks_to_bits, stack_blocks
+from .bits import BLOCK_BYTES, stack_blocks
 from .mapping import BATCH, CODEWORDS, MappingScheme, codeword_counts
 from .reliability import count_rows
 
@@ -339,15 +340,6 @@ def pair_batches(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[np.ndar
     pairs = iter(pairs)
     while batch := list(islice(pairs, BATCH)):
         yield stack_blocks([p[0] for p in batch]), stack_blocks([p[1] for p in batch])
-
-
-def per_bit_histogram(pairs: Iterable[tuple[bytes, bytes]]) -> np.ndarray:
-    """Count, per flat bit position, how many writes transitioned that data bit."""
-    counts = np.zeros(BLOCK_BITS, dtype=np.int64)
-    for olds, news in pair_batches(pairs):
-        # exact: a batch holds at most BATCH <= 65535 flips per bit
-        counts += blocks_to_bits(olds ^ news).sum(axis=0, dtype=np.uint16)
-    return counts
 
 
 @dataclass(frozen=True)

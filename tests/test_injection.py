@@ -3,6 +3,7 @@ import pytest
 
 from oracle import bits_to_block, block_to_bits
 from robinsim import injection, secded
+from robinsim.bits import block_bytes, stack_blocks
 from robinsim.injection import (
     _TRIAL_CHUNK,
     CodecCrossCheck,
@@ -173,7 +174,7 @@ def test_monte_carlo_block_certain_success_draws_nothing(flats, pw, monkeypatch)
 )
 def test_monte_carlo_block_pw_zero_fails_iff_a_codeword_has_two_flips(flats, include_ecc, fails):
     new = block_with_flips(flats)
-    counts = transition_vector(ROBIN, ZERO, new, include_ecc=include_ecc).k
+    counts = transition_vector(ROBIN, ZERO, new, include_ecc=include_ecc)
     assert (max(counts) >= 2) == fails
     cfg = InjectionConfig(pw=0.0, scheme=ROBIN, trials=_TRIAL_CHUNK + 5, seed=8, include_ecc=include_ecc)
     estimate = monte_carlo_block(ZERO, new, cfg)
@@ -233,7 +234,7 @@ def test_monte_carlo_block_matches_analytic(flats, pw):
 def test_monte_carlo_block_include_ecc_uses_check_transitions():
     new = block_with_flips([0])
     tv = transition_vector(ROBIN, ZERO, new, include_ecc=True)
-    assert tv.total > 1  # the single data flip drags check bits along
+    assert sum(tv) > 1  # the single data flip drags check bits along
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, trials=50_000, seed=5, include_ecc=True)
     estimate = monte_carlo_block(ZERO, new, cfg)
     expected = p_block_success(tv, 0.5)
@@ -291,8 +292,8 @@ def test_monte_carlo_trace_equals_per_pair_accumulation():
     pairs = [(old.tobytes(), new.tobytes()) for old, new in zip(olds, news)]
     cfg = InjectionConfig(pw=0.95, scheme=INTERLEAVED, trials=40, seed=31, include_ecc=True)
     one_by_one = MonteCarloAccumulator(cfg)
-    for old, new in pairs:
-        one_by_one.add(old, new)
+    for old, new in zip(olds, news):
+        one_by_one.add_batch(old[None], new[None])
     estimate = monte_carlo_trace(iter(pairs), cfg)
     assert estimate == one_by_one.finalize()
     assert estimate.records == 1100 and 0 < estimate.error_rate < 1
@@ -322,13 +323,13 @@ def test_end_to_end_no_failures():
 def forced_outcome(new, scheme, failed_flats=(), failed_checks=()):
     """Hand-built WriteOutcome with an exact failure pattern relative to `new`."""
     from robinsim.injection import WriteOutcome
-    from robinsim.mapping import datawords, scheme_assignment
+    from robinsim.mapping import block_datawords, scheme_assignment
     from robinsim.secded import encode_words
 
     bits = block_to_bits(new).copy()
     for flat in failed_flats:
         bits[flat] ^= 1
-    check_words = [int(c) for c in encode_words(datawords(scheme, new))]
+    check_words = [int(c) for c in encode_words(block_datawords(scheme, block_bytes(new)[None])[0])]
     counts = [0] * 8
     for flat in failed_flats:
         counts[int(scheme_assignment(scheme)[flat])] += 1
@@ -411,7 +412,7 @@ def test_inject_write_cell_order(monkeypatch):
     # a hash whose gaps are all 2 fails every second transitioning cell
     monkeypatch.setattr(injection, "splitmix", constant_hash(GAP_TWO_HASH))
 
-    from robinsim.mapping import datawords, scheme_assignment
+    from robinsim.mapping import block_datawords, scheme_assignment
     from robinsim.secded import encode_words
 
     rng = np.random.default_rng(12)
@@ -420,8 +421,7 @@ def test_inject_write_cell_order(monkeypatch):
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, include_ecc=True)
     outcome = inject_write(old, new, cfg, substream(0, 0))
 
-    old_check = encode_words(datawords(ROBIN, old))
-    new_check = encode_words(datawords(ROBIN, new))
+    old_check, new_check = encode_words(block_datawords(ROBIN, stack_blocks([old, new])))
     data_cells = [int(f) for f in np.flatnonzero(block_to_bits(old) != block_to_bits(new))]
     check_cells = [
         512 + 8 * n + r for n in range(8) for r in range(8) if (old_check[n] ^ new_check[n]) >> r & 1

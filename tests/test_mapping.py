@@ -6,25 +6,36 @@ from hypothesis import strategies as st
 import oracle
 from oracle import bits_to_block, block_to_bits
 from robinsim import secded
+from robinsim.bits import block_bytes
 from robinsim.mapping import (
     BATCH,
     INTERLEAVED,
     PER_WORD,
     ROBIN,
     _SMALL_ROWS,
-    BitCoordinate,
+    _lane_table,
     InvalidSchemeError,
     MappingScheme,
+    block_datawords,
     codeword_counts,
     codeword_data_bits,
-    datawords,
-    map_bit,
+    scheme_assignment,
     scheme_counts,
     transition_vector,
     verify_partition,
 )
 
 SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
+
+
+def owner(scheme, word, byte, pos):
+    """The codeword that owns bit ``pos`` of byte ``byte`` of word ``word``."""
+    return int(scheme_assignment(scheme)[64 * word + 8 * byte + pos])
+
+
+def datawords(scheme, block):
+    """The eight datawords of one 64-byte block."""
+    return block_datawords(scheme, block_bytes(block)[None])[0]
 
 
 def robin_forward_assignment():
@@ -40,32 +51,16 @@ def robin_forward_assignment():
 
 
 def test_map_bit_reference_points():
-    assert map_bit(ROBIN, BitCoordinate(0, 0, 0)) == 0
-    assert map_bit(ROBIN, BitCoordinate(1, 2, 3)) == 0
-    assert map_bit(PER_WORD, BitCoordinate.from_flat(100)) == 1
-    assert map_bit(INTERLEAVED, BitCoordinate.from_flat(100)) == 4
+    assert owner(ROBIN, 0, 0, 0) == 0
+    assert owner(ROBIN, 1, 2, 3) == 0
+    assert scheme_assignment(PER_WORD)[100] == 1
+    assert scheme_assignment(INTERLEAVED)[100] == 4
 
 
 def test_robin_matches_forward_enumeration():
     oracle = robin_forward_assignment()
     for flat, expected in oracle.items():
-        assert map_bit(ROBIN, BitCoordinate.from_flat(flat)) == expected
-
-
-def test_flat_coordinate_roundtrip():
-    for flat in range(512):
-        coord = BitCoordinate.from_flat(flat)
-        assert coord.flat == flat
-        assert 64 * coord.word + 8 * coord.byte + coord.pos == flat
-
-
-def test_coordinate_validation():
-    with pytest.raises(ValueError):
-        BitCoordinate(8, 0, 0)
-    with pytest.raises(ValueError):
-        BitCoordinate(0, -1, 0)
-    with pytest.raises(ValueError):
-        BitCoordinate.from_flat(512)
+        assert scheme_assignment(ROBIN)[flat] == expected
 
 
 def test_codeword_data_bits_reference_points():
@@ -95,7 +90,7 @@ def test_partition_property(scheme):
 def test_map_bit_roundtrip_with_codeword_data_bits(scheme):
     for n in range(8):
         for flat in codeword_data_bits(scheme, n):
-            assert map_bit(scheme, BitCoordinate.from_flat(flat)) == n
+            assert scheme_assignment(scheme)[flat] == n
 
 
 def test_verify_partition_robin():
@@ -147,8 +142,7 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
         want_data, want_check = oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), True)
         assert data[i].tolist() == want_data
         assert (cells[i] - data[i]).tolist() == (want_check if include_ecc else [0] * 8)
-        tv = transition_vector(scheme, old.tobytes(), new.tobytes(), include_ecc)
-        assert tv.k == tuple(cells[i].tolist())
+        assert transition_vector(scheme, old.tobytes(), new.tobytes(), include_ecc) == tuple(cells[i].tolist())
 
 
 def test_codeword_counts_takes_byte_xor_only():
@@ -169,31 +163,61 @@ def test_codeword_counts_takes_byte_xor_only():
     assert data.shape == cells.shape == (0, 2, 8)
 
 
+def test_scheme_counts_needs_a_scheme():
+    misses = _lane_table.cache_info().misses
+    for include_ecc in (False, True):
+        with pytest.raises(ValueError, match="at least one scheme"):
+            scheme_counts((), np.zeros((4, 64), dtype=np.uint8), include_ecc)
+    assert _lane_table.cache_info().misses == misses
+
+
+def test_check_table_built_only_when_check_bits_count():
+    diff = np.random.default_rng(3).integers(0, 256, (40, 64), dtype=np.uint8)
+    _lane_table.cache_clear()
+    data, cells = scheme_counts(SCHEMES, diff, include_ecc=False)
+    assert cells is data
+    # the data table alone, also on a second ECC-off call
+    codeword_counts(ROBIN, diff, include_ecc=False)
+    scheme_counts(SCHEMES, diff, include_ecc=False)
+    assert _lane_table.cache_info().currsize == 2
+    _, with_check = scheme_counts(SCHEMES, diff, include_ecc=True)
+    assert _lane_table.cache_info().currsize == 3
+    assert (with_check >= data).all() and (with_check > data).any()
+
+
+def test_transition_vector_is_a_row_of_eight_ints():
+    rng = np.random.default_rng(8)
+    old, new = (rng.integers(0, 256, 64, dtype=np.uint8).tobytes() for _ in range(2))
+    for scheme in SCHEMES:
+        for include_ecc in (False, True):
+            row = transition_vector(scheme, old, new, include_ecc)
+            assert type(row) is tuple and len(row) == 8 and all(type(k) is int for k in row)
+            diff = (block_bytes(old) ^ block_bytes(new))[None]
+            assert row == tuple(codeword_counts(scheme, diff, include_ecc)[1][0].tolist())
+
+
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
 def test_transition_vector_identical_blocks(scheme):
     block = bytes(range(64))
-    tv = transition_vector(scheme, block, block, include_ecc=True)
-    assert tv.k == (0,) * 8
-    assert tv.total == 0
+    assert transition_vector(scheme, block, block, include_ecc=True) == (0,) * 8
 
 
 def test_transition_vector_word0_all_ones():
     old = bytes(64)
     new = bytes([0xFF] * 8 + [0] * 56)
-    assert transition_vector(PER_WORD, old, new, include_ecc=False).k == (64,) + (0,) * 7
-    assert transition_vector(INTERLEAVED, old, new, include_ecc=False).k == (8,) * 8
+    assert transition_vector(PER_WORD, old, new, include_ecc=False) == (64,) + (0,) * 7
+    assert transition_vector(INTERLEAVED, old, new, include_ecc=False) == (8,) * 8
     # oracle: enumerate the 64 coordinates of word 0 under the robin rule
     oracle = [0] * 8
     for j in range(8):
         for pos in range(8):
             oracle[(pos - 0 - j) % 8] += 1
-    assert transition_vector(ROBIN, old, new, include_ecc=False).k == tuple(oracle) == (8,) * 8
+    assert transition_vector(ROBIN, old, new, include_ecc=False) == tuple(oracle) == (8,) * 8
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
 def test_transition_vector_all_bits_flip(scheme):
-    tv = transition_vector(scheme, bytes(64), bytes([0xFF]) * 64, include_ecc=False)
-    assert tv.k == (64,) * 8
+    assert transition_vector(scheme, bytes(64), bytes([0xFF]) * 64, include_ecc=False) == (64,) * 8
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
@@ -203,14 +227,14 @@ def test_transition_totals_match_hamming_distance(scheme):
         old = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
         new = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
         hamming = int((block_to_bits(old) != block_to_bits(new)).sum())
-        assert transition_vector(scheme, old, new, include_ecc=False).total == hamming
+        assert sum(transition_vector(scheme, old, new, include_ecc=False)) == hamming
         with_ecc = transition_vector(scheme, old, new, include_ecc=True)
         check_dist = 0
         for n in range(8):
             c_old = secded.encode(int(datawords(scheme, old)[n]))
             c_new = secded.encode(int(datawords(scheme, new)[n]))
             check_dist += bin(c_old ^ c_new).count("1")
-        assert with_ecc.total == hamming + check_dist
+        assert sum(with_ecc) == hamming + check_dist
 
 
 @pytest.mark.parametrize("scheme", (INTERLEAVED, ROBIN), ids=lambda s: s.kind)
@@ -220,8 +244,7 @@ def test_single_word_writes_bounded(scheme):
         word = int(rng.integers(8))
         payload = bytearray(64)
         payload[8 * word : 8 * word + 8] = rng.integers(0, 256, 8, dtype=np.uint8).tobytes()
-        tv = transition_vector(scheme, bytes(64), bytes(payload), include_ecc=False)
-        assert max(tv.k) <= 8
+        assert max(transition_vector(scheme, bytes(64), bytes(payload), include_ecc=False)) <= 8
 
 
 def test_datawords_slot_order():
@@ -231,21 +254,11 @@ def test_datawords_slot_order():
             bits = np.zeros(512, dtype=np.uint8)
             bits[flat] = 1
             block = bits_to_block(bits)
-            n = map_bit(scheme, BitCoordinate.from_flat(flat))
+            n = scheme_assignment(scheme)[flat]
             slot = codeword_data_bits(scheme, n).index(flat)
             words = datawords(scheme, block)
             assert int(words[n]) == 1 << slot
             assert all(int(words[m]) == 0 for m in range(8) if m != n)
-
-
-def test_transition_vector_validation():
-    from robinsim.mapping import TransitionVector
-
-    with pytest.raises(ValueError):
-        TransitionVector((1, 2, 3))
-    with pytest.raises(ValueError):
-        TransitionVector((65,) + (0,) * 7, include_ecc=False)
-    assert TransitionVector((72,) + (0,) * 7, include_ecc=True).total == 72
 
 
 @pytest.mark.parametrize(
@@ -277,12 +290,12 @@ def test_every_codeword_owns_64_distinct_bits(scheme, n):
     bits = codeword_data_bits(scheme, n)
     assert len(set(bits)) == 64
     for flat in bits:
-        assert map_bit(scheme, BitCoordinate.from_flat(flat)) == n
+        assert scheme_assignment(scheme)[flat] == n
         assert oracle.owner(scheme.kind, flat) == n
 
 
 def robin_owner(word, byte, pos):
-    return map_bit(ROBIN, BitCoordinate(word, byte, pos))
+    return owner(ROBIN, word, byte, pos)
 
 
 @given(codewords, index8, index8)

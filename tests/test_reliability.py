@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import oracle
-from robinsim.mapping import TransitionVector
 from robinsim.reliability import (
     DeviceParams,
     ParameterError,
@@ -148,7 +147,8 @@ def test_block_success_reference_points():
     assert p_block_success([0] * 8, 0.9) == 1.0
     assert p_block_success([2, 0, 0, 0, 0, 0, 0, 0], 0.9) == pytest.approx(0.99)
     assert p_block_success([2] * 8, 0.9) == pytest.approx(0.99**8)
-    assert p_block_success(TransitionVector((2,) * 8), 0.9) == pytest.approx(0.9227446944279201)
+    # a kernel row, as codeword_counts returns it
+    assert p_block_success(np.full(8, 2, dtype=np.uint8), 0.9) == pytest.approx(0.9227446944279201)
 
 
 def test_block_success_optimal_reference_points():
@@ -232,6 +232,33 @@ def test_trace_error_rate_across_chunks_matches_oracle():
 def test_trace_error_rate_rejects_wrong_width():
     with pytest.raises(ParameterError):
         trace_error_rate([[1] * 7], 0.9)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 2, 3), (1,) * 8],
+        [(1,) * 8, (1,) * 9],
+        [(1,) * 7],
+        [(1,) * 9],
+        [(1,) * 8, (1,) * 7],
+        [(1, (2, 3), 0, 0, 0, 0, 0, 0)],
+    ],
+    ids=("ragged", "ragged-9", "seven", "nine", "then-seven", "nested"),
+)
+def test_trace_error_rate_rejects_rows_that_are_not_eight_counts(rows):
+    with pytest.raises(ParameterError, match="count rows need 8 entries"):
+        trace_error_rate(rows, 0.9)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(1, 2, 3), (1,) * 7, (1,) * 9, (1, (2, 3), 0, 0, 0, 0, 0, 0), [(1,) * 8, (1,) * 7]],
+    ids=("three", "seven", "nine", "nested", "ragged"),
+)
+def test_block_success_rejects_rows_that_are_not_eight_counts(row):
+    with pytest.raises(ParameterError, match="count rows need 8 entries"):
+        p_block_success(row, 0.9)
 
 
 TINY_Q = [10.0**-e for e in range(3, 13)]

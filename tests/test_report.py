@@ -8,8 +8,8 @@ import pytest
 import oracle
 from robinsim.config import config_from_values, load_config, parse_config_text
 from robinsim.injection import InjectionConfig, monte_carlo_trace
-from robinsim.mapping import MappingScheme
-from robinsim.reliability import normalized_increase
+from robinsim.mapping import MappingScheme, transition_vector
+from robinsim.reliability import normalized_increase, trace_error_rate
 from robinsim.report import (
     ConfigError,
     ExperimentConfig,
@@ -19,7 +19,8 @@ from robinsim.report import (
     make_pairs,
     run_experiment,
 )
-from robinsim.trace import WriteRecord, old_new_pairs, save_trace
+from robinsim.trace import WriteRecord, codeword_stats, old_new_pairs, save_trace
+from robinsim.workloads import KINDS as WORKLOAD_KINDS
 from robinsim.workloads import WorkloadSpec, gen_workload
 
 
@@ -149,6 +150,29 @@ def test_run_experiment_matches_streaming_oracles(include_ecc):
         min_avg, max_avg = oracle.spread([data for data, _ in counts])
         assert report.stats.min_avg_pct == pytest.approx(min_avg, rel=1e-9)
         assert report.stats.max_avg_pct == pytest.approx(max_avg, rel=1e-9)
+    # the per-bit histogram, counted bit by bit per pair
+    want = [0] * 512
+    for old, new in pairs:
+        for flat in range(512):
+            want[flat] += (old[flat // 8] ^ new[flat // 8]) >> (flat % 8) & 1
+    assert bundle.histogram.dtype == np.int64
+    assert bundle.histogram.tolist() == want
+
+
+@pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+def test_per_write_api_equals_run_experiment(kind):
+    """One write at a time, the library API gives run_experiment's numbers exactly."""
+    # 600 records cross one 512-write batch boundary, where both sides reduce their sums
+    cfg = small_config(workload=WorkloadSpec(kind=kind, records=600))
+    bundle = run_experiment(cfg)
+    pairs = list(make_pairs(cfg))
+    for report in bundle.schemes:
+        scheme = MappingScheme(report.scheme)
+        rates = trace_error_rate([transition_vector(scheme, old, new) for old, new in pairs], cfg.pw)
+        assert rates.rate == report.analytic_rate
+        assert rates.optimal_rate == report.optimal_rate
+        assert rates.writes == bundle.writes == 600
+        assert codeword_stats(pairs, scheme, include_ecc=False) == report.stats
 
 
 def test_run_experiment_monte_carlo_within_three_sigma():

@@ -8,6 +8,7 @@ from oracle import block_to_bits
 from robinsim import trace
 from robinsim.bits import stack_blocks
 from robinsim.mapping import BATCH, PER_WORD, ROBIN
+from robinsim.report import ExperimentConfig, run_experiment
 from robinsim.trace import (
     ShadowStore,
     TraceFormatError,
@@ -16,7 +17,6 @@ from robinsim.trace import (
     load_trace,
     old_new_pairs,
     pair_batches,
-    per_bit_histogram,
     save_trace,
 )
 
@@ -278,41 +278,33 @@ def test_pairs_replay_is_deterministic():
     assert first == second
 
 
-def test_histogram_identical_writes_all_zero():
+def run_histogram(tmp_path, records, warmup=0):
+    """``run_experiment``'s per-bit transition histogram of a trace of ``records``."""
+    path = tmp_path / "histogram.trace"
+    save_trace(path, records)
+    cfg = ExperimentConfig(trace_path=str(path), pw=0.999, schemes=("robin",), warmup=warmup)
+    return run_experiment(cfg).histogram
+
+
+def test_histogram_identical_writes_all_zero(tmp_path):
     data = bytes(range(64))
-    hist = per_bit_histogram([(data, data)] * 4)
+    # the cold write is warmup; the four rewrites of the same data flip nothing
+    hist = run_histogram(tmp_path, [WriteRecord(0, data)] * 5, warmup=1)
     assert hist.shape == (512,)
     assert not hist.any()
 
 
-def test_histogram_full_flip_counts_every_bit():
-    hist = per_bit_histogram([(bytes(64), bytes([0xFF]) * 64)])
+def test_histogram_full_flip_counts_every_bit(tmp_path):
+    hist = run_histogram(tmp_path, [WriteRecord(0, bytes([0xFF]) * 64)])
     assert (hist == 1).all()
 
 
-def test_histogram_conservation():
+def test_histogram_conservation(tmp_path):
     records = make_records(60, seed=10)
     pairs = list(old_new_pairs(records))
-    hist = per_bit_histogram(pairs)
+    hist = run_histogram(tmp_path, records)
     total = sum(int((block_to_bits(o) != block_to_bits(n)).sum()) for o, n in pairs)
     assert int(hist.sum()) == total
-
-
-def test_histogram_across_batches_matches_per_pair_sum():
-    # more pairs than one batch, counted bit by bit per pair as the reference
-    pairs = list(old_new_pairs(make_records(700, seed=4, addresses=16)))
-    want = [0] * 512
-    for old, new in pairs:
-        for flat in range(512):
-            want[flat] += (old[flat // 8] ^ new[flat // 8]) >> (flat % 8) & 1
-    hist = per_bit_histogram(iter(pairs))
-    assert hist.dtype == np.int64
-    assert hist.tolist() == want
-
-
-def test_histogram_rejects_short_payload():
-    with pytest.raises(ValueError, match="64 bytes"):
-        per_bit_histogram([(bytes(64), bytes(63))])
 
 
 class CountingIterator:

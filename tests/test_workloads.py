@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 import oracle
 from robinsim import workloads
 from robinsim.bits import BLOCK_BITS
-from robinsim.trace import old_new_pairs, per_bit_histogram
+from robinsim.report import ExperimentConfig, run_experiment
 from robinsim.workloads import KINDS, WorkloadSpec, gen_workload
 
 
 def histogram_for(spec, seed=1, warmup=0):
-    return per_bit_histogram(old_new_pairs(gen_workload(spec, seed), warmup=warmup))
+    cfg = ExperimentConfig(workload=spec, seed=seed, warmup=warmup, pw=0.999, schemes=("robin",))
+    return run_experiment(cfg).histogram
 
 
 def payloads_by_address(spec, seed=1):
