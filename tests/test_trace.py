@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from oracle import block_to_bits
-from robinsim import trace
+from robinsim import report, trace
 from robinsim.bits import stack_blocks
 from robinsim.mapping import BATCH, PER_WORD, ROBIN
 from robinsim.report import ExperimentConfig, run_experiment
@@ -19,6 +19,7 @@ from robinsim.trace import (
     pair_batches,
     save_trace,
 )
+from robinsim.workloads import KINDS, WorkloadSpec
 
 
 def make_records(count, seed=0, addresses=4):
@@ -305,6 +306,26 @@ def test_histogram_conservation(tmp_path):
     hist = run_histogram(tmp_path, records)
     total = sum(int((block_to_bits(o) != block_to_bits(n)).sum()) for o, n in pairs)
     assert int(hist.sum()) == total
+
+
+def test_histogram_across_batches_matches_per_pair_sum(tmp_path):
+    # more pairs than one batch, counted bit by bit per pair as the reference
+    records = make_records(700, seed=4, addresses=16)
+    want = [0] * 512
+    for old, new in old_new_pairs(records):
+        for flat in range(512):
+            want[flat] += (old[flat // 8] ^ new[flat // 8]) >> (flat % 8) & 1
+    hist = run_histogram(tmp_path, records)
+    assert hist.dtype == np.int64
+    assert hist.tolist() == want
+
+
+def test_histogram_rejects_short_payload(monkeypatch):
+    # trace files cannot hold a short payload, so the pair stream is handed in directly
+    monkeypatch.setattr(report, "make_pairs", lambda cfg: iter([(bytes(64), bytes(63))]))
+    cfg = ExperimentConfig(workload=WorkloadSpec(kind=KINDS[0], records=1), pw=0.999, schemes=("robin",))
+    with pytest.raises(ValueError, match="64 bytes"):
+        run_experiment(cfg)
 
 
 class CountingIterator:
