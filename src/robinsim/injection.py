@@ -84,11 +84,8 @@ def mix_seed(seed: int, index: int) -> int:
     Collision-resistant enough to give every (seed, record) pair an
     independent, order-insensitive key. numpy integers are accepted.
     """
-    seed, index = int(seed), int(index)
-    z = (seed + (index + 1) * SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * SPLITMIX_MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * SPLITMIX_MUL2) & _MASK64
-    return z ^ (z >> 31)
+    # one element, not 0-d: splitmix writes in place with out=, which 0-d results refuse
+    return int(splitmix(seed, np.array([index], dtype=np.uint64))[0])
 
 
 def splitmix(keys: int | np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -396,7 +393,6 @@ class TraceEstimate:
     error_rate: float
     stderr: float
     records: int
-    trials_per_record: int
 
 
 class MonteCarloAccumulator:
@@ -430,7 +426,6 @@ class MonteCarloAccumulator:
             error_rate=self._failure_sum / self.records,
             stderr=math.sqrt(self._variance_sum) / self.records,
             records=self.records,
-            trials_per_record=self.cfg.trials,
         )
 
 

@@ -9,9 +9,10 @@ uniform-split optimum) and a :class:`robinsim.trace.StatsAccumulator`
 (codeword-spread statistics), and sums the per-bit transition histogram.
 With Monte Carlo on, each batch's ``olds`` and ``news`` also feed one
 :class:`robinsim.injection.MonteCarloAccumulator` per scheme, so memory stays
-bounded in the trace length. Results are emitted as CSV tables and
-self-contained SVG charts; reruns with the same config and seed are
-byte-identical.
+bounded in the trace length. :func:`emit_csv` builds three CSV tables and
+:func:`emit_svg` three self-contained SVG charts, each as text, and each
+writes its three with one ``_write`` call: ASCII with ``\n`` line ends, in a
+fixed order. Reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -102,7 +103,6 @@ class SchemeReport:
 @dataclass
 class ReportBundle:
     pw: float
-    include_ecc: bool
     writes: int
     histogram: np.ndarray
     schemes: list[SchemeReport] = field(default_factory=list)
@@ -152,7 +152,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     if writes == 0:
         raise ConfigError("input produced no write records after warmup")
 
-    bundle = ReportBundle(pw=pw, include_ecc=cfg.include_ecc, writes=writes, histogram=histogram)
+    bundle = ReportBundle(pw=pw, writes=writes, histogram=histogram)
     for scheme, rate, spread, mc in zip(schemes, rates, spreads, mcs):
         means = rate.finalize()
         increase = (
@@ -186,46 +186,48 @@ def format_sig(value: float | None) -> str:
     )
 
 
-def emit_csv(bundle: ReportBundle, outdir: str | Path) -> list[Path]:
-    """Write histogram.csv, codeword_stats.csv, and error_rates.csv."""
+def _write(outdir: str | Path, files: dict[str, str]) -> list[Path]:
+    """Write each file name's text under ``outdir`` as ASCII with ``\\n`` line ends.
+
+    ``outdir`` is created if missing; the paths come back in ``files``' order.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    path = outdir / "histogram.csv"
-    with path.open("w", encoding="ascii", newline="\n") as handle:
-        handle.write("flat_index,count\n")
-        for flat, count in enumerate(bundle.histogram):
-            handle.write(f"{flat},{int(count)}\n")
-    paths.append(path)
-
-    path = outdir / "codeword_stats.csv"
-    with path.open("w", encoding="ascii", newline="\n") as handle:
-        handle.write("scheme,stat,value-%\n")
-        for report in bundle.schemes:
-            stats = report.stats
-            for stat, value in (
-                ("min_avg", stats.min_avg_pct),
-                ("max_avg", stats.max_avg_pct),
-                ("min_extreme", stats.min_extreme_pct),
-                ("max_extreme", stats.max_extreme_pct),
-            ):
-                handle.write(f"{report.scheme},{stat},{format_sig(value)}\n")
-    paths.append(path)
-
-    path = outdir / "error_rates.csv"
-    with path.open("w", encoding="ascii", newline="\n") as handle:
-        handle.write("scheme,analytic_rate,optimal_rate,increase_pct,mc_rate,mc_stderr\n")
-        for report in bundle.schemes:
-            mc_rate = format_sig(report.mc.error_rate) if report.mc else ""
-            mc_stderr = format_sig(report.mc.stderr) if report.mc else ""
-            handle.write(
-                f"{report.scheme},{format_sig(report.analytic_rate)},"
-                f"{format_sig(report.optimal_rate)},{format_sig(report.increase_pct)},"
-                f"{mc_rate},{mc_stderr}\n"
-            )
-    paths.append(path)
+    paths = [outdir / name for name in files]
+    for path, text in zip(paths, files.values()):
+        path.write_text(text, encoding="ascii", newline="\n")
     return paths
+
+
+def _table(header: str, rows: Iterable[str]) -> str:
+    """A CSV table: the header line, then one line per row of comma-joined fields."""
+    return "\n".join([header, *rows]) + "\n"
+
+
+def emit_csv(bundle: ReportBundle, outdir: str | Path) -> list[Path]:
+    """Write histogram.csv, codeword_stats.csv, and error_rates.csv."""
+    histogram = (f"{flat},{count}" for flat, count in enumerate(bundle.histogram.tolist()))
+    stats = (
+        f"{report.scheme},{stat},{format_sig(getattr(report.stats, stat + '_pct'))}"
+        for report in bundle.schemes
+        for stat in ("min_avg", "max_avg", "min_extreme", "max_extreme")
+    )
+    rates = (
+        ",".join([
+            report.scheme,
+            *map(format_sig, (report.analytic_rate, report.optimal_rate, report.increase_pct)),
+            format_sig(report.mc.error_rate) if report.mc else "",
+            format_sig(report.mc.stderr) if report.mc else "",
+        ])
+        for report in bundle.schemes
+    )
+    return _write(outdir, {
+        "histogram.csv": _table("flat_index,count", histogram),
+        "codeword_stats.csv": _table("scheme,stat,value-%", stats),
+        "error_rates.csv": _table(
+            "scheme,analytic_rate,optimal_rate,increase_pct,mc_rate,mc_stderr", rates
+        ),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +317,6 @@ def _bar_chart_svg(
 
 def emit_svg(bundle: ReportBundle, outdir: str | Path) -> list[Path]:
     """Write histogram.svg, variation.svg, and error_increase.svg."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    path = outdir / "histogram.svg"
-    path.write_text(_histogram_svg(bundle.histogram), encoding="ascii")
-    paths.append(path)
-
     variation = [
         (
             report.scheme,
@@ -334,33 +328,19 @@ def emit_svg(bundle: ReportBundle, outdir: str | Path) -> list[Path]:
         )
         for report in bundle.schemes
     ]
-    path = outdir / "variation.svg"
-    path.write_text(
-        _bar_chart_svg("codeword transitions, normalized to uniform share", variation, "%",
-                       baseline=100.0),
-        encoding="ascii",
-    )
-    paths.append(path)
-
     increase = [
         (
             report.scheme,
-            [("increase", report.increase_pct if report.increase_pct is not None else 0.0)]
-            + (
-                [
-                    ("analytic_rate", report.analytic_rate),
-                    ("mc_rate", report.mc.error_rate),
-                ]
-                if report.mc is not None
-                else []
-            ),
+            [("increase", report.increase_pct or 0.0)]
+            + ([("analytic_rate", report.analytic_rate), ("mc_rate", report.mc.error_rate)]
+               if report.mc else []),
         )
         for report in bundle.schemes
     ]
-    path = outdir / "error_increase.svg"
-    path.write_text(
-        _bar_chart_svg("error-rate increase over optimal", increase, "% / rate"),
-        encoding="ascii",
-    )
-    paths.append(path)
-    return paths
+    return _write(outdir, {
+        "histogram.svg": _histogram_svg(bundle.histogram),
+        "variation.svg": _bar_chart_svg(
+            "codeword transitions, normalized to uniform share", variation, "%", baseline=100.0
+        ),
+        "error_increase.svg": _bar_chart_svg("error-rate increase over optimal", increase, "% / rate"),
+    })

@@ -251,6 +251,19 @@ def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text
         assert "record 0" in err[0]
 
 
+def test_run_out_below_a_regular_file_is_an_io_error(tmp_path, capsys):
+    # the output directory cannot be created, so the writer fails before any file is written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    cfg = write_config(tmp_path, "workload = irregular\nrecords = 10\npw = 0.999\n")
+    assert main(["run", "--config", cfg, "--out", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:") and "Not a directory" in err[0], err
+    assert "wrote" not in captured.out
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_run_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     # with no --out, an empty out would resolve to the current directory
     monkeypatch.chdir(tmp_path)

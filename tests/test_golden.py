@@ -1,10 +1,11 @@
-"""Golden SHA-256 digests of generator streams and emitted CSVs.
+"""Golden SHA-256 digests of generator streams, emitted CSVs and SVG charts.
 
 The stream digests are of the v2 workload stream, computed from the slow
 per-record reference ``oracle.workload_stream``, never from
-``robinsim.workloads``; the CSV digests are of ``run_experiment`` on that
-reference stream, saved as a binary trace. They must never be re-frozen from
-changed code: a mismatch means a stream or a CSV changed.
+``robinsim.workloads``; the CSV and SVG digests are of the files
+``emit_csv`` and ``emit_svg`` write for ``run_experiment`` of each RUNS
+config. They must never be re-frozen from changed code: a mismatch means a
+stream, a CSV or a chart changed.
 
 All four kinds are covered. The v2 walk of ``float64walk`` and
 ``partialvalid`` is integer arithmetic on the doubles' bit patterns, so its
@@ -21,7 +22,7 @@ import hashlib
 import pytest
 
 import oracle
-from robinsim.report import ExperimentConfig, emit_csv, format_sig, run_experiment
+from robinsim.report import ExperimentConfig, emit_csv, emit_svg, format_sig, run_experiment
 from robinsim.workloads import WorkloadSpec, gen_workload
 
 STREAM_RECORDS = 3000
@@ -103,6 +104,31 @@ RUNS = {
 }
 
 
+# the three SVG charts of each RUNS config
+SVG_DIGESTS = {
+    "narrowint32-analytic": {
+        "histogram.svg": "ef8572810258afb1f6e76658edd0a86ea88957004955d8582f4132726f055ce2",
+        "variation.svg": "2f0630e8d69c8c288884f533d16baab074f0ebc029e0917b8543054645d61690",
+        "error_increase.svg": "ac0c36c43c6454e64cb7944d30c184e0e590dab275463bdee610c6870508a835",
+    },
+    "irregular-analytic": {
+        "histogram.svg": "53c0facd35cd714493c9cc3c121e1e1b30fe7922acfb71391bb4eb5b6013a286",
+        "variation.svg": "54db86dd86ec631320e2e3cc7fe52d2f306384731b25342af66cd990864506ff",
+        "error_increase.svg": "67539684b3eae973643fe6031e34540861f2d47268a2eb037262edd4813da123",
+    },
+    "partialvalid-analytic": {
+        "histogram.svg": "93e572dbb5e1d265caa240e481039a0521344e8847fa4eb683682f28c52dd90e",
+        "variation.svg": "aec41528e85d3e60117447dcfca914eecb7f5e73ef86d3326eea8a8a38489936",
+        "error_increase.svg": "1ab8d31d9c4bc954026ddbd3823be1c3d40950a954f073734c7b9c2369ed535a",
+    },
+    "narrowint32-monte-carlo": {
+        "histogram.svg": "3949cd6f70237813fbf4fb6d69a6f4290560b82d0703520d58ea29e2dff543a7",
+        "variation.svg": "90595ef9098843b6a4b72f262a5c43780c6a6265bd9193ac7d82ff381631dfe3",
+        "error_increase.svg": "7d21280b1ec746fd2cab9c971a0fd6da91f1a7a913ad487debb6bef2ffa7839d",
+    },
+}
+
+
 def stream_digest(records) -> str:
     """Digest of (addr, payload) pairs: 8-byte little-endian address, then the payload."""
     digest = hashlib.sha256()
@@ -112,9 +138,12 @@ def stream_digest(records) -> str:
     return digest.hexdigest()
 
 
-def csv_digests(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
-    paths = emit_csv(run_experiment(cfg), out_dir)
+def file_digests(paths) -> dict[str, str]:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
+def csv_digests(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
+    return file_digests(emit_csv(run_experiment(cfg), out_dir))
 
 
 @pytest.mark.parametrize("name", STREAMS)
@@ -134,6 +163,15 @@ def test_reference_stream_digest(name):
 def test_emitted_csv_digests(name, tmp_path):
     kwargs, expected = RUNS[name]
     assert csv_digests(ExperimentConfig(**kwargs), tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_emitted_svg_digests(name, tmp_path):
+    kwargs, _ = RUNS[name]
+    digests = file_digests(emit_svg(run_experiment(ExperimentConfig(**kwargs)), tmp_path))
+    # a dict compares unordered, so the return order is checked on its own
+    assert list(digests) == ["histogram.svg", "variation.svg", "error_increase.svg"]
+    assert digests == SVG_DIGESTS[name]
 
 
 def test_monte_carlo_columns_match_reference(tmp_path):
