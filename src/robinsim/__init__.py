@@ -20,7 +20,7 @@ from .mapping import (
 )
 from .reliability import (
     DeviceParams,
-    RateAccumulator,
+    TraceAccumulator,
     normalized_increase,
     p_block_success,
     p_block_success_optimal,

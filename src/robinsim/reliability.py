@@ -16,12 +16,18 @@ for a codeword, whose sum over a row is the block's log success, and
 :func:`block_log_success_optimal_array` for the uniform-split bound. The
 scalar ``p_*`` functions evaluate those two and nothing else.
 A write's counts are a row of eight, one per codeword, checked by
-:func:`count_rows`. :class:`RateAccumulator` folds batches of such rows, as
-:func:`robinsim.mapping.codeword_counts` returns them, into trace-level
-means. Its counts are whole numbers in [0, 576], 576 being the cells of a
-block, so it evaluates the closed form once per pw, for every possible count
-and block total, and then only looks values up: cached tables of those same
-two arrays, not a second formula.
+:func:`count_rows`. :class:`TraceAccumulator` folds a batch of S schemes'
+rows, as :func:`robinsim.mapping.scheme_counts` returns them, into every
+scheme's mean failure, optimum and codeword spread in one call;
+:func:`trace_error_rate` and :func:`robinsim.trace.codeword_stats` are its
+one-scheme calls. Its counts are whole numbers in [0, 576], 576 being the
+cells of a block, so it evaluates the closed form once per pw, for every
+possible count and block total, and then only looks values up: cached tables
+of those same two arrays, not a second formula. It works codeword-major and
+adds a write's eight log terms in a fixed order, ``((c0 + c1) + (c2 + c3)) +
+((c4 + c5) + (c6 + c7))``: the pairwise tree in which numpy sums eight
+contiguous float64 (N. J. Higham, SIAM J. Sci. Comput. 14(4), 1993), so its
+rates equal a row-wise ``sum``'s bit for bit; a left-to-right order would not.
 """
 
 from __future__ import annotations
@@ -169,18 +175,24 @@ class TraceErrorRate:
     writes: int
 
 
-def count_rows(counts: np.ndarray) -> np.ndarray:
+def count_rows(counts: np.ndarray, schemes: int | None = None) -> np.ndarray:
     """``counts`` as an ``(n, 8)`` int64 array, checked to hold whole numbers in [0, 576].
 
-    Integer and bool counts are converted; so are whole-valued floats, and any
-    other value, or rows of ragged lengths, raises :class:`ParameterError`.
+    With ``schemes``, as ``(n, S, 8)``, a row per scheme per write; ``(n, 8)``
+    counts are also taken for one scheme. Integer and bool counts are
+    converted; so are whole-valued floats, and any other value, or rows of
+    ragged lengths, raises :class:`ParameterError`.
     """
     try:
         counts = np.asarray(counts)
     except ValueError as exc:
         raise ParameterError(f"count rows need {CODEWORDS} entries each: {exc}") from exc
-    if counts.ndim != 2 or counts.shape[1] != CODEWORDS:
-        raise ParameterError(f"count rows need {CODEWORDS} entries, got shape {counts.shape}")
+    shape = counts.shape
+    if schemes == 1 and counts.ndim == 2:
+        counts = counts[:, None]
+    if counts.shape[1:] != ((CODEWORDS,) if schemes is None else (schemes, CODEWORDS)):
+        per_scheme = f" for each of {schemes} schemes" if (schemes or 1) > 1 else ""
+        raise ParameterError(f"count rows need {CODEWORDS} entries{per_scheme}, got shape {shape}")
     # NaN fails both comparisons
     if counts.size and not (counts.min() >= 0 and counts.max() <= BLOCK_CELLS):
         raise ParameterError(f"transition counts must lie in [0, {BLOCK_CELLS}]")
@@ -204,38 +216,109 @@ def _rate_tables(pw: float) -> tuple[np.ndarray, np.ndarray]:
     return log_success, optimal
 
 
-class RateAccumulator:
-    """Streaming mean of block failure and of its uniform-split bound.
+@dataclass(frozen=True)
+class CodewordStats:
+    """Trace-level spread of per-codeword transitions, normalized to each write's mean.
 
-    Fed ``(batch, 8)`` per-codeword count matrices of whole numbers in
-    [0, 576] (see :func:`count_rows`). Each count and each row total indexes
-    a table of the closed form at pw, built on first use and cached per pw.
-    Each batch is reduced to one float per mean before it is added, so
-    results depend on the batching.
+    For every write with K > 0 transitions the eight counts are divided by
+    K/8 (the uniform share, 100%); the per-write minimum and maximum are then
+    averaged over the trace and their extremes kept.
     """
 
-    def __init__(self, pw: float) -> None:
-        self.pw = pw
+    scheme: str
+    writes: int
+    skipped_zero: int
+    min_avg_pct: float
+    max_avg_pct: float
+    min_extreme_pct: float
+    max_extreme_pct: float
+
+    @property
+    def gap_pct(self) -> float:
+        return self.max_avg_pct - self.min_avg_pct
+
+
+def _codeword_major(counts: np.ndarray, schemes: int) -> np.ndarray:
+    """``(n, S, 8)`` counts as a contiguous codeword-major ``(8, S, n)`` array.
+
+    uint8 counts, the kernel's, are checked by dtype and shape alone, as [0,
+    255] lies inside [0, 576]; any others go through :func:`count_rows`.
+    """
+    kernel = isinstance(counts, np.ndarray) and counts.dtype == np.uint8
+    if not (kernel and counts.shape[1:] == (schemes, CODEWORDS)):
+        counts = count_rows(counts, schemes)
+    return np.ascontiguousarray(counts.transpose(2, 1, 0))
+
+
+class TraceAccumulator:
+    """Per-scheme means of block failure, its uniform-split optimum and the codeword spread.
+
+    :meth:`add` folds a batch of S schemes' ``(n, S, 8)`` counts into every
+    scheme's sums at once, over codeword-major ``(8, S, n)`` copies. Each sum
+    over writes is one contiguous 1-D ``sum`` per scheme, so a scheme's
+    results do not depend on the other schemes of the batch; they do depend
+    on the batching, as each batch is reduced to one float per sum.
+    """
+
+    def __init__(self, pw: float, schemes: int = 1) -> None:
+        self._tables = _rate_tables(pw)   # raises ParameterError for a pw outside [0, 1]
         self.writes = 0
-        self._failure_sum = 0.0
-        self._optimal_sum = 0.0
+        # per scheme: failure, optimal, min-share and max-share sums; live writes; extremes
+        self._sums = np.zeros((4, schemes))
+        self._live = np.zeros(schemes, dtype=np.int64)
+        self._min_extreme = np.full(schemes, math.inf)
+        self._max_extreme = np.full(schemes, -math.inf)
 
-    def add_counts(self, counts: np.ndarray) -> None:
-        counts = count_rows(counts)
-        log_success, optimal = _rate_tables(self.pw)
+    def add(self, data: np.ndarray, cells: np.ndarray | None = None) -> None:
+        """Fold one batch: the spread of ``data``, and the rates of ``cells``, or of ``data``.
+
+        Both are ``(n, S, 8)`` whole numbers in [0, 576] (see :func:`count_rows`).
+        """
+        schemes = len(self._live)
+        spread = _codeword_major(data, schemes)
+        columns = spread if cells is None or cells is data else _codeword_major(cells, schemes)
+        if spread.shape != columns.shape:
+            raise ParameterError(f"data and cells differ in length: {spread.shape[2]} and {columns.shape[2]}")
+        log_success, optimal = self._tables
+        c = log_success.take(columns)
         # failure is -expm1(log success), which does not cancel against 1 at tiny q
-        self._failure_sum -= float(np.expm1(log_success.take(counts).sum(axis=-1)).sum())
-        self._optimal_sum -= float(optimal.take(counts.sum(axis=1)).sum())
-        self.writes += len(counts)
+        failures = np.expm1(((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
+        # row totals are at most 8 * 576, so uint16 sums are exact
+        optimals = optimal.take(columns.sum(axis=0, dtype=np.uint16))
+        totals = spread.sum(axis=0, dtype=np.uint16)
+        live = totals > 0
+        # a zero write's minimum and maximum are 0; a share of 1/8 keeps its 0 / 0 out
+        share = np.maximum(totals, 1) / CODEWORDS
+        mins = spread.min(axis=0) / share * 100.0
+        maxs = spread.max(axis=0) / share * 100.0
+        self._live += np.count_nonzero(live, axis=1)
+        np.minimum(self._min_extreme, mins.min(axis=1, initial=math.inf, where=live), out=self._min_extreme)
+        np.maximum(self._max_extreme, maxs.max(axis=1, initial=-math.inf, where=live), out=self._max_extreme)
+        if not live.all():
+            mins, maxs = ([row[keep] for row, keep in zip(shares, live)] for shares in (mins, maxs))
+        for s in range(schemes):
+            self._sums[:, s] += (-failures[s].sum(), -optimals[s].sum(), mins[s].sum(), maxs[s].sum())
+        self.writes += columns.shape[2]
 
-    def finalize(self) -> TraceErrorRate:
+    def rates(self) -> list[TraceErrorRate]:
+        """Each scheme's mean block failure and its uniform-split optimum."""
         if self.writes == 0:
             raise ValueError("empty count-row stream")
-        return TraceErrorRate(
-            rate=self._failure_sum / self.writes,
-            optimal_rate=self._optimal_sum / self.writes,
-            writes=self.writes,
-        )
+        return [
+            TraceErrorRate(failure / self.writes, optimal / self.writes, self.writes)
+            for failure, optimal in zip(*self._sums[:2].tolist())
+        ]
+
+    def stats(self, kinds: Sequence[str]) -> list[CodewordStats]:
+        """Each scheme's codeword spread, named by ``kinds`` in the accumulator's scheme order."""
+        extremes = self._min_extreme.tolist(), self._max_extreme.tolist()
+        spreads = zip(self._live.tolist(), *self._sums[2:].tolist(), *extremes)
+        return [
+            CodewordStats(kind, live, self.writes - live, lo / live, hi / live, lo_x, hi_x)
+            if live
+            else CodewordStats(kind, 0, self.writes, 0.0, 0.0, 0.0, 0.0)
+            for kind, (live, lo, hi, lo_x, hi_x) in zip(kinds, spreads, strict=True)
+        ]
 
 
 def trace_error_rate(rows: Iterable[Sequence[int]], pw: float) -> TraceErrorRate:
@@ -244,13 +327,13 @@ def trace_error_rate(rows: Iterable[Sequence[int]], pw: float) -> TraceErrorRate
     The cache error rate is the mean over writes of (1 - p_block_success);
     alongside it the same mean is computed against the uniform K/8 bound,
     using each write's own total K. Writes with K = 0 contribute zero to
-    both.
+    both. A one-scheme :class:`TraceAccumulator`, fed BATCH rows at a time.
     """
-    acc = RateAccumulator(pw)
+    acc = TraceAccumulator(pw)
     rows = iter(rows)
     while chunk := list(islice(rows, BATCH)):
-        acc.add_counts(chunk)
-    return acc.finalize()
+        acc.add(chunk)
+    return acc.rates()[0]
 
 
 def normalized_increase(rate: float, optimal_rate: float) -> float:
@@ -259,8 +342,9 @@ def normalized_increase(rate: float, optimal_rate: float) -> float:
     Both zero means the trace never risked a failure: 0%. A zero optimal with
     a positive rate is reported as an infinite increase.
     """
-    if rate < 0 or optimal_rate < 0:
-        raise ParameterError("rates must be non-negative")
+    # NaN fails both comparisons
+    if not (rate >= 0 and optimal_rate >= 0):
+        raise ParameterError(f"rates must be non-negative, got {rate} and {optimal_rate}")
     if optimal_rate == 0.0:
         return 0.0 if rate == 0.0 else math.inf
     return (rate / optimal_rate - 1.0) * 100.0

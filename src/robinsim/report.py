@@ -3,10 +3,11 @@
 One streaming pass over the old/new pair stream, in the batches of up to
 512 writes of :func:`robinsim.trace.pair_batches`, takes each batch's byte XOR
 ``olds ^ news``, counts every scheme's codeword flips from it with one
-:func:`robinsim.mapping.scheme_counts` call and folds each scheme's into a
-:class:`robinsim.reliability.RateAccumulator` (analytic error rate and its
-uniform-split optimum) and a :class:`robinsim.trace.StatsAccumulator`
-(codeword-spread statistics), and sums the per-bit transition histogram.
+:func:`robinsim.mapping.scheme_counts` call, folds all of them with one
+:meth:`robinsim.reliability.TraceAccumulator.add` call (each scheme's
+analytic error rate, its uniform-split optimum and its codeword-spread
+statistics, in a fixed float order that makes a scheme's rows independent of
+the schemes run with it), and sums the per-bit transition histogram.
 With Monte Carlo on, each batch's ``olds`` and ``news`` also feed one
 :class:`robinsim.injection.MonteCarloAccumulator` per scheme, so memory stays
 bounded in the trace length. :func:`emit_csv` builds three CSV tables and
@@ -28,8 +29,8 @@ from . import reliability
 from .bits import BLOCK_BITS, blocks_to_bits
 from .injection import InjectionConfig, MonteCarloAccumulator, TraceEstimate
 from .mapping import KINDS, MappingScheme, scheme_counts
-from .reliability import DeviceParams, ParameterError, RateAccumulator
-from .trace import FORMATS, CodewordStats, StatsAccumulator, load_trace, old_new_pairs, pair_batches
+from .reliability import CodewordStats, DeviceParams, ParameterError, TraceAccumulator
+from .trace import FORMATS, load_trace, old_new_pairs, pair_batches
 from .workloads import WorkloadSpec, gen_workload
 
 
@@ -122,8 +123,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     cfg.validate()
     pw = cfg.resolve_pw()
     schemes = tuple(MappingScheme(name) for name in cfg.schemes)
-    rates = [RateAccumulator(pw) for _ in schemes]
-    spreads = [StatsAccumulator(s.kind) for s in schemes]
+    acc = TraceAccumulator(pw, len(schemes))
     histogram = np.zeros(BLOCK_BITS, dtype=np.int64)
     mcs = [
         MonteCarloAccumulator(
@@ -140,36 +140,20 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         diff = olds ^ news
         # exact: a batch holds at most BATCH <= 65535 flips per bit
         histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
-        data, cells = scheme_counts(schemes, diff, cfg.include_ecc)
-        for s, (rate, spread) in enumerate(zip(rates, spreads)):
-            spread.add_counts(data[:, s])
-            rate.add_counts(cells[:, s])
+        acc.add(*scheme_counts(schemes, diff, cfg.include_ecc))
         if cfg.monte_carlo:
             for mc in mcs:
                 mc.add_batch(olds, news)
 
-    writes = rates[0].writes
-    if writes == 0:
+    if acc.writes == 0:
         raise ConfigError("input produced no write records after warmup")
 
-    bundle = ReportBundle(pw=pw, writes=writes, histogram=histogram)
-    for scheme, rate, spread, mc in zip(schemes, rates, spreads, mcs):
-        means = rate.finalize()
-        increase = (
-            reliability.normalized_increase(means.rate, means.optimal_rate)
-            if means.optimal_rate > 0
-            else None
-        )
-        bundle.schemes.append(
-            SchemeReport(
-                scheme=scheme.kind,
-                analytic_rate=means.rate,
-                optimal_rate=means.optimal_rate,
-                increase_pct=increase,
-                stats=spread.finalize(),
-                mc=mc.finalize() if mc is not None else None,
-            )
-        )
+    bundle = ReportBundle(pw=pw, writes=acc.writes, histogram=histogram)
+    for means, stats, mc in zip(acc.rates(), acc.stats(cfg.schemes), mcs):
+        rate, optimal = means.rate, means.optimal_rate
+        increase = reliability.normalized_increase(rate, optimal) if optimal > 0 else None
+        mc = mc.finalize() if mc is not None else None
+        bundle.schemes.append(SchemeReport(stats.scheme, rate, optimal, increase, stats, mc))
     return bundle
 
 

@@ -22,7 +22,9 @@ Old/new block pairs are derived by replaying records against a shadow store
 that remembers the last payload written to each address; never-written
 addresses read as all zeros. A warmup count can suppress the first records
 from statistics while still updating the store. :func:`pair_batches` is the
-one batching of a pair stream.
+one batching of a pair stream. :func:`codeword_stats` folds each batch with
+:class:`robinsim.reliability.TraceAccumulator`, as ``run_experiment`` does;
+its fixed float order makes the two agree exactly for any set of schemes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import json
 import sys
 from binascii import unhexlify
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -40,8 +41,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bits import BLOCK_BYTES, stack_blocks
-from .mapping import BATCH, CODEWORDS, MappingScheme, codeword_counts
-from .reliability import count_rows
+from .mapping import BATCH, MappingScheme, scheme_counts
+from .reliability import CodewordStats, TraceAccumulator
 
 TRACE_MAGIC = b"RBTR"
 TRACE_VERSION = 1
@@ -342,89 +343,18 @@ def pair_batches(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[np.ndar
         yield stack_blocks([p[0] for p in batch]), stack_blocks([p[1] for p in batch])
 
 
-@dataclass(frozen=True)
-class CodewordStats:
-    """Trace-level spread of per-codeword transitions, normalized to each write's mean.
-
-    For every write with K > 0 transitions the eight counts are divided by
-    K/8 (the uniform share, 100%); the per-write minimum and maximum are then
-    averaged over the trace and their extremes kept.
-    """
-
-    scheme: str
-    writes: int
-    skipped_zero: int
-    min_avg_pct: float
-    max_avg_pct: float
-    min_extreme_pct: float
-    max_extreme_pct: float
-
-    @property
-    def gap_pct(self) -> float:
-        return self.max_avg_pct - self.min_avg_pct
-
-
-class StatsAccumulator:
-    """Streaming accumulator behind :func:`codeword_stats`; mergeable across batches."""
-
-    def __init__(self, scheme_kind: str) -> None:
-        self.scheme_kind = scheme_kind
-        self.writes = 0
-        self.skipped_zero = 0
-        self._min_sum = 0.0
-        self._max_sum = 0.0
-        self._min_extreme = float("inf")
-        self._max_extreme = float("-inf")
-
-    def add_counts(self, counts: np.ndarray) -> None:
-        """Fold a (batch, 8) matrix of per-codeword transition counts.
-
-        The counts are whole numbers in [0, 576] (see
-        :func:`robinsim.reliability.count_rows`); row sums, minima and maxima
-        stay integers until each is divided by its row's uniform share, so
-        reducing a codeword-major copy over its long axis gives the same values.
-        """
-        columns = np.ascontiguousarray(count_rows(counts).T)
-        totals = columns.sum(axis=0)
-        mins = columns.min(axis=0)
-        maxs = columns.max(axis=0)
-        live = totals > 0
-        writes = int(np.count_nonzero(live))
-        self.skipped_zero += len(totals) - writes
-        if writes == 0:
-            return
-        if writes < len(totals):
-            totals, mins, maxs = totals[live], mins[live], maxs[live]
-        share = totals / CODEWORDS
-        mins = mins / share * 100.0
-        maxs = maxs / share * 100.0
-        self.writes += writes
-        self._min_sum += float(mins.sum())
-        self._max_sum += float(maxs.sum())
-        self._min_extreme = min(self._min_extreme, float(mins.min()))
-        self._max_extreme = max(self._max_extreme, float(maxs.max()))
-
-    def finalize(self) -> CodewordStats:
-        if self.writes == 0:
-            return CodewordStats(self.scheme_kind, 0, self.skipped_zero, 0.0, 0.0, 0.0, 0.0)
-        return CodewordStats(
-            scheme=self.scheme_kind,
-            writes=self.writes,
-            skipped_zero=self.skipped_zero,
-            min_avg_pct=self._min_sum / self.writes,
-            max_avg_pct=self._max_sum / self.writes,
-            min_extreme_pct=self._min_extreme,
-            max_extreme_pct=self._max_extreme,
-        )
-
-
 def codeword_stats(
     pairs: Iterable[tuple[bytes, bytes]],
     scheme: MappingScheme,
     include_ecc: bool = False,
 ) -> CodewordStats:
-    """Per-write sorted/normalized codeword transitions aggregated over a trace."""
-    acc = StatsAccumulator(scheme.kind)
+    """Per-write sorted/normalized codeword transitions aggregated over a trace.
+
+    The spread of a one-scheme :class:`robinsim.reliability.TraceAccumulator`
+    over each write's cells; its rates go unread, so pw 1 (every table 0)
+    stands in for a p_write.
+    """
+    acc = TraceAccumulator(1.0)
     for olds, news in pair_batches(pairs):
-        acc.add_counts(codeword_counts(scheme, olds ^ news, include_ecc)[1])
-    return acc.finalize()
+        acc.add(scheme_counts((scheme,), olds ^ news, include_ecc)[1])
+    return acc.stats((scheme.kind,))[0]

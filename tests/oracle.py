@@ -1,6 +1,7 @@
 """Slow references: payloads as flat bit vectors, the SEC-DED check bits,
 per-bit codeword flip counts and trace rates, the v2 workload stream, a
-trace-file loader, and Monte Carlo classified one record at a time.
+trace-file loader, Monte Carlo classified one record at a time, and the
+per-scheme batch fold that ``robinsim.reliability.TraceAccumulator`` replaced.
 
 Written independently of ``robinsim.secded``, ``robinsim.mapping``,
 ``robinsim.reliability``, ``robinsim.workloads`` and ``robinsim.trace``: the
@@ -11,7 +12,9 @@ ascending flat order, rates use plain Python float arithmetic, workload
 records are computed one at a time with Python ints, and trace files are
 parsed one record at a time. The Monte Carlo reference places every failing
 cell one gap at a time with Python-int splitmix64 and classifies each
-record's trial chunks on their own.
+record's trial chunks on their own. The per-scheme fold is the exception: it
+is the package's earlier code, kept to pin the accumulator's float order, and
+reads the package's own count check and closed-form tables.
 """
 
 import itertools
@@ -19,6 +22,8 @@ import json
 import math
 
 import numpy as np
+
+from robinsim.reliability import CodewordStats, TraceErrorRate, _rate_tables, count_rows
 
 
 def block_to_bits(data):
@@ -293,3 +298,72 @@ def mc_trace(rows, pw, trials, seed):
         failure += 1.0 - p
         variance += p * (1.0 - p) / trials
     return failure / len(rows), math.sqrt(variance) / len(rows)
+
+
+# -- the per-scheme batch fold -------------------------------------------------
+#
+# One scheme's (n, 8) counts per call, reduced row-major in numpy's own order:
+# the fold of robinsim.reliability before TraceAccumulator, which must give
+# the same running sums exactly.
+
+
+class RateFold:
+    """Running sums of one scheme's block failure and its uniform-split optimum."""
+
+    def __init__(self, pw):
+        self.pw = pw
+        self.writes = 0
+        self.failure_sum = 0.0
+        self.optimal_sum = 0.0
+
+    def add_counts(self, counts):
+        counts = count_rows(counts)
+        log_success, optimal = _rate_tables(self.pw)
+        self.failure_sum -= float(np.expm1(log_success.take(counts).sum(axis=-1)).sum())
+        self.optimal_sum -= float(optimal.take(counts.sum(axis=1)).sum())
+        self.writes += len(counts)
+
+    def finalize(self):
+        return TraceErrorRate(self.failure_sum / self.writes, self.optimal_sum / self.writes, self.writes)
+
+
+class SpreadFold:
+    """Running sums of one scheme's per-write minimum and maximum share, and their extremes."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.writes = 0
+        self.skipped_zero = 0
+        self.min_sum = 0.0
+        self.max_sum = 0.0
+        self.min_extreme = float("inf")
+        self.max_extreme = float("-inf")
+
+    def add_counts(self, counts):
+        columns = np.ascontiguousarray(count_rows(counts).T)
+        totals = columns.sum(axis=0)
+        mins = columns.min(axis=0)
+        maxs = columns.max(axis=0)
+        live = totals > 0
+        writes = int(np.count_nonzero(live))
+        self.skipped_zero += len(totals) - writes
+        if writes == 0:
+            return
+        if writes < len(totals):
+            totals, mins, maxs = totals[live], mins[live], maxs[live]
+        share = totals / 8
+        mins = mins / share * 100.0
+        maxs = maxs / share * 100.0
+        self.writes += writes
+        self.min_sum += float(mins.sum())
+        self.max_sum += float(maxs.sum())
+        self.min_extreme = min(self.min_extreme, float(mins.min()))
+        self.max_extreme = max(self.max_extreme, float(maxs.max()))
+
+    def finalize(self):
+        if self.writes == 0:
+            return CodewordStats(self.kind, 0, self.skipped_zero, 0.0, 0.0, 0.0, 0.0)
+        return CodewordStats(
+            self.kind, self.writes, self.skipped_zero, self.min_sum / self.writes,
+            self.max_sum / self.writes, self.min_extreme, self.max_extreme,
+        )

@@ -1,4 +1,5 @@
-"""Property tests: the table-driven accumulators against the closed form and the spread oracle."""
+"""Property tests: the table-driven accumulator against the closed form, the spread oracle
+and the per-scheme fold it replaced."""
 
 import dataclasses
 import math
@@ -10,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from robinsim.mapping import BATCH
+from robinsim.mapping import BATCH, KINDS, MappingScheme, scheme_counts
 from robinsim.reliability import (
     BLOCK_CELLS,
     ParameterError,
-    RateAccumulator,
+    TraceAccumulator,
     block_log_success_optimal_array,
     codeword_log_success_array,
+    trace_error_rate,
 )
-from robinsim.trace import StatsAccumulator
 
 pws = st.one_of(
     st.sampled_from((0.0, 1.0, 1.0 - 1e-12)),
@@ -44,9 +45,9 @@ def count_batches(draw, zero_rows=False):
 @settings(max_examples=60, deadline=None)
 @given(count_batches(), pws)
 def test_rate_accumulator_equals_closed_form(counts, pw):
-    acc = RateAccumulator(pw)
-    acc.add_counts(counts)
-    got = acc.finalize()
+    acc = TraceAccumulator(pw)
+    acc.add(counts)
+    got = acc.rates()[0]
     totals = counts.sum(axis=1)
     n = len(counts)
     assert got.writes == n
@@ -61,34 +62,37 @@ def test_rate_accumulator_equals_closed_form(counts, pw):
 @settings(max_examples=20, deadline=None)
 @given(count_batches(), pws)
 def test_rate_accumulator_takes_whole_valued_floats(counts, pw):
-    ints, floats = RateAccumulator(pw), RateAccumulator(pw)
-    ints.add_counts(counts)
-    floats.add_counts(counts.astype(np.float64))
+    ints, floats = TraceAccumulator(pw), TraceAccumulator(pw)
+    ints.add(counts)
+    floats.add(counts.astype(np.float64))
     np.testing.assert_array_equal(
-        dataclasses.astuple(floats.finalize()), dataclasses.astuple(ints.finalize())
+        dataclasses.astuple(floats.rates()[0]), dataclasses.astuple(ints.rates()[0])
     )
 
 
 @settings(max_examples=20, deadline=None)
 @given(count_batches(zero_rows=True), pws, st.sampled_from((np.uint8, np.int32, np.bool_)))
 def test_accumulators_take_narrow_integer_and_bool_counts(counts, pw, dtype):
-    """uint8, int32 and bool counts give the results of the same counts as int64."""
-    narrow = np.minimum(counts, np.iinfo(np.uint8).max).astype(dtype)
-    for make in (lambda: RateAccumulator(pw), lambda: StatsAccumulator("robin")):
-        got, want = make(), make()
-        got.add_counts(narrow)
-        want.add_counts(narrow.astype(np.int64))
+    """uint8, int32 and bool counts give the results of the same counts as int64.
+
+    uint8 counts of shape (n, 1, 8) take the kernel's route past count_rows.
+    """
+    narrow = np.minimum(counts, np.iinfo(np.uint8).max).astype(dtype)[:, None]
+    got, want = TraceAccumulator(pw), TraceAccumulator(pw)
+    got.add(narrow)
+    want.add(narrow.astype(np.int64))
+    for results in (lambda acc: acc.rates()[0], lambda acc: acc.stats(["robin"])[0]):
         np.testing.assert_array_equal(
-            dataclasses.astuple(got.finalize()), dataclasses.astuple(want.finalize())
+            dataclasses.astuple(results(got)), dataclasses.astuple(results(want))
         )
 
 
 @settings(max_examples=40, deadline=None)
 @given(count_batches(zero_rows=True))
 def test_stats_accumulator_matches_spread_oracle(counts):
-    acc = StatsAccumulator("robin")
-    acc.add_counts(counts)
-    stats = acc.finalize()
+    acc = TraceAccumulator(0.999)
+    acc.add(counts)
+    stats = acc.stats(["robin"])[0]
     rows = counts.tolist()
     live = [row for row in rows if sum(row)]
     assert stats.writes == len(live)
@@ -115,9 +119,15 @@ BAD_ROWS = {
     "nan-float32": np.array([[math.nan, 0, 0, 0, 0, 0, 0, 0]], dtype=np.float32),
 }
 
+def _zeros(counts):
+    """A valid all-zero count matrix with as many rows as ``counts``."""
+    return np.zeros((len(counts), 8), dtype=np.int64)
+
+
+# bad counts as the rates' cells, and as the spread's data
 ADDERS = {
-    "rate": lambda counts: RateAccumulator(0.999).add_counts(counts),
-    "stats": lambda counts: StatsAccumulator("robin").add_counts(counts),
+    "rate": lambda counts: TraceAccumulator(0.999).add(_zeros(counts), counts),
+    "stats": lambda counts: TraceAccumulator(0.999).add(counts, _zeros(counts)),
 }
 
 
@@ -133,3 +143,58 @@ def test_accumulators_reject_bad_counts(add, rows):
 def test_accumulators_reject_wrong_width(add, shape):
     with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
         add(np.ones(shape, dtype=np.int64))
+
+
+def _diff_batches(n, seed):
+    """Four batches of n write diffs: sparse with some all-zero rows, none at all, all zero, dense."""
+    rng = np.random.default_rng(seed)
+    sparse = rng.integers(0, 256, (n, 64), dtype=np.uint8) & rng.integers(0, 256, (n, 64), dtype=np.uint8)
+    sparse &= rng.integers(0, 256, (n, 64), dtype=np.uint8)
+    sparse[rng.random(n) < 0.3] = 0
+    dense = rng.integers(0, 256, (n, 64), dtype=np.uint8)
+    return [sparse, np.zeros((0, 64), np.uint8), np.zeros((n, 64), np.uint8), dense]
+
+
+@pytest.mark.parametrize("include_ecc", (True, False), ids=("ecc", "data"))
+@pytest.mark.parametrize("pw", (0.0, 0.5, 0.99, 0.999, 1 - 1e-12, 1.0))
+@pytest.mark.parametrize("schemes", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 7, 511, 512))
+def test_fold_equals_per_scheme_fold(n, schemes, pw, include_ecc):
+    """After every batch, each scheme's means equal the per-scheme fold's exactly."""
+    kinds = KINDS[-schemes:]
+    acc = TraceAccumulator(pw, schemes)
+    rates = [oracle.RateFold(pw) for _ in kinds]
+    spreads = [oracle.SpreadFold(kind) for kind in kinds]
+    for diff in _diff_batches(n, seed=1000 * n + 10 * schemes + include_ecc):
+        data, cells = scheme_counts(tuple(map(MappingScheme, kinds)), diff, include_ecc)
+        assert (data is cells) == (not include_ecc)
+        acc.add(data, cells)
+        for s, (rate, spread) in enumerate(zip(rates, spreads)):
+            rate.add_counts(cells[:, s])
+            spread.add_counts(data[:, s])
+        # dataclass equality compares every float with ==
+        assert acc.rates() == [rate.finalize() for rate in rates]
+        assert acc.stats(kinds) == [spread.finalize() for spread in spreads]
+
+
+@pytest.mark.parametrize("pw", (2.0, math.nan))
+def test_accumulator_rejects_pw_when_built(pw):
+    message = re.escape(f"p_write must lie in [0, 1], got {pw}")
+    with pytest.raises(ParameterError, match=message):
+        TraceAccumulator(pw)
+    # before the empty stream's own error
+    with pytest.raises(ParameterError, match=message):
+        trace_error_rate([], pw)
+
+
+def test_accumulator_rejects_data_and_cells_of_different_lengths():
+    with pytest.raises(ParameterError, match="data and cells differ in length: 3 and 2"):
+        TraceAccumulator(0.999, 2).add(np.zeros((3, 2, 8), np.uint8), np.zeros((2, 2, 8), np.uint8))
+
+
+@pytest.mark.parametrize("shape", ((4, 8), (4, 3, 8), (4, 2, 7)))
+def test_accumulator_rejects_rows_of_other_scheme_counts(shape):
+    """Two schemes take (n, 2, 8) counts only; uint8 ones skip count_rows but not the shape check."""
+    for dtype in (np.uint8, np.int64):
+        with pytest.raises(ParameterError, match=re.escape(f"for each of 2 schemes, got shape {shape}")):
+            TraceAccumulator(0.999, 2).add(np.zeros(shape, dtype))

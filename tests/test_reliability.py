@@ -213,6 +213,13 @@ def test_normalized_increase_rules():
         normalized_increase(-0.1, 0.2)
 
 
+@pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.nan, 0.0)])
+def test_normalized_increase_rejects_nan(rates):
+    # NaN fails both comparisons, so a sign check alone would let it through
+    with pytest.raises(ParameterError, match="rates must be non-negative"):
+        normalized_increase(*rates)
+
+
 def test_increase_is_scale_free():
     assert math.isclose(
         normalized_increase(3e-6, 2e-6), normalized_increase(3e-2, 2e-2), rel_tol=1e-12

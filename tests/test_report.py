@@ -175,6 +175,36 @@ def test_per_write_api_equals_run_experiment(kind):
         assert codeword_stats(pairs, scheme, include_ecc=False) == report.stats
 
 
+SUBSETS = (("per-word", "interleaved", "robin"), ("robin", "per-word"), ("robin",), ("per-word",))
+
+
+@pytest.mark.parametrize("include_ecc", [True, False], ids=("ecc", "data"))
+def test_scheme_rows_do_not_depend_on_the_other_schemes(tmp_path, include_ecc):
+    """A scheme's CSV lines are the same text with 1, 2 or 3 schemes in the run, and its numbers equal."""
+    # 2000 records are four batches, the last one short
+    workload = WorkloadSpec(kind="irregular", records=2000, addresses=256)
+    reports = {}
+    for schemes in SUBSETS:
+        bundle = run_experiment(small_config(workload=workload, schemes=schemes, include_ecc=include_ecc))
+        emit_csv(bundle, tmp_path / "+".join(schemes))
+        for report in bundle.schemes:
+            reports.setdefault(report.scheme, []).append(report)
+    for scheme in ("robin", "per-word"):
+        assert len(reports[scheme]) == 3 and reports[scheme].count(reports[scheme][0]) == 3
+        runs = [
+            [
+                line
+                for name in ("error_rates.csv", "codeword_stats.csv")
+                for line in (tmp_path / "+".join(schemes) / name).read_text().splitlines()
+                if line.startswith(scheme + ",")
+            ]
+            for schemes in SUBSETS
+            if scheme in schemes
+        ]
+        assert len(runs) == 3 and len(runs[0]) == 5
+        assert runs[1] == runs[0] and runs[2] == runs[0], scheme
+
+
 def test_run_experiment_monte_carlo_within_three_sigma():
     cfg = small_config(
         workload=WorkloadSpec(kind="narrowint32", records=40, addresses=4),
