@@ -19,9 +19,9 @@ functions of the scheme.
 to codewords: each payload byte is looked up once in a data table and, when
 check bits count, once in a check table, with one byte lane per codeword of
 every scheme of the call. :func:`codeword_counts`, the one counting rule, is
-its one-scheme call; below ``_SMALL_ROWS`` rows it encodes the bit-permuted
-datawords of :func:`block_datawords` instead. :func:`transition_vector`
-returns one write's row of eight counts as a tuple of ints.
+its one-scheme call at every row count. :func:`transition_vector` counts one
+write's row of eight as a tuple of ints from its datawords, as permuted by
+:func:`block_datawords`, and their :func:`robinsim.secded.encode_words` checks.
 """
 
 from __future__ import annotations
@@ -113,10 +113,6 @@ def codeword_data_bits(scheme: MappingScheme, n: int) -> list[int]:
 
 
 _BYTE_OFFSETS = (256 * np.arange(BLOCK_BYTES, dtype=np.uint16))[:, None]   # byte j's table entries
-# codeword_counts encodes fewer rows by secded.encode_words, whose benchmark
-# span the per-write workload needs, though the lane kernel is faster even at
-# one row (8.6 against 11.2 us, 2-core x86-64 VM)
-_SMALL_ROWS = 16
 
 
 def _check_payloads(blocks: np.ndarray) -> None:
@@ -131,9 +127,14 @@ def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
     and packed again: the slot-order definition itself.
     """
     _check_payloads(blocks)
-    # slot s of codeword n is bit 64n + s of the permuted row; 512 bits pack into whole rows
-    slots = np.unpackbits(blocks, axis=1, bitorder="little").take(scheme_perm(scheme), axis=1)
-    return np.packbits(slots, bitorder="little").view("<u8").reshape(len(blocks), CODEWORDS)
+    return _slot_words(scheme, blocks)
+
+
+def _slot_words(scheme: MappingScheme, payloads: np.ndarray) -> np.ndarray:
+    """The ``(..., 8)`` uint64 datawords of checked ``(..., 64)`` uint8 payloads."""
+    # slot s of codeword n is bit 64n + s of the permuted row; 512 bits pack into 64 bytes
+    slots = np.unpackbits(payloads, axis=-1, bitorder="little").take(scheme_perm(scheme), axis=-1)
+    return np.packbits(slots, axis=-1, bitorder="little").view("<u8")
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,6 @@ def _lane_table(schemes: tuple[MappingScheme, ...], check: bool) -> np.ndarray:
     return table
 
 
-def _lane_tables(schemes: tuple[MappingScheme, ...], include_ecc: bool = True) -> tuple[np.ndarray, ...]:
-    """The data table of ``schemes`` and, with ``include_ecc``, its check table, each cached alone."""
-    return tuple(_lane_table(schemes, check) for check in (False, True)[: 1 + include_ecc])
-
-
 def scheme_counts(
     schemes: tuple[MappingScheme, ...], diff: np.ndarray, include_ecc: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,13 +240,13 @@ def scheme_counts(
     if not schemes:
         raise ValueError("scheme_counts needs at least one scheme")
     _check_payloads(diff)
-    tables = _lane_tables(schemes, include_ecc)
+    table = _lane_table(schemes, False)
     index = diff.T + _BYTE_OFFSETS
-    shape, used = (len(diff), tables[0].itemsize // 8, CODEWORDS), len(schemes)
-    data = np.add.reduce(tables[0].take(index).view("<u8"), axis=0).view(np.uint8).reshape(shape)[:, :used]
+    shape, used = (len(diff), table.itemsize // 8, CODEWORDS), len(schemes)
+    data = np.add.reduce(table.take(index).view("<u8"), axis=0).view(np.uint8).reshape(shape)[:, :used]
     if not include_ecc:
         return data, data
-    check = np.bitwise_xor.reduce(tables[1].take(index).view("<u8"), axis=0).view(np.uint8)
+    check = np.bitwise_xor.reduce(_lane_table(schemes, True).take(index).view("<u8"), axis=0).view(np.uint8)
     return data, data + np.bitwise_count(check).reshape(shape)[:, :used]
 
 
@@ -259,24 +255,18 @@ def codeword_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-codeword flip counts of a batch of block writes: the one counting rule.
 
-    ``diff`` is the ``(n, 64)`` uint8 XOR of the old and new payloads,
-    ``olds ^ news``. Returns ``(data, cells)``, both ``(n, 8)`` uint8:
-    ``data`` counts the data bits that flip in each codeword, and ``cells``
-    the cells a write touches, data plus check bits with ``include_ecc`` and
-    ``data`` itself without. The layout only moves bits, so the datawords of
-    ``old ^ new`` are the XOR of the two writes' datawords; since encoding is
-    linear over GF(2), ``encode(old) ^ encode(new) == encode(old ^ new)``,
-    and the check bits that flip are those encoded from the dataword diff.
-    From ``_SMALL_ROWS`` rows up it is :func:`scheme_counts` of one scheme.
+    The one-scheme :func:`scheme_counts` of ``diff``, the ``(n, 64)`` uint8
+    XOR ``olds ^ news`` of the old and new payloads. Returns ``(data,
+    cells)``, both ``(n, 8)`` uint8: ``data`` counts the data bits that flip
+    in each codeword, and ``cells`` the cells a write touches, data plus
+    check bits with ``include_ecc`` and ``data`` itself without. The layout
+    only moves bits, so the datawords of ``old ^ new`` are the XOR of the two
+    writes' datawords; since encoding is linear over GF(2), ``encode(old) ^
+    encode(new) == encode(old ^ new)``, and the check bits that flip are
+    those encoded from the dataword diff.
     """
-    if len(diff) >= _SMALL_ROWS:
-        data, cells = scheme_counts((scheme,), diff, include_ecc)
-        return data[:, 0], cells[:, 0]
-    words = block_datawords(scheme, diff)
-    data = np.bitwise_count(words)
-    if not include_ecc:
-        return data, data
-    return data, data + np.bitwise_count(secded.encode_words(words))
+    data, cells = scheme_counts((scheme,), diff, include_ecc)
+    return data[:, 0], cells[:, 0]
 
 
 def transition_vector(
@@ -284,9 +274,12 @@ def transition_vector(
 ) -> tuple[int, ...]:
     """The cells that must flip in each codeword when `old` is overwritten by `new`.
 
-    The eight counts of one row of :func:`codeword_counts`' ``cells``: with
-    ``include_ecc`` a write touches all k + r cells of a codeword, so the
-    check-bit flips count.
+    The eight counts of one row of :func:`codeword_counts`' ``cells``, from
+    the diff's datawords: with ``include_ecc`` a write touches all k + r
+    cells of a codeword, so the flips of the words' check bits count too.
     """
-    cells = codeword_counts(scheme, (block_bytes(old) ^ block_bytes(new))[None], include_ecc)[1]
-    return tuple(cells[0].tolist())
+    words = _slot_words(scheme, block_bytes(old) ^ block_bytes(new))
+    cells = np.bitwise_count(words)
+    if include_ecc:
+        cells += np.bitwise_count(secded.encode_words(words))
+    return tuple(cells.tolist())

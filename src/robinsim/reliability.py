@@ -255,9 +255,10 @@ class TraceAccumulator:
 
     :meth:`add` folds a batch of S schemes' ``(n, S, 8)`` counts into every
     scheme's sums at once, over codeword-major ``(8, S, n)`` copies. Each sum
-    over writes is one contiguous 1-D ``sum`` per scheme, so a scheme's
-    results do not depend on the other schemes of the batch; they do depend
-    on the batching, as each batch is reduced to one float per sum.
+    over writes is one contiguous row ``sum`` per scheme, which numpy adds up
+    as it does a 1-D array, so a scheme's results do not depend on the other
+    schemes of the batch; they do depend on the batching, as each batch is
+    reduced to one float per sum.
     """
 
     def __init__(self, pw: float, schemes: int = 1) -> None:
@@ -279,26 +280,32 @@ class TraceAccumulator:
         columns = spread if cells is None or cells is data else _codeword_major(cells, schemes)
         if spread.shape != columns.shape:
             raise ParameterError(f"data and cells differ in length: {spread.shape[2]} and {columns.shape[2]}")
-        log_success, optimal = self._tables
-        c = log_success.take(columns)
-        # failure is -expm1(log success), which does not cancel against 1 at tiny q
-        failures = np.expm1(((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
-        # row totals are at most 8 * 576, so uint16 sums are exact
-        optimals = optimal.take(columns.sum(axis=0, dtype=np.uint16))
-        totals = spread.sum(axis=0, dtype=np.uint16)
-        live = totals > 0
-        # a zero write's minimum and maximum are 0; a share of 1/8 keeps its 0 / 0 out
-        share = np.maximum(totals, 1) / CODEWORDS
-        mins = spread.min(axis=0) / share * 100.0
-        maxs = spread.max(axis=0) / share * 100.0
-        self._live += np.count_nonzero(live, axis=1)
-        np.minimum(self._min_extreme, mins.min(axis=1, initial=math.inf, where=live), out=self._min_extreme)
-        np.maximum(self._max_extreme, maxs.max(axis=1, initial=-math.inf, where=live), out=self._max_extreme)
-        if not live.all():
-            mins, maxs = ([row[keep] for row, keep in zip(shares, live)] for shares in (mins, maxs))
-        for s in range(schemes):
-            self._sums[:, s] += (-failures[s].sum(), -optimals[s].sum(), mins[s].sum(), maxs[s].sum())
-        self.writes += columns.shape[2]
+        self._fold(columns, spread)
+
+    def _fold(self, columns: np.ndarray | None, spread: np.ndarray | None) -> None:
+        """:meth:`add` of codeword-major rate ``columns`` and ``spread``; a None one's sums stay."""
+        if columns is not None:
+            log_success, optimal = self._tables
+            c = log_success.take(columns)
+            # failure is -expm1(log success), which does not cancel against 1 at tiny q
+            failures = np.expm1(((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
+            # row totals are at most 8 * 576, so uint16 sums are exact
+            optimals = optimal.take(columns.sum(axis=0, dtype=np.uint16))
+            self._sums[:2] -= failures.sum(axis=1), optimals.sum(axis=1)
+        if spread is not None:
+            totals = spread.sum(axis=0, dtype=np.uint16)
+            live = totals > 0
+            # a zero write's minimum and maximum are 0; a share of 1/8 keeps its 0 / 0 out
+            share = np.maximum(totals, 1) / CODEWORDS
+            mins = spread.min(axis=0) / share * 100.0
+            maxs = spread.max(axis=0) / share * 100.0
+            self._live += np.count_nonzero(live, axis=1)
+            np.minimum(self._min_extreme, mins.min(axis=1, initial=math.inf, where=live), out=self._min_extreme)
+            np.maximum(self._max_extreme, maxs.max(axis=1, initial=-math.inf, where=live), out=self._max_extreme)
+            if not live.all():
+                mins, maxs = ([row[keep] for row, keep in zip(shares, live)] for shares in (mins, maxs))
+            self._sums[2:] += [row.sum() for row in mins], [row.sum() for row in maxs]
+        self.writes += (spread if columns is None else columns).shape[2]
 
     def rates(self) -> list[TraceErrorRate]:
         """Each scheme's mean block failure and its uniform-split optimum."""
@@ -327,12 +334,12 @@ def trace_error_rate(rows: Iterable[Sequence[int]], pw: float) -> TraceErrorRate
     The cache error rate is the mean over writes of (1 - p_block_success);
     alongside it the same mean is computed against the uniform K/8 bound,
     using each write's own total K. Writes with K = 0 contribute zero to
-    both. A one-scheme :class:`TraceAccumulator`, fed BATCH rows at a time.
+    both. A one-scheme :class:`TraceAccumulator`'s rates, BATCH rows at a time.
     """
     acc = TraceAccumulator(pw)
     rows = iter(rows)
     while chunk := list(islice(rows, BATCH)):
-        acc.add(chunk)
+        acc._fold(_codeword_major(chunk, 1), None)
     return acc.rates()[0]
 
 

@@ -158,7 +158,8 @@ def encode_words(words: np.ndarray) -> np.ndarray:
     """
     words = np.asarray(words, dtype="<u8")
     if words.size < _SMALL_WORDS:
-        return np.array(_encode_ints(words.ravel().tolist()), dtype=np.uint8).reshape(words.shape)[()]
+        checks = np.array(_encode_ints(words.ravel().tolist()), dtype=np.uint8)
+        return checks if words.ndim == 1 else checks.reshape(words.shape)[()]
     halves = np.ascontiguousarray(words).view("<u2").reshape(words.shape + (4,))
     check = _ENCODER[0].take(halves[..., 0])
     for half in range(1, 4):

@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bits import BLOCK_BYTES, stack_blocks
 from .mapping import BATCH, MappingScheme, scheme_counts
-from .reliability import CodewordStats, TraceAccumulator
+from .reliability import CodewordStats, TraceAccumulator, _codeword_major
 
 TRACE_MAGIC = b"RBTR"
 TRACE_VERSION = 1
@@ -351,10 +351,9 @@ def codeword_stats(
     """Per-write sorted/normalized codeword transitions aggregated over a trace.
 
     The spread of a one-scheme :class:`robinsim.reliability.TraceAccumulator`
-    over each write's cells; its rates go unread, so pw 1 (every table 0)
-    stands in for a p_write.
+    over each write's cells; it folds no rates, so pw 1 stands in for a p_write.
     """
     acc = TraceAccumulator(1.0)
     for olds, news in pair_batches(pairs):
-        acc.add(scheme_counts((scheme,), olds ^ news, include_ecc)[1])
+        acc._fold(None, _codeword_major(scheme_counts((scheme,), olds ^ news, include_ecc)[1], 1))
     return acc.stats((scheme.kind,))[0]

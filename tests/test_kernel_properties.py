@@ -14,8 +14,7 @@ from robinsim.mapping import (
     INTERLEAVED,
     PER_WORD,
     ROBIN,
-    _SMALL_ROWS,
-    _lane_tables,
+    _lane_table,
     block_datawords,
     codeword_counts,
     codeword_data_bits,
@@ -59,11 +58,11 @@ def write_batches(draw, rows):
 @settings(max_examples=12, deadline=None)
 @given(write_batches(st.integers(1, BATCH + 40)))
 @example(seeded_batch(BATCH + 40, 0, 0, BATCH))
-# one row, and either side of the row count where codeword_counts changes route
+# one row, and either side of 16 rows, where codeword_counts once changed route
 @example(seeded_batch(1, 1, 0, 0))
-@example(seeded_batch(_SMALL_ROWS - 1, 6, 0, _SMALL_ROWS - 2))
-@example(seeded_batch(_SMALL_ROWS, 7, _SMALL_ROWS - 1, 0))
-@example(seeded_batch(_SMALL_ROWS + 1, 8, 1, _SMALL_ROWS))
+@example(seeded_batch(15, 6, 0, 14))
+@example(seeded_batch(16, 7, 15, 0))
+@example(seeded_batch(17, 8, 1, 16))
 def test_codeword_counts_match_per_bit_oracle(batch):
     olds, news = batch
     for scheme in SCHEMES:
@@ -81,7 +80,7 @@ def test_codeword_counts_match_per_bit_oracle(batch):
 
 
 @settings(max_examples=8, deadline=None)
-@given(write_batches(st.sampled_from([_SMALL_ROWS - 1, _SMALL_ROWS, _SMALL_ROWS + 1, BATCH])))
+@given(write_batches(st.sampled_from([1, 15, 16, 17, BATCH])))
 @example(seeded_batch(BATCH, 9, BATCH - 1, 0))
 def test_scheme_counts_match_codeword_counts_and_oracle(batch):
     olds, news = batch
@@ -106,7 +105,7 @@ def test_scheme_counts_match_codeword_counts_and_oracle(batch):
 @pytest.mark.parametrize("schemes", SCHEME_TUPLES, ids=lambda t: ",".join(s.kind for s in t))
 def test_lane_tables_are_read_only(schemes):
     scheme_counts(schemes, np.zeros((1, 64), dtype=np.uint8))
-    for table in _lane_tables(schemes):
+    for table in (_lane_table(schemes, check) for check in (False, True)):
         # one uint64 per scheme, padded to a power of two
         assert table.shape == (64 * 256,) and table.dtype.itemsize in {8 * len(schemes), 32}
         assert not table.flags.writeable

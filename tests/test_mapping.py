@@ -12,7 +12,6 @@ from robinsim.mapping import (
     INTERLEAVED,
     PER_WORD,
     ROBIN,
-    _SMALL_ROWS,
     _lane_table,
     InvalidSchemeError,
     MappingScheme,
@@ -146,9 +145,9 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
 
 
 def test_codeword_counts_takes_byte_xor_only():
-    # on either side of the row count where codeword_counts changes route, and
-    # through the multi-scheme kernel
-    for n in (2, _SMALL_ROWS - 1, _SMALL_ROWS, BATCH):
+    # from one row up, either side of 16 rows where codeword_counts once
+    # changed route, and through the multi-scheme kernel
+    for n in (1, 15, 16, BATCH):
         for shape, dtype in (((512,), np.uint8), ((63,), np.uint8), ((64,), bool), ((64,), np.int64)):
             diff = np.zeros((n, *shape), dtype=dtype)
             for include_ecc in (False, True):
@@ -194,6 +193,23 @@ def test_transition_vector_is_a_row_of_eight_ints():
             assert type(row) is tuple and len(row) == 8 and all(type(k) is int for k in row)
             diff = (block_bytes(old) ^ block_bytes(new))[None]
             assert row == tuple(codeword_counts(scheme, diff, include_ecc)[1][0].tolist())
+
+
+def test_transition_vector_encodes_its_eight_datawords_once(monkeypatch):
+    # the per-write benchmark times secded.encode_words, looked up at call time
+    calls = []
+    encode_words = secded.encode_words
+    monkeypatch.setattr(secded, "encode_words", lambda words: calls.append(words) or encode_words(words))
+    rng = np.random.default_rng(9)
+    old, new = (rng.integers(0, 256, 64, dtype=np.uint8).tobytes() for _ in range(2))
+    for scheme in SCHEMES:
+        calls.clear()
+        row = transition_vector(scheme, old, new, include_ecc=True)
+        assert len(calls) == 1 and calls[0].shape == (8,)
+        assert calls[0].tolist() == datawords(scheme, bytes(a ^ b for a, b in zip(old, new))).tolist()
+        calls.clear()
+        assert sum(transition_vector(scheme, old, new, include_ecc=False)) < sum(row)
+        assert calls == []
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)

@@ -214,6 +214,18 @@ def test_encode_routes_read_the_encoder_table_at_call_time(monkeypatch):
     assert encode_words(words).tolist() == want
 
 
+def test_encode_words_gives_a_scalar_for_a_0d_word_and_an_array_for_eight():
+    # the shapes transition_vector and the scalar route rely on
+    word = np.uint64(0x0123456789ABCDEF)
+    for zero_d in (word, np.array(word)):
+        check = encode_words(zero_d)
+        assert type(check) is np.uint8 and int(check) == encode(int(word))
+    words = seeded_words((8,), 7)
+    checks = encode_words(words)
+    assert type(checks) is np.ndarray and checks.shape == (8,) and checks.dtype == np.uint8
+    assert checks.tolist() == [encode(int(w)) for w in words]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 40).flatmap(lambda n: st.tuples(*[hnp.arrays(np.uint64, n)] * 2)))
 def test_encode_words_is_linear_over_gf2(pair):
