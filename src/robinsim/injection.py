@@ -31,18 +31,26 @@ on grouping or on how many draws are made at once.
   first position at or past ``field`` are discarded.
 * At q = 1 every simulated cell fails, and at q = 0 nothing is drawn.
 
+No draw depends on the scheme, so the layouts of one run see the same
+failures of a record (common random numbers): only their fields differ. A
+call over several schemes draws each (record, trial chunk) once, over the
+widest scheme's field, and each scheme keeps the positions below its own.
+Those are the positions a draw over its own field places, since the clip
+only shortens gaps that pass the end of the field either way.
+
 A trial fails when some codeword collects two failures. ``tests/oracle.py``
 computes the stream one gap at a time and is its specification. The logarithm
 is the platform's, so a gap can differ between machines only where
 ``ln u / ln(1 - q)`` lies within rounding of an integer.
 
-:func:`monte_carlo_block` takes one write or a batch. A batch is counted with
-one :func:`robinsim.mapping.codeword_counts` call, the counters of all its
-(record, trial chunk) segments are hashed at once, a bounded number of draws
-at a time, and their failures are classified together.
-:class:`MonteCarloAccumulator` feeds it the batches of
-:func:`robinsim.trace.pair_batches`, for ``run_experiment`` and
-:func:`monte_carlo_trace` alike.
+:func:`monte_carlo_block` takes one write or a batch, under one scheme or a
+list of them. A batch is counted with one :func:`robinsim.mapping.scheme_counts`
+call, the counters of all its (record, trial chunk) segments are hashed at
+once, a bounded number of draws at a time, and their failures are classified
+together, scheme by scheme. :class:`MonteCarloAccumulator` feeds it the
+batches of :func:`robinsim.trace.pair_batches`, one call per batch for every
+scheme of ``run_experiment``, and for the one scheme of
+:func:`monte_carlo_trace`.
 :func:`inject_write` draws one 64-bit key from its generator and places its
 failing cells with the same sampler, so the decoder cross-check runs it too.
 """
@@ -51,13 +59,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import secded
 from .bits import BLOCK_BYTES, block_bytes, stack_blocks
-from .mapping import CODEWORDS, MappingScheme, block_datawords, cell_assignment, codeword_counts
+from .mapping import CODEWORDS, MappingScheme, block_datawords, cell_assignment, scheme_counts
 from .trace import pair_batches
 
 _MASK64 = (1 << 64) - 1
@@ -198,7 +206,11 @@ class BlockEstimate:
 
 
 def monte_carlo_block(
-    old: bytes | np.ndarray, new: bytes | np.ndarray, cfg: InjectionConfig, record_index: int = 0
+    old: bytes | np.ndarray,
+    new: bytes | np.ndarray,
+    cfg: InjectionConfig,
+    record_index: int = 0,
+    schemes: Sequence[MappingScheme] | None = None,
 ) -> BlockEstimate:
     """Estimate block write success probabilities by repeated fault injection.
 
@@ -209,60 +221,74 @@ def monte_carlo_block(
     ``mix_seed(seed, r)`` (see the module docstring), so a record's estimate
     is the same in any batch.
 
+    ``schemes`` estimates every listed scheme in place of ``cfg.scheme``, on
+    the same draws: the three arrays then get a leading axis of one entry
+    per scheme, ``(S, n)`` for a batch and ``(S,)`` for one write, and each
+    scheme's entries equal its own one-scheme call.
+
     Only the transitioning cells of codewords with at least two of them are
     simulated, since a codeword with one can never exceed t = 1. A trial
     succeeds when every codeword collects at most one failure. A record that
-    cannot fail draws nothing. All n writes are counted at once, and their
-    failures are drawn and classified together (see :func:`_failed_trials`).
+    cannot fail draws nothing. All n writes are counted at once under every
+    scheme, and their failures are drawn once and classified together (see
+    :func:`_failed_trials`).
     """
     batch = np.ndim(old) == 2
     diff = old ^ new if batch else (block_bytes(old) ^ block_bytes(new))[None]
-    cells = codeword_counts(cfg.scheme, diff, cfg.include_ecc)[1]
-    successes = cfg.trials - _failed_trials(np.where(cells > 1, cells, 0), cfg, int(record_index))
+    cells = scheme_counts((cfg.scheme,) if schemes is None else schemes, diff, cfg.include_ecc)[1]
+    failed = _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, int(record_index))
+    successes = cfg.trials - (failed if batch else failed[:, 0])
+    if schemes is None:
+        successes = successes[0]
     p = successes / cfg.trials
     stderr = np.sqrt(p * (1.0 - p) / cfg.trials)
-    if batch:
+    if successes.ndim:
         return BlockEstimate(p_block=p, stderr=stderr, trials=cfg.trials, successes=successes)
-    return BlockEstimate(
-        p_block=float(p[0]), stderr=float(stderr[0]), trials=cfg.trials, successes=int(successes[0])
-    )
+    return BlockEstimate(p_block=float(p), stderr=float(stderr), trials=cfg.trials, successes=int(successes))
 
 
 def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) -> np.ndarray:
-    """Failed trials of each row of simulated-cell ``counts``; row i is record first_record + i.
+    """Failed trials of ``(S, n, 8)`` simulated-cell ``counts``, as ``(S, n)``.
 
-    Each (record, trial chunk) is one segment of the stream. Consecutive
+    Entry ``[s, i]`` is record first_record + i under scheme s. A record's
+    draws do not depend on the scheme, so each (record, trial chunk) is one
+    segment of the stream, drawn once over the widest scheme's field; each
+    scheme keeps the failures below its own field, which are the failures a
+    draw over that field alone places (see :func:`_gap_sums`). Consecutive
     segments are drawn together, at most ``_HELD_POSITIONS`` draws at a time
     (a larger segment alone). A failure is keyed by (segment, trial,
     codeword), and the keys arrive sorted, so a repeated key is a second
     failure in one codeword, and its trial fails.
     """
-    failed = np.zeros(len(counts), dtype=np.int64)
+    failed = np.zeros(counts.shape[:2], dtype=np.int64)
     fail_prob = 1.0 - cfg.pw
-    rows = np.flatnonzero(counts.any(axis=1))
+    live_rows = counts.any(axis=2)
+    rows = np.flatnonzero(live_rows.any(axis=0))
     if fail_prob == 0.0 or rows.size == 0:
         return failed
     if fail_prob == 1.0:
-        # every simulated cell fails, and each row has a codeword with two of them
-        failed[rows] = cfg.trials
+        # every simulated cell fails, and each live row has a codeword with two of them
+        failed[live_rows] = cfg.trials
         return failed
     # int64 once: the kernel counts in uint8, and the cell positions and
     # field sizes below are sums of those counts far past 255
-    live = counts[rows].astype(np.int64)
-    sizes = live.sum(axis=1)
+    live = counts[:, rows].astype(np.int64)
+    sizes = live.sum(axis=2)
     reach = int(live.max())   # failures of one (trial, codeword) lie less than this apart
     # the codeword of each simulated cell: a record's cells grouped by codeword,
-    # the records laid end to end, record i's cells from cell_start[i]
-    cell_codeword = np.repeat(np.tile(np.arange(CODEWORDS), rows.size), live.ravel())
-    cell_start = np.cumsum(sizes) - sizes
+    # the records laid end to end, scheme after scheme; record i's cells under
+    # scheme s from cell_start[s, i]
+    cell_codeword = np.repeat(np.tile(np.arange(CODEWORDS), sizes.size), live.ravel())
+    cell_start = np.cumsum(sizes).reshape(sizes.shape) - sizes
     # segments record-major: record seg_row[j], trial chunk seg_chunk[j]
     chunks = -(-cfg.trials // _TRIAL_CHUNK)
     seg_row = np.repeat(np.arange(rows.size), chunks)
     seg_chunk = np.tile(np.arange(chunks), rows.size)
-    seg_size = sizes[seg_row]
-    seg_field = seg_size * np.minimum(cfg.trials - seg_chunk * _TRIAL_CHUNK, _TRIAL_CHUNK)
+    seg_size = sizes[:, seg_row]
+    seg_limit = seg_size * np.minimum(cfg.trials - seg_chunk * _TRIAL_CHUNK, _TRIAL_CHUNK)
+    seg_field = seg_limit.max(axis=0)   # the widest scheme's field is the one drawn
     seg_key = splitmix(cfg.seed, np.uint64(first_record & _MASK64) + rows.astype(np.uint64))[seg_row]
-    seg_cell_start = cell_start[seg_row]
+    seg_cell_start = cell_start[:, seg_row]
 
     bounds, held = [0], 0
     for j, draws in enumerate(_draw_count(seg_field * fail_prob).tolist()):
@@ -274,7 +300,9 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         fields = seg_field[lo:hi]
         cell = _failures(seg_key[lo:hi], seg_chunk[lo:hi], fields, fail_prob)
-        # sorted keys: only failures nearer than reach to a neighbour can share its key
+        # sorted keys: only failures nearer than reach to a neighbour can share
+        # its key. A scheme keeps a prefix of each segment's failures, so a
+        # neighbour under one scheme is a neighbour in the drawn field too
         near = np.diff(cell) < reach
         if 4 * np.count_nonzero(near) < near.size:   # dropping the rest pays only then
             cell = cell[np.append(near, False) | np.insert(near, 0, False)]
@@ -282,20 +310,24 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
         ends = np.cumsum(fields)
         found = np.diff(cell.searchsorted(ends), prepend=0)
         cell -= (ends - fields).repeat(found)   # the position in its segment
-        size = seg_size[lo:hi].repeat(found)
-        # exact: a position is below 2**53, and a quotient with a remainder lies
-        # at least 1/size below the next integer, far above float64 rounding here
-        trial = (cell / size).astype(np.int64)
-        cell -= trial * size
-        # one trial number per (segment, trial), still increasing along the failures
-        trial += (np.arange(lo, hi) * _TRIAL_CHUNK).repeat(found)
-        cell += seg_cell_start[lo:hi].repeat(found)
-        key = cell_codeword[cell]
-        key += trial * CODEWORDS
-        twice = trial[1:][key[1:] == key[:-1]]
-        first = np.ones(twice.size, dtype=bool)
-        first[1:] = twice[1:] != twice[:-1]
-        failed[rows] += np.bincount(seg_row[twice[first] // _TRIAL_CHUNK], minlength=rows.size)
+        seg = np.arange(lo, hi).repeat(found)
+        for s, limit in enumerate(seg_limit):
+            keep = cell < limit[seg]
+            position, segment = cell[keep], seg[keep]
+            size = seg_size[s, segment]
+            # exact: a position is below 2**53, and a quotient with a remainder lies
+            # at least 1/size below the next integer, far above float64 rounding here
+            trial = (position / size).astype(np.int64)
+            position -= trial * size
+            position += seg_cell_start[s, segment]
+            # one trial number per (segment, trial), still increasing along the failures
+            trial += segment * _TRIAL_CHUNK
+            key = cell_codeword[position]
+            key += trial * CODEWORDS
+            twice = trial[1:][key[1:] == key[:-1]]
+            first = np.ones(twice.size, dtype=bool)
+            first[1:] = twice[1:] != twice[:-1]
+            failed[s, rows] += np.bincount(seg_row[twice[first] // _TRIAL_CHUNK], minlength=rows.size)
     return failed
 
 
@@ -396,43 +428,53 @@ class TraceEstimate:
 
 
 class MonteCarloAccumulator:
-    """Running trace-level Monte Carlo estimate, fed batches of (old, new) writes in record order.
+    """Running trace-level Monte Carlo estimates, fed batches of (old, new) writes in record order.
 
     The r-th write added is record r and draws from the key mix_seed(seed, r), so
-    the estimate is independent of how the writes are batched; partial
-    results merge by summing (failure_fraction, variance_term) pairs.
+    the estimates are independent of how the writes are batched; partial
+    results merge by summing (failure_fraction, variance_term) pairs. With
+    ``schemes``, every listed scheme is estimated on the same draws, one
+    :func:`monte_carlo_block` call per batch, and :meth:`finalize` returns one
+    estimate per scheme; without, ``cfg.scheme`` alone and one estimate.
     """
 
-    def __init__(self, cfg: InjectionConfig) -> None:
+    def __init__(self, cfg: InjectionConfig, schemes: Sequence[MappingScheme] | None = None) -> None:
         self.cfg = cfg
+        self.schemes = (cfg.scheme,) if schemes is None else tuple(schemes)
+        self._one_scheme = schemes is None
         self.records = 0
-        self._failure_sum = 0.0
-        self._variance_sum = 0.0
+        self._failure_sums = [0.0] * len(self.schemes)
+        self._variance_sums = [0.0] * len(self.schemes)
 
     def add_batch(self, olds: np.ndarray, news: np.ndarray) -> None:
         """Add the writes of two ``(n, 64)`` uint8 arrays as the next n records."""
-        estimate = monte_carlo_block(olds, news, self.cfg, record_index=self.records)
+        estimate = monte_carlo_block(olds, news, self.cfg, record_index=self.records, schemes=self.schemes)
         variance = estimate.p_block * (1.0 - estimate.p_block) / self.cfg.trials
-        # one record at a time, so the sums do not depend on the batching
-        for failure, term in zip(estimate.error_rate.tolist(), variance.tolist()):
-            self._failure_sum += failure
-            self._variance_sum += term
+        for s, (failures, terms) in enumerate(zip(estimate.error_rate.tolist(), variance.tolist())):
+            # one record at a time, so the sums do not depend on the batching
+            for failure, term in zip(failures, terms):
+                self._failure_sums[s] += failure
+                self._variance_sums[s] += term
         self.records += len(olds)
 
-    def finalize(self) -> TraceEstimate:
+    def finalize(self) -> TraceEstimate | list[TraceEstimate]:
         if self.records == 0:
             raise ValueError("empty pair stream")
-        return TraceEstimate(
-            error_rate=self._failure_sum / self.records,
-            stderr=math.sqrt(self._variance_sum) / self.records,
-            records=self.records,
-        )
+        estimates = [
+            TraceEstimate(
+                error_rate=failure_sum / self.records,
+                stderr=math.sqrt(variance_sum) / self.records,
+                records=self.records,
+            )
+            for failure_sum, variance_sum in zip(self._failure_sums, self._variance_sums)
+        ]
+        return estimates[0] if self._one_scheme else estimates
 
 
 def monte_carlo_trace(
     pairs: Iterable[tuple[bytes, bytes]], cfg: InjectionConfig
 ) -> TraceEstimate:
-    """Mean block-failure fraction over (records x trials); see MonteCarloAccumulator."""
+    """Mean block-failure fraction over (records x trials); the one-scheme MonteCarloAccumulator."""
     accumulator = MonteCarloAccumulator(cfg)
     for olds, news in pair_batches(pairs):
         accumulator.add_batch(olds, news)

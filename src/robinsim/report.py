@@ -9,11 +9,13 @@ analytic error rate, its uniform-split optimum and its codeword-spread
 statistics, in a fixed float order that makes a scheme's rows independent of
 the schemes run with it), and sums the per-bit transition histogram.
 With Monte Carlo on, each batch's ``olds`` and ``news`` also feed one
-:class:`robinsim.injection.MonteCarloAccumulator` per scheme, so memory stays
-bounded in the trace length. :func:`emit_csv` builds three CSV tables and
-:func:`emit_svg` three self-contained SVG charts, each as text, and each
-writes its three with one ``_write`` call: ASCII with ``\n`` line ends, in a
-fixed order. Reruns with the same config and seed are byte-identical.
+:class:`robinsim.injection.MonteCarloAccumulator` for all schemes, which draws
+a record's failures once and scores every scheme on them (the draws do not
+depend on the scheme), so memory stays bounded in the trace length.
+:func:`emit_csv` builds three CSV tables and :func:`emit_svg` three
+self-contained SVG charts, each as text, and each writes its three with one
+``_write`` call: ASCII with ``\n`` line ends, in a fixed order. Reruns with
+the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -125,35 +127,31 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     schemes = tuple(MappingScheme(name) for name in cfg.schemes)
     acc = TraceAccumulator(pw, len(schemes))
     histogram = np.zeros(BLOCK_BITS, dtype=np.int64)
-    mcs = [
-        MonteCarloAccumulator(
-            InjectionConfig(
-                pw=pw, scheme=s, trials=cfg.trials, seed=cfg.seed, include_ecc=cfg.include_ecc
-            )
+    mc = None
+    if cfg.monte_carlo:
+        # the accumulator scores the listed schemes; the config's own one is not read
+        mc_cfg = InjectionConfig(
+            pw=pw, scheme=schemes[0], trials=cfg.trials, seed=cfg.seed, include_ecc=cfg.include_ecc
         )
-        if cfg.monte_carlo
-        else None
-        for s in schemes
-    ]
+        mc = MonteCarloAccumulator(mc_cfg, schemes)
 
     for olds, news in pair_batches(make_pairs(cfg)):
         diff = olds ^ news
         # exact: a batch holds at most BATCH <= 65535 flips per bit
         histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
         acc.add(*scheme_counts(schemes, diff, cfg.include_ecc))
-        if cfg.monte_carlo:
-            for mc in mcs:
-                mc.add_batch(olds, news)
+        if mc is not None:
+            mc.add_batch(olds, news)
 
     if acc.writes == 0:
         raise ConfigError("input produced no write records after warmup")
 
     bundle = ReportBundle(pw=pw, writes=acc.writes, histogram=histogram)
-    for means, stats, mc in zip(acc.rates(), acc.stats(cfg.schemes), mcs):
+    estimates = mc.finalize() if mc is not None else [None] * len(schemes)
+    for means, stats, estimate in zip(acc.rates(), acc.stats(cfg.schemes), estimates):
         rate, optimal = means.rate, means.optimal_rate
         increase = reliability.normalized_increase(rate, optimal) if optimal > 0 else None
-        mc = mc.finalize() if mc is not None else None
-        bundle.schemes.append(SchemeReport(stats.scheme, rate, optimal, increase, stats, mc))
+        bundle.schemes.append(SchemeReport(stats.scheme, rate, optimal, increase, stats, estimate))
     return bundle
 
 

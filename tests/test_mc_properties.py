@@ -1,6 +1,9 @@
 """Property tests: the batch Monte Carlo kernel against the gap-by-gap reference."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +35,7 @@ def mc_cases(draw):
     """
     scheme = draw(st.sampled_from(SCHEMES))
     trials = draw(st.one_of(st.sampled_from([1, _TRIAL_CHUNK, _TRIAL_CHUNK + 5]), st.integers(1, 300)))
-    fail_prob = draw(st.one_of(st.sampled_from([2.0**-52, 1.0]), st.floats(1 / 3, 1.0), st.floats(1e-4, 1 / 3)))
+    fail_prob = draw(st.one_of(st.sampled_from([0.0, 2.0**-52, 1.0]), st.floats(1 / 3, 1.0), st.floats(1e-4, 1 / 3)))
     few = trials > 300
     rows = draw(st.lists(st.lists(st.integers(0, 6 if few else 16), min_size=8, max_size=8),
                          min_size=1, max_size=3 if few else 24))
@@ -82,6 +85,29 @@ def test_monte_carlo_block_with_check_bits_matches_reference(scheme, n, seed, re
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(mc_cases(), st.permutations(SCHEMES), st.integers(1, 3), st.booleans())
+# per-word sees two flips in codeword 0 of the first write, the other layouts none
+@example((PER_WORD, [[2, 0, 0, 0, 0, 0, 0, 0], [0] * 8, [3, 0, 2, 0, 0, 0, 0, 0]], 0.05, _TRIAL_CHUNK + 5, 6, 2),
+         SCHEMES, 3, False)
+@example((ROBIN, [[0, 2, 0, 0, 0, 0, 0, 0], [6] * 8], 1.0, 40, 1, 0), [INTERLEAVED, ROBIN, PER_WORD], 2, False)
+@example((INTERLEAVED, [[2, 2, 0, 0, 0, 0, 0, 0], [0, 0, 0, 3, 0, 0, 0, 0]], 0.0, 300, 8, 9), SCHEMES, 3, True)
+def test_scheme_list_gives_each_schemes_own_successes(case, order, count, include_ecc):
+    """One call over several schemes shares its draws, and each scheme's successes equal its own call."""
+    scheme, rows, fail_prob, trials, seed, record_index = case
+    olds, news = blocks_with_counts(scheme, rows)
+    schemes = order[:count]
+    cfg = InjectionConfig(pw=1.0 - fail_prob, scheme=scheme, trials=trials, seed=seed, include_ecc=include_ecc)
+    shared = monte_carlo_block(olds, news, cfg, record_index=record_index, schemes=schemes)
+    assert shared.successes.shape == shared.p_block.shape == (count, len(rows))
+    for s, one_scheme in enumerate(schemes):
+        own = monte_carlo_block(olds, news, replace(cfg, scheme=one_scheme), record_index=record_index)
+        assert shared.successes[s].tolist() == own.successes.tolist()
+        assert shared.stderr[s].tolist() == own.stderr.tolist()
+    write = monte_carlo_block(olds[0].tobytes(), news[0].tobytes(), cfg, record_index=record_index, schemes=schemes)
+    assert write.successes.tolist() == shared.successes[:, 0].tolist()
+
+
 @settings(max_examples=25, deadline=None)
 @given(mc_cases(), st.lists(st.integers(0, 24), max_size=4))
 def test_split_batches_give_the_same_successes(case, cuts):
@@ -97,31 +123,37 @@ def test_split_batches_give_the_same_successes(case, cuts):
     assert np.concatenate(parts).tolist() == whole.tolist()
 
 
-def test_monte_carlo_block_held_position_cap_does_not_change_results(monkeypatch):
+# the one-scheme call, and one call over all three layouts on shared draws
+SCHEME_LISTS = pytest.mark.parametrize("schemes", [None, SCHEMES], ids=("one-scheme", "three-schemes"))
+
+
+@SCHEME_LISTS
+def test_monte_carlo_block_held_position_cap_does_not_change_results(monkeypatch, schemes):
     rows = [[(3 * i + n) % 9 for n in range(8)] for i in range(40)]
     olds, news = blocks_with_counts(ROBIN, rows)
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=_TRIAL_CHUNK + 300, seed=5, include_ecc=False)
     # about a million failures in all, so a cap of 300 classifies them many times over
     expected = sum(k for row in rows for k in row if k > 1) * cfg.trials * (1.0 - cfg.pw)
     assert expected > 1000 * 300
-    whole = monte_carlo_block(olds, news, cfg, record_index=17)
+    whole = monte_carlo_block(olds, news, cfg, record_index=17, schemes=schemes)
     monkeypatch.setattr(injection, "_HELD_POSITIONS", 300)
-    capped = monte_carlo_block(olds, news, cfg, record_index=17)
+    capped = monte_carlo_block(olds, news, cfg, record_index=17, schemes=schemes)
     assert capped.successes.tolist() == whole.successes.tolist()
-    assert 0 < whole.successes.sum() < len(rows) * cfg.trials
+    assert 0 < whole.successes.sum() < whole.successes.size * cfg.trials
 
 
-def test_monte_carlo_block_single_draw_rounds_do_not_change_results(monkeypatch):
+@SCHEME_LISTS
+def test_monte_carlo_block_single_draw_rounds_do_not_change_results(monkeypatch, schemes):
     # with one draw per segment and round, every failure after the first comes from a top-up
     rows = [[(5 * i + n) % 7 for n in range(8)] for i in range(12)]
     olds, news = blocks_with_counts(INTERLEAVED, rows)
     cfg = InjectionConfig(pw=0.995, scheme=INTERLEAVED, trials=_TRIAL_CHUNK + 40, seed=9, include_ecc=False)
-    whole = monte_carlo_block(olds, news, cfg, record_index=3)
+    whole = monte_carlo_block(olds, news, cfg, record_index=3, schemes=schemes)
     monkeypatch.setattr(injection, "_draw_count", lambda expected: np.ones(np.shape(expected), dtype=np.int64))
     monkeypatch.setattr(injection, "_HELD_POSITIONS", 5)
-    single = monte_carlo_block(olds, news, cfg, record_index=3)
+    single = monte_carlo_block(olds, news, cfg, record_index=3, schemes=schemes)
     assert single.successes.tolist() == whole.successes.tolist()
-    assert 0 < whole.successes.sum() < len(rows) * cfg.trials
+    assert 0 < whole.successes.sum() < whole.successes.size * cfg.trials
 
 
 def test_run_experiment_monte_carlo_matches_reference_across_batches():
