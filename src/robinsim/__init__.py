@@ -14,7 +14,6 @@ from .mapping import (
     PER_WORD,
     ROBIN,
     codeword_counts,
-    codeword_data_bits,
     transition_vector,
     verify_partition,
 )
@@ -24,7 +23,6 @@ from .reliability import (
     normalized_increase,
     p_block_success,
     p_block_success_optimal,
-    p_codeword_success,
     p_write_from_device,
     trace_error_rate,
 )

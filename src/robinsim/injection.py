@@ -215,9 +215,9 @@ def monte_carlo_block(
     """Estimate block write success probabilities by repeated fault injection.
 
     ``old`` and ``new`` are one write as two 64-byte payloads, or a batch as
-    two ``(n, 64)`` uint8 arrays holding records ``record_index`` to
-    ``record_index + n - 1``; for a batch, ``p_block``, ``stderr`` and
-    ``successes`` are ``(n,)`` arrays. Record r draws from the key
+    two ``(n, 64)`` uint8 arrays of equal shape holding records
+    ``record_index`` to ``record_index + n - 1``; for a batch, ``p_block``,
+    ``stderr`` and ``successes`` are ``(n,)`` arrays. Record r draws from the key
     ``mix_seed(seed, r)`` (see the module docstring), so a record's estimate
     is the same in any batch.
 
@@ -234,6 +234,8 @@ def monte_carlo_block(
     :func:`_failed_trials`).
     """
     batch = np.ndim(old) == 2
+    if batch and np.shape(old) != np.shape(new):
+        raise ValueError(f"old and new batches differ in shape: {np.shape(old)} and {np.shape(new)}")
     diff = old ^ new if batch else (block_bytes(old) ^ block_bytes(new))[None]
     cells = scheme_counts((cfg.scheme,) if schemes is None else schemes, diff, cfg.include_ecc)[1]
     failed = _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, int(record_index))
@@ -434,20 +436,19 @@ class MonteCarloAccumulator:
     the estimates are independent of how the writes are batched; partial
     results merge by summing (failure_fraction, variance_term) pairs. With
     ``schemes``, every listed scheme is estimated on the same draws, one
-    :func:`monte_carlo_block` call per batch, and :meth:`finalize` returns one
-    estimate per scheme; without, ``cfg.scheme`` alone and one estimate.
+    :func:`monte_carlo_block` call per batch; without, ``cfg.scheme`` alone.
+    :meth:`finalize` returns one estimate per scheme, in scheme order.
     """
 
     def __init__(self, cfg: InjectionConfig, schemes: Sequence[MappingScheme] | None = None) -> None:
         self.cfg = cfg
         self.schemes = (cfg.scheme,) if schemes is None else tuple(schemes)
-        self._one_scheme = schemes is None
         self.records = 0
         self._failure_sums = [0.0] * len(self.schemes)
         self._variance_sums = [0.0] * len(self.schemes)
 
     def add_batch(self, olds: np.ndarray, news: np.ndarray) -> None:
-        """Add the writes of two ``(n, 64)`` uint8 arrays as the next n records."""
+        """Add the writes of two ``(n, 64)`` uint8 arrays of equal shape as the next n records."""
         estimate = monte_carlo_block(olds, news, self.cfg, record_index=self.records, schemes=self.schemes)
         variance = estimate.p_block * (1.0 - estimate.p_block) / self.cfg.trials
         for s, (failures, terms) in enumerate(zip(estimate.error_rate.tolist(), variance.tolist())):
@@ -457,10 +458,10 @@ class MonteCarloAccumulator:
                 self._variance_sums[s] += term
         self.records += len(olds)
 
-    def finalize(self) -> TraceEstimate | list[TraceEstimate]:
+    def finalize(self) -> list[TraceEstimate]:
         if self.records == 0:
             raise ValueError("empty pair stream")
-        estimates = [
+        return [
             TraceEstimate(
                 error_rate=failure_sum / self.records,
                 stderr=math.sqrt(variance_sum) / self.records,
@@ -468,7 +469,6 @@ class MonteCarloAccumulator:
             )
             for failure_sum, variance_sum in zip(self._failure_sums, self._variance_sums)
         ]
-        return estimates[0] if self._one_scheme else estimates
 
 
 def monte_carlo_trace(
@@ -478,7 +478,7 @@ def monte_carlo_trace(
     accumulator = MonteCarloAccumulator(cfg)
     for olds, news in pair_batches(pairs):
         accumulator.add_batch(olds, news)
-    return accumulator.finalize()
+    return accumulator.finalize()[0]
 
 
 @dataclass(frozen=True)

@@ -105,13 +105,6 @@ def scheme_perm(scheme: MappingScheme) -> np.ndarray:
     return perm
 
 
-def codeword_data_bits(scheme: MappingScheme, n: int) -> list[int]:
-    """The 64 flat indices of codeword n's data bits, in dataword slot order."""
-    if not 0 <= n < CODEWORDS:
-        raise ValueError(f"codeword id out of range: {n}")
-    return scheme_perm(scheme).reshape(CODEWORDS, DATAWORD_BITS)[n].tolist()
-
-
 _BYTE_OFFSETS = (256 * np.arange(BLOCK_BYTES, dtype=np.uint16))[:, None]   # byte j's table entries
 
 

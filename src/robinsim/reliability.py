@@ -151,11 +151,6 @@ def block_log_success_optimal_array(totals: np.ndarray, pw: float) -> np.ndarray
     return CODEWORDS * codeword_log_success_array(totals / CODEWORDS, pw)
 
 
-def p_codeword_success(k: float, pw: float) -> float:
-    """Probability that a codeword with k transitioning bits is written correctly."""
-    return float(np.exp(codeword_log_success_array(k, pw)))
-
-
 def p_block_success(row: Sequence[int], pw: float) -> float:
     """Probability that all eight codewords of a block write succeed, given their counts."""
     return float(np.exp(codeword_log_success_array(count_rows([row])[0], pw).sum()))

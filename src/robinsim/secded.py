@@ -13,18 +13,15 @@ the 8 numerically smallest weight-5 bytes. Codeword bit order is data slots
 bit ``s`` = slot ``s``.
 
 The codec is two tables, the check contribution of each 16-bit quarter of a
-dataword and the codeword bit of each syndrome; the array functions and the
-scalar ones index the same two, read at call time. :func:`encode_words` has
-two routes to the same check words: an input of fewer than
-``_SMALL_WORDS`` words is encoded one word at a time by the scalar lookups of
-:func:`encode`, which costs less than numpy's per-call overhead at that size;
-a larger one takes one array lookup per quarter over all its words.
+dataword and the codeword bit of each syndrome, read at call time;
+:func:`repair_words` is the one decoder. :func:`encode_words` has two routes
+to the same check words: an input of fewer than ``_SMALL_WORDS`` words is
+encoded one word at a time by the scalar lookups of :func:`encode`, which
+costs less than numpy's per-call overhead at that size; a larger one takes
+one array lookup per quarter over all its words.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -65,28 +62,6 @@ _SYNDROME_BIT.setflags(write=False)
 _SMALL_WORDS = 12
 
 
-class DecodeStatus(Enum):
-    NO_ERROR = "no-error"
-    CORRECTED = "corrected"
-    UNCORRECTABLE = "detected-uncorrectable"
-
-
-@dataclass(frozen=True)
-class DecodeOutcome:
-    """Result of decoding one 72-bit codeword.
-
-    ``bit_index`` is set only for CORRECTED and addresses the codeword bit
-    that was repaired: 0..63 for data slots, 64..71 for check bits.
-    """
-
-    status: DecodeStatus
-    bit_index: int | None = None
-
-    @property
-    def recoverable(self) -> bool:
-        return self.status is not DecodeStatus.UNCORRECTABLE
-
-
 def encode(data: int) -> int:
     """Compute the 8 check bits of a 64-bit dataword.
 
@@ -114,41 +89,6 @@ def _encode_ints(words: list[int]) -> list[int]:
     ]
 
 
-def syndrome(data: int, check: int) -> int:
-    """Syndrome of a received codeword; zero iff it is a valid codeword."""
-    if check < 0 or check >> CHECK_BITS:
-        raise ValueError("check word must be an unsigned 8-bit value")
-    return encode(data) ^ check
-
-
-def decode(data: int, check: int) -> DecodeOutcome:
-    """Classify a received codeword.
-
-    Zero syndrome is NO_ERROR; a syndrome matching an H column is CORRECTED at
-    that column's bit; anything else is UNCORRECTABLE. Errors touching three
-    or more bits may alias to a column and be reported as CORRECTED; callers
-    that know the true error count must classify those separately.
-    """
-    s = syndrome(data, check)
-    if s == 0:
-        return DecodeOutcome(DecodeStatus.NO_ERROR)
-    bit = int(_SYNDROME_BIT[s])
-    if bit < 0:
-        return DecodeOutcome(DecodeStatus.UNCORRECTABLE)
-    return DecodeOutcome(DecodeStatus.CORRECTED, bit)
-
-
-def repair(data: int, check: int) -> tuple[DecodeOutcome, int, int]:
-    """Decode and apply any single-bit correction, returning (outcome, data, check)."""
-    outcome = decode(data, check)
-    if outcome.status is DecodeStatus.CORRECTED:
-        if outcome.bit_index < DATA_BITS:
-            data ^= 1 << outcome.bit_index
-        else:
-            check ^= 1 << (outcome.bit_index - DATA_BITS)
-    return outcome, data, check
-
-
 def encode_words(words: np.ndarray) -> np.ndarray:
     """Vectorized encode: uint64 dataword array -> uint8 check words of the same shape.
 
@@ -167,17 +107,31 @@ def encode_words(words: np.ndarray) -> np.ndarray:
     return check
 
 
+def _unsigned(values: np.ndarray, dtype: type, what: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array; values of another type must be integers in its range."""
+    if getattr(values, "dtype", None) == dtype:
+        return values
+    # as objects, Python ints past int64 stay exact; a fraction or NaN leaves a nonzero % 1
+    exact = np.asarray(values, dtype=object)
+    if not np.all((exact >= 0) & (exact <= np.iinfo(dtype).max) & (exact % 1 == 0)):
+        raise ValueError(f"{what} must be unsigned {np.iinfo(dtype).bits}-bit integers")
+    return exact.astype(dtype)
+
+
 def repair_words(
     data: np.ndarray, check: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`repair`: (syndromes, bits, data, check), each the shape of ``data``.
+    """Decode received codewords: (syndromes, bits, data, check), each the shape of ``data``.
 
-    ``bits`` is the corrected codeword bit (0..63 data, 64..71 check) or -1,
-    so a zero syndrome is NO_ERROR and a nonzero one with bit -1 UNCORRECTABLE.
-    The returned data and check words have the correction applied.
+    ``bits`` is the codeword bit (0..63 data, 64..71 check) whose column
+    equals the syndrome, or -1: a zero syndrome is a valid codeword, a nonzero
+    one with bit -1 a detected, uncorrectable error. Three or more flips may
+    alias to a column and be corrected at the wrong bit. The returned words
+    have the correction applied. Unless already uint64 and uint8 arrays, data
+    and check words must be integers in [0, 2**64) and [0, 256) (ValueError).
     """
-    data = np.asarray(data, dtype=np.uint64)
-    check = np.asarray(check, dtype=np.uint8)
+    data = _unsigned(data, np.uint64, "datawords")
+    check = _unsigned(check, np.uint8, "check words")
     syndromes = encode_words(data) ^ check
     bits = _SYNDROME_BIT[syndromes]
     # bit -1 is in neither part, so its masked shift amount does not matter

@@ -1,14 +1,15 @@
-"""Slow references: payloads as flat bit vectors, the SEC-DED check bits,
-per-bit codeword flip counts and trace rates, the v2 workload stream, a
-trace-file loader, Monte Carlo classified one record at a time, and the
-per-scheme batch fold that ``robinsim.reliability.TraceAccumulator`` replaced.
+"""Slow references: payloads as flat bit vectors, the SEC-DED check bits and
+decoder, each codeword's flat bits, per-bit codeword flip counts and trace
+rates, the v2 workload stream, a trace-file loader, Monte Carlo classified
+one record at a time, and the per-scheme batch fold that
+``robinsim.reliability.TraceAccumulator`` replaced.
 
 Written independently of ``robinsim.secded``, ``robinsim.mapping``,
 ``robinsim.reliability``, ``robinsim.workloads`` and ``robinsim.trace``: the
-code's columns are recomputed from their definition and a dataword is encoded
-one bit at a time over GF(2), each bit's owner comes from the scheme
-definitions below, each codeword's dataword is built slot by slot in
-ascending flat order, rates use plain Python float arithmetic, workload
+code's columns are recomputed from their definition, a dataword is encoded
+one bit at a time over GF(2) and a syndrome decoded by searching the 72
+columns, each bit's owner comes from the scheme definitions below, each
+codeword's dataword is built slot by slot in ascending flat order, rates use plain Python float arithmetic, workload
 records are computed one at a time with Python ints, and trace files are
 parsed one record at a time. The Monte Carlo reference places every failing
 cell one gap at a time with Python-int splitmix64 and classifies each
@@ -17,6 +18,7 @@ is the package's earlier code, kept to pin the accumulator's float order, and
 reads the package's own count check and closed-form tables.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -55,6 +57,25 @@ def encode(data):
     return check
 
 
+# H's columns by codeword bit: data slots 0..63, then check bits 64..71
+COLUMNS = DATA_COLUMNS + tuple(1 << r for r in range(8))
+
+
+def repair(data, check):
+    """(syndrome, corrected bit or -1, data, check) of a received codeword.
+
+    The corrected bit is the one whose column equals the syndrome; the
+    returned words have it flipped.
+    """
+    syndrome = encode(data) ^ check
+    bit = COLUMNS.index(syndrome) if syndrome in COLUMNS else -1
+    if 0 <= bit < 64:
+        data ^= 1 << bit
+    elif bit >= 64:
+        check ^= 1 << (bit - 64)
+    return syndrome, bit, data, check
+
+
 def owner(kind, flat):
     """Codeword that owns flat bit ``64*word + 8*byte + pos``."""
     word, byte, pos = flat // 64, (flat // 8) % 8, flat % 8
@@ -67,6 +88,12 @@ def owner(kind, flat):
         if (word + byte + n) % 8 == pos:
             return n
     raise AssertionError("unreachable")
+
+
+@functools.lru_cache(maxsize=None)
+def codeword_bits(kind, n):
+    """The 64 flat bits codeword n owns, ascending (its dataword's slot order), as a tuple."""
+    return tuple(flat for flat in range(512) if owner(kind, flat) == n)
 
 
 def flip_counts(kind, old, new, include_ecc):

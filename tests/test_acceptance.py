@@ -23,9 +23,9 @@ from robinsim.mapping import (
 )
 from robinsim.reliability import (
     DeviceParams,
+    codeword_log_success_array,
     p_block_success,
     p_block_success_optimal,
-    p_codeword_success,
     p_write_from_device,
 )
 from robinsim.report import ExperimentConfig, run_experiment
@@ -62,6 +62,16 @@ def test_partition_validity():
 # -- criterion: codec soundness ----------------------------------------------
 
 
+def flipped(data, check, bits):
+    """``(data, check)`` with the given codeword bits flipped: 0..63 data, 64..71 check."""
+    for bit in bits:
+        if bit < 64:
+            data ^= 1 << bit
+        else:
+            check ^= 1 << (bit - 64)
+    return data, check
+
+
 def test_codec_soundness():
     start = time.monotonic()
     rng = np.random.default_rng(0xACCE97)
@@ -71,24 +81,15 @@ def test_codec_soundness():
     uncorrected_singles = 0
     for data in datawords:
         check = secded.encode(data)
-        for bit in range(72):
-            bad_data = data ^ (1 << bit) if bit < 64 else data
-            bad_check = check if bit < 64 else check ^ (1 << (bit - 64))
-            outcome, fixed_data, fixed_check = secded.repair(bad_data, bad_check)
-            if (
-                outcome.status is not secded.DecodeStatus.CORRECTED
-                or (fixed_data, fixed_check) != (data, check)
-            ):
-                uncorrected_singles += 1
-        for a, b in combinations(range(72), 2):
-            bad_data, bad_check = data, check
-            for bit in (a, b):
-                if bit < 64:
-                    bad_data ^= 1 << bit
-                else:
-                    bad_check ^= 1 << (bit - 64)
-            if secded.decode(bad_data, bad_check).status is not secded.DecodeStatus.UNCORRECTABLE:
-                miscorrections += 1
+        singles = zip(*(flipped(data, check, [bit]) for bit in range(72)))
+        _, found, fixed_data, fixed_check = secded.repair_words(*singles)
+        uncorrected_singles += int(np.count_nonzero(
+            (found != np.arange(72)) | (fixed_data != data) | (fixed_check != check)
+        ))
+        doubles = zip(*(flipped(data, check, pair) for pair in combinations(range(72), 2)))
+        # a double flip must be detected (nonzero syndrome) and never corrected
+        syndromes, found = secded.repair_words(*doubles)[:2]
+        miscorrections += int(np.count_nonzero((syndromes == 0) | (found != -1)))
     elapsed = time.monotonic() - start
     ok = uncorrected_singles == 0 and miscorrections == 0 and elapsed < 30.0
     report(
@@ -144,7 +145,7 @@ def compositions(total, parts):
 def test_uniform_split_is_optimal():
     start = time.monotonic()
     pw = 0.99
-    success = [p_codeword_success(k, pw) for k in range(17)]
+    success = np.exp(codeword_log_success_array(np.arange(17), pw)).tolist()
     ok = True
     for total in range(0, 17):
         bound = p_block_success_optimal(total, pw)

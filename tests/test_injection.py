@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracle import bits_to_block, block_to_bits
+from oracle import bits_to_block, block_to_bits, codeword_bits
 from robinsim import injection, secded
 from robinsim.bits import block_bytes, stack_blocks
 from robinsim.injection import (
@@ -15,7 +15,7 @@ from robinsim.injection import (
     monte_carlo_block,
     monte_carlo_trace,
 )
-from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, codeword_data_bits, transition_vector
+from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, transition_vector
 from robinsim.reliability import p_block_success
 
 ZERO = bytes(64)
@@ -295,8 +295,26 @@ def test_monte_carlo_trace_equals_per_pair_accumulation():
     for old, new in zip(olds, news):
         one_by_one.add_batch(old[None], new[None])
     estimate = monte_carlo_trace(iter(pairs), cfg)
-    assert estimate == one_by_one.finalize()
+    assert [estimate] == one_by_one.finalize()
     assert estimate.records == 1100 and 0 < estimate.error_rate < 1
+
+
+@pytest.mark.parametrize("schemes", [None, (ROBIN, PER_WORD)], ids=["one-scheme", "two-schemes"])
+def test_monte_carlo_rejects_batches_of_different_shapes(schemes):
+    rng = np.random.default_rng(47)
+    olds = rng.integers(0, 256, (5, 64), dtype=np.uint8)
+    news = olds[:1] ^ 1
+    cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10, seed=3)
+    message = r"differ in shape: \(5, 64\) and \(1, 64\)"
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_block(olds, news, cfg, schemes=schemes)
+    accumulator = MonteCarloAccumulator(cfg, schemes)
+    with pytest.raises(ValueError, match=r"\(1, 64\) and \(5, 64\)"):
+        accumulator.add_batch(news, olds)
+    # nothing was counted: the accumulator still holds no record
+    assert accumulator.records == 0
+    accumulator.add_batch(olds, olds ^ 1)
+    assert [estimate.records for estimate in accumulator.finalize()] == [5] * len(accumulator.schemes)
 
 
 def test_monte_carlo_trace_rejects_empty():
@@ -359,7 +377,7 @@ def test_end_to_end_single_failure_sweep():
 def test_end_to_end_double_failure_sweep():
     # sampled pairs inside one codeword: uncorrectable, agreeing with block_ok=False
     new = bytes(range(64))
-    slots = codeword_data_bits(ROBIN, 3)
+    slots = codeword_bits("robin", 3)
     for a in range(0, 64, 7):
         for b in range(a + 1, 64, 11):
             outcome = forced_outcome(new, ROBIN, failed_flats=[slots[a], slots[b]])
@@ -375,7 +393,7 @@ def test_end_to_end_double_failure_sweep():
 def test_end_to_end_counts_an_undetected_quadruple_failure_as_aliased():
     # two data failures plus the check bits of their column sum form a codeword: zero syndrome
     new = bytes(range(64))
-    slots = codeword_data_bits(ROBIN, 3)
+    slots = codeword_bits("robin", 3)
     both = secded.DATA_COLUMNS[0] ^ secded.DATA_COLUMNS[1]
     checks = [(3, r) for r in range(8) if both >> r & 1]
     outcome = forced_outcome(new, ROBIN, failed_flats=[slots[0], slots[1]], failed_checks=checks)
@@ -387,7 +405,7 @@ def test_end_to_end_counts_an_undetected_quadruple_failure_as_aliased():
 
 def test_end_to_end_flags_a_codec_that_misses_a_double_failure(monkeypatch):
     new = bytes(range(64))
-    slots = codeword_data_bits(ROBIN, 3)
+    slots = codeword_bits("robin", 3)
     assert end_to_end_check(forced_outcome(new, ROBIN, failed_flats=slots[:2]), new, ROBIN).agree
     # with two equal data columns, flipping both bits leaves a zero syndrome
     columns = (secded.DATA_COLUMNS[0],) + secded.DATA_COLUMNS[:1] + secded.DATA_COLUMNS[2:]

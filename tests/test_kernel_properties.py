@@ -17,7 +17,6 @@ from robinsim.mapping import (
     _lane_table,
     block_datawords,
     codeword_counts,
-    codeword_data_bits,
     scheme_counts,
     transition_vector,
 )
@@ -114,9 +113,9 @@ def test_lane_tables_are_read_only(schemes):
 
 
 def slot_datawords(scheme, bits):
-    """Dataword n of each row: slot s holds flat bit ``codeword_data_bits(scheme, n)[s]``."""
+    """Dataword n of each row: slot s holds flat bit ``oracle.codeword_bits(kind, n)[s]``."""
     return [
-        [sum(int(row[flat]) << s for s, flat in enumerate(codeword_data_bits(scheme, n))) for n in range(8)]
+        [sum(int(row[flat]) << s for s, flat in enumerate(oracle.codeword_bits(scheme.kind, n))) for n in range(8)]
         for row in bits
     ]
 

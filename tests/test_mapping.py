@@ -17,9 +17,9 @@ from robinsim.mapping import (
     MappingScheme,
     block_datawords,
     codeword_counts,
-    codeword_data_bits,
     scheme_assignment,
     scheme_counts,
+    scheme_perm,
     transition_vector,
     verify_partition,
 )
@@ -63,32 +63,36 @@ def test_robin_matches_forward_enumeration():
 
 
 def test_codeword_data_bits_reference_points():
-    assert codeword_data_bits(PER_WORD, 0) == list(range(64))
-    assert codeword_data_bits(PER_WORD, 3) == list(range(192, 256))
-    assert codeword_data_bits(INTERLEAVED, 0) == list(range(0, 512, 8))
-    robin0 = codeword_data_bits(ROBIN, 0)
+    assert oracle.codeword_bits("per-word", 0) == tuple(range(64))
+    assert oracle.codeword_bits("per-word", 3) == tuple(range(192, 256))
+    assert oracle.codeword_bits("interleaved", 0) == tuple(range(0, 512, 8))
+    robin0 = oracle.codeword_bits("robin", 0)
     assert len(robin0) == 64
     # exactly one bit from each of the 64 bytes
     assert sorted(flat // 8 for flat in robin0) == list(range(64))
-    oracle = sorted(f for f, n in robin_forward_assignment().items() if n == 0)
-    assert robin0 == oracle
+    forward = sorted(f for f, n in robin_forward_assignment().items() if n == 0)
+    assert list(robin0) == forward
+    # row n of scheme_perm is codeword n's data bits in slot order
+    for scheme in SCHEMES:
+        rows = scheme_perm(scheme).reshape(8, 64)
+        for n in range(8):
+            assert tuple(rows[n].tolist()) == oracle.codeword_bits(scheme.kind, n)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
 def test_partition_property(scheme):
     seen = []
-    for n in range(8):
-        bits = codeword_data_bits(scheme, n)
-        assert len(bits) == 64
-        assert bits == sorted(bits)
-        seen.extend(bits)
+    for row in scheme_perm(scheme).reshape(8, 64).tolist():
+        assert len(row) == 64
+        assert row == sorted(row)
+        seen.extend(row)
     assert sorted(seen) == list(range(512))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
 def test_map_bit_roundtrip_with_codeword_data_bits(scheme):
     for n in range(8):
-        for flat in codeword_data_bits(scheme, n):
+        for flat in oracle.codeword_bits(scheme.kind, n):
             assert scheme_assignment(scheme)[flat] == n
 
 
@@ -264,14 +268,14 @@ def test_single_word_writes_bounded(scheme):
 
 
 def test_datawords_slot_order():
-    # flat index f set in isolation appears as slot s where codeword_data_bits[n][s] == f
+    # flat index f set in isolation appears as slot s where oracle.codeword_bits(kind, n)[s] == f
     for scheme in SCHEMES:
         for flat in (0, 17, 100, 309, 511):
             bits = np.zeros(512, dtype=np.uint8)
             bits[flat] = 1
             block = bits_to_block(bits)
             n = scheme_assignment(scheme)[flat]
-            slot = codeword_data_bits(scheme, n).index(flat)
+            slot = oracle.codeword_bits(scheme.kind, n).index(flat)
             words = datawords(scheme, block)
             assert int(words[n]) == 1 << slot
             assert all(int(words[m]) == 0 for m in range(8) if m != n)
@@ -303,7 +307,7 @@ index8 = st.integers(0, 7)
 
 @given(st.sampled_from(SCHEMES), codewords)
 def test_every_codeword_owns_64_distinct_bits(scheme, n):
-    bits = codeword_data_bits(scheme, n)
+    bits = oracle.codeword_bits(scheme.kind, n)
     assert len(set(bits)) == 64
     for flat in bits:
         assert scheme_assignment(scheme)[flat] == n

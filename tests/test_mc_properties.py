@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracle
 from robinsim import injection
 from robinsim.injection import _TRIAL_CHUNK, InjectionConfig, monte_carlo_block
-from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, MappingScheme, codeword_counts, codeword_data_bits
+from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, MappingScheme, codeword_counts
 from robinsim.report import ExperimentConfig, make_pairs, run_experiment
 from robinsim.workloads import WorkloadSpec
 
@@ -22,7 +22,7 @@ def blocks_with_counts(scheme, rows):
     bits = np.zeros((len(rows), 512), dtype=np.uint8)
     for i, row in enumerate(rows):
         for n, k in enumerate(row):
-            bits[i, codeword_data_bits(scheme, n)[:k]] = 1
+            bits[i, list(oracle.codeword_bits(scheme.kind, n)[:k])] = 1
     return np.zeros((len(rows), 64), dtype=np.uint8), np.packbits(bits, axis=1, bitorder="little")
 
 

@@ -15,7 +15,6 @@ from robinsim.reliability import (
     normalized_increase,
     p_block_success,
     p_block_success_optimal,
-    p_codeword_success,
     p_write_from_device,
     trace_error_rate,
 )
@@ -106,11 +105,16 @@ def test_p_write_invalid_denominator():
         p_write_from_device(params)
 
 
+def codeword_success(k, pw):
+    return np.exp(codeword_log_success_array(k, pw))
+
+
 def test_codeword_success_trivial_counts():
     for pw in (0.0, 0.3, 0.9, 1.0):
-        assert p_codeword_success(0, pw) == 1.0
-        assert p_codeword_success(1, pw) == pytest.approx(1.0)
-    assert p_codeword_success(2, 0.9) == pytest.approx(0.99)
+        zero, one = codeword_success([0, 1], pw)
+        assert zero == 1.0
+        assert one == pytest.approx(1.0)
+    assert codeword_success(2, 0.9) == pytest.approx(0.99)
 
 
 def test_codeword_success_matches_direct_arithmetic():
@@ -119,28 +123,34 @@ def test_codeword_success_matches_direct_arithmetic():
         k = int(rng.integers(0, 73))
         pw = float(rng.uniform(0.01, 0.999))
         expected = pw**k + k * pw ** (k - 1) * (1 - pw) if k else 1.0
-        assert p_codeword_success(k, pw) == pytest.approx(expected, rel=1e-12)
+        assert codeword_success(k, pw) == pytest.approx(expected, rel=1e-12)
+        assert oracle.codeword_success(k, pw) == pytest.approx(expected, rel=1e-12)
 
 
 def test_codeword_success_non_increasing_in_k():
     for pw in (0.2, 0.9, 0.999):
-        values = [p_codeword_success(k, pw) for k in range(1, 73)]
-        assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+        values = codeword_success(np.arange(1, 73), pw)
+        assert np.all(values[1:] <= values[:-1] + 1e-15)
 
 
 def test_codeword_success_rejects_negative():
     with pytest.raises(ParameterError):
-        p_codeword_success(-1, 0.9)
+        codeword_log_success_array(-1, 0.9)
     with pytest.raises(ParameterError):
-        p_codeword_success(2, 1.5)
+        codeword_log_success_array([2, -1], 0.9)
+    with pytest.raises(ParameterError):
+        codeword_log_success_array(2, 1.5)
 
 
 def test_codeword_log_success_array_matches_scalar():
     ks = np.array([0.0, 0.5, 1.0, 2.0, 7.25, 64.0])
     for pw in (0.0, 0.5, 0.999, 1.0):
-        array = np.exp(codeword_log_success_array(ks, pw))
-        scalar = [p_codeword_success(float(k), pw) for k in ks]
+        array = codeword_success(ks, pw)
+        scalar = [float(codeword_success(float(k), pw)) for k in ks]
         assert np.allclose(array, scalar, rtol=1e-12, atol=0)
+        # whole counts against the plain-float reference
+        whole = [oracle.codeword_success(int(k), pw) for k in ks if k == int(k)]
+        assert np.allclose(array[ks == ks.astype(int)], whole, rtol=1e-12, atol=0)
 
 
 def test_block_success_reference_points():

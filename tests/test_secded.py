@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracle import data_columns as reference_data_columns
 from oracle import encode as matrix_encode
+from oracle import repair as column_search_repair
 from robinsim import secded
 from robinsim.secded import (
     CHECK_COLUMNS,
@@ -15,13 +16,9 @@ from robinsim.secded import (
     COLUMNS,
     DATA_BITS,
     DATA_COLUMNS,
-    DecodeStatus,
-    decode,
     encode,
     encode_words,
-    repair,
     repair_words,
-    syndrome,
 )
 
 # frozen before the build from an independent GF(2) matrix-vector oracle
@@ -81,13 +78,56 @@ def test_encode_words_matches_scalar():
         assert int(check) == encode(int(word)) == matrix_encode(int(word))
 
 
+def syndrome(data, check):
+    return int(repair_words(data, check)[0])
+
+
 def test_encode_rejects_out_of_range():
     with pytest.raises(ValueError):
         encode(1 << 64)
     with pytest.raises(ValueError):
         encode(-1)
     with pytest.raises(ValueError):
-        syndrome(0, 256)
+        repair_words(0, 256)
+
+
+@pytest.mark.parametrize(
+    ("data", "check", "message"),
+    [
+        (0, 256, "check words"),
+        (0, -1, "check words"),
+        (-1, 0, "datawords"),
+        (1 << 64, 0, "datawords"),
+        # an int64 check word of 256 + c would otherwise wrap to the valid c
+        (np.array([5], dtype=np.int64), np.array([256 + encode(5)], dtype=np.int64), "check words"),
+        (np.array([-1, 5], dtype=np.int64), np.array([0, 0], dtype=np.uint8), "datawords"),
+        (np.array([0.0, 2.0**64]), np.zeros(2, dtype=np.uint8), "datawords"),
+        # a fractional word would otherwise truncate to a valid one
+        (np.array([1.5]), np.array([encode(1)]), "datawords"),
+        (np.array([1]), np.array([encode(1) + 0.5]), "check words"),
+    ],
+    ids=["check-256", "check-negative", "data-negative", "data-2**64", "int64-check-wraps",
+         "int64-data-negative", "float-data-2**64", "float-data-fraction", "float-check-fraction"],
+)
+def test_repair_words_rejects_out_of_range_input(data, check, message):
+    with pytest.raises(ValueError, match=message):
+        repair_words(data, check)
+
+
+def test_repair_words_takes_in_range_words_of_any_integer_type():
+    data = [0, 5, 0xDEADBEEFCAFEBABE]
+    checks = [encode(d) for d in data]
+    native = repair_words(np.array(data, dtype=np.uint64), np.array(checks, dtype=np.uint8))
+    for words, check_words in (
+        (data, checks),
+        (np.array(data, dtype=object), np.array(checks, dtype=np.int64)),
+        (np.array(data[:2], dtype=np.uint8), checks[:2]),
+        (np.array(data[:2], dtype=np.int64), np.array(checks[:2], dtype=np.uint16)),
+    ):
+        outputs = repair_words(words, check_words)
+        for got, want in zip(outputs, native):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want[: len(got)])
 
 
 def test_syndrome_zero_for_valid_codewords():
@@ -106,12 +146,17 @@ def test_syndrome_single_flip_is_odd_column():
         assert bin(s).count("1") % 2 == 1
 
 
+def flipped_pairs(data, check):
+    """Received (data, check) arrays of every double flip of a codeword, in combinations() order."""
+    received = [flip(*flip(data, check, a), b) for a, b in combinations(range(CODEWORD_BITS), 2)]
+    return np.array([d for d, _ in received], dtype=np.uint64), np.array([c for _, c in received], dtype=np.uint8)
+
+
 def test_syndrome_double_flip_even_nonzero():
     data = 0x0F0F0F0F33CC55AA
-    check = encode(data)
-    for a, b in combinations(range(CODEWORD_BITS), 2):
-        bad = flip(*flip(data, check, a), b)
-        s = syndrome(*bad)
+    syndromes = repair_words(*flipped_pairs(data, encode(data)))[0]
+    assert syndromes.size == CODEWORD_BITS * (CODEWORD_BITS - 1) // 2
+    for s in syndromes.tolist():
         assert s != 0
         assert bin(s).count("1") % 2 == 0
 
@@ -128,23 +173,27 @@ def test_syndrome_of_error_pattern_is_data_independent():
 
 
 def test_decode_clean():
-    assert decode(0, 0).status is DecodeStatus.NO_ERROR
+    assert [int(v) for v in repair_words(0, 0)] == [0, -1, 0, 0]
     data = 0x123456789ABCDEF0
-    assert decode(data, encode(data)).status is DecodeStatus.NO_ERROR
+    assert [int(v) for v in repair_words(data, encode(data))] == [0, -1, data, encode(data)]
 
 
 def test_decode_corrects_bit_5():
     data = 0x00000000DEADBEEF
-    outcome = decode(data ^ (1 << 5), encode(data))
-    assert outcome.status is DecodeStatus.CORRECTED
-    assert outcome.bit_index == 5
+    s, bit, fixed_data, fixed_check = repair_words(data ^ (1 << 5), encode(data))
+    assert s == COLUMNS[5]
+    assert bit == 5
+    assert (int(fixed_data), int(fixed_check)) == (data, encode(data))
 
 
 def test_decode_detects_bits_3_and_7():
     data = 0x00000000DEADBEEF
-    outcome = decode(data ^ (1 << 3) ^ (1 << 7), encode(data))
-    assert outcome.status is DecodeStatus.UNCORRECTABLE
-    assert not outcome.recoverable
+    received = (data ^ (1 << 3) ^ (1 << 7), encode(data))
+    s, bit, fixed_data, fixed_check = repair_words(*received)
+    assert s != 0
+    assert bit == -1
+    # nothing is corrected
+    assert (int(fixed_data), int(fixed_check)) == received
 
 
 def test_single_error_sweep_restores_original():
@@ -153,20 +202,21 @@ def test_single_error_sweep_restores_original():
         data = int(rng.integers(0, 1 << 63, dtype=np.uint64))
         check = encode(data)
         for bit in range(CODEWORD_BITS):
-            outcome, fixed_data, fixed_check = repair(*flip(data, check, bit))
-            assert outcome.status is DecodeStatus.CORRECTED
-            assert outcome.bit_index == bit
-            assert (fixed_data, fixed_check) == (data, check)
+            s, found, fixed_data, fixed_check = repair_words(*flip(data, check, bit))
+            assert s != 0
+            assert found == bit
+            assert (int(fixed_data), int(fixed_check)) == (data, check)
 
 
 def test_double_error_sweep_never_miscorrects():
     rng = np.random.default_rng(27)
     for _ in range(3):
         data = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        check = encode(data)
-        for a, b in combinations(range(CODEWORD_BITS), 2):
-            outcome = decode(*flip(*flip(data, check, a), b))
-            assert outcome.status is DecodeStatus.UNCORRECTABLE
+        received_data, received_check = flipped_pairs(data, encode(data))
+        syndromes, found, fixed_data, fixed_check = repair_words(received_data, received_check)
+        assert np.all(syndromes != 0)
+        assert np.all(found == -1)
+        assert np.array_equal(fixed_data, received_data) and np.array_equal(fixed_check, received_check)
 
 
 words64 = st.integers(0, 2**64 - 1)
@@ -244,12 +294,8 @@ def test_repair_words_matches_scalar_on_any_shape(data):
         assert array.shape == words.shape
         assert array.dtype == dtype
     rows = zip(*(np.ravel(a).tolist() for a in (words, checks) + outputs))
-    for word, check, s, bit, fixed_word, fixed_check_word in rows:
-        outcome, repaired_word, repaired_check = repair(word, check)
-        assert s == syndrome(word, check)
-        assert (s == 0) == (outcome.status is DecodeStatus.NO_ERROR)
-        assert bit == (-1 if outcome.bit_index is None else outcome.bit_index)
-        assert (fixed_word, fixed_check_word) == (repaired_word, repaired_check)
+    for word, check, *decoded in rows:
+        assert decoded == list(column_search_repair(word, check))
 
 
 @settings(max_examples=60, deadline=None)
