@@ -8,6 +8,8 @@ over the 64-byte payload.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 BLOCK_BYTES = 64
@@ -28,7 +30,7 @@ def blocks_to_bits(blocks: np.ndarray) -> np.ndarray:
     return np.unpackbits(blocks, axis=1, bitorder="little")
 
 
-def stack_blocks(payloads: list[bytes]) -> np.ndarray:
+def stack_blocks(payloads: Sequence[bytes]) -> np.ndarray:
     """Stack 64-byte payloads into an ``(n, 64)`` uint8 matrix."""
     bad = set(map(len, payloads)) - {BLOCK_BYTES}
     if bad:

@@ -81,9 +81,9 @@ _U64 = {
 
 # trials are simulated in fixed-size chunks
 _TRIAL_CHUNK = 8192
-# draws a batch holds at once (512 KB per int64 array); one record chunk alone
-# can need more, about 2.4 million at p_write 0.5
-_HELD_POSITIONS = 1 << 16
+# draws a batch holds at once (256 KB per int64 array); one record chunk
+# alone can need more, about 2.4 million at p_write 0.5
+_HELD_POSITIONS = 1 << 15
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -164,24 +164,23 @@ def inject_write(
     blocks = stack_blocks([old, new])
     # eight cells per byte, in cell order: the payload, then one check word per codeword
     diff = blocks[0] ^ blocks[1]
-    stored = blocks[1]
+    stored = bytearray(blocks[1])
     if cfg.include_ecc:
         old_check, new_check = secded.encode_words(block_datawords(cfg.scheme, blocks))
         diff = np.concatenate([diff, old_check ^ new_check])
-        stored = np.concatenate([stored, new_check])
+        stored += new_check.tobytes()
     flipping = np.flatnonzero(np.unpackbits(diff, bitorder="little"))
     key = rng.bit_generator.random_raw()
-    failed = flipping[:0]
+    counts = [0] * CODEWORDS
     if cfg.pw < 1.0 and flipping.size:
         failed = flipping[_field_failures(key, 0, -1, flipping.size, 1.0 - cfg.pw)]
-    failed_cells = np.zeros(8 * diff.size, dtype=np.uint8)
-    failed_cells[failed] = 1
-    # a failed cell keeps its old value, the complement of the new one
-    stored = stored ^ np.packbits(failed_cells, bitorder="little")
-    counts = np.bincount(cell_assignment(cfg.scheme)[failed], minlength=CODEWORDS).tolist()
+        for cell, codeword in zip(failed.tolist(), cell_assignment(cfg.scheme)[failed].tolist()):
+            # a failed cell keeps its old value, the complement of the new one
+            stored[cell >> 3] ^= 1 << (cell & 7)
+            counts[codeword] += 1
     return WriteOutcome(
-        written=stored[:BLOCK_BYTES].tobytes(),
-        written_check=tuple(stored[BLOCK_BYTES:].tolist()) if cfg.include_ecc else None,
+        written=bytes(stored[:BLOCK_BYTES]),
+        written_check=tuple(stored[BLOCK_BYTES:]) if cfg.include_ecc else None,
         failures_per_codeword=tuple(counts),
         block_ok=max(counts) <= 1,
     )
@@ -307,7 +306,10 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
         # neighbour under one scheme is a neighbour in the drawn field too
         near = np.diff(cell) < reach
         if 4 * np.count_nonzero(near) < near.size:   # dropping the rest pays only then
-            cell = cell[np.append(near, False) | np.insert(near, 0, False)]
+            keep = np.zeros(cell.size, dtype=bool)
+            keep[1:] = near
+            keep[:-1] |= near
+            cell = cell[keep]
         # the group's fields lie end to end, so each segment's failures are a run
         ends = np.cumsum(fields)
         found = np.diff(cell.searchsorted(ends), prepend=0)
@@ -510,10 +512,11 @@ def end_to_end_check(outcome: WriteOutcome, new: bytes, scheme: MappingScheme) -
         & (fixed_data == intended_words)
         & (fixed_check == secded.encode_words(intended_words))
     )
-    failures = np.array(outcome.failures_per_codeword)
-    disagree = decoder_ok != (failures <= 1)
-    return CodecCrossCheck(
-        agree=not disagree[failures <= 2].any(),
-        codewords_checked=CODEWORDS,
-        aliased=int(disagree[failures > 2].sum()),
-    )
+    agree, aliased = True, 0
+    for ok, failures in zip(decoder_ok.tolist(), outcome.failures_per_codeword):
+        if ok != (failures <= 1):
+            if failures <= 2:
+                agree = False
+            else:
+                aliased += 1
+    return CodecCrossCheck(agree=agree, codewords_checked=CODEWORDS, aliased=aliased)

@@ -234,7 +234,8 @@ def scheme_counts(
         raise ValueError("scheme_counts needs at least one scheme")
     _check_payloads(diff)
     table = _lane_table(schemes, False)
-    index = diff.T + _BYTE_OFFSETS
+    # C order: each byte's row of indices is contiguous for its take
+    index = np.add(diff.T, _BYTE_OFFSETS, order="C")
     shape, used = (len(diff), table.itemsize // 8, CODEWORDS), len(schemes)
     data = np.add.reduce(table.take(index).view("<u8"), axis=0).view(np.uint8).reshape(shape)[:, :used]
     if not include_ecc:

@@ -244,11 +244,10 @@ def _histogram_svg(histogram: np.ndarray) -> str:
                      'stroke="#dddddd"/>\n')
         if word < 8:
             parts.append(_svg_text(x + plot_w / 16, top + plot_h + 16, f"word {word}"))
-    points = []
-    for flat, count in enumerate(histogram):
-        x = left + plot_w * (flat + 0.5) / BLOCK_BITS
-        y = top + plot_h * (1.0 - int(count) / peak)
-        points.append(f"{x:.1f},{y:.1f}")
+    # the per-point float operations, in their order, over all 512 points at once
+    xs = left + plot_w * (np.arange(BLOCK_BITS) + 0.5) / BLOCK_BITS
+    ys = top + plot_h * (1.0 - histogram.astype(np.float64) / peak)
+    points = [f"{x:.1f},{y:.1f}" for x, y in zip(xs.tolist(), ys.tolist())]
     parts.append(f'<polyline fill="none" stroke="{_BAR_COLORS[0]}" stroke-width="1" '
                  f'points="{" ".join(points)}"/>\n')
     parts.append(_svg_text(left - 6, top + 12, str(peak), anchor="end"))

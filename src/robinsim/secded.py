@@ -12,13 +12,15 @@ the 8 numerically smallest weight-5 bytes. Codeword bit order is data slots
 0..63 then check bits 64..71; datawords and check words are plain ints with
 bit ``s`` = slot ``s``.
 
-The codec is two tables, the check contribution of each 16-bit quarter of a
-dataword and the codeword bit of each syndrome, read at call time;
-:func:`repair_words` is the one decoder. :func:`encode_words` has two routes
-to the same check words: an input of fewer than ``_SMALL_WORDS`` words is
-encoded one word at a time by the scalar lookups of :func:`encode`, which
-costs less than numpy's per-call overhead at that size; a larger one takes
-one array lookup per quarter over all its words.
+The codec is three tables, read at call time: the check contribution of
+each 16-bit quarter of a dataword, the codeword bit of each syndrome, and the
+dataword and check-word masks each syndrome's correction flips.
+:func:`repair_words` is the one decoder: a syndrome and three lookups.
+:func:`encode_words` has two routes to the same check words: an input of
+fewer than ``_SMALL_WORDS`` words is encoded one word at a time by the
+scalar lookups of :func:`encode`, which costs less than numpy's per-call
+overhead at that size; a larger one takes one array lookup per quarter over
+all its words.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ _ENCODER = _encoder_table()
 _SYNDROME_BIT = np.full(1 << CHECK_BITS, -1, dtype=np.int8)
 _SYNDROME_BIT[list(COLUMNS)] = np.arange(CODEWORD_BITS)
 _SYNDROME_BIT.setflags(write=False)
+# syndrome -> the dataword bit and the check bit its correction flips, 0 for a
+# zero or uncorrectable syndrome (Hsiao: correction is one syndrome lookup)
+_FIX_DATA = np.zeros(1 << CHECK_BITS, dtype=np.uint64)
+_FIX_DATA[list(DATA_COLUMNS)] = np.uint64(1) << np.arange(DATA_BITS, dtype=np.uint64)
+_FIX_DATA.setflags(write=False)
+_FIX_CHECK = np.zeros(1 << CHECK_BITS, dtype=np.uint8)
+_FIX_CHECK[list(CHECK_COLUMNS)] = CHECK_COLUMNS
+_FIX_CHECK.setflags(write=False)
 # encode_words encodes inputs of fewer words one at a time; the two routes
 # took the same time at 11 words (2-core x86-64 virtual machine)
 _SMALL_WORDS = 12
@@ -95,8 +105,10 @@ def encode_words(words: np.ndarray) -> np.ndarray:
     As with numpy ufuncs, a 0-d input gives a numpy scalar. Fewer than
     ``_SMALL_WORDS`` words are encoded by :func:`encode`'s scalar lookups,
     more by one array lookup per quarter; both give the same check words.
+    Unless a uint64 array, the datawords must be integers in [0, 2**64)
+    (ValueError).
     """
-    words = np.asarray(words, dtype="<u8")
+    words = np.asarray(_unsigned(words, np.uint64, "datawords"))
     if words.size < _SMALL_WORDS:
         checks = np.array(_encode_ints(words.ravel().tolist()), dtype=np.uint8)
         return checks if words.ndim == 1 else checks.reshape(words.shape)[()]
@@ -133,12 +145,4 @@ def repair_words(
     data = _unsigned(data, np.uint64, "datawords")
     check = _unsigned(check, np.uint8, "check words")
     syndromes = encode_words(data) ^ check
-    bits = _SYNDROME_BIT[syndromes]
-    # bit -1 is in neither part, so its masked shift amount does not matter
-    in_data = (bits >= 0) & (bits < DATA_BITS)
-    in_check = bits >= DATA_BITS
-    fixed_data = np.left_shift(in_data, (bits & (DATA_BITS - 1)).view(np.uint8), dtype=np.uint64)
-    fixed_data ^= data
-    fixed_check = np.left_shift(in_check, (bits & (CHECK_BITS - 1)).view(np.uint8), dtype=np.uint8)
-    fixed_check ^= check
-    return syndromes, bits, fixed_data, fixed_check
+    return syndromes, _SYNDROME_BIT[syndromes], data ^ _FIX_DATA[syndromes], check ^ _FIX_CHECK[syndromes]

@@ -32,8 +32,7 @@ from __future__ import annotations
 import json
 import sys
 from binascii import unhexlify
-from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -97,16 +96,13 @@ class WriteRecord(_WriteRecordFields):
         return cls(*iterable)
 
 
-_new_record = partial(tuple.__new__, WriteRecord)
-
-
 def _records(addrs: Iterable[int], datas: Iterable[bytes]) -> Iterator[WriteRecord]:
     """Records from parallel address and payload sequences, without per-record checks.
 
     Only for a producer that has already checked every address (aligned, in
     the 64-bit range) and every payload (64 bytes) it passes.
     """
-    return map(_new_record, zip(addrs, datas))
+    return map(tuple.__new__, repeat(WriteRecord), zip(addrs, datas))
 
 
 def detect_format(path: str | Path) -> str:
@@ -340,7 +336,8 @@ def pair_batches(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[np.ndar
     """
     pairs = iter(pairs)
     while batch := list(islice(pairs, BATCH)):
-        yield stack_blocks([p[0] for p in batch]), stack_blocks([p[1] for p in batch])
+        olds, news = zip(*batch)
+        yield stack_blocks(olds), stack_blocks(news)
 
 
 def codeword_stats(

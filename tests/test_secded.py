@@ -243,6 +243,7 @@ def seeded_words(shape, seed):
 @example(seeded_words((secded._SMALL_WORDS - 1,), 3))
 @example(seeded_words((secded._SMALL_WORDS,), 4))
 @example(seeded_words((1, secded._SMALL_WORDS + 1), 5))
+@example(seeded_words((secded._SMALL_WORDS + 3,), 9))
 def test_encode_words_matches_scalar_on_any_shape(words):
     checks = encode_words(words)
     assert checks.shape == words.shape
@@ -331,3 +332,44 @@ def test_repair_words_classifies_zero_one_and_two_flips(data):
             # nothing is corrected
             assert int(fixed_data[index]) == int(received_data[index])
             assert int(fixed_check[index]) == int(received_check[index])
+
+
+@pytest.mark.parametrize(
+    "words",
+    [np.array([-1], dtype=np.int64), np.array([1.5]), -1],
+    # int64 -1 would otherwise wrap to 2**64 - 1, 1.5 truncate to 1, and a
+    # Python -1 raise OverflowError
+    ids=["int64-negative", "float-fraction", "python-int-negative"],
+)
+def test_encode_words_rejects_words_outside_the_unsigned_64_bit_integers(words):
+    with pytest.raises(ValueError, match="datawords"):
+        encode_words(words)
+
+
+def test_encode_words_takes_0d_words():
+    for word in (5, np.array(5, dtype=np.int64), np.uint64(5), (1 << 64) - 1):
+        check = encode_words(word)
+        assert type(check) is np.uint8 and int(check) == encode(int(word))
+
+
+def test_repair_words_matches_the_oracle_on_every_syndrome():
+    # check = encode(data) ^ s for every s: the zero syndrome, the 72 columns,
+    # and every syndrome only double or aliased triple flips produce, so every
+    # entry of the correction tables is read
+    datawords = [0, (1 << 64) - 1, *seeded_words((4,), 10).tolist()]
+    data = np.repeat(np.array(datawords, dtype=np.uint64), 256)
+    check = encode_words(data) ^ np.tile(np.arange(256, dtype=np.uint8), len(datawords))
+    want = [column_search_repair(d, c) for d, c in zip(data.tolist(), check.tolist())]
+
+    def decoded(data, check):
+        outputs = repair_words(data, check)
+        for array, dtype in zip(outputs, (np.uint8, np.int8, np.uint64, np.uint8)):
+            assert np.shape(array) == np.shape(data) and array.dtype == dtype
+        return list(zip(*(np.ravel(a).tolist() for a in outputs)))
+
+    assert decoded(data, check) == want
+    assert [decoded(np.asarray(d), np.asarray(c))[0] for d, c in zip(data, check)] == want
+    # (2, 3) blocks of six codewords, the last one padded with the first codewords
+    pad = -len(data) % 6
+    blocks = [np.concatenate([a, a[:pad]]).reshape(-1, 2, 3) for a in (data, check)]
+    assert sum((decoded(d, c) for d, c in zip(*blocks)), []) == want + want[:pad]
