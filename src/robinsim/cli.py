@@ -7,6 +7,8 @@ Subcommands:
   codec-selftest    exhaustive single/double error sweeps of the codec
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 self-test failure.
+Every subcommand maps its errors the same way, in :func:`main`, with one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import secded
 from .config import load_config
 from .mapping import KINDS, MappingScheme, verify_partition
-from .report import ConfigError, emit_csv, emit_svg, format_sig, run_experiment
+from .report import emit_csv, emit_svg, format_sig, run_experiment
 from .trace import TraceFormatError, save_trace
 from .workloads import KINDS as WORKLOAD_KINDS
 from .workloads import WorkloadSpec, gen_workload
@@ -44,14 +46,14 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run an experiment from a config file")
     run.add_argument("--config", required=True, help="key=value config file")
-    run.add_argument("--out", default=None, help="output directory (overrides config)")
+    run.add_argument("--out", help="output directory (overrides config)")
 
     gen = sub.add_parser("gen", help="generate a synthetic workload trace")
     gen.add_argument("--kind", required=True, choices=WORKLOAD_KINDS)
     gen.add_argument("--n", required=True, type=int, help="record count")
     gen.add_argument("--seed", required=True, type=int)
     gen.add_argument("--out", required=True, help="trace path (.jsonl for JSONL, else binary)")
-    gen.add_argument("--addresses", type=int, default=64)
+    gen.add_argument("--addresses", type=int, default=WorkloadSpec.addresses)
 
     verify = sub.add_parser("verify-partition", help="print a scheme's partition report")
     verify.add_argument("--scheme", required=True, choices=KINDS)
@@ -61,22 +63,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config, out_override=args.out)
-        bundle = run_experiment(cfg)
-        csv_paths = emit_csv(bundle, cfg.out_dir)
-        svg_paths = emit_svg(bundle, cfg.out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TraceFormatError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # any other bad value the library rejects is a configuration problem
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    cfg = load_config(args.config, out_override=args.out)
+    bundle = run_experiment(cfg)
+    csv_paths = emit_csv(bundle, cfg.out_dir)
+    svg_paths = emit_svg(bundle, cfg.out_dir)
     print(f"writes analyzed: {bundle.writes}  p_write: {format_sig(bundle.pw)}")
     for report in bundle.schemes:
         increase = f"{format_sig(report.increase_pct)}%" if report.increase_pct is not None else "n/a"
@@ -93,19 +83,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        # seeds are mixed modulo 2**64, so a larger one would alias a smaller one
-        if not 0 <= args.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {args.seed}")
-        spec = WorkloadSpec(kind=args.kind, records=args.n, addresses=args.addresses)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        count = save_trace(args.out, gen_workload(spec, args.seed))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    spec = WorkloadSpec(kind=args.kind, records=args.n, addresses=args.addresses)
+    count = save_trace(args.out, gen_workload(spec, args.seed))
     print(f"wrote {count} records to {args.out}")
     return EXIT_OK
 
@@ -116,7 +95,7 @@ def _cmd_verify_partition(args) -> int:
     return EXIT_OK if report.bijective else EXIT_SELFTEST
 
 
-def _cmd_codec_selftest() -> int:
+def _cmd_codec_selftest(args) -> int:
     """Sweep all single and double flips over random datawords, every flip at once."""
     rng = np.random.default_rng(0xC0DEC)
     words = rng.integers(0, 1 << 63, 1000, dtype=np.uint64)
@@ -149,15 +128,25 @@ def _cmd_codec_selftest() -> int:
     return EXIT_OK if failures == 0 else EXIT_SELFTEST
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "gen": _cmd_gen,
+    "verify-partition": _cmd_verify_partition,
+    "codec-selftest": _cmd_codec_selftest,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "verify-partition":
-        return _cmd_verify_partition(args)
-    return _cmd_codec_selftest()
+    try:
+        return _COMMANDS[args.command](args)
+    except (TraceFormatError, OSError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
+        # ConfigError, and any other bad value the library rejects
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def run_main() -> None:

@@ -1,48 +1,46 @@
 """Flat key=value experiment configuration files.
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored. Keys
-mirror the experiment fields::
+mirror the experiment fields, and a key left out takes the default of the
+field it sets (``ExperimentConfig``, ``WorkloadSpec`` or ``DeviceParams``)::
 
     # input source: exactly one of the two
     trace = traces/app.jsonl        # optional: trace_format = jsonl|binary
     workload = float64walk          # float64walk|narrowint32|partialvalid|irregular
     records = 10000
     addresses = 64                  # workload address-pool size
+    base_addr = 0                   # first block's address, 64-byte aligned
     # workload tuning (kind-specific, all optional):
-    #   walk_scale, walk_jitter, width, update_rate,
-    #   valid_words_min, valid_words_max, pinned_top_bits
+    #   walk_scale = 6.1e-5, walk_jitter = 4.0, width = 12, update_rate = 0.6,
+    #   valid_words_min = 1, valid_words_max = 8, pinned_top_bits = 3
 
     schemes = per-word,interleaved,robin
-    pw = 0.999                      # or device_* keys (both is an error):
-    # device_t_write, device_i_write, device_i_c0, device_polarization,
-    # device_magnetic_moment, device_mu_b, device_delta, device_e_charge
+    pw = 0.999                      # or the device keys below (both is an error);
+    # device_t_write, device_i_write, device_i_c0, device_polarization and
+    # device_magnetic_moment are required, device_mu_b, device_delta and
+    # device_e_charge optional
     include_ecc = true
     monte_carlo = false
     trials = 1000
-    seed = 1
+    seed = 0
     warmup = 0
     out = results
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .reliability import DeviceParams
 from .report import ConfigError, ExperimentConfig
-from .workloads import KINDS as WORKLOAD_KINDS
 from .workloads import WorkloadSpec
 
+# config key -> DeviceParams field; euler is a constant, not a setting
 _DEVICE_KEYS = {
-    "device_t_write": "t_write",
-    "device_i_write": "i_write",
-    "device_i_c0": "i_c0",
-    "device_polarization": "polarization",
-    "device_magnetic_moment": "magnetic_moment",
-    "device_mu_b": "mu_b",
-    "device_delta": "delta",
-    "device_e_charge": "e_charge",
+    f"device_{item.name}": item.name for item in fields(DeviceParams) if item.name != "euler"
 }
+_DEVICE_REQUIRED = {item.name for item in fields(DeviceParams) if item.default is MISSING}
 
 
 def _as_bool(key: str, value: str) -> bool:
@@ -82,14 +80,14 @@ _WORKLOAD_KEYS = {
     "pinned_top_bits": _as_int,
 }
 
-# experiment key -> (parser, value when absent), in parse order
+# experiment key -> parser, in parse order; ExperimentConfig's defaults fill the absent keys
 _SCALAR_KEYS = {
-    "pw": (_as_float, None),
-    "include_ecc": (_as_bool, True),
-    "monte_carlo": (_as_bool, False),
-    "trials": (_as_int, 1000),
-    "seed": (_as_int, 0),
-    "warmup": (_as_int, 0),
+    "pw": _as_float,
+    "include_ecc": _as_bool,
+    "monte_carlo": _as_bool,
+    "trials": _as_int,
+    "seed": _as_int,
+    "warmup": _as_int,
 }
 
 _KNOWN_KEYS = (
@@ -120,14 +118,14 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 
 
 def _build_workload(kind: str, values: dict[str, str]) -> WorkloadSpec:
-    if kind not in WORKLOAD_KINDS:
-        raise ConfigError(f"workload: unknown kind {kind!r}; expected one of {WORKLOAD_KINDS}")
     if "records" not in values:
         raise ConfigError("workload input requires a records count")
     kwargs = {
         key: parse(key, values[key]) for key, parse in _WORKLOAD_KEYS.items() if key in values
     }
-    kwargs["valid_words"] = (kwargs.pop("valid_words_min", 1), kwargs.pop("valid_words_max", 8))
+    if "valid_words_min" in kwargs or "valid_words_max" in kwargs:
+        lo, hi = WorkloadSpec.valid_words
+        kwargs["valid_words"] = (kwargs.pop("valid_words_min", lo), kwargs.pop("valid_words_max", hi))
     try:
         return WorkloadSpec(kind=kind, **kwargs)
     except ValueError as exc:
@@ -135,42 +133,36 @@ def _build_workload(kind: str, values: dict[str, str]) -> WorkloadSpec:
 
 
 def config_from_values(values: dict[str, str], out_override: str | None = None) -> ExperimentConfig:
-    device = None
+    kwargs = {}
     device_values = {field: values[key] for key, field in _DEVICE_KEYS.items() if key in values}
     if device_values:
-        required = {"t_write", "i_write", "i_c0", "polarization", "magnetic_moment"}
-        missing = required - set(device_values)
+        missing = _DEVICE_REQUIRED - set(device_values)
         if missing:
             raise ConfigError(f"device parameters incomplete; missing {sorted(missing)}")
         try:
-            device = DeviceParams(**{k: _as_float(k, v) for k, v in device_values.items()})
+            kwargs["device"] = DeviceParams(**{k: _as_float(k, v) for k, v in device_values.items()})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    workload = None
     if "workload" in values:
-        workload = _build_workload(values["workload"], values)
+        kwargs["workload"] = _build_workload(values["workload"], values)
     elif any(key in values for key in _WORKLOAD_KEYS):
         present = sorted(key for key in _WORKLOAD_KEYS if key in values)
         raise ConfigError(f"workload keys {present} given without a workload kind")
 
-    schemes = tuple(
-        name.strip() for name in values.get("schemes", "per-word,interleaved,robin").split(",")
-        if name.strip()
+    if "schemes" in values:
+        kwargs["schemes"] = tuple(name.strip() for name in values["schemes"].split(",") if name.strip())
+    kwargs.update(
+        (key, parse(key, values[key])) for key, parse in _SCALAR_KEYS.items() if key in values
     )
-
-    scalars = {
-        key: parse(key, values[key]) if key in values else default
-        for key, (parse, default) in _SCALAR_KEYS.items()
-    }
+    out = values.get("out") if out_override is None else out_override
+    if out is not None:
+        if not out:
+            # it would resolve to the current directory
+            raise ConfigError("the output directory (out or --out) is empty")
+        kwargs["out_dir"] = out
     cfg = ExperimentConfig(
-        trace_path=values.get("trace"),
-        trace_format=values.get("trace_format"),
-        workload=workload,
-        schemes=schemes,
-        device=device,
-        out_dir=out_override or values.get("out", "results"),
-        **scalars,
+        trace_path=values.get("trace"), trace_format=values.get("trace_format"), **kwargs
     )
     cfg.validate()
     return cfg

@@ -31,7 +31,7 @@ from . import reliability
 from .bits import BLOCK_BITS, blocks_to_bits
 from .injection import InjectionConfig, MonteCarloAccumulator, TraceEstimate
 from .mapping import KINDS, MappingScheme, scheme_counts
-from .reliability import CodewordStats, DeviceParams, ParameterError, TraceAccumulator
+from .reliability import CodewordStats, DeviceParams, TraceAccumulator
 from .trace import FORMATS, load_trace, old_new_pairs, pair_batches
 from .workloads import WorkloadSpec, gen_workload
 
@@ -60,9 +60,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.schemes:
             raise ConfigError("at least one scheme must be selected")
-        for name in self.schemes:
-            if name not in KINDS:
-                raise ConfigError(f"unknown scheme {name!r}; expected one of {KINDS}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes must not repeat")
         if (self.trace_path is None) == (self.workload is None):
@@ -73,24 +70,28 @@ class ExperimentConfig:
             raise ConfigError(f"unknown trace_format {self.trace_format!r}; expected one of {FORMATS}")
         if (self.pw is None) == (self.device is None):
             raise ConfigError("exactly one p_write source required: pw or device parameters")
-        if self.pw is not None and not 0.0 <= self.pw <= 1.0:
-            raise ConfigError(f"pw must lie in [0, 1], got {self.pw}")
         if self.warmup < 0:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.trials >= 2**32:
-            # a trial chunk's index fills the high 32 bits of its Monte Carlo counters
-            raise ConfigError(f"trials must be below 2**32, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-        try:
-            self.resolve_pw()
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        self._settings()
 
     def resolve_pw(self) -> float:
         return self.pw if self.pw is not None else reliability.p_write_from_device(self.device)
+
+    def _settings(self) -> tuple[tuple[MappingScheme, ...], InjectionConfig]:
+        """The run's schemes and its Monte Carlo settings; their checks raise ``ConfigError``.
+
+        The injection config's own scheme is the first one; the run's
+        accumulator scores all of them and does not read it.
+        """
+        try:
+            schemes = tuple(MappingScheme(name) for name in self.schemes)
+            injection = InjectionConfig(
+                pw=self.resolve_pw(), scheme=schemes[0], trials=self.trials, seed=self.seed,
+                include_ecc=self.include_ecc,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return schemes, injection
 
 
 @dataclass(frozen=True)
@@ -123,17 +124,11 @@ def make_pairs(cfg: ExperimentConfig) -> Iterator[tuple[bytes, bytes]]:
 def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     """Single pass over the input pairs; returns all per-scheme results."""
     cfg.validate()
-    pw = cfg.resolve_pw()
-    schemes = tuple(MappingScheme(name) for name in cfg.schemes)
+    schemes, injection = cfg._settings()
+    pw = injection.pw
     acc = TraceAccumulator(pw, len(schemes))
     histogram = np.zeros(BLOCK_BITS, dtype=np.int64)
-    mc = None
-    if cfg.monte_carlo:
-        # the accumulator scores the listed schemes; the config's own one is not read
-        mc_cfg = InjectionConfig(
-            pw=pw, scheme=schemes[0], trials=cfg.trials, seed=cfg.seed, include_ecc=cfg.include_ecc
-        )
-        mc = MonteCarloAccumulator(mc_cfg, schemes)
+    mc = MonteCarloAccumulator(injection, schemes) if cfg.monte_carlo else None
 
     for olds, news in pair_batches(make_pairs(cfg)):
         diff = olds ^ news

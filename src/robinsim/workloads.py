@@ -124,11 +124,15 @@ def gen_workload(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
 
     Each record picks an address; a cold address first draws its state once,
     then every write advances that state and stores its payload. A seed
-    outside [0, 2**64) raises ``ValueError`` before the first record.
+    outside [0, 2**64) raises ``ValueError`` here, before any record is drawn.
     """
     # seeds are mixed modulo 2**64, so a larger one would alias a smaller one
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return _stream(spec, seed)
+
+
+def _stream(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
     cold, step = _KIND_RULES[spec.kind]
     record_key, cold_key = mix_seed(seed, 0), mix_seed(seed, 1)
     rows: dict[int, int] = {}   # address index -> its row of ``table``

@@ -275,15 +275,48 @@ def test_run_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["experiment.cfg"]
 
 
-def test_run_maps_other_value_errors_to_exit_1(tmp_path, capsys, monkeypatch):
-    def reject(cfg):
-        raise ValueError("a value the library rejects")
+def test_run_empty_out_flag_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # an empty --out would otherwise fall back to the config's out
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "workload = irregular\nrecords = 10\npw = 0.999\nout = fromcfg\n")
+    assert main(["run", "--config", cfg, "--out", ""]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "--out" in err[0]
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["experiment.cfg"]
 
-    monkeypatch.setattr(cli, "run_experiment", reject)
+
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [(ValueError, 1, "config error:"), (OSError, 2, "i/o error:")],
+    ids=["ValueError", "OSError"],
+)
+@pytest.mark.parametrize(
+    "argv,module,name",
+    [
+        (["run", "--config", "{cfg}", "--out", "{tmp}/out"], cli, "run_experiment"),
+        (["gen", "--kind", "irregular", "--n", "5", "--seed", "1", "--out", "{tmp}/x.trace"],
+         cli, "save_trace"),
+        (["verify-partition", "--scheme", "robin"], cli, "verify_partition"),
+        (["codec-selftest"], secded, "encode_words"),
+    ],
+    ids=["run", "gen", "verify-partition", "codec-selftest"],
+)
+def test_every_subcommand_maps_errors_to_one_line(
+    tmp_path, capsys, monkeypatch, argv, module, name, error, code, prefix
+):
+    # the call each subcommand makes fails; main's one exit-code map must catch it
+    def reject(*args, **kwargs):
+        raise error("rejected")
+
+    monkeypatch.setattr(module, name, reject)
     cfg = write_config(tmp_path, "workload = irregular\nrecords = 10\npw = 0.999\n")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: a value the library rejects"]
+    assert main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{prefix} rejected"]
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["experiment.cfg"]
 
 
 def test_gen_huge_address_pool_exits_1(tmp_path, capsys):
