@@ -53,11 +53,16 @@ scheme of ``run_experiment``, and for the one scheme of
 :func:`monte_carlo_trace`.
 :func:`inject_write` draws one 64-bit key from its generator and places its
 failing cells with the same sampler, so the decoder cross-check runs it too.
+It takes its check words from the counting kernel's check lanes
+(:func:`robinsim.mapping.scheme_counts`), and :func:`end_to_end_check`
+decodes the stored codewords with :mod:`robinsim.secded`'s own encoder, so
+every cross-checked write also checks those two encoders against each other.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,7 +70,15 @@ import numpy as np
 
 from . import secded
 from .bits import BLOCK_BYTES, block_bytes, stack_blocks
-from .mapping import CODEWORDS, MappingScheme, block_datawords, cell_assignment, scheme_counts
+from .mapping import (
+    _BYTE_OFFSETS,
+    CODEWORDS,
+    MappingScheme,
+    _lane_table,
+    block_datawords,
+    cell_assignment,
+    scheme_counts,
+)
 from .trace import pair_batches
 
 _MASK64 = (1 << 64) - 1
@@ -159,17 +172,22 @@ def inject_write(
     512 + 8n + r. One 64-bit key is drawn from ``rng``, and the transitioning
     cells form the field of trial chunk 0 of that key in the sampler behind
     :func:`monte_carlo_block`, so outcomes are reproducible for a given
-    generator state.
+    generator state. The check words of both payloads are the XOR of their
+    bytes' entries in the counting kernel's check table, not the codec's
+    :func:`robinsim.secded.encode_words`; :func:`end_to_end_check` decodes
+    them with the codec.
     """
     blocks = stack_blocks([old, new])
     # eight cells per byte, in cell order: the payload, then one check word per codeword
     diff = blocks[0] ^ blocks[1]
     stored = bytearray(blocks[1])
     if cfg.include_ecc:
-        old_check, new_check = secded.encode_words(block_datawords(cfg.scheme, blocks))
-        diff = np.concatenate([diff, old_check ^ new_check])
-        stored += new_check.tobytes()
-    flipping = np.flatnonzero(np.unpackbits(diff, bitorder="little"))
+        # the kernel's check lanes: byte n of a payload's XOR is codeword n's check word
+        lanes = _lane_table((cfg.scheme,), True).take(blocks + _BYTE_OFFSETS.T).view("<u8")
+        old_check, new_check = np.bitwise_xor.reduce(lanes, axis=1).tolist()
+        diff = np.frombuffer(diff.tobytes() + (old_check ^ new_check).to_bytes(CODEWORDS, "little"), np.uint8)
+        stored += new_check.to_bytes(CODEWORDS, "little")
+    flipping = np.unpackbits(diff, bitorder="little").nonzero()[0]
     key = rng.bit_generator.random_raw()
     counts = [0] * CODEWORDS
     if cfg.pw < 1.0 and flipping.size:
@@ -218,7 +236,8 @@ def monte_carlo_block(
     ``record_index`` to ``record_index + n - 1``; for a batch, ``p_block``,
     ``stderr`` and ``successes`` are ``(n,)`` arrays. Record r draws from the key
     ``mix_seed(seed, r)`` (see the module docstring), so a record's estimate
-    is the same in any batch.
+    is the same in any batch. ``record_index`` is an integer (numpy integers
+    too), and every record of the call must lie in [0, 2**64) (ValueError).
 
     ``schemes`` estimates every listed scheme in place of ``cfg.scheme``, on
     the same draws: the three arrays then get a leading axis of one entry
@@ -236,8 +255,16 @@ def monte_carlo_block(
     if batch and np.shape(old) != np.shape(new):
         raise ValueError(f"old and new batches differ in shape: {np.shape(old)} and {np.shape(new)}")
     diff = old ^ new if batch else (block_bytes(old) ^ block_bytes(new))[None]
+    try:
+        first = operator.index(record_index)
+    except TypeError:
+        first = -1
+    if not 0 <= first <= 2**64 - len(diff):
+        raise ValueError(
+            f"record_index must be an integer whose {len(diff)} records lie in [0, 2**64), got {record_index!r}"
+        )
     cells = scheme_counts((cfg.scheme,) if schemes is None else schemes, diff, cfg.include_ecc)[1]
-    failed = _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, int(record_index))
+    failed = _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, first)
     successes = cfg.trials - (failed if batch else failed[:, 0])
     if schemes is None:
         successes = successes[0]
@@ -288,7 +315,7 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
     seg_size = sizes[:, seg_row]
     seg_limit = seg_size * np.minimum(cfg.trials - seg_chunk * _TRIAL_CHUNK, _TRIAL_CHUNK)
     seg_field = seg_limit.max(axis=0)   # the widest scheme's field is the one drawn
-    seg_key = splitmix(cfg.seed, np.uint64(first_record & _MASK64) + rows.astype(np.uint64))[seg_row]
+    seg_key = splitmix(cfg.seed, np.uint64(first_record) + rows.astype(np.uint64))[seg_row]
     seg_cell_start = cell_start[:, seg_row]
 
     bounds, held = [0], 0
@@ -503,17 +530,14 @@ def end_to_end_check(outcome: WriteOutcome, new: bytes, scheme: MappingScheme) -
     if not outcome.written_check:
         raise ValueError("end_to_end_check needs an outcome produced with include_ecc")
     stored_words, intended_words = block_datawords(scheme, stack_blocks([outcome.written, new]))
-    syndromes, bits, fixed_data, fixed_check = secded.repair_words(
-        stored_words, np.array(outcome.written_check, dtype=np.uint8)
-    )
-    # NO_ERROR, or a correction that restores the intended content
-    decoder_ok = (syndromes == 0) | (
-        (bits >= 0)
-        & (fixed_data == intended_words)
-        & (fixed_check == secded.encode_words(intended_words))
-    )
+    repaired = secded.repair_words(stored_words, np.array(outcome.written_check, dtype=np.uint8))
+    intended = zip(intended_words.tolist(), secded.encode_words(intended_words).tolist())
     agree, aliased = True, 0
-    for ok, failures in zip(decoder_ok.tolist(), outcome.failures_per_codeword):
+    for syndrome, bit, data, check, (want_data, want_check), failures in zip(
+        *(column.tolist() for column in repaired), intended, outcome.failures_per_codeword
+    ):
+        # NO_ERROR, or a correction that restores the intended content
+        ok = syndrome == 0 or (bit >= 0 and data == want_data and check == want_check)
         if ok != (failures <= 1):
             if failures <= 2:
                 agree = False

@@ -200,7 +200,10 @@ def _lane_table(schemes: tuple[MappingScheme, ...], check: bool) -> np.ndarray:
     zero-padded to a power-of-two count, the item sizes ``np.take`` copies
     fastest. Data lane n counts the bits of value v at payload byte j that
     codeword n owns (at most 8, and 64 per block, so sums never carry);
-    check lane n is the XOR of those bits' H columns.
+    check lane n is the XOR of those bits' H columns. So over a payload's 64
+    bytes, the XOR of a scheme's check lanes is its eight check words, byte
+    n codeword n's: :func:`robinsim.injection.inject_write` encodes each
+    single write that way, and its cross-check decodes with the codec.
     """
     # rank[j, b, s] = 64 * codeword + slot of bit b of payload byte j under scheme s
     rank = np.argsort([scheme_perm(scheme) for scheme in schemes], axis=1).T

@@ -1,20 +1,22 @@
 """Slow references: payloads as flat bit vectors, the SEC-DED check bits and
-decoder, each codeword's flat bits, per-bit codeword flip counts and trace
-rates, the v2 workload stream, a trace-file loader, Monte Carlo classified
-one record at a time, and the per-scheme batch fold that
-``robinsim.reliability.TraceAccumulator`` replaced.
+decoder, each codeword's flat bits and dataword, per-bit codeword flip counts
+and trace rates, the v2 workload stream, a trace-file loader, Monte Carlo
+classified one record at a time, one injected write, and the per-scheme
+batch fold that ``robinsim.reliability.TraceAccumulator`` replaced.
 
 Written independently of ``robinsim.secded``, ``robinsim.mapping``,
 ``robinsim.reliability``, ``robinsim.workloads`` and ``robinsim.trace``: the
 code's columns are recomputed from their definition, a dataword is encoded
 one bit at a time over GF(2) and a syndrome decoded by searching the 72
 columns, each bit's owner comes from the scheme definitions below, each
-codeword's dataword is built slot by slot in ascending flat order, rates use plain Python float arithmetic, workload
-records are computed one at a time with Python ints, and trace files are
-parsed one record at a time. The Monte Carlo reference places every failing
-cell one gap at a time with Python-int splitmix64 and classifies each
-record's trial chunks on their own. The per-scheme fold is the exception: it
-is the package's earlier code, kept to pin the accumulator's float order, and
+codeword's dataword is built slot by slot in ascending flat order, rates use
+plain Python float arithmetic, workload records are computed one at a time
+with Python ints, and trace files are parsed one record at a time. The Monte
+Carlo reference places every failing cell one gap at a time with Python-int
+splitmix64 and classifies each record's trial chunks on their own; one
+injected write places its failing cells the same way, over its data and
+check cells taken one at a time. The per-scheme fold is the exception: it is
+the package's earlier code, kept to pin the accumulator's float order, and
 reads the package's own count check and closed-form tables.
 """
 
@@ -96,21 +98,22 @@ def codeword_bits(kind, n):
     return tuple(flat for flat in range(512) if owner(kind, flat) == n)
 
 
+def datawords(kind, payload):
+    """The eight datawords of a 64-byte payload, codeword n's built slot by slot from its flat bits."""
+    return [
+        sum((payload[flat // 8] >> (flat % 8) & 1) << slot for slot, flat in enumerate(codeword_bits(kind, n)))
+        for n in range(8)
+    ]
+
+
 def flip_counts(kind, old, new, include_ecc):
     """(data flips, check flips or None) per codeword for one write, bit by bit."""
     data = [0] * 8
-    old_words, new_words, slots = [0] * 8, [0] * 8, [0] * 8
     for flat in range(512):
-        n = owner(kind, flat)
-        a = (old[flat // 8] >> (flat % 8)) & 1
-        b = (new[flat // 8] >> (flat % 8)) & 1
-        old_words[n] |= a << slots[n]
-        new_words[n] |= b << slots[n]
-        slots[n] += 1
-        data[n] += a ^ b
+        data[owner(kind, flat)] += (old[flat // 8] ^ new[flat // 8]) >> (flat % 8) & 1
     if not include_ecc:
         return data, None
-    check = [bin(encode(a) ^ encode(b)).count("1") for a, b in zip(old_words, new_words)]
+    check = [bin(encode(a) ^ encode(b)).count("1") for a, b in zip(datawords(kind, old), datawords(kind, new))]
     return data, check
 
 
@@ -299,22 +302,53 @@ def mc_successes(counts, pw, trials, seed, record_index):
         chunk_trials = min(TRIAL_CHUNK, trials - start)
         field = cells * chunk_trials
         hit, failed = set(), set()
-        position = -1
-        for i in itertools.count():
-            if q == 1.0:
-                gap = 1
-            else:
-                u = ((splitmix(key, chunk * 2**32 + i) >> 11) + 1) * 2.0**-53
-                gap = 1 + min(math.floor(math.log(u) / math.log1p(-q)), field)
-            position += gap
-            if position >= field:
-                break
+        for position in failing_cells(key, chunk, field, q):
             trial, cell = divmod(position, cells)
             if (trial, codeword[cell]) in hit:
                 failed.add(trial)   # a second failure in one codeword
             hit.add((trial, codeword[cell]))
         successes += chunk_trials - len(failed)
     return successes
+
+
+def failing_cells(key, chunk, field, q):
+    """The failing positions below ``field`` in trial chunk ``chunk`` of ``key``, one gap at a time."""
+    position = -1
+    for i in itertools.count():
+        if q == 1.0:
+            gap = 1
+        else:
+            u = ((splitmix(key, chunk * 2**32 + i) >> 11) + 1) * 2.0**-53
+            gap = 1 + min(math.floor(math.log(u) / math.log1p(-q)), field)
+        position += gap
+        if position >= field:
+            return
+        yield position
+
+
+def inject_write(kind, old, new, pw, include_ecc, key):
+    """(written, check words or None, failures per codeword, block_ok) of one write of ``new`` over ``old``.
+
+    The transitioning cells in cell order (the data bits by flat index, then
+    check bit r of codeword n as cell 512 + 8n + r) are the field of trial
+    chunk 0 of ``key``, and a failing cell keeps its old value.
+    """
+    old_check = [encode(word) for word in datawords(kind, old)]
+    new_check = [encode(word) for word in datawords(kind, new)]
+    cells = [flat for flat in range(512) if (old[flat // 8] ^ new[flat // 8]) >> (flat % 8) & 1]
+    if include_ecc:
+        cells += [512 + 8 * n + r for n in range(8) for r in range(8) if (old_check[n] ^ new_check[n]) >> r & 1]
+    written, check, failures = bytearray(new), list(new_check), [0] * 8
+    for position in failing_cells(key, 0, len(cells), 1.0 - pw) if pw < 1.0 else ():
+        cell = cells[position]
+        if cell < 512:
+            written[cell // 8] ^= 1 << (cell % 8)
+            failures[owner(kind, cell)] += 1
+        else:
+            n, r = divmod(cell - 512, 8)
+            check[n] ^= 1 << r
+            failures[n] += 1
+    return bytes(written), tuple(check) if include_ecc else None, tuple(failures), max(failures) <= 1
 
 
 def mc_trace(rows, pw, trials, seed):

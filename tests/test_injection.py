@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from oracle import bits_to_block, block_to_bits, codeword_bits
 from robinsim import injection, secded
 from robinsim.bits import block_bytes, stack_blocks
@@ -15,9 +18,18 @@ from robinsim.injection import (
     monte_carlo_block,
     monte_carlo_trace,
 )
-from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, transition_vector
+from robinsim.mapping import (
+    _BYTE_OFFSETS,
+    INTERLEAVED,
+    PER_WORD,
+    ROBIN,
+    _lane_table,
+    block_datawords,
+    transition_vector,
+)
 from robinsim.reliability import p_block_success
 
+SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
 ZERO = bytes(64)
 # a hash value whose gap is 2 at fail probability 1/2: u = 3/8
 GAP_TWO_HASH = (3 * 2**50 - 1) << 11
@@ -57,6 +69,23 @@ def test_mix_seed_accepts_numpy_integers():
     assert monte_carlo_block(ZERO, new, cfg, record_index=np.int64(3)) == monte_carlo_block(
         ZERO, new, cfg, record_index=3
     )
+
+
+@pytest.mark.parametrize("schemes", [None, (ROBIN, PER_WORD)], ids=["one-scheme", "two-schemes"])
+def test_monte_carlo_block_rejects_records_outside_the_stream(schemes):
+    new = block_with_flips(range(16))
+    cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=50, seed=2, include_ecc=False)
+    olds, news = np.zeros((2, 64), dtype=np.uint8), stack_blocks([new, new])
+    # a batch's last record is record_index + n - 1, which must stay below 2**64
+    for record_index in (-1, 1.7, 2**64 - 1, 2**64, "1", None):
+        with pytest.raises(ValueError, match="record_index"):
+            monte_carlo_block(olds, news, cfg, record_index=record_index, schemes=schemes)
+    for record_index in (-1, 1.7, 2**64):
+        with pytest.raises(ValueError, match="record_index"):
+            monte_carlo_block(ZERO, new, cfg, record_index=record_index, schemes=schemes)
+    last = monte_carlo_block(ZERO, new, cfg, record_index=np.uint64(2**64 - 1), schemes=schemes)
+    batch = monte_carlo_block(olds, news, cfg, record_index=2**64 - 2, schemes=schemes)
+    assert np.array_equal(batch.successes[..., 1], last.successes)
 
 
 def test_mix_seed_distinct_substreams():
@@ -464,6 +493,36 @@ def test_inject_write_cell_order(monkeypatch):
     assert outcome.block_ok == (max(counts) <= 1)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda scheme: scheme.kind)
+def test_check_lanes_encode_what_the_codec_encodes(scheme):
+    # every single-byte payload, then random ones: the XOR of a payload's check
+    # lanes holds codeword n's check word in byte n
+    single = np.zeros((64, 256, 64), dtype=np.uint8)
+    single[np.arange(64), :, np.arange(64)] = np.arange(256, dtype=np.uint8)
+    payloads = np.concatenate(
+        [single.reshape(-1, 64), np.random.default_rng(60).integers(0, 256, (500, 64), dtype=np.uint8)]
+    )
+    lanes = _lane_table((scheme,), True).take(payloads + _BYTE_OFFSETS.T).view("<u8")
+    checks = np.bitwise_xor.reduce(lanes, axis=1).view(np.uint8).reshape(-1, 8)
+    assert np.array_equal(checks, secded.encode_words(block_datawords(scheme, payloads)))
+
+
+@pytest.mark.parametrize("pw", [0.5, 0.99, 1 - 1e-6])
+@pytest.mark.parametrize("include_ecc", [True, False], ids=["ecc", "data"])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda scheme: scheme.kind)
+def test_inject_write_matches_cell_by_cell_reference(scheme, include_ecc, pw):
+    rng = np.random.default_rng(61)
+    cfg = InjectionConfig(pw=pw, scheme=scheme, include_ecc=include_ecc)
+    for trial in range(12):
+        old = rng.integers(0, 256, 64, dtype=np.uint8)
+        new = (old ^ np.packbits(rng.random(512) < trial / 12, bitorder="little")).tobytes()
+        old = old.tobytes()
+        key = substream(62, trial).bit_generator.random_raw()
+        outcome = inject_write(old, new, cfg, substream(62, trial))
+        got = (outcome.written, outcome.written_check, outcome.failures_per_codeword, outcome.block_ok)
+        assert got == oracle.inject_write(scheme.kind, old, new, pw, include_ecc, key)
+
+
 def test_inject_write_failure_rate_matches_closed_form():
     rng = np.random.default_rng(45)
     old = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
@@ -475,3 +534,54 @@ def test_inject_write_failure_rate_matches_closed_form():
     sigma = (expected * (1 - expected) / trials) ** 0.5
     assert 0.05 < expected < 0.95
     assert abs(ok / trials - expected) < 4 * sigma
+
+
+@st.composite
+def failure_patterns(draw):
+    """(scheme, intended payload, failed data flats, failed (codeword, check bit) pairs).
+
+    Each codeword fails in 0 to 5 of its 72 cells, or, to reach the decoder's
+    blind spot, in four cells whose columns sum to zero: a codeword of weight
+    four, which leaves a zero syndrome.
+    """
+    scheme = draw(st.sampled_from(SCHEMES))
+    new = draw(st.binary(min_size=64, max_size=64))
+    flats, checks = [], []
+    for n in range(8):
+        if draw(st.integers(0, 5)) == 0:
+            a, b = draw(st.lists(st.integers(0, 63), min_size=2, max_size=2, unique=True))
+            rest = oracle.COLUMNS[a] ^ oracle.COLUMNS[b]
+            pairs = [(c, d) for c in range(72) for d in range(c + 1, 72)
+                     if {c, d}.isdisjoint({a, b}) and oracle.COLUMNS[c] ^ oracle.COLUMNS[d] == rest]
+            cells = [a, b, *draw(st.sampled_from(pairs))]
+        else:
+            cells = draw(st.lists(st.integers(0, 71), max_size=5, unique=True))
+        for cell in cells:
+            if cell < 64:
+                flats.append(codeword_bits(scheme.kind, n)[cell])
+            else:
+                checks.append((n, cell - 64))
+    return scheme, new, flats, checks
+
+
+@settings(max_examples=60, deadline=None)
+@given(failure_patterns())
+# the quadruple of test_end_to_end_counts_an_undetected_quadruple_failure_as_aliased
+@example((ROBIN, bytes(range(64)), [codeword_bits("robin", 3)[0], codeword_bits("robin", 3)[1]],
+          [(3, r) for r in range(8) if (oracle.COLUMNS[0] ^ oracle.COLUMNS[1]) >> r & 1]))
+def test_end_to_end_check_matches_column_search_decoder(case):
+    scheme, new, flats, checks = case
+    outcome = forced_outcome(new, scheme, failed_flats=flats, failed_checks=checks)
+    agree, aliased = True, 0
+    for stored, stored_check, intended, failures in zip(
+        oracle.datawords(scheme.kind, outcome.written), outcome.written_check,
+        oracle.datawords(scheme.kind, new), outcome.failures_per_codeword,
+    ):
+        syndrome, bit, data, check = oracle.repair(stored, stored_check)
+        # the stored codeword reads as the intended one, unchanged or by one correction
+        ok = syndrome == 0 or (bit >= 0 and data == intended and check == oracle.encode(intended))
+        if failures <= 2:
+            agree &= ok == (failures <= 1)
+        else:
+            aliased += ok
+    assert end_to_end_check(outcome, new, scheme) == CodecCrossCheck(agree, 8, aliased)
