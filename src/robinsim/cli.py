@@ -98,7 +98,7 @@ def _cmd_verify_partition(args) -> int:
 def _cmd_codec_selftest(args) -> int:
     """Sweep all single and double flips over random datawords, every flip at once."""
     rng = np.random.default_rng(0xC0DEC)
-    words = rng.integers(0, 1 << 63, 1000, dtype=np.uint64)
+    words = rng.integers(0, 1 << 64, 1000, dtype=np.uint64)
     checks = secded.encode_words(words)
     n_bits = secded.CODEWORD_BITS
     eye = np.eye(n_bits, dtype=np.uint8)

@@ -20,8 +20,8 @@ to codewords: each payload byte is looked up once in a data table and, when
 check bits count, once in a check table, with one byte lane per codeword of
 every scheme of the call. :func:`codeword_counts`, the one counting rule, is
 its one-scheme call at every row count. :func:`transition_vector` counts one
-write's row of eight as a tuple of ints from its datawords, as permuted by
-:func:`block_datawords`, and their :func:`robinsim.secded.encode_words` checks.
+write's row of eight ints from the datawords of its 64-byte diff, permuted as
+by :func:`block_datawords`, and their :func:`robinsim.secded.encode_words` checks.
 """
 
 from __future__ import annotations
@@ -105,6 +105,7 @@ def scheme_perm(scheme: MappingScheme) -> np.ndarray:
     return perm
 
 
+_PERMS: dict[str, np.ndarray] = {}   # transition_vector's slot orders by kind, filled by its calls
 _BYTE_OFFSETS = (256 * np.arange(BLOCK_BYTES, dtype=np.uint16))[:, None]   # byte j's table entries
 
 
@@ -116,18 +117,12 @@ def _check_payloads(blocks: np.ndarray) -> None:
 def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
     """The ``(n, 8)`` uint64 datawords, one per codeword, of ``(n, 64)`` uint8 payloads.
 
-    The bits are unpacked, permuted into slot order by :func:`scheme_perm`
-    and packed again: the slot-order definition itself.
+    The bits are unpacked, permuted by :func:`scheme_perm` so that slot s of
+    codeword n is bit 64n + s, and packed again: the slot-order definition itself.
     """
     _check_payloads(blocks)
-    return _slot_words(scheme, blocks)
-
-
-def _slot_words(scheme: MappingScheme, payloads: np.ndarray) -> np.ndarray:
-    """The ``(..., 8)`` uint64 datawords of checked ``(..., 64)`` uint8 payloads."""
-    # slot s of codeword n is bit 64n + s of the permuted row; 512 bits pack into 64 bytes
-    slots = np.unpackbits(payloads, axis=-1, bitorder="little").take(scheme_perm(scheme), axis=-1)
-    return np.packbits(slots, axis=-1, bitorder="little").view("<u8")
+    slots = np.unpackbits(blocks, axis=1, bitorder="little").take(scheme_perm(scheme), axis=1)
+    return np.packbits(slots, axis=1, bitorder="little").view("<u8")
 
 
 @dataclass(frozen=True)
@@ -275,7 +270,13 @@ def transition_vector(
     the diff's datawords: with ``include_ecc`` a write touches all k + r
     cells of a codeword, so the flips of the words' check bits count too.
     """
-    words = _slot_words(scheme, block_bytes(old) ^ block_bytes(new))
+    olds, news = np.frombuffer(old, np.uint8), np.frombuffer(new, np.uint8)
+    if len(olds) != BLOCK_BYTES or len(news) != BLOCK_BYTES:
+        block_bytes(old), block_bytes(new)   # raises block_bytes' error for the first bad one
+    if (perm := _PERMS.get(scheme.kind)) is None:
+        # scheme_perm in packbits' faster default bit order: its bit i is little-endian bit i ^ 7
+        perm = _PERMS[scheme.kind] = scheme_perm(scheme)[np.arange(BLOCK_BITS) ^ 7] ^ 7
+    words = np.packbits(np.unpackbits(olds ^ news).take(perm)).view("<u8")
     cells = np.bitwise_count(words)
     if include_ecc:
         cells += np.bitwise_count(secded.encode_words(words))

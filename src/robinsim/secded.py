@@ -16,11 +16,10 @@ The codec is three tables, read at call time: the check contribution of
 each 16-bit quarter of a dataword, the codeword bit of each syndrome, and the
 dataword and check-word masks each syndrome's correction flips.
 :func:`repair_words` is the one decoder: a syndrome and three lookups.
-:func:`encode_words` has two routes to the same check words: an input of
-fewer than ``_SMALL_WORDS`` words is encoded one word at a time by the
-scalar lookups of :func:`encode`, which costs less than numpy's per-call
-overhead at that size; a larger one takes one array lookup per quarter over
-all its words.
+:func:`encode_words` checks any input but a uint64 array, and has two routes
+to the same check words: fewer than ``_SMALL_WORDS`` words are encoded one
+at a time by the scalar lookups of :func:`encode`, cheaper than numpy's
+per-call overhead at that size; more take one array lookup per quarter.
 """
 
 from __future__ import annotations
@@ -105,10 +104,10 @@ def encode_words(words: np.ndarray) -> np.ndarray:
     As with numpy ufuncs, a 0-d input gives a numpy scalar. Fewer than
     ``_SMALL_WORDS`` words are encoded by :func:`encode`'s scalar lookups,
     more by one array lookup per quarter; both give the same check words.
-    Unless a uint64 array, the datawords must be integers in [0, 2**64)
-    (ValueError).
+    Datawords other than a uint64 array must be integers in [0, 2**64) (ValueError).
     """
-    words = np.asarray(_unsigned(words, np.uint64, "datawords"))
+    if type(words) is not np.ndarray or words.dtype != np.uint64:
+        words = np.asarray(_unsigned(words, np.uint64, "datawords"))
     if words.size < _SMALL_WORDS:
         checks = np.array(_encode_ints(words.ravel().tolist()), dtype=np.uint8)
         return checks if words.ndim == 1 else checks.reshape(words.shape)[()]

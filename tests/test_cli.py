@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from robinsim import cli, secded
@@ -28,6 +29,18 @@ def test_verify_partition_all_schemes():
 def test_codec_selftest(capsys):
     assert main(["codec-selftest"]) == 0
     assert "0 failures" in capsys.readouterr().out
+
+
+def test_codec_selftest_draws_words_over_all_64_bits(monkeypatch):
+    words = []
+    encode_words = secded.encode_words
+    monkeypatch.setattr(secded, "encode_words", lambda w: words.append(w) or encode_words(w))
+    assert main(["codec-selftest"]) == 0
+    drawn = words[0]
+    assert drawn.shape == (1000,)
+    # each of the 64 bits, the top one too, is set in some dataword and clear in another
+    bits = np.unpackbits(drawn.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    assert bits.any(axis=0).all() and not bits.all(axis=0).any()
 
 
 @pytest.mark.parametrize(

@@ -216,6 +216,33 @@ def test_transition_vector_encodes_its_eight_datawords_once(monkeypatch):
         assert calls == []
 
 
+@pytest.mark.parametrize("include_ecc", (False, True), ids=("data", "ecc"))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
+def test_transition_vector_matches_the_kernel_on_every_single_byte_diff(scheme, include_ecc):
+    # every value at every byte reaches each bit of each byte alone and in every
+    # combination, so a wrong slot order or bit order in the one-row route shows
+    old = np.random.default_rng(12).integers(1, 256, 64, dtype=np.uint8)
+    values = np.arange(256, dtype=np.uint8)
+    diffs = np.zeros((64, 256, 64), dtype=np.uint8)
+    diffs[np.arange(64), :, np.arange(64)] = values
+    diffs = diffs.reshape(-1, 64)
+    _, cells = codeword_counts(scheme, diffs, include_ecc)
+    olds = old.tobytes()
+    rows = [transition_vector(scheme, olds, (old ^ diff).tobytes(), include_ecc) for diff in diffs]
+    assert rows == [tuple(row) for row in cells.tolist()]
+
+
+def test_transition_vector_takes_any_64_byte_buffer():
+    rng = np.random.default_rng(13)
+    old, new = (rng.integers(0, 256, 64, dtype=np.uint8) for _ in range(2))
+    for scheme in SCHEMES:
+        for include_ecc in (False, True):
+            want = transition_vector(scheme, old.tobytes(), new.tobytes(), include_ecc)
+            for kind in (bytes, bytearray, lambda a: memoryview(a.tobytes()), lambda a: a):
+                assert transition_vector(scheme, kind(old), kind(new), include_ecc) == want
+                assert transition_vector(scheme, kind(old), new.tobytes(), include_ecc) == want
+
+
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
 def test_transition_vector_identical_blocks(scheme):
     block = bytes(range(64))

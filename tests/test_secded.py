@@ -346,6 +346,25 @@ def test_encode_words_rejects_words_outside_the_unsigned_64_bit_integers(words):
         encode_words(words)
 
 
+def test_encode_words_takes_uint64_arrays_as_they_are_and_checks_any_other():
+    # a uint64 ndarray skips the value check: read-only and strided ones encode like copies
+    for shape in ((8,), (secded._SMALL_WORDS + 4,)):
+        words = seeded_words(shape, 11)
+        want = encode_words(words.copy())
+        read_only = np.frombuffer(words.tobytes(), dtype=np.uint64)
+        assert not read_only.flags.writeable
+        assert np.array_equal(encode_words(read_only), want)
+    for shape in ((2, 4), (2, 8)):
+        words = np.asfortranarray(seeded_words(shape, 12))
+        assert not words.flags.c_contiguous
+        assert np.array_equal(encode_words(words), encode_words(np.ascontiguousarray(words)))
+    valid = np.array([0, 5, np.iinfo(np.int64).max], dtype=np.int64)
+    assert encode_words(valid).tolist() == [encode(int(w)) for w in valid]
+    for words in (np.array([3, -1], dtype=np.int64), np.array([2.0, 1.5])):
+        with pytest.raises(ValueError, match="datawords"):
+            encode_words(words)
+
+
 def test_encode_words_takes_0d_words():
     for word in (5, np.array(5, dtype=np.int64), np.uint64(5), (1 << 64) - 1):
         check = encode_words(word)
