@@ -54,7 +54,7 @@ scheme of ``run_experiment``, and for the one scheme of
 :func:`inject_write` draws one 64-bit key from its generator and places its
 failing cells with the same sampler, so the decoder cross-check runs it too.
 It takes its check words from the counting kernel's check lanes
-(:func:`robinsim.mapping.scheme_counts`), and :func:`end_to_end_check`
+(:func:`robinsim.mapping.check_words`), and :func:`end_to_end_check`
 decodes the stored codewords with :mod:`robinsim.secded`'s own encoder, so
 every cross-checked write also checks those two encoders against each other.
 """
@@ -70,15 +70,7 @@ import numpy as np
 
 from . import secded
 from .bits import BLOCK_BYTES, block_bytes, stack_blocks
-from .mapping import (
-    _BYTE_OFFSETS,
-    CODEWORDS,
-    MappingScheme,
-    _lane_table,
-    block_datawords,
-    cell_assignment,
-    scheme_counts,
-)
+from .mapping import CODEWORDS, MappingScheme, block_datawords, cell_assignment, check_words, scheme_counts
 from .trace import pair_batches
 
 _MASK64 = (1 << 64) - 1
@@ -172,19 +164,18 @@ def inject_write(
     512 + 8n + r. One 64-bit key is drawn from ``rng``, and the transitioning
     cells form the field of trial chunk 0 of that key in the sampler behind
     :func:`monte_carlo_block`, so outcomes are reproducible for a given
-    generator state. The check words of both payloads are the XOR of their
-    bytes' entries in the counting kernel's check table, not the codec's
-    :func:`robinsim.secded.encode_words`; :func:`end_to_end_check` decodes
-    them with the codec.
+    generator state. Both payloads' check words come from
+    :func:`robinsim.mapping.check_words`, the counting kernel's check table,
+    not the codec's :func:`robinsim.secded.encode_words`;
+    :func:`end_to_end_check` decodes them with the codec.
     """
     blocks = stack_blocks([old, new])
     # eight cells per byte, in cell order: the payload, then one check word per codeword
     diff = blocks[0] ^ blocks[1]
     stored = bytearray(blocks[1])
     if cfg.include_ecc:
-        # the kernel's check lanes: byte n of a payload's XOR is codeword n's check word
-        lanes = _lane_table((cfg.scheme,), True).take(blocks + _BYTE_OFFSETS.T).view("<u8")
-        old_check, new_check = np.bitwise_xor.reduce(lanes, axis=1).tolist()
+        # byte n of each is codeword n's check word, from the counting kernel's check lanes
+        old_check, new_check = check_words(cfg.scheme, blocks).tolist()
         diff = np.frombuffer(diff.tobytes() + (old_check ^ new_check).to_bytes(CODEWORDS, "little"), np.uint8)
         stored += new_check.to_bytes(CODEWORDS, "little")
     flipping = np.unpackbits(diff, bitorder="little").nonzero()[0]

@@ -15,13 +15,15 @@ Inside a codeword, data bits are ordered by ascending flat index; that order
 defines the dataword slots fed to the codec, so check bits are bit-exact
 functions of the scheme.
 
+:data:`KINDS` are the keys of one table of owner rules, and every table below
+derives from :func:`scheme_assignment`, which evaluates a kind's rule.
 :func:`scheme_counts` is the batch kernel, valid for any assignment of bits
 to codewords: each payload byte is looked up once in a data table and, when
 check bits count, once in a check table, with one byte lane per codeword of
 every scheme of the call. :func:`codeword_counts`, the one counting rule, is
-its one-scheme call at every row count. :func:`transition_vector` counts one
-write's row of eight ints from the datawords of its 64-byte diff, permuted as
-by :func:`block_datawords`, and their :func:`robinsim.secded.encode_words` checks.
+its one-scheme call at every row count; :func:`check_words` XORs a payload's
+check lanes. :func:`block_datawords` and :func:`transition_vector`, one
+write's row of eight ints, pack bits in slot order by one cached permutation.
 """
 
 from __future__ import annotations
@@ -34,15 +36,22 @@ import numpy as np
 from . import secded
 from .bits import BLOCK_BITS, BLOCK_BYTES, block_bytes
 
-KINDS = ("per-word", "interleaved", "robin")
+# kind -> owner rule: the codeword of bit ``pos`` of byte ``byte`` in word ``word``,
+# each the inverse of its layout above
+_OWNER_RULES = {
+    "per-word": lambda word, byte, pos: word,
+    "interleaved": lambda word, byte, pos: pos,
+    "robin": lambda word, byte, pos: (pos - word - byte) % 8,
+}
+KINDS = tuple(_OWNER_RULES)
 
 WORDS = 8
 BITS_PER_BYTE = 8
 CODEWORDS = 8
 DATAWORD_BITS = 64
-# writes per codeword_counts call on the batch paths; float sums are reduced
-# per batch, so rates depend on it. Must stay <= 65535: per-bit histograms
-# sum one batch in uint16.
+# writes per batch of trace.pair_batches and reliability.trace_error_rate;
+# float sums are reduced per batch, so rates depend on it. Must stay <= 65535:
+# per-bit histograms sum one batch in uint16.
 BATCH = 512
 
 
@@ -70,17 +79,7 @@ ROBIN = MappingScheme("robin")
 def scheme_assignment(scheme: MappingScheme) -> np.ndarray:
     """Length-512 vector mapping each flat bit index to its codeword id."""
     flats = np.arange(BLOCK_BITS)
-    word = flats // 64
-    byte = (flats % 64) // 8
-    pos = flats % 8
-    if scheme.kind == "per-word":
-        ids = word
-    elif scheme.kind == "interleaved":
-        ids = pos
-    else:
-        # robin: inverse of "codeword n owns position (i + j + n) mod 8 of byte j in word i"
-        ids = (pos - word - byte) % 8
-    ids = ids.astype(np.int64)
+    ids = _OWNER_RULES[scheme.kind](flats // 64, (flats % 64) // 8, flats % 8).astype(np.int64)
     ids.setflags(write=False)
     return ids
 
@@ -105,7 +104,12 @@ def scheme_perm(scheme: MappingScheme) -> np.ndarray:
     return perm
 
 
-_PERMS: dict[str, np.ndarray] = {}   # transition_vector's slot orders by kind, filled by its calls
+@lru_cache(maxsize=None)
+def _slot_order(kind: str) -> np.ndarray:
+    """:func:`scheme_perm` in the default bit order (bit i ^ 7); writable, as take copies read-only indices."""
+    return scheme_perm(MappingScheme(kind))[np.arange(BLOCK_BITS) ^ 7] ^ 7
+
+
 _BYTE_OFFSETS = (256 * np.arange(BLOCK_BYTES, dtype=np.uint16))[:, None]   # byte j's table entries
 
 
@@ -121,8 +125,19 @@ def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
     codeword n is bit 64n + s, and packed again: the slot-order definition itself.
     """
     _check_payloads(blocks)
-    slots = np.unpackbits(blocks, axis=1, bitorder="little").take(scheme_perm(scheme), axis=1)
-    return np.packbits(slots, axis=1, bitorder="little").view("<u8")
+    slots = np.unpackbits(blocks, axis=1).take(_slot_order(scheme.kind), axis=1)
+    return np.packbits(slots, axis=1).view("<u8")
+
+
+def check_words(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
+    """The ``(n,)`` ``<u8`` check words of ``(n, 64)`` uint8 payloads, byte n codeword n's.
+
+    Each is the XOR of its payload's 64 entries in the check table of
+    :func:`scheme_counts`, not an :func:`robinsim.secded.encode_words` call.
+    """
+    _check_payloads(blocks)
+    lanes = _lane_table((scheme,), True).take(blocks + _BYTE_OFFSETS.T).view("<u8")
+    return np.bitwise_xor.reduce(lanes, axis=1)
 
 
 @dataclass(frozen=True)
@@ -197,8 +212,7 @@ def _lane_table(schemes: tuple[MappingScheme, ...], check: bool) -> np.ndarray:
     codeword n owns (at most 8, and 64 per block, so sums never carry);
     check lane n is the XOR of those bits' H columns. So over a payload's 64
     bytes, the XOR of a scheme's check lanes is its eight check words, byte
-    n codeword n's: :func:`robinsim.injection.inject_write` encodes each
-    single write that way, and its cross-check decodes with the codec.
+    n codeword n's: :func:`check_words`.
     """
     # rank[j, b, s] = 64 * codeword + slot of bit b of payload byte j under scheme s
     rank = np.argsort([scheme_perm(scheme) for scheme in schemes], axis=1).T
@@ -273,10 +287,7 @@ def transition_vector(
     olds, news = np.frombuffer(old, np.uint8), np.frombuffer(new, np.uint8)
     if len(olds) != BLOCK_BYTES or len(news) != BLOCK_BYTES:
         block_bytes(old), block_bytes(new)   # raises block_bytes' error for the first bad one
-    if (perm := _PERMS.get(scheme.kind)) is None:
-        # scheme_perm in packbits' faster default bit order: its bit i is little-endian bit i ^ 7
-        perm = _PERMS[scheme.kind] = scheme_perm(scheme)[np.arange(BLOCK_BITS) ^ 7] ^ 7
-    words = np.packbits(np.unpackbits(olds ^ news).take(perm)).view("<u8")
+    words = np.packbits(np.unpackbits(olds ^ news).take(_slot_order(scheme.kind))).view("<u8")
     cells = np.bitwise_count(words)
     if include_ecc:
         cells += np.bitwise_count(secded.encode_words(words))

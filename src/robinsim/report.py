@@ -57,7 +57,12 @@ class ExperimentConfig:
     warmup: int = 0
     out_dir: str = "results"
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[tuple[MappingScheme, ...], InjectionConfig]:
+        """The run's schemes and Monte Carlo settings; every check raises ``ConfigError``.
+
+        The injection config's own scheme is the first one; the run's
+        accumulator scores all of them and does not read it.
+        """
         if not self.schemes:
             raise ConfigError("at least one scheme must be selected")
         if len(set(self.schemes)) != len(self.schemes):
@@ -72,17 +77,6 @@ class ExperimentConfig:
             raise ConfigError("exactly one p_write source required: pw or device parameters")
         if self.warmup < 0:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
-        self._settings()
-
-    def resolve_pw(self) -> float:
-        return self.pw if self.pw is not None else reliability.p_write_from_device(self.device)
-
-    def _settings(self) -> tuple[tuple[MappingScheme, ...], InjectionConfig]:
-        """The run's schemes and its Monte Carlo settings; their checks raise ``ConfigError``.
-
-        The injection config's own scheme is the first one; the run's
-        accumulator scores all of them and does not read it.
-        """
         try:
             schemes = tuple(MappingScheme(name) for name in self.schemes)
             injection = InjectionConfig(
@@ -92,6 +86,9 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return schemes, injection
+
+    def resolve_pw(self) -> float:
+        return self.pw if self.pw is not None else reliability.p_write_from_device(self.device)
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,7 @@ def make_pairs(cfg: ExperimentConfig) -> Iterator[tuple[bytes, bytes]]:
 
 def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     """Single pass over the input pairs; returns all per-scheme results."""
-    cfg.validate()
-    schemes, injection = cfg._settings()
+    schemes, injection = cfg.validate()
     pw = injection.pw
     acc = TraceAccumulator(pw, len(schemes))
     histogram = np.zeros(BLOCK_BITS, dtype=np.int64)

@@ -18,15 +18,7 @@ from robinsim.injection import (
     monte_carlo_block,
     monte_carlo_trace,
 )
-from robinsim.mapping import (
-    _BYTE_OFFSETS,
-    INTERLEAVED,
-    PER_WORD,
-    ROBIN,
-    _lane_table,
-    block_datawords,
-    transition_vector,
-)
+from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, block_datawords, check_words, transition_vector
 from robinsim.reliability import p_block_success
 
 SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
@@ -502,8 +494,7 @@ def test_check_lanes_encode_what_the_codec_encodes(scheme):
     payloads = np.concatenate(
         [single.reshape(-1, 64), np.random.default_rng(60).integers(0, 256, (500, 64), dtype=np.uint8)]
     )
-    lanes = _lane_table((scheme,), True).take(payloads + _BYTE_OFFSETS.T).view("<u8")
-    checks = np.bitwise_xor.reduce(lanes, axis=1).view(np.uint8).reshape(-1, 8)
+    checks = check_words(scheme, payloads).view(np.uint8).reshape(-1, 8)
     assert np.array_equal(checks, secded.encode_words(block_datawords(scheme, payloads)))
 
 

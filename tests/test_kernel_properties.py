@@ -121,12 +121,17 @@ def slot_datawords(scheme, bits):
 
 
 EMPTY_BATCH = (np.zeros((0, 64), dtype=np.uint8),) * 2
+# neither is C-contiguous: every other column of a wider array, and a Fortran-ordered copy
+STRIDED_BATCH = tuple(half.repeat(2, axis=1)[:, ::2] for half in seeded_batch(7, 2, 0, 1))
+FORTRAN_BATCH = tuple(np.asfortranarray(half) for half in seeded_batch(9, 3, 2, 5))
 
 
 @settings(max_examples=25, deadline=None)
 @given(write_batches(st.integers(1, 40)))
 @example(EMPTY_BATCH)
 @example(seeded_batch(1, 1, 0, 0))
+@example(STRIDED_BATCH)
+@example(FORTRAN_BATCH)
 def test_datawords_match_slot_definition(batch):
     _, news = batch
     bits = blocks_to_bits(news)

@@ -16,6 +16,7 @@ from robinsim.mapping import (
     InvalidSchemeError,
     MappingScheme,
     block_datawords,
+    check_words,
     codeword_counts,
     scheme_assignment,
     scheme_counts,
@@ -150,7 +151,7 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
 
 def test_codeword_counts_takes_byte_xor_only():
     # from one row up, either side of 16 rows where codeword_counts once
-    # changed route, and through the multi-scheme kernel
+    # changed route, through the multi-scheme kernel and through check_words
     for n in (1, 15, 16, BATCH):
         for shape, dtype in (((512,), np.uint8), ((63,), np.uint8), ((64,), bool), ((64,), np.int64)):
             diff = np.zeros((n, *shape), dtype=dtype)
@@ -159,9 +160,13 @@ def test_codeword_counts_takes_byte_xor_only():
                     codeword_counts(ROBIN, diff, include_ecc)
                 with pytest.raises(ValueError, match=r"payloads must be \(n, 64\) uint8"):
                     scheme_counts((ROBIN, PER_WORD), diff, include_ecc)
+            with pytest.raises(ValueError, match=r"payloads must be \(n, 64\) uint8"):
+                check_words(ROBIN, diff)
     empty = np.zeros((0, 64), dtype=np.uint8)
     data, cells = codeword_counts(ROBIN, empty)
     assert data.shape == cells.shape == (0, 8)
+    words = check_words(ROBIN, empty)
+    assert words.shape == (0,) and words.dtype == np.dtype("<u8")
     data, cells = scheme_counts((ROBIN, PER_WORD), empty)
     assert data.shape == cells.shape == (0, 2, 8)
 
