@@ -16,10 +16,11 @@ The codec is three tables, read at call time: the check contribution of
 each 16-bit quarter of a dataword, the codeword bit of each syndrome, and the
 dataword and check-word masks each syndrome's correction flips.
 :func:`repair_words` is the one decoder: a syndrome and three lookups.
+:func:`encode` reads one word's four quarters by scalar lookups.
 :func:`encode_words` checks any input but a uint64 array, and has two routes
-to the same check words: fewer than ``_SMALL_WORDS`` words are encoded one
-at a time by the scalar lookups of :func:`encode`, cheaper than numpy's
-per-call overhead at that size; more take one array lookup per quarter.
+to the same check words: fewer than ``_SMALL_WORDS`` words take one gather of
+all their quarters and one XOR reduction, a fixed three numpy calls; more
+take one array lookup per quarter, which costs less per word.
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ _FIX_DATA.setflags(write=False)
 _FIX_CHECK = np.zeros(1 << CHECK_BITS, dtype=np.uint8)
 _FIX_CHECK[list(CHECK_COLUMNS)] = CHECK_COLUMNS
 _FIX_CHECK.setflags(write=False)
-# encode_words encodes inputs of fewer words one at a time; the two routes
-# took the same time at 11 words (2-core x86-64 virtual machine)
-_SMALL_WORDS = 12
+# encode_words gathers inputs of fewer words at once; the gather beat the
+# per-quarter route up to 56 words, and the two took the same time at 64 to
+# 96 (2-core x86-64 virtual machine)
+_SMALL_WORDS = 64
+# quarter p of a dataword indexes row p of the encoder table, at offset p << 16
+_QUARTER_OFFSETS = np.arange(4) << 16
 
 
 def encode(data: int) -> int:
@@ -79,37 +83,29 @@ def encode(data: int) -> int:
     """
     if data < 0 or data >> DATA_BITS:
         raise ValueError("dataword must be an unsigned 64-bit value")
-    return _encode_ints([data])[0]
-
-
-def _encode_ints(words: list[int]) -> list[int]:
-    """Check words of 64-bit Python ints, by scalar lookups in the encoder table.
-
-    A flat memoryview gives a Python int per lookup, without a numpy call per
-    word; quarter p of a word indexes row p, at offset ``p << 16``.
-    """
+    # a flat memoryview gives a Python int per lookup, without a numpy call
     table = _ENCODER.data.cast("B")
-    return [
-        table[w & 0xFFFF]
-        ^ table[0x10000 | (w >> 16) & 0xFFFF]
-        ^ table[0x20000 | (w >> 32) & 0xFFFF]
-        ^ table[0x30000 | w >> 48]
-        for w in words
-    ]
+    return (
+        table[data & 0xFFFF]
+        ^ table[0x10000 | (data >> 16) & 0xFFFF]
+        ^ table[0x20000 | (data >> 32) & 0xFFFF]
+        ^ table[0x30000 | data >> 48]
+    )
 
 
 def encode_words(words: np.ndarray) -> np.ndarray:
     """Vectorized encode: uint64 dataword array -> uint8 check words of the same shape.
 
     As with numpy ufuncs, a 0-d input gives a numpy scalar. Fewer than
-    ``_SMALL_WORDS`` words are encoded by :func:`encode`'s scalar lookups,
-    more by one array lookup per quarter; both give the same check words.
+    ``_SMALL_WORDS`` words are encoded by one gather of every quarter, more
+    by one array lookup per quarter; both give the same check words.
     Datawords other than a uint64 array must be integers in [0, 2**64) (ValueError).
     """
     if type(words) is not np.ndarray or words.dtype != np.uint64:
         words = np.asarray(_unsigned(words, np.uint64, "datawords"))
     if words.size < _SMALL_WORDS:
-        checks = np.array(_encode_ints(words.ravel().tolist()), dtype=np.uint8)
+        quarters = words.ravel().view("<u2").reshape(-1, 4)
+        checks = np.bitwise_xor.reduce(_ENCODER.take(quarters + _QUARTER_OFFSETS), axis=1)
         return checks if words.ndim == 1 else checks.reshape(words.shape)[()]
     halves = np.ascontiguousarray(words).view("<u2").reshape(words.shape + (4,))
     check = _ENCODER[0].take(halves[..., 0])

@@ -6,7 +6,7 @@ supported:
 
 * ``jsonl``   one JSON object per line: {"addr": "0x...", "data": "<128 hex chars>"}.
               :func:`save_trace` writes one canonical form of that line. The
-              loader reads about 64 KiB at a time, cut at the last newline,
+              loader reads about 256 KiB at a time, cut at the last newline,
               and decodes the block's canonical lines at once: fixed text
               checked at fixed offsets, every address and every payload
               joined into one ``unhexlify`` call each, alignment checked
@@ -22,9 +22,10 @@ Old/new block pairs are derived by replaying records against a shadow store
 that remembers the last payload written to each address; never-written
 addresses read as all zeros. A warmup count can suppress the first records
 from statistics while still updating the store. :func:`pair_batches` is the
-one batching of a pair stream. :func:`codeword_stats` folds each batch with
-:class:`robinsim.reliability.TraceAccumulator`, as ``run_experiment`` does;
-its fixed float order makes the two agree exactly for any set of schemes.
+one batching of a pair stream, one join per batch. :func:`codeword_stats`
+folds each batch with :class:`robinsim.reliability.TraceAccumulator`, as
+``run_experiment`` does; its fixed float order makes the two agree exactly
+for any set of schemes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import sys
 from binascii import unhexlify
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -55,8 +56,10 @@ _PREFIX, _MIDDLE, _SUFFIX = '{"addr": "0x', '", "data": "', '"}'
 _PREFIX_CHARS, _MIDDLE_CHARS, _SUFFIX_CHARS = (
     np.frombuffer(text.encode(), np.uint8) for text in (_PREFIX, _MIDDLE, _SUFFIX)
 )
-# JSONL bytes read per step; each block is cut at its last newline
-_JSONL_BLOCK = 1 << 16
+# JSONL bytes read per step; each block is cut at its last newline. Loading
+# a 16,384-line trace was fastest at 256 KiB (128 KiB to 1 MiB tried), and
+# 512 KiB raised a trace-replay run's peak RSS by 2.4 MB
+_JSONL_BLOCK = 1 << 18
 _HEX_CHARS = 2 * BLOCK_BYTES
 # a canonical line's length, newline excluded, is this plus its 1 to 16 address digits
 _FIXED_CHARS = len(_PREFIX) + len(_MIDDLE) + _HEX_CHARS + len(_SUFFIX)
@@ -265,23 +268,40 @@ def _load_binary(path: Path) -> Iterator[WriteRecord]:
                 )
 
 
-def save_trace(path: str | Path, records: Iterable[WriteRecord], fmt: str | None = None) -> int:
-    """Write records to a trace file; returns the record count."""
+def save_trace(
+    path: str | Path, records: Iterable[WriteRecord | tuple[int, bytes]], fmt: str | None = None
+) -> int:
+    """Write records to a trace file; returns the record count.
+
+    A record is a :class:`WriteRecord` or an ``(addr, data)`` pair; a pair
+    gets the record's checks, and one that fails them raises ValueError with
+    its index, so every file written loads back.
+    """
     fmt = _check_format(fmt or detect_format(path))
     count = 0
     if fmt == "jsonl":
         with Path(path).open("w", encoding="ascii") as handle:
-            for addr, data in records:
-                handle.write(f"{_PREFIX}{addr:x}{_MIDDLE}{data.hex()}{_SUFFIX}\n")
-                count += 1
+            for count, record in enumerate(records, 1):
+                if type(record) is not WriteRecord:
+                    record = _checked(count - 1, record)
+                handle.write(f"{_PREFIX}{record.addr:x}{_MIDDLE}{record.data.hex()}{_SUFFIX}\n")
     else:
         with Path(path).open("wb") as handle:
             handle.write(TRACE_MAGIC + bytes([TRACE_VERSION]))
-            for record in records:
+            for count, record in enumerate(records, 1):
+                if type(record) is not WriteRecord:
+                    record = _checked(count - 1, record)
                 handle.write(record.addr.to_bytes(8, "little"))
                 handle.write(record.data)
-                count += 1
     return count
+
+
+def _checked(index: int, record: tuple[int, bytes]) -> WriteRecord:
+    """An ``(addr, data)`` pair as a WriteRecord; ValueError names its index if it fails the checks."""
+    try:
+        return WriteRecord(*record)
+    except ValueError as exc:
+        raise ValueError(f"record {index}: {exc}") from exc
 
 
 _ZERO_BLOCK = bytes(BLOCK_BYTES)
@@ -331,13 +351,16 @@ def old_new_pairs(
 def pair_batches(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The ``(n, 64)`` uint8 ``olds`` and ``news`` of each run of up to BATCH pairs.
 
-    A batch's pairs are drawn only when the batch is, so at most BATCH pairs
-    are held at a time, whatever the length of the stream.
+    A batch's 2n payloads are stacked by one join into an ``(n, 2, 64)``
+    array, and ``olds`` and ``news`` are its two column views: read-only,
+    with a row stride of 128 bytes. A batch's pairs are drawn only when the
+    batch is, so at most BATCH pairs are held at a time, whatever the length
+    of the stream.
     """
     pairs = iter(pairs)
     while batch := list(islice(pairs, BATCH)):
-        olds, news = zip(*batch)
-        yield stack_blocks(olds), stack_blocks(news)
+        stacked = stack_blocks(list(chain.from_iterable(batch))).reshape(len(batch), 2, BLOCK_BYTES)
+        yield stacked[:, 0], stacked[:, 1]
 
 
 def codeword_stats(

@@ -135,6 +135,35 @@ def test_jsonl_loader_matches_reference_across_blocks(tmp_path_factory, data):
         assert load(path, "jsonl") == want
 
 
+def test_jsonl_loader_matches_reference_across_full_size_blocks(tmp_path):
+    """Over three blocks at the loader's own block size: the line across each
+    block boundary is not canonical, and the last block holds a misaligned
+    canonical line."""
+    block = trace._JSONL_BLOCK
+    rng = np.random.default_rng(12)
+    lines, records, size, crossing = [], [], 0, 0
+    while size < 3 * block + block // 2:
+        addr, payload = 64 * rng.integers(2**40).item(), rng.bytes(64)
+        line = canonical(addr, payload)
+        if size // block != (size + len(line) - 1) // block:
+            # uppercase payload digits: as long as the canonical line, read by json.loads
+            line = line.replace(payload.hex().encode(), payload.hex().upper().encode())
+            crossing += 1
+        lines.append(line)
+        records.append((addr, payload))
+        size += len(line)
+    assert crossing == 3
+    bad = len(lines) - 5
+    lines.insert(bad, canonical(32, bytes(64)))
+    text = b"".join(lines)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(text)
+
+    want = (records[:bad], bad)
+    assert oracle.load_trace(text, "jsonl") == want
+    assert load(path, "jsonl") == want
+
+
 # -- binary --------------------------------------------------------------------
 
 

@@ -254,6 +254,20 @@ def test_encode_words_matches_scalar_on_any_shape(words):
     assert np.array_equal(encode_words(words.T), checks.T)
 
 
+def test_encode_words_matches_matrix_oracle_at_every_count_of_both_routes():
+    top = 2 * secded._SMALL_WORDS
+    pool = seeded_words((2 * top,), 10)
+    want = np.array([matrix_encode(int(w)) for w in pool], dtype=np.uint8)
+    for n in range(top + 1):
+        np.testing.assert_array_equal(encode_words(pool[:n]), want[:n])
+        np.testing.assert_array_equal(encode_words(pool[:n].reshape(-1, 1)), want[:n].reshape(-1, 1))
+        # every other word: a view with a 16-byte stride
+        np.testing.assert_array_equal(encode_words(pool[1 : 2 * n : 2]), want[1 : 2 * n : 2])
+    for word, check in zip(pool[:top], want[:top]):
+        got = encode_words(np.array(word))
+        assert type(got) is np.uint8 and got == check
+
+
 def test_encode_routes_read_the_encoder_table_at_call_time(monkeypatch):
     table = np.zeros((4, 1 << 16), dtype=np.uint8)
     table[1] = np.arange(1 << 16) >> 8   # the check word becomes bits 24..31 of the dataword
@@ -266,7 +280,7 @@ def test_encode_routes_read_the_encoder_table_at_call_time(monkeypatch):
 
 
 def test_encode_words_gives_a_scalar_for_a_0d_word_and_an_array_for_eight():
-    # the shapes transition_vector and the scalar route rely on
+    # the shapes transition_vector and the gather route rely on
     word = np.uint64(0x0123456789ABCDEF)
     for zero_d in (word, np.array(word)):
         check = encode_words(zero_d)

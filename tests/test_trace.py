@@ -7,7 +7,8 @@ import oracle
 from oracle import block_to_bits
 from robinsim import report, trace
 from robinsim.bits import stack_blocks
-from robinsim.mapping import BATCH, PER_WORD, ROBIN
+from robinsim.injection import InjectionConfig, monte_carlo_block
+from robinsim.mapping import BATCH, INTERLEAVED, PER_WORD, ROBIN, scheme_counts
 from robinsim.report import ExperimentConfig, run_experiment
 from robinsim.trace import (
     ShadowStore,
@@ -20,6 +21,8 @@ from robinsim.trace import (
     save_trace,
 )
 from robinsim.workloads import KINDS, WorkloadSpec
+
+SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
 
 
 def make_records(count, seed=0, addresses=4):
@@ -81,6 +84,32 @@ def test_roundtrip(tmp_path, fmt, suffix):
     assert loaded == records
     # format inferred from the suffix
     assert list(load_trace(path)) == records
+
+
+@pytest.mark.parametrize("fmt", trace.FORMATS)
+def test_save_trace_writes_plain_pairs_as_records(tmp_path, fmt):
+    records = make_records(25, seed=4)
+    path = tmp_path / "pairs"
+    assert save_trace(path, [tuple(r) for r in records], fmt) == 25
+    assert list(load_trace(path, fmt)) == records
+
+
+@pytest.mark.parametrize("fmt", trace.FORMATS)
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ((-64, bytes(64)), "out of 64-bit range"),
+        ((1 << 64, bytes(64)), "out of 64-bit range"),
+        ((96, bytes(64)), "not aligned"),
+        ((64, bytes(63)), "64 bytes, got 63"),
+        ((64, bytes(65)), "64 bytes, got 65"),
+    ],
+)
+def test_save_trace_rejects_a_pair_its_loader_would(tmp_path, fmt, bad, message):
+    records = [tuple(r) for r in make_records(3, seed=5)]
+    records.insert(2, bad)
+    with pytest.raises(ValueError, match=f"^record 2: .*{message}"):
+        save_trace(tmp_path / "bad", records, fmt)
 
 
 def test_binary_single_record_file_is_77_bytes(tmp_path):
@@ -371,6 +400,28 @@ def test_pair_batches_reject_a_short_payload_when_its_batch_is_drawn():
     assert len(olds) == len(news) == BATCH
     with pytest.raises(ValueError, match="64 bytes"):
         next(batches)
+
+
+def test_batch_views_count_and_inject_like_contiguous_copies():
+    pairs = list(old_new_pairs(make_records(BATCH + 37, seed=6, addresses=16)))
+    cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=64, seed=3)
+    first = 0
+    for olds, news in pair_batches(pairs):
+        # column views of one (n, 2, 64) stack: rows 128 bytes apart
+        assert olds.strides == news.strides == (128, 1)
+        copies = np.ascontiguousarray(olds), np.ascontiguousarray(news)
+        for include_ecc in (False, True):
+            for got, want in zip(
+                scheme_counts(SCHEMES, olds ^ news, include_ecc),
+                scheme_counts(SCHEMES, copies[0] ^ copies[1], include_ecc),
+            ):
+                np.testing.assert_array_equal(got, want)
+        got = monte_carlo_block(olds, news, cfg, first, SCHEMES)
+        want = monte_carlo_block(*copies, cfg, first, SCHEMES)
+        for field in ("p_block", "stderr", "successes"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        first += len(olds)
+    assert first == len(pairs)
 
 
 def test_codeword_stats_uniform_write():
