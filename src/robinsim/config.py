@@ -1,8 +1,11 @@
 """Flat key=value experiment configuration files.
 
-Lines are ``key = value``; blank lines and ``#`` comments are ignored. Keys
-mirror the experiment fields, and a key left out takes the default of the
-field it sets (``ExperimentConfig``, ``WorkloadSpec`` or ``DeviceParams``)::
+Lines are ``key = value``; blank lines and ``#`` comments are ignored. Every
+int, float and bool field of ``ExperimentConfig``, ``WorkloadSpec`` and
+``DeviceParams`` is a key of the same name, ``device_`` before a device
+field's; its field's annotation picks its parser. The other keys name the
+input, the schemes, the output directory and the two ends of ``valid_words``.
+A key left out takes the default of the field it sets::
 
     # input source: exactly one of the two
     trace = traces/app.jsonl        # optional: trace_format = jsonl|binary
@@ -31,16 +34,11 @@ from __future__ import annotations
 
 from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import Callable
 
 from .reliability import DeviceParams
 from .report import ConfigError, ExperimentConfig
 from .workloads import WorkloadSpec
-
-# config key -> DeviceParams field; euler is a constant, not a setting
-_DEVICE_KEYS = {
-    f"device_{item.name}": item.name for item in fields(DeviceParams) if item.name != "euler"
-}
-_DEVICE_REQUIRED = {item.name for item in fields(DeviceParams) if item.default is MISSING}
 
 
 def _as_bool(key: str, value: str) -> bool:
@@ -66,29 +64,23 @@ def _as_float(key: str, value: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
 
 
-# workload key -> parser; WorkloadSpec's defaults fill the absent keys
-_WORKLOAD_KEYS = {
-    "records": _as_int,
-    "addresses": _as_int,
-    "base_addr": _as_int,
-    "walk_scale": _as_float,
-    "walk_jitter": _as_float,
-    "width": _as_int,
-    "update_rate": _as_float,
-    "valid_words_min": _as_int,
-    "valid_words_max": _as_int,
-    "pinned_top_bits": _as_int,
-}
+# field annotation -> parser; with ``from __future__ import annotations`` in
+# their modules, the annotations are these strings
+_PARSERS = {"int": _as_int, "float": _as_float, "float | None": _as_float, "bool": _as_bool}
 
-# experiment key -> parser, in parse order; ExperimentConfig's defaults fill the absent keys
-_SCALAR_KEYS = {
-    "pw": _as_float,
-    "include_ecc": _as_bool,
-    "monte_carlo": _as_bool,
-    "trials": _as_int,
-    "seed": _as_int,
-    "warmup": _as_int,
-}
+
+def _field_parsers(cls: type) -> dict[str, Callable]:
+    """Field name -> parser for each int, float and bool field of ``cls``, in field order."""
+    return {item.name: _PARSERS[item.type] for item in fields(cls) if item.type in _PARSERS}
+
+
+_DEVICE_PARSERS = _field_parsers(DeviceParams)
+# config key -> DeviceParams field, the name a device value is parsed under
+_DEVICE_KEYS = {f"device_{name}": name for name in _DEVICE_PARSERS}
+_DEVICE_REQUIRED = {item.name for item in fields(DeviceParams) if item.default is MISSING}
+# WorkloadSpec.valid_words is set by its two ends
+_WORKLOAD_KEYS = {**_field_parsers(WorkloadSpec), "valid_words_min": _as_int, "valid_words_max": _as_int}
+_SCALAR_KEYS = _field_parsers(ExperimentConfig)
 
 _KNOWN_KEYS = (
     {"trace", "trace_format", "workload", "schemes", "out"}
@@ -96,6 +88,11 @@ _KNOWN_KEYS = (
     | set(_DEVICE_KEYS)
     | set(_WORKLOAD_KEYS)
 )
+
+
+def _parsed(keys: dict[str, Callable], values: dict[str, str]) -> dict[str, object]:
+    """Each of ``keys`` that ``values`` gives, parsed, in key order."""
+    return {key: parse(key, values[key]) for key, parse in keys.items() if key in values}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -120,9 +117,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 def _build_workload(kind: str, values: dict[str, str]) -> WorkloadSpec:
     if "records" not in values:
         raise ConfigError("workload input requires a records count")
-    kwargs = {
-        key: parse(key, values[key]) for key, parse in _WORKLOAD_KEYS.items() if key in values
-    }
+    kwargs = _parsed(_WORKLOAD_KEYS, values)
     if "valid_words_min" in kwargs or "valid_words_max" in kwargs:
         lo, hi = WorkloadSpec.valid_words
         kwargs["valid_words"] = (kwargs.pop("valid_words_min", lo), kwargs.pop("valid_words_max", hi))
@@ -140,7 +135,7 @@ def config_from_values(values: dict[str, str], out_override: str | None = None) 
         if missing:
             raise ConfigError(f"device parameters incomplete; missing {sorted(missing)}")
         try:
-            kwargs["device"] = DeviceParams(**{k: _as_float(k, v) for k, v in device_values.items()})
+            kwargs["device"] = DeviceParams(**_parsed(_DEVICE_PARSERS, device_values))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -152,9 +147,7 @@ def config_from_values(values: dict[str, str], out_override: str | None = None) 
 
     if "schemes" in values:
         kwargs["schemes"] = tuple(name.strip() for name in values["schemes"].split(",") if name.strip())
-    kwargs.update(
-        (key, parse(key, values[key])) for key, parse in _SCALAR_KEYS.items() if key in values
-    )
+    kwargs.update(_parsed(_SCALAR_KEYS, values))
     out = values.get("out") if out_override is None else out_override
     if out is not None:
         if not out:

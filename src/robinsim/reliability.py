@@ -44,7 +44,7 @@ from .bits import BLOCK_BITS
 from .mapping import BATCH, CODEWORDS
 from .secded import CHECK_BITS
 
-EULER_GAMMA = 0.5772156649015329
+EULER_GAMMA = 0.5772156649015329   # the Euler-Mascheroni constant
 
 # cells of one block, data and check bits: the largest count a row entry may hold
 BLOCK_CELLS = BLOCK_BITS + CODEWORDS * CHECK_BITS
@@ -59,8 +59,7 @@ class DeviceParams:
     """Operating point of one STT-MRAM cell write.
 
     Units follow the underlying physics (seconds, amperes, J/T, coulombs);
-    ``delta`` is the dimensionless thermal stability factor and ``euler`` the
-    Euler-Mascheroni constant.
+    ``delta`` is the dimensionless thermal stability factor.
     """
 
     t_write: float
@@ -71,7 +70,6 @@ class DeviceParams:
     mu_b: float = 9.2740100783e-24
     delta: float = 60.0
     e_charge: float = 1.602176634e-19
-    euler: float = EULER_GAMMA
 
     def __post_init__(self) -> None:
         for item in fields(self):
@@ -94,12 +92,12 @@ def p_write_from_device(params: DeviceParams) -> float:
     """Per-bit transition success probability from the device operating point.
 
     failure = exp(-t_write * 2*mu_b*p*(i_write - i_c0)
-                  / (euler + ln(pi^2 * delta / 4) * (e * m * (1 + p^2))))
+                  / (EULER_GAMMA + ln(pi^2 * delta / 4) * (e * m * (1 + p^2))))
     and p_write = 1 - failure, clamped to [0, 1].
     """
     p = params.polarization
     numerator = 2.0 * params.mu_b * p * (params.i_write - params.i_c0)
-    denominator = params.euler + math.log(math.pi**2 * params.delta / 4.0) * (
+    denominator = EULER_GAMMA + math.log(math.pi**2 * params.delta / 4.0) * (
         params.e_charge * params.magnetic_moment * (1.0 + p * p)
     )
     if not math.isfinite(denominator) or denominator <= 0:

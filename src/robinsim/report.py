@@ -60,8 +60,9 @@ class ExperimentConfig:
     def validate(self) -> tuple[tuple[MappingScheme, ...], InjectionConfig]:
         """The run's schemes and Monte Carlo settings; every check raises ``ConfigError``.
 
-        The injection config's own scheme is the first one; the run's
-        accumulator scores all of them and does not read it.
+        The injection config's pw is the run's: ``pw``, or the device point's.
+        Its own scheme is the first one; the run's accumulator scores all of
+        them and does not read it.
         """
         if not self.schemes:
             raise ConfigError("at least one scheme must be selected")
@@ -80,15 +81,12 @@ class ExperimentConfig:
         try:
             schemes = tuple(MappingScheme(name) for name in self.schemes)
             injection = InjectionConfig(
-                pw=self.resolve_pw(), scheme=schemes[0], trials=self.trials, seed=self.seed,
-                include_ecc=self.include_ecc,
+                pw=reliability.p_write_from_device(self.device) if self.pw is None else self.pw,
+                scheme=schemes[0], trials=self.trials, seed=self.seed, include_ecc=self.include_ecc,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return schemes, injection
-
-    def resolve_pw(self) -> float:
-        return self.pw if self.pw is not None else reliability.p_write_from_device(self.device)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ for any set of schemes.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from binascii import unhexlify
 from itertools import chain, islice, repeat
@@ -79,12 +80,17 @@ class _WriteRecordFields(NamedTuple):
 class WriteRecord(_WriteRecordFields):
     """One cache write: block-aligned address and the new 64-byte content.
 
-    An immutable named tuple; the constructor checks both fields.
+    An immutable named tuple; the constructor checks both fields, and an
+    integer address of another type (a numpy integer) becomes an ``int``.
     """
 
     __slots__ = ()
 
     def __new__(cls, addr: int, data: bytes) -> WriteRecord:
+        try:
+            addr = operator.index(addr)
+        except TypeError:
+            raise ValueError(f"address must be an integer, got {addr!r}") from None
         if not 0 <= addr < 1 << 64:
             raise ValueError(f"address out of 64-bit range: {addr:#x}")
         if addr % BLOCK_BYTES:

@@ -236,6 +236,10 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         ("trace = {trace}\npw = 0.999\n", '{"addr": "0x0", "data": 5}\n', 2),
         ("trace = {trace}\npw = 0.999\n", "[" * 100_000 + "]" * 100_000 + "\n", 2),
         ("trace =\npw = 0.999\n", None, 1),
+        ("workload = irregular\nrecords = 10\npw = 0.999\nwarmup = -1\n", None, 1),
+        ("workload = irregular\nrecords = 10\naddresses = 0\npw = 0.999\n", None, 1),
+        ("workload = irregular\nrecords = 10\ndevice_t_write = 1e300\ndevice_mu_b = 1e300\n" + DEVICE,
+         None, 1),
     ],
     ids=[
         "unknown-trace-format",
@@ -250,6 +254,9 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         "jsonl-data-number",
         "jsonl-deep-nesting",
         "empty-trace",
+        "negative-warmup",
+        "empty-address-pool",
+        "device-exponent-overflow",
     ],
 )
 def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text, code):

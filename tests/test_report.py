@@ -1,15 +1,17 @@
 import csv
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import oracle
+from robinsim import config
 from robinsim.config import config_from_values, load_config, parse_config_text
 from robinsim.injection import InjectionConfig, monte_carlo_trace
 from robinsim.mapping import MappingScheme, transition_vector
-from robinsim.reliability import normalized_increase, trace_error_rate
+from robinsim.reliability import DeviceParams, normalized_increase, trace_error_rate
 from robinsim.report import (
     ConfigError,
     ExperimentConfig,
@@ -60,8 +62,7 @@ def test_validation_requires_one_pw_source():
     with pytest.raises(ConfigError):
         small_config(device=device).validate()
     cfg = small_config(pw=None, device=device)
-    cfg.validate()
-    assert 0 < cfg.resolve_pw() < 1
+    assert 0 < cfg.validate()[1].pw < 1
 
 
 def test_validation_rejects_bad_trials_without_monte_carlo():
@@ -399,6 +400,36 @@ def test_parse_config_rejects_unknown_and_duplicate_keys():
         parse_config_text("just words")
 
 
+CONFIG_KEYS = [
+    "addresses", "base_addr", "device_delta", "device_e_charge", "device_i_c0", "device_i_write",
+    "device_magnetic_moment", "device_mu_b", "device_polarization", "device_t_write",
+    "include_ecc", "monte_carlo", "out", "pinned_top_bits", "pw", "records", "schemes", "seed",
+    "trace", "trace_format", "trials", "update_rate", "valid_words_max", "valid_words_min",
+    "walk_jitter", "walk_scale", "warmup", "width", "workload",
+]
+# the keys that set each field that is not an int, float or bool; every other
+# field is set by the key of its name, device_ before a DeviceParams field's
+NAMED_KEYS = {
+    (ExperimentConfig, "trace_path"): {"trace"},
+    (ExperimentConfig, "trace_format"): {"trace_format"},
+    (ExperimentConfig, "workload"): {"workload"},
+    (ExperimentConfig, "schemes"): {"schemes"},
+    (ExperimentConfig, "device"): {f"device_{item.name}" for item in fields(DeviceParams)},
+    (ExperimentConfig, "out_dir"): {"out"},
+    (WorkloadSpec, "kind"): {"workload"},
+    (WorkloadSpec, "valid_words"): {"valid_words_min", "valid_words_max"},
+}
+
+
+def test_every_field_of_the_run_types_is_set_by_a_config_key():
+    # a field whose annotation has no parser gets no derived key and fails here
+    assert sorted(config._KNOWN_KEYS) == CONFIG_KEYS
+    for cls, prefix in ((ExperimentConfig, ""), (WorkloadSpec, ""), (DeviceParams, "device_")):
+        for item in fields(cls):
+            keys = NAMED_KEYS.get((cls, item.name), {prefix + item.name})
+            assert keys <= config._KNOWN_KEYS, f"{cls.__name__}.{item.name}: no key {sorted(keys)}"
+
+
 def test_config_device_params_path():
     values = parse_config_text(
         """
@@ -416,7 +447,7 @@ def test_config_device_params_path():
     )
     cfg = config_from_values(values)
     assert cfg.pw is None
-    assert cfg.resolve_pw() == pytest.approx(0.22638117613454956, rel=1e-12)
+    assert cfg.validate()[1].pw == pytest.approx(0.22638117613454956, rel=1e-12)
 
 
 def test_config_device_params_incomplete():

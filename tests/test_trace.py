@@ -48,6 +48,8 @@ def test_record_validation():
         WriteRecord(addr=-64, data=bytes(64))
     with pytest.raises(ValueError):
         WriteRecord(addr=1 << 64, data=bytes(64))
+    with pytest.raises(ValueError, match="integer"):
+        WriteRecord(addr=64.0, data=bytes(64))
 
 
 def test_record_is_an_immutable_named_tuple():
@@ -103,6 +105,7 @@ def test_save_trace_writes_plain_pairs_as_records(tmp_path, fmt):
         ((96, bytes(64)), "not aligned"),
         ((64, bytes(63)), "64 bytes, got 63"),
         ((64, bytes(65)), "64 bytes, got 65"),
+        ((64.0, bytes(64)), "must be an integer, got 64.0"),
     ],
 )
 def test_save_trace_rejects_a_pair_its_loader_would(tmp_path, fmt, bad, message):
@@ -110,6 +113,17 @@ def test_save_trace_rejects_a_pair_its_loader_would(tmp_path, fmt, bad, message)
     records.insert(2, bad)
     with pytest.raises(ValueError, match=f"^record 2: .*{message}"):
         save_trace(tmp_path / "bad", records, fmt)
+
+
+@pytest.mark.parametrize("fmt", trace.FORMATS)
+def test_numpy_integer_address_is_saved_and_loaded_as_an_int(tmp_path, fmt):
+    record = WriteRecord(np.uint64(64), bytes(64))
+    assert type(record.addr) is int
+    path = tmp_path / "numpy"
+    assert save_trace(path, [record, (np.uint64(2**64 - 64), bytes(64))], fmt) == 2
+    loaded = list(load_trace(path, fmt))
+    assert loaded == [WriteRecord(64, bytes(64)), WriteRecord(2**64 - 64, bytes(64))]
+    assert [type(r.addr) for r in loaded] == [int, int]
 
 
 def test_binary_single_record_file_is_77_bytes(tmp_path):
