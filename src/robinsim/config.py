@@ -74,10 +74,10 @@ def _field_parsers(cls: type) -> dict[str, Callable]:
     return {item.name: _PARSERS[item.type] for item in fields(cls) if item.type in _PARSERS}
 
 
-_DEVICE_PARSERS = _field_parsers(DeviceParams)
-# config key -> DeviceParams field, the name a device value is parsed under
-_DEVICE_KEYS = {f"device_{name}": name for name in _DEVICE_PARSERS}
-_DEVICE_REQUIRED = {item.name for item in fields(DeviceParams) if item.default is MISSING}
+# config key -> the DeviceParams field it sets; a value is parsed and named by its key
+_DEVICE_FIELDS = {f"device_{item.name}": item for item in fields(DeviceParams)}
+_DEVICE_KEYS = {key: _PARSERS[item.type] for key, item in _DEVICE_FIELDS.items()}
+_DEVICE_REQUIRED = {key for key, item in _DEVICE_FIELDS.items() if item.default is MISSING}
 # WorkloadSpec.valid_words is set by its two ends
 _WORKLOAD_KEYS = {**_field_parsers(WorkloadSpec), "valid_words_min": _as_int, "valid_words_max": _as_int}
 _SCALAR_KEYS = _field_parsers(ExperimentConfig)
@@ -129,13 +129,13 @@ def _build_workload(kind: str, values: dict[str, str]) -> WorkloadSpec:
 
 def config_from_values(values: dict[str, str], out_override: str | None = None) -> ExperimentConfig:
     kwargs = {}
-    device_values = {field: values[key] for key, field in _DEVICE_KEYS.items() if key in values}
-    if device_values:
-        missing = _DEVICE_REQUIRED - set(device_values)
+    if any(key in values for key in _DEVICE_KEYS):
+        missing = _DEVICE_REQUIRED - set(values)
         if missing:
             raise ConfigError(f"device parameters incomplete; missing {sorted(missing)}")
+        device = _parsed(_DEVICE_KEYS, values)
         try:
-            kwargs["device"] = DeviceParams(**_parsed(_DEVICE_PARSERS, device_values))
+            kwargs["device"] = DeviceParams(**{_DEVICE_FIELDS[key].name: value for key, value in device.items()})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -22,7 +22,8 @@ to codewords: each payload byte is looked up once in a data table and, when
 check bits count, once in a check table, with one byte lane per codeword of
 every scheme of the call. :func:`codeword_counts`, the one counting rule, is
 its one-scheme call at every row count; :func:`check_words` XORs a payload's
-check lanes. :func:`block_datawords` and :func:`transition_vector`, one
+check lanes, and :func:`verify_partition` reads the partition from a scheme's
+data lanes. :func:`block_datawords` and :func:`transition_vector`, one
 write's row of eight ints, pack bits in slot order by one cached permutation.
 """
 
@@ -142,7 +143,7 @@ def check_words(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """Enumeration-derived summary of how a scheme spreads bits over codewords."""
+    """How a scheme spreads bits over codewords, as its lane table counts them."""
 
     kind: str
     bijective: bool
@@ -168,25 +169,27 @@ class PartitionReport:
 
 
 def verify_partition(scheme: MappingScheme) -> PartitionReport:
-    """Exhaustively enumerate all 512 bits and report the partition structure.
+    """The partition structure that :func:`scheme_counts` counts with, for all 512 bits.
 
-    A failing check is reported in the flags, never raised.
+    Read from the data lanes of the scheme's lane table: at payload byte j,
+    the entry of value ``1 << pos`` counts bit ``pos`` in its codeword's lane
+    and the entry of ``0xFF`` counts the whole byte. The partition is
+    bijective when every bit is counted in exactly one lane, each byte's
+    lanes add up, and every codeword holds 64 bits. A failing check is
+    reported in the flags, never raised.
     """
-    ids = scheme_assignment(scheme)
-    sizes = np.bincount(ids, minlength=CODEWORDS)
-    bijective = bool(len(ids) == BLOCK_BITS and np.all(sizes == DATAWORD_BITS))
-
-    flats = np.arange(BLOCK_BITS)
-    word = flats // 64
-    byte = flats // 8
-    pos = flats % 8
-
-    bits_per_word = np.zeros((CODEWORDS, WORDS), dtype=np.int64)
-    bits_per_pos = np.zeros((CODEWORDS, BITS_PER_BYTE), dtype=np.int64)
-    bits_per_byte = np.zeros((CODEWORDS, 64), dtype=np.int64)
-    np.add.at(bits_per_word, (ids, word), 1)
-    np.add.at(bits_per_pos, (ids, pos), 1)
-    np.add.at(bits_per_byte, (ids, byte), 1)
+    # counts[j, v, n]: the bits of value v at byte j that codeword n owns
+    counts = _lane_table((scheme,), False).view(np.uint8).reshape(BLOCK_BYTES, 256, CODEWORDS)
+    per_bit, per_byte = counts[:, 1 << np.arange(BITS_PER_BYTE)], counts[:, 0xFF]
+    sizes = per_byte.sum(axis=0)
+    bijective = bool(
+        np.all(per_bit.sum(axis=2) == 1)
+        and np.array_equal(per_byte, per_bit.sum(axis=1))
+        and np.all(sizes == DATAWORD_BITS)
+    )
+    bits_per_byte = per_byte.T
+    bits_per_word = per_byte.reshape(WORDS, -1, CODEWORDS).sum(axis=1).T
+    bits_per_pos = per_bit.sum(axis=0).T
 
     to_tuples = lambda m: tuple(tuple(int(v) for v in row) for row in m)
     return PartitionReport(

@@ -16,7 +16,7 @@ The codec is three tables, read at call time: the check contribution of
 each 16-bit quarter of a dataword, the codeword bit of each syndrome, and the
 dataword and check-word masks each syndrome's correction flips.
 :func:`repair_words` is the one decoder: a syndrome and three lookups.
-:func:`encode` reads one word's four quarters by scalar lookups.
+:func:`encode` is :func:`encode_words` of one int.
 :func:`encode_words` checks any input but a uint64 array, and has two routes
 to the same check words: fewer than ``_SMALL_WORDS`` words take one gather of
 all their quarters and one XOR reduction, a fixed three numpy calls; more
@@ -76,21 +76,13 @@ _QUARTER_OFFSETS = np.arange(4) << 16
 
 
 def encode(data: int) -> int:
-    """Compute the 8 check bits of a 64-bit dataword.
+    """Compute the 8 check bits of a 64-bit dataword: :func:`encode_words` of one int.
 
     Equivalent to the GF(2) product of the data part of H with the dataword;
-    linear, so encode(a ^ b) == encode(a) ^ encode(b).
+    linear, so encode(a ^ b) == encode(a) ^ encode(b). A dataword outside
+    [0, 2**64) raises ValueError.
     """
-    if data < 0 or data >> DATA_BITS:
-        raise ValueError("dataword must be an unsigned 64-bit value")
-    # a flat memoryview gives a Python int per lookup, without a numpy call
-    table = _ENCODER.data.cast("B")
-    return (
-        table[data & 0xFFFF]
-        ^ table[0x10000 | (data >> 16) & 0xFFFF]
-        ^ table[0x20000 | (data >> 32) & 0xFFFF]
-        ^ table[0x30000 | data >> 48]
-    )
+    return int(encode_words(data))
 
 
 def encode_words(words: np.ndarray) -> np.ndarray:

@@ -18,10 +18,11 @@ supported:
               [8-byte little-endian address][64-byte payload]. The loader reads
               and validates 1024 records at a time.
 
-Old/new block pairs are derived by replaying records against a shadow store
-that remembers the last payload written to each address; never-written
-addresses read as all zeros. A warmup count can suppress the first records
-from statistics while still updating the store. :func:`pair_batches` is the
+Old/new block pairs are derived by replaying records against a shadow store,
+a plain dict of the last payload written to each address; only
+:func:`old_new_pairs` reads a never-written address, as all zeros. A warmup
+count can suppress the first records from statistics while still updating
+the store. :func:`pair_batches` is the
 one batching of a pair stream, one join per batch. :func:`codeword_stats`
 folds each batch with :class:`robinsim.reliability.TraceAccumulator`, as
 ``run_experiment`` does; its fixed float order makes the two agree exactly
@@ -311,46 +312,33 @@ def _checked(index: int, record: tuple[int, bytes]) -> WriteRecord:
 
 
 _ZERO_BLOCK = bytes(BLOCK_BYTES)
-
-
-class ShadowStore:
-    """Last-written content per block address; cold addresses read as zeros."""
-
-    def __init__(self) -> None:
-        self._blocks: dict[int, bytes] = {}
-
-    def get(self, addr: int) -> bytes:
-        return self._blocks.get(addr, _ZERO_BLOCK)
-
-    def put(self, addr: int, data: bytes) -> None:
-        self._blocks[addr] = data
-
-    def __len__(self) -> int:
-        return len(self._blocks)
+# the replay store: block address -> last payload written there. old_new_pairs
+# reads a cold address as zeros; the name stays for callers that pass a store
+ShadowStore = dict
 
 
 def old_new_pairs(
     records: Iterable[WriteRecord],
-    store: ShadowStore | None = None,
+    store: dict[int, bytes] | None = None,
     warmup: int = 0,
 ) -> Iterator[tuple[bytes, bytes]]:
     """Replay records against a shadow store, yielding (old, new) content pairs.
 
+    ``store`` maps each address written so far to its last payload, and an
+    address it lacks reads as zeros; a store passed in is updated in place.
     The first ``warmup`` records update the store but are not emitted.
     """
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
-    store = store if store is not None else ShadowStore()
-    # the store's dict directly: two method calls per record fewer
-    blocks = store._blocks
-    get = blocks.get
+    store = {} if store is None else store
+    get = store.get
     records = iter(records)
     # islice takes no stop above sys.maxsize, and no trace holds that many records
     for addr, data in islice(records, min(warmup, sys.maxsize)):
-        blocks[addr] = data
+        store[addr] = data
     for addr, data in records:
         old = get(addr, _ZERO_BLOCK)
-        blocks[addr] = data
+        store[addr] = data
         yield old, data
 
 

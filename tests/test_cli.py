@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from robinsim import cli, secded
+from robinsim import cli, mapping, secded
 from robinsim.cli import main
 from robinsim.trace import load_trace
 
@@ -24,6 +24,18 @@ def test_verify_partition_robin(capsys):
 def test_verify_partition_all_schemes():
     for scheme in ("per-word", "interleaved", "robin"):
         assert main(["verify-partition", "--scheme", scheme]) == 0
+
+
+def test_verify_partition_exits_3_on_a_miscounted_lane_table(monkeypatch, capsys):
+    # bit 0 of byte 0 counted in two codewords of the table scheme_counts counts with
+    table = mapping._lane_table((mapping.ROBIN,), False).copy()
+    counts = table.view(np.uint8).reshape(64, 256, 8)
+    counts[0, 1::2, (int(np.argmax(counts[0, 1])) + 1) % 8] += 1
+    monkeypatch.setattr(mapping, "_lane_table", lambda schemes, check: table)
+    assert not mapping.verify_partition(mapping.ROBIN).bijective
+    assert main(["verify-partition", "--scheme", "robin"]) == 3
+    out = capsys.readouterr().out
+    assert "bijective 8x64 partition: NO" in out and "65" in out
 
 
 def test_codec_selftest(capsys):
@@ -218,28 +230,35 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
 
 
 @pytest.mark.parametrize(
-    "config,trace_text,code",
+    "config,trace_text,code,named",
     [
-        ("trace = {trace}\ntrace_format = xml\npw = 0.999\n", "", 1),
-        ("workload = irregular\nrecords = 10\ntrace_format = jsonl\npw = 0.999\n", None, 1),
-        ("workload = irregular\nrecords = 10\nbase_addr = 0xFFFFFFFFFFFFFFC0\npw = 0.999\n", None, 1),
-        ("workload = irregular\nrecords = 500\nbase_addr = -64\npw = 0.999\n", None, 1),
+        ("trace = {trace}\ntrace_format = xml\npw = 0.999\n", "", 1, "trace_format"),
+        ("workload = irregular\nrecords = 10\ntrace_format = jsonl\npw = 0.999\n", None, 1, "trace_format"),
+        ("workload = irregular\nrecords = 10\nbase_addr = 0xFFFFFFFFFFFFFFC0\npw = 0.999\n", None, 1,
+         "64-bit range"),
+        ("workload = irregular\nrecords = 500\nbase_addr = -64\npw = 0.999\n", None, 1, "64-bit range"),
         ("workload = irregular\nrecords = 10\naddresses = 100000000000000000000000\npw = 0.999\n",
-         None, 1),
+         None, 1, "64-bit range"),
         ("workload = irregular\nrecords = 10\ndevice_t_write = 1\ndevice_mu_b = -1e300\n" + DEVICE,
-         None, 1),
+         None, 1, "mu_b"),
         ("workload = narrowint32\nrecords = 100\npw = 0.999\nwarmup = 100000000000000000000\n",
-         None, 1),
+         None, 1, "warmup"),
         ("workload = irregular\nrecords = 10\npw = 1.0\nmonte_carlo = true\n"
-         "trials = 9223372036854775808\n", None, 1),
-        ("trace = {trace}\npw = 0.999\n", DATA_LIST, 2),
-        ("trace = {trace}\npw = 0.999\n", '{"addr": "0x0", "data": 5}\n', 2),
-        ("trace = {trace}\npw = 0.999\n", "[" * 100_000 + "]" * 100_000 + "\n", 2),
-        ("trace =\npw = 0.999\n", None, 1),
-        ("workload = irregular\nrecords = 10\npw = 0.999\nwarmup = -1\n", None, 1),
-        ("workload = irregular\nrecords = 10\naddresses = 0\npw = 0.999\n", None, 1),
+         "trials = 9223372036854775808\n", None, 1, "trials"),
+        ("trace = {trace}\npw = 0.999\n", DATA_LIST, 2, "record 0"),
+        ("trace = {trace}\npw = 0.999\n", '{"addr": "0x0", "data": 5}\n', 2, "record 0"),
+        ("trace = {trace}\npw = 0.999\n", "[" * 100_000 + "]" * 100_000 + "\n", 2, "record 0"),
+        ("trace =\npw = 0.999\n", None, 1, "'trace'"),
+        ("workload = irregular\nrecords = 10\npw = 0.999\nwarmup = -1\n", None, 1, "warmup"),
+        ("workload = irregular\nrecords = 10\naddresses = 0\npw = 0.999\n", None, 1, "address count"),
         ("workload = irregular\nrecords = 10\ndevice_t_write = 1e300\ndevice_mu_b = 1e300\n" + DEVICE,
-         None, 1),
+         None, 1, "exponent"),
+        # a device value is named by its key, not by the DeviceParams field it sets
+        ("workload = irregular\nrecords = 10\ndevice_t_write = x\n" + DEVICE, None, 1,
+         "device_t_write: expected a number, got 'x'"),
+        ("workload = float64walk\nrecords = 10\npw = 0.999\nwalk_scale = 1\n", None, 1, "walk_scale"),
+        ("workload = float64walk\nrecords = 10\npw = 0.999\nwalk_jitter = inf\n", None, 1, "walk_jitter"),
+        ("workload = float64walk\nrecords = 10\npw = 0.999\nwalk_jitter = -1\n", None, 1, "walk_jitter"),
     ],
     ids=[
         "unknown-trace-format",
@@ -257,9 +276,13 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         "negative-warmup",
         "empty-address-pool",
         "device-exponent-overflow",
+        "device-value-not-a-number",
+        "walk-scale-outside-unit-interval",
+        "walk-jitter-infinite",
+        "walk-jitter-negative",
     ],
 )
-def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text, code):
+def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text, code, named):
     trace_path = tmp_path / "trace.jsonl"
     if trace_text is not None:
         trace_path.write_text(trace_text)
@@ -267,8 +290,7 @@ def test_run_hostile_input_ends_in_one_line(tmp_path, capsys, config, trace_text
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:" if code == 1 else "i/o error:")
-    if code == 2:
-        assert "record 0" in err[0]
+    assert named in err[0], err
 
 
 def test_run_out_below_a_regular_file_is_an_io_error(tmp_path, capsys):

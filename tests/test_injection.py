@@ -356,7 +356,7 @@ def test_end_to_end_no_failures():
     cfg = InjectionConfig(pw=1.0, scheme=ROBIN, include_ecc=True)
     outcome = inject_write(ZERO, new, cfg, substream(0, 0))
     check = end_to_end_check(outcome, new, ROBIN)
-    assert check == CodecCrossCheck(agree=True, codewords_checked=8, aliased=0)
+    assert check == CodecCrossCheck(agree=True, aliased=0)
 
 
 def forced_outcome(new, scheme, failed_flats=(), failed_checks=()):
@@ -419,9 +419,7 @@ def test_end_to_end_counts_an_undetected_quadruple_failure_as_aliased():
     checks = [(3, r) for r in range(8) if both >> r & 1]
     outcome = forced_outcome(new, ROBIN, failed_flats=[slots[0], slots[1]], failed_checks=checks)
     assert outcome.failures_per_codeword[3] == 4
-    assert end_to_end_check(outcome, new, ROBIN) == CodecCrossCheck(
-        agree=True, codewords_checked=8, aliased=1
-    )
+    assert end_to_end_check(outcome, new, ROBIN) == CodecCrossCheck(agree=True, aliased=1)
 
 
 def test_end_to_end_flags_a_codec_that_misses_a_double_failure(monkeypatch):
@@ -575,4 +573,4 @@ def test_end_to_end_check_matches_column_search_decoder(case):
             agree &= ok == (failures <= 1)
         else:
             aliased += ok
-    assert end_to_end_check(outcome, new, scheme) == CodecCrossCheck(agree, 8, aliased)
+    assert end_to_end_check(outcome, new, scheme) == CodecCrossCheck(agree, aliased)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracle
 from oracle import bits_to_block, block_to_bits
-from robinsim import secded
+from robinsim import mapping, secded
 from robinsim.bits import block_bytes
 from robinsim.mapping import (
     BATCH,
@@ -121,6 +121,38 @@ def test_verify_partition_interleaved():
     assert report.max_bits_per_byte == (1,) * 8
     assert report.positions_per_codeword == (1,) * 8
     assert report.bytes_per_codeword == (64,) * 8
+
+
+def miscounted_table(scheme, fault):
+    """A writable copy of the scheme's data lane table with one counting fault."""
+    table = _lane_table((scheme,), False).copy()
+    counts = table.view(np.uint8).reshape(64, 256, 8)
+    if fault == "bit-in-two-codewords":
+        # bit 0 of byte 0 is counted in its owner's lane and in the next one, in every value
+        other = (int(np.argmax(counts[0, 1])) + 1) % 8
+        counts[0, 1::2, other] += 1
+    else:
+        # byte 5's 0xFF entry moves a bit from its lane a to lane b, and byte k's
+        # from b to a: every bit still has one lane and every codeword 64 bits
+        a = int(np.argmax(counts[5, 0xFF]))
+        k, b = np.argwhere(counts[:, 0xFF] * (np.arange(8) != a))[0]
+        counts[5, 0xFF, a] -= 1
+        counts[5, 0xFF, b] += 1
+        counts[k, 0xFF, b] -= 1
+        counts[k, 0xFF, a] += 1
+    return table
+
+
+@pytest.mark.parametrize("fault", ("bit-in-two-codewords", "byte-lanes-do-not-add-up"))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
+def test_verify_partition_reads_the_kernels_lane_table(monkeypatch, scheme, fault):
+    # a fault in the table scheme_counts counts with fails the partition check
+    assert verify_partition(scheme).bijective
+    table = miscounted_table(scheme, fault)
+    monkeypatch.setattr(mapping, "_lane_table", lambda schemes, check: table)
+    report = verify_partition(scheme)
+    assert not report.bijective
+    assert (sum(report.codeword_sizes) == 513) == (fault == "bit-in-two-codewords")
 
 
 def test_scheme_geometry_rejected():

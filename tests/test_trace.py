@@ -266,12 +266,14 @@ def test_unknown_format_rejected(tmp_path):
 
 
 def test_shadow_store_cold_reads_zero():
+    # the store is a dict that old_new_pairs fills, and only old_new_pairs reads a
+    # cold address, as zeros
+    a, b, c = (bytes([value]) * 64 for value in (1, 2, 3))
     store = ShadowStore()
-    assert store.get(0) == bytes(64)
-    store.put(0, bytes([1]) * 64)
-    assert store.get(0) == bytes([1]) * 64
-    assert store.get(64) == bytes(64)
-    assert len(store) == 1
+    records = [WriteRecord(0, a), WriteRecord(64, b), WriteRecord(0, c)]
+    assert list(old_new_pairs(records, store)) == [(bytes(64), a), (bytes(64), b), (a, c)]
+    assert store == {0: c, 64: b}
+    assert len(store) == 2
 
 
 def test_pairs_first_write_sees_zeros():
