@@ -32,6 +32,7 @@ A key left out takes the default of the field it sets::
 
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Callable
@@ -78,6 +79,8 @@ def _field_parsers(cls: type) -> dict[str, Callable]:
 _DEVICE_FIELDS = {f"device_{item.name}": item for item in fields(DeviceParams)}
 _DEVICE_KEYS = {key: _PARSERS[item.type] for key, item in _DEVICE_FIELDS.items()}
 _DEVICE_REQUIRED = {key for key, item in _DEVICE_FIELDS.items() if item.default is MISSING}
+# the field names in a DeviceParams range error, each to be replaced by its key
+_DEVICE_FIELD_NAMES = re.compile(rf"\b({'|'.join(item.name for item in _DEVICE_FIELDS.values())})\b")
 # WorkloadSpec.valid_words is set by its two ends
 _WORKLOAD_KEYS = {**_field_parsers(WorkloadSpec), "valid_words_min": _as_int, "valid_words_max": _as_int}
 _SCALAR_KEYS = _field_parsers(ExperimentConfig)
@@ -137,7 +140,7 @@ def config_from_values(values: dict[str, str], out_override: str | None = None) 
         try:
             kwargs["device"] = DeviceParams(**{_DEVICE_FIELDS[key].name: value for key, value in device.items()})
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(_DEVICE_FIELD_NAMES.sub(r"device_\1", str(exc))) from exc
 
     if "workload" in values:
         kwargs["workload"] = _build_workload(values["workload"], values)

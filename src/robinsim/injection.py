@@ -69,8 +69,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import secded
-from .bits import BLOCK_BYTES, block_bytes, stack_blocks
-from .mapping import CODEWORDS, MappingScheme, block_datawords, cell_assignment, check_words, scheme_counts
+from .bits import BLOCK_BITS, BLOCK_BYTES, block_bytes, stack_blocks
+from .mapping import CODEWORDS, MappingScheme, block_datawords, check_words, scheme_counts
 from .trace import pair_batches
 
 _MASK64 = (1 << 64) - 1
@@ -183,10 +183,10 @@ def inject_write(
     counts = [0] * CODEWORDS
     if cfg.pw < 1.0 and flipping.size:
         failed = flipping[_field_failures(key, 0, -1, flipping.size, 1.0 - cfg.pw)]
-        for cell, codeword in zip(failed.tolist(), cell_assignment(cfg.scheme)[failed].tolist()):
+        for cell in failed.tolist():
             # a failed cell keeps its old value, the complement of the new one
             stored[cell >> 3] ^= 1 << (cell & 7)
-            counts[codeword] += 1
+            counts[cfg.scheme.assignment[cell] if cell < BLOCK_BITS else (cell >> 3) - BLOCK_BYTES] += 1
     return WriteOutcome(
         written=bytes(stored[:BLOCK_BYTES]),
         written_check=tuple(stored[BLOCK_BYTES:]) if cfg.include_ecc else None,

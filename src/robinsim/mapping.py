@@ -15,22 +15,23 @@ Inside a codeword, data bits are ordered by ascending flat index; that order
 defines the dataword slots fed to the codec, so check bits are bit-exact
 functions of the scheme.
 
-:data:`KINDS` are the keys of one table of owner rules, and every table below
-derives from :func:`scheme_assignment`, which evaluates a kind's rule.
-:func:`scheme_counts` is the batch kernel, valid for any assignment of bits
-to codewords: each payload byte is looked up once in a data table and, when
-check bits count, once in a check table, with one byte lane per codeword of
-every scheme of the call. :func:`codeword_counts`, the one counting rule, is
-its one-scheme call at every row count; :func:`check_words` XORs a payload's
-check lanes, and :func:`verify_partition` reads the partition from a scheme's
-data lanes. :func:`block_datawords` and :func:`transition_vector`, one
-write's row of eight ints, pack bits in slot order by one cached permutation.
+:data:`KINDS` are the keys of one table of owner rules. A :class:`MappingScheme`
+derives its layout from its kind's rule on first use: :attr:`~MappingScheme.assignment`
+gives each bit's codeword, and :attr:`~MappingScheme.perm` lists the bits in slot
+order. :func:`scheme_counts` is the batch kernel, valid for any assignment of
+bits to codewords: each payload byte is looked up once in a data table and,
+when check bits count, once in a check table, built from ``perm`` with one byte
+lane per codeword of every scheme of the call. :func:`codeword_counts`, the one
+counting rule, is its one-scheme call at every row count; :func:`check_words`
+XORs a payload's check lanes, and :func:`verify_partition` reads the partition
+from a scheme's data lanes. :func:`block_datawords` and :func:`transition_vector`,
+one write's row of eight ints, pack bits by the scheme's slot order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,7 +50,6 @@ KINDS = tuple(_OWNER_RULES)
 WORDS = 8
 BITS_PER_BYTE = 8
 CODEWORDS = 8
-DATAWORD_BITS = 64
 # writes per batch of trace.pair_batches and reliability.trace_error_rate;
 # float sums are reduced per batch, so rates depend on it. Must stay <= 65535:
 # per-bit histograms sum one batch in uint16.
@@ -70,45 +70,33 @@ class MappingScheme:
         if self.kind not in KINDS:
             raise InvalidSchemeError(f"unknown scheme kind {self.kind!r}; expected one of {KINDS}")
 
+    def __reduce__(self):
+        return type(self), (self.kind,)
+
+    @cached_property
+    def assignment(self) -> np.ndarray:
+        """Read-only length-512 vector mapping each flat bit index to its codeword id."""
+        flats = np.arange(BLOCK_BITS)
+        ids = _OWNER_RULES[self.kind](flats // 64, (flats % 64) // 8, flats % 8).astype(np.int64)
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """Read-only flat indices by (codeword, flat): row n of the (8, 64) reshape is codeword n's slots."""
+        perm = np.argsort(self.assignment, kind="stable")
+        perm.setflags(write=False)
+        return perm
+
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        """:attr:`perm` in numpy's bit order (bit i ^ 7); writable, as take copies read-only indices."""
+        return self.perm[np.arange(BLOCK_BITS) ^ 7] ^ 7
+
 
 PER_WORD = MappingScheme("per-word")
 INTERLEAVED = MappingScheme("interleaved")
 ROBIN = MappingScheme("robin")
-
-
-@lru_cache(maxsize=None)
-def scheme_assignment(scheme: MappingScheme) -> np.ndarray:
-    """Length-512 vector mapping each flat bit index to its codeword id."""
-    flats = np.arange(BLOCK_BITS)
-    ids = _OWNER_RULES[scheme.kind](flats // 64, (flats % 64) // 8, flats % 8).astype(np.int64)
-    ids.setflags(write=False)
-    return ids
-
-
-@lru_cache(maxsize=None)
-def cell_assignment(scheme: MappingScheme) -> np.ndarray:
-    """Length-576 vector mapping each cell of a block to its codeword id.
-
-    Cells 0..511 are the data bits by flat index; cell 512 + 8n + r is check
-    bit r of codeword n.
-    """
-    ids = np.append(scheme_assignment(scheme), np.arange(CODEWORDS).repeat(secded.CHECK_BITS))
-    ids.setflags(write=False)
-    return ids
-
-
-@lru_cache(maxsize=None)
-def scheme_perm(scheme: MappingScheme) -> np.ndarray:
-    """Flat indices sorted by (codeword, flat): row n of the (8, 64) reshape is codeword n's slots."""
-    perm = np.argsort(scheme_assignment(scheme), kind="stable")
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=None)
-def _slot_order(kind: str) -> np.ndarray:
-    """:func:`scheme_perm` in the default bit order (bit i ^ 7); writable, as take copies read-only indices."""
-    return scheme_perm(MappingScheme(kind))[np.arange(BLOCK_BITS) ^ 7] ^ 7
 
 
 _BYTE_OFFSETS = (256 * np.arange(BLOCK_BYTES, dtype=np.uint16))[:, None]   # byte j's table entries
@@ -122,11 +110,11 @@ def _check_payloads(blocks: np.ndarray) -> None:
 def block_datawords(scheme: MappingScheme, blocks: np.ndarray) -> np.ndarray:
     """The ``(n, 8)`` uint64 datawords, one per codeword, of ``(n, 64)`` uint8 payloads.
 
-    The bits are unpacked, permuted by :func:`scheme_perm` so that slot s of
-    codeword n is bit 64n + s, and packed again: the slot-order definition itself.
+    The bits are unpacked, permuted by :attr:`MappingScheme.perm` so that slot s
+    of codeword n is bit 64n + s, and packed again: the slot-order definition itself.
     """
     _check_payloads(blocks)
-    slots = np.unpackbits(blocks, axis=1).take(_slot_order(scheme.kind), axis=1)
+    slots = np.unpackbits(blocks, axis=1).take(scheme._slots, axis=1)
     return np.packbits(slots, axis=1).view("<u8")
 
 
@@ -185,7 +173,7 @@ def verify_partition(scheme: MappingScheme) -> PartitionReport:
     bijective = bool(
         np.all(per_bit.sum(axis=2) == 1)
         and np.array_equal(per_byte, per_bit.sum(axis=1))
-        and np.all(sizes == DATAWORD_BITS)
+        and np.all(sizes == secded.DATA_BITS)
     )
     bits_per_byte = per_byte.T
     bits_per_word = per_byte.reshape(WORDS, -1, CODEWORDS).sum(axis=1).T
@@ -218,8 +206,8 @@ def _lane_table(schemes: tuple[MappingScheme, ...], check: bool) -> np.ndarray:
     n codeword n's: :func:`check_words`.
     """
     # rank[j, b, s] = 64 * codeword + slot of bit b of payload byte j under scheme s
-    rank = np.argsort([scheme_perm(scheme) for scheme in schemes], axis=1).T
-    codeword, slot = np.divmod(rank.reshape(BLOCK_BYTES, BITS_PER_BYTE, len(schemes)), DATAWORD_BITS)
+    rank = np.argsort([scheme.perm for scheme in schemes], axis=1).T
+    codeword, slot = np.divmod(rank.reshape(BLOCK_BYTES, BITS_PER_BYTE, len(schemes)), secded.DATA_BITS)
     lane = (BITS_PER_BYTE * codeword).astype(np.uint64)
     if check:
         combine, bit_value = np.bitwise_xor, np.array(secded.DATA_COLUMNS, dtype=np.uint64)[slot] << lane
@@ -290,7 +278,7 @@ def transition_vector(
     olds, news = np.frombuffer(old, np.uint8), np.frombuffer(new, np.uint8)
     if len(olds) != BLOCK_BYTES or len(news) != BLOCK_BYTES:
         block_bytes(old), block_bytes(new)   # raises block_bytes' error for the first bad one
-    words = np.packbits(np.unpackbits(olds ^ news).take(_slot_order(scheme.kind))).view("<u8")
+    words = np.packbits(np.unpackbits(olds ^ news).take(scheme._slots)).view("<u8")
     cells = np.bitwise_count(words)
     if include_ecc:
         cells += np.bitwise_count(secded.encode_words(words))

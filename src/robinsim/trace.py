@@ -22,11 +22,11 @@ Old/new block pairs are derived by replaying records against a shadow store,
 a plain dict of the last payload written to each address; only
 :func:`old_new_pairs` reads a never-written address, as all zeros. A warmup
 count can suppress the first records from statistics while still updating
-the store. :func:`pair_batches` is the
-one batching of a pair stream, one join per batch. :func:`codeword_stats`
-folds each batch with :class:`robinsim.reliability.TraceAccumulator`, as
-``run_experiment`` does; its fixed float order makes the two agree exactly
-for any set of schemes.
+the store. :func:`pair_batches` is the one batching of a pair stream, one join
+per batch. :func:`codeword_stats` folds each batch with
+:class:`robinsim.reliability.TraceAccumulator`, as ``run_experiment`` does; at
+``include_ecc=False`` its fixed float order makes the two agree exactly for any
+set of schemes (``run_experiment`` spreads data bits even with ECC on).
 """
 
 from __future__ import annotations
@@ -365,7 +365,9 @@ def codeword_stats(
     """Per-write sorted/normalized codeword transitions aggregated over a trace.
 
     The spread of a one-scheme :class:`robinsim.reliability.TraceAccumulator`
-    over each write's cells; it folds no rates, so pw 1 stands in for a p_write.
+    over each write's cells, check bits too with ``include_ecc``, where
+    ``run_experiment`` spreads data bits only; it folds no rates, so pw 1
+    stands in for a p_write.
     """
     acc = TraceAccumulator(1.0)
     for olds, news in pair_batches(pairs):

@@ -256,6 +256,13 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         # a device value is named by its key, not by the DeviceParams field it sets
         ("workload = irregular\nrecords = 10\ndevice_t_write = x\n" + DEVICE, None, 1,
          "device_t_write: expected a number, got 'x'"),
+        # and so is a range error of the DeviceParams field it sets
+        ("workload = irregular\nrecords = 10\ndevice_t_write = nan\n" + DEVICE, None, 1,
+         "device_t_write must be finite"),
+        ("workload = irregular\nrecords = 10\ndevice_t_write = 1\n" + DEVICE.replace("= 0.5", "= 1.5"),
+         None, 1, "device_polarization must lie in (0, 1)"),
+        ("workload = irregular\nrecords = 10\ndevice_t_write = 1\n" + DEVICE.replace("= 1.5", "= 0.5"),
+         None, 1, "device_i_write=0.5 below critical current device_i_c0=1.0"),
         ("workload = float64walk\nrecords = 10\npw = 0.999\nwalk_scale = 1\n", None, 1, "walk_scale"),
         ("workload = float64walk\nrecords = 10\npw = 0.999\nwalk_jitter = inf\n", None, 1, "walk_jitter"),
         ("workload = float64walk\nrecords = 10\npw = 0.999\nwalk_jitter = -1\n", None, 1, "walk_jitter"),
@@ -277,6 +284,9 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         "empty-address-pool",
         "device-exponent-overflow",
         "device-value-not-a-number",
+        "device-t-write-not-finite",
+        "device-polarization-outside-unit-interval",
+        "device-write-current-below-critical",
         "walk-scale-outside-unit-interval",
         "walk-jitter-infinite",
         "walk-jitter-negative",

@@ -362,7 +362,7 @@ def test_end_to_end_no_failures():
 def forced_outcome(new, scheme, failed_flats=(), failed_checks=()):
     """Hand-built WriteOutcome with an exact failure pattern relative to `new`."""
     from robinsim.injection import WriteOutcome
-    from robinsim.mapping import block_datawords, scheme_assignment
+    from robinsim.mapping import block_datawords
     from robinsim.secded import encode_words
 
     bits = block_to_bits(new).copy()
@@ -371,7 +371,7 @@ def forced_outcome(new, scheme, failed_flats=(), failed_checks=()):
     check_words = [int(c) for c in encode_words(block_datawords(scheme, block_bytes(new)[None])[0])]
     counts = [0] * 8
     for flat in failed_flats:
-        counts[int(scheme_assignment(scheme)[flat])] += 1
+        counts[int(scheme.assignment[flat])] += 1
     for n, bit in failed_checks:
         check_words[n] ^= 1 << bit
         counts[n] += 1
@@ -449,7 +449,7 @@ def test_inject_write_cell_order(monkeypatch):
     # a hash whose gaps are all 2 fails every second transitioning cell
     monkeypatch.setattr(injection, "splitmix", constant_hash(GAP_TWO_HASH))
 
-    from robinsim.mapping import block_datawords, scheme_assignment
+    from robinsim.mapping import block_datawords
     from robinsim.secded import encode_words
 
     rng = np.random.default_rng(12)
@@ -472,7 +472,7 @@ def test_inject_write_cell_order(monkeypatch):
     for cell in failed:
         if cell < 512:
             written[cell] ^= 1
-            counts[int(scheme_assignment(ROBIN)[cell])] += 1
+            counts[int(ROBIN.assignment[cell])] += 1
         else:
             n, r = divmod(cell - 512, 8)
             stored_check[n] ^= 1 << r

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,9 +21,7 @@ from robinsim.mapping import (
     block_datawords,
     check_words,
     codeword_counts,
-    scheme_assignment,
     scheme_counts,
-    scheme_perm,
     transition_vector,
     verify_partition,
 )
@@ -30,7 +31,7 @@ SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
 
 def owner(scheme, word, byte, pos):
     """The codeword that owns bit ``pos`` of byte ``byte`` of word ``word``."""
-    return int(scheme_assignment(scheme)[64 * word + 8 * byte + pos])
+    return int(scheme.assignment[64 * word + 8 * byte + pos])
 
 
 def datawords(scheme, block):
@@ -53,14 +54,14 @@ def robin_forward_assignment():
 def test_map_bit_reference_points():
     assert owner(ROBIN, 0, 0, 0) == 0
     assert owner(ROBIN, 1, 2, 3) == 0
-    assert scheme_assignment(PER_WORD)[100] == 1
-    assert scheme_assignment(INTERLEAVED)[100] == 4
+    assert PER_WORD.assignment[100] == 1
+    assert INTERLEAVED.assignment[100] == 4
 
 
 def test_robin_matches_forward_enumeration():
     oracle = robin_forward_assignment()
     for flat, expected in oracle.items():
-        assert scheme_assignment(ROBIN)[flat] == expected
+        assert ROBIN.assignment[flat] == expected
 
 
 def test_codeword_data_bits_reference_points():
@@ -73,9 +74,9 @@ def test_codeword_data_bits_reference_points():
     assert sorted(flat // 8 for flat in robin0) == list(range(64))
     forward = sorted(f for f, n in robin_forward_assignment().items() if n == 0)
     assert list(robin0) == forward
-    # row n of scheme_perm is codeword n's data bits in slot order
+    # row n of a scheme's perm is codeword n's data bits in slot order
     for scheme in SCHEMES:
-        rows = scheme_perm(scheme).reshape(8, 64)
+        rows = scheme.perm.reshape(8, 64)
         for n in range(8):
             assert tuple(rows[n].tolist()) == oracle.codeword_bits(scheme.kind, n)
 
@@ -83,7 +84,7 @@ def test_codeword_data_bits_reference_points():
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
 def test_partition_property(scheme):
     seen = []
-    for row in scheme_perm(scheme).reshape(8, 64).tolist():
+    for row in scheme.perm.reshape(8, 64).tolist():
         assert len(row) == 64
         assert row == sorted(row)
         seen.extend(row)
@@ -94,7 +95,42 @@ def test_partition_property(scheme):
 def test_map_bit_roundtrip_with_codeword_data_bits(scheme):
     for n in range(8):
         for flat in oracle.codeword_bits(scheme.kind, n):
-            assert scheme_assignment(scheme)[flat] == n
+            assert scheme.assignment[flat] == n
+
+
+def test_a_scheme_built_by_name_is_the_constant_and_shares_its_lane_tables():
+    diff = np.random.default_rng(11).integers(0, 256, (4, 64), dtype=np.uint8)
+    expected = codeword_counts(ROBIN, diff)
+    scheme = MappingScheme("robin")
+    assert scheme == ROBIN and hash(scheme) == hash(ROBIN)
+    misses = _lane_table.cache_info().misses
+    counts = codeword_counts(scheme, diff)
+    assert _lane_table.cache_info().misses == misses
+    assert all(np.array_equal(got, want) for got, want in zip(counts, expected))
+    # the tables are ROBIN's, so the new scheme has still derived nothing
+    assert vars(scheme) == {"kind": "robin"}
+
+
+def test_a_scheme_derives_its_layout_on_first_use_and_it_is_read_only():
+    scheme = MappingScheme("robin")
+    assert vars(scheme) == {"kind": "robin"}
+    assert np.array_equal(scheme.perm, ROBIN.perm)
+    assert set(vars(scheme)) == {"kind", "assignment", "perm"}
+    assert scheme.assignment is scheme.assignment
+    for name in ("assignment", "perm"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(scheme, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scheme, name, np.zeros(512, dtype=np.int64))
+
+
+def test_a_scheme_pickles_by_its_kind():
+    scheme = MappingScheme("robin")
+    assert scheme.assignment.size == 512
+    copy = pickle.loads(pickle.dumps(scheme))
+    assert copy == ROBIN and hash(copy) == hash(ROBIN)
+    assert vars(copy) == {"kind": "robin"}
+    assert not copy.assignment.flags.writeable
 
 
 def test_verify_partition_robin():
@@ -338,7 +374,7 @@ def test_datawords_slot_order():
             bits = np.zeros(512, dtype=np.uint8)
             bits[flat] = 1
             block = bits_to_block(bits)
-            n = scheme_assignment(scheme)[flat]
+            n = scheme.assignment[flat]
             slot = oracle.codeword_bits(scheme.kind, n).index(flat)
             words = datawords(scheme, block)
             assert int(words[n]) == 1 << slot
@@ -374,7 +410,7 @@ def test_every_codeword_owns_64_distinct_bits(scheme, n):
     bits = oracle.codeword_bits(scheme.kind, n)
     assert len(set(bits)) == 64
     for flat in bits:
-        assert scheme_assignment(scheme)[flat] == n
+        assert scheme.assignment[flat] == n
         assert oracle.owner(scheme.kind, flat) == n
 
 
