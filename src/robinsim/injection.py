@@ -62,18 +62,16 @@ every cross-checked write also checks those two encoders against each other.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import secded
-from .bits import BLOCK_BITS, BLOCK_BYTES, block_bytes, stack_blocks
+from .bits import BLOCK_BITS, BLOCK_BYTES, _int_setting, block_bytes, stack_blocks
 from .mapping import CODEWORDS, MappingScheme, block_datawords, check_words, scheme_counts
 from .trace import pair_batches
 
-_MASK64 = (1 << 64) - 1
 # splitmix64: golden-gamma increment and the two finalizer multipliers
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
@@ -120,6 +118,14 @@ def splitmix(keys: int | np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InjectionConfig:
+    """Monte Carlo settings: p_write, scheme, trials per record, seed and check-bit injection.
+
+    ``trials`` must be an integer in [1, 2**32 - 1] and ``seed`` one in
+    [0, 2**64 - 1], numpy integers too, each stored as an ``int``; any other
+    raises ``ValueError``: ``<name> must be an integer, got <value!r>`` or
+    ``<name> must lie in [lo, hi], got <value>``.
+    """
+
     pw: float
     scheme: MappingScheme
     trials: int = 1
@@ -129,13 +135,9 @@ class InjectionConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.pw <= 1.0:
             raise ValueError(f"p_write must lie in [0, 1], got {self.pw}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.trials >= 2**32:
-            # a trial chunk's index fills the high 32 bits of its draw counters
-            raise ValueError(f"trials must be below 2**32, got {self.trials}")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        # a trial chunk's index fills the high 32 bits of its draw counters
+        object.__setattr__(self, "trials", _int_setting("trials", self.trials, 1, 2**32 - 1))
+        object.__setattr__(self, "seed", _int_setting("seed", self.seed, 0, 2**64 - 1))
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,10 @@ def monte_carlo_block(
     ``record_index`` to ``record_index + n - 1``; for a batch, ``p_block``,
     ``stderr`` and ``successes`` are ``(n,)`` arrays. Record r draws from the key
     ``mix_seed(seed, r)`` (see the module docstring), so a record's estimate
-    is the same in any batch. ``record_index`` is an integer (numpy integers
-    too), and every record of the call must lie in [0, 2**64) (ValueError).
+    is the same in any batch. ``record_index`` must be an integer (numpy
+    integers too) in [0, 2**64 - n], so every record lies in [0, 2**64); any
+    other raises ``ValueError``: ``record_index must be an integer, got
+    <value!r>`` or ``record_index must lie in [0, 2**64 - n], got <value>``.
 
     ``schemes`` estimates every listed scheme in place of ``cfg.scheme``, on
     the same draws: the three arrays then get a leading axis of one entry
@@ -246,14 +250,7 @@ def monte_carlo_block(
     if batch and np.shape(old) != np.shape(new):
         raise ValueError(f"old and new batches differ in shape: {np.shape(old)} and {np.shape(new)}")
     diff = old ^ new if batch else (block_bytes(old) ^ block_bytes(new))[None]
-    try:
-        first = operator.index(record_index)
-    except TypeError:
-        first = -1
-    if not 0 <= first <= 2**64 - len(diff):
-        raise ValueError(
-            f"record_index must be an integer whose {len(diff)} records lie in [0, 2**64), got {record_index!r}"
-        )
+    first = _int_setting("record_index", record_index, 0, 2**64 - len(diff))
     cells = scheme_counts((cfg.scheme,) if schemes is None else schemes, diff, cfg.include_ecc)[1]
     failed = _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, first)
     successes = cfg.trials - (failed if batch else failed[:, 0])

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import reliability
-from .bits import BLOCK_BITS, blocks_to_bits
+from .bits import BLOCK_BITS, _int_setting, blocks_to_bits
 from .injection import InjectionConfig, MonteCarloAccumulator, TraceEstimate
 from .mapping import KINDS, MappingScheme, scheme_counts
 from .reliability import CodewordStats, DeviceParams, TraceAccumulator
@@ -76,9 +76,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown trace_format {self.trace_format!r}; expected one of {FORMATS}")
         if (self.pw is None) == (self.device is None):
             raise ConfigError("exactly one p_write source required: pw or device parameters")
-        if self.warmup < 0:
-            raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
         try:
+            _int_setting("warmup", self.warmup, 0)
             schemes = tuple(MappingScheme(name) for name in self.schemes)
             injection = InjectionConfig(
                 pw=reliability.p_write_from_device(self.device) if self.pw is None else self.pw,

@@ -32,7 +32,6 @@ set of schemes (``run_experiment`` spreads data bits even with ECC on).
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from binascii import unhexlify
 from itertools import chain, islice, repeat
@@ -42,7 +41,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bits import BLOCK_BYTES, stack_blocks
+from .bits import BLOCK_BYTES, _int_setting, stack_blocks
 from .mapping import BATCH, MappingScheme, scheme_counts
 from .reliability import CodewordStats, TraceAccumulator, _codeword_major
 
@@ -83,17 +82,15 @@ class WriteRecord(_WriteRecordFields):
 
     An immutable named tuple; the constructor checks both fields, and an
     integer address of another type (a numpy integer) becomes an ``int``.
+    An address that is not an integer in [0, 2**64 - 1] raises ``ValueError``
+    as ``address must be an integer, got <addr!r>`` or ``address must lie in
+    [0, 18446744073709551615], got <addr>``.
     """
 
     __slots__ = ()
 
     def __new__(cls, addr: int, data: bytes) -> WriteRecord:
-        try:
-            addr = operator.index(addr)
-        except TypeError:
-            raise ValueError(f"address must be an integer, got {addr!r}") from None
-        if not 0 <= addr < 1 << 64:
-            raise ValueError(f"address out of 64-bit range: {addr:#x}")
+        addr = _int_setting("address", addr, 0, 2**64 - 1)
         if addr % BLOCK_BYTES:
             raise ValueError(f"address {addr:#x} not aligned to {BLOCK_BYTES} bytes")
         if len(data) != BLOCK_BYTES:
@@ -326,10 +323,12 @@ def old_new_pairs(
 
     ``store`` maps each address written so far to its last payload, and an
     address it lacks reads as zeros; a store passed in is updated in place.
-    The first ``warmup`` records update the store but are not emitted.
+    The first ``warmup`` records update the store but are not emitted;
+    ``warmup`` must be an integer >= 0 (numpy integers too), and any other
+    raises ``ValueError`` as ``warmup must be an integer, got <value!r>`` or
+    ``warmup must lie in [0, inf], got <value>``.
     """
-    if warmup < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup}")
+    warmup = _int_setting("warmup", warmup, 0)
     store = {} if store is None else store
     get = store.get
     records = iter(records)

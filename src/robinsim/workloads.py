@@ -58,7 +58,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bits import BLOCK_BYTES
+from .bits import BLOCK_BYTES, _int_setting
 from .injection import mix_seed, splitmix
 from .trace import WriteRecord, _records
 
@@ -78,7 +78,16 @@ _MAX_LOG2_STEP = (50 << 16) - 1     # 16.16 fixed point
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Parameters of one synthetic workload; unused kind-specific fields are ignored."""
+    """Parameters of one synthetic workload; unused kind-specific fields are ignored.
+
+    Integer fields must be integers (numpy integers too), stored as ``int``:
+    ``records`` >= 1, ``addresses`` in [1, 2**58], ``base_addr`` block aligned
+    in [0, 2**64 - 64 * addresses], ``width`` in [1, 32], ``pinned_top_bits``
+    in [0, 8], and ``valid_words`` ends named by their config keys,
+    ``valid_words_min`` in [1, 8] and ``valid_words_max`` in [min, 8]. Any
+    other raises ``ValueError``: ``<name> must be an integer, got <value!r>``
+    or ``<name> must lie in [lo, hi], got <value>``.
+    """
 
     kind: str
     records: int
@@ -94,42 +103,38 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}; expected one of {KINDS}")
-        if self.records < 1:
-            raise ValueError(f"record count must be >= 1, got {self.records}")
-        if self.addresses < 1:
-            raise ValueError(f"address count must be >= 1, got {self.addresses}")
-        if self.base_addr % BLOCK_BYTES:
-            raise ValueError(f"base address {self.base_addr:#x} not block aligned")
-        if not 0 <= self.base_addr <= 2**64 - BLOCK_BYTES * self.addresses:
-            raise ValueError(
-                f"{self.addresses} blocks from base address {self.base_addr:#x} leave the 64-bit range"
-            )
+        # as ints, a numpy integer gives the stream of its value; 2**58 blocks of
+        # 64 bytes fill the 64-bit address space
+        for name, lo, hi in (("records", 1, math.inf), ("addresses", 1, 2**58), ("width", 1, 32),
+                             ("pinned_top_bits", 0, 8)):
+            object.__setattr__(self, name, _int_setting(name, getattr(self, name), lo, hi))
+        base = _int_setting("base_addr", self.base_addr, 0, 2**64 - BLOCK_BYTES * self.addresses)
+        if base % BLOCK_BYTES:
+            raise ValueError(f"base address {base:#x} not block aligned")
+        object.__setattr__(self, "base_addr", base)
+        lo, hi = self.valid_words
+        lo = _int_setting("valid_words_min", lo, 1, _WORDS)
+        object.__setattr__(self, "valid_words", (lo, _int_setting("valid_words_max", hi, lo, _WORDS)))
         if not 0.0 < self.walk_scale < 1.0:
             raise ValueError(f"walk_scale must lie in (0, 1), got {self.walk_scale}")
         if not 0 <= self.walk_jitter < math.inf:
             raise ValueError(f"walk_jitter must be non-negative and finite, got {self.walk_jitter}")
-        if not 1 <= self.width <= 32:
-            raise ValueError(f"width must lie in [1, 32], got {self.width}")
         if not 0.0 < self.update_rate <= 1.0:
             raise ValueError(f"update_rate must lie in (0, 1], got {self.update_rate}")
-        lo, hi = self.valid_words
-        if not 1 <= lo <= hi <= _WORDS:
-            raise ValueError(f"valid_words range must satisfy 1 <= lo <= hi <= 8, got {self.valid_words}")
-        if not 0 <= self.pinned_top_bits <= 8:
-            raise ValueError(f"pinned_top_bits must lie in [0, 8], got {self.pinned_top_bits}")
 
 
 def gen_workload(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
     """Deterministic stream of ``spec.records`` write records.
 
     Each record picks an address; a cold address first draws its state once,
-    then every write advances that state and stores its payload. A seed
-    outside [0, 2**64) raises ``ValueError`` here, before any record is drawn.
+    then every write advances that state and stores its payload. The seed
+    must be an integer (numpy integers too) in [0, 2**64 - 1]; any other
+    raises ``ValueError`` here, before any record is drawn: ``seed must be an
+    integer, got <seed!r>`` or ``seed must lie in [0, 18446744073709551615],
+    got <seed>``.
     """
     # seeds are mixed modulo 2**64, so a larger one would alias a smaller one
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return _stream(spec, seed)
+    return _stream(spec, _int_setting("seed", seed, 0, 2**64 - 1))
 
 
 def _stream(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
@@ -142,23 +147,21 @@ def _stream(spec: WorkloadSpec, seed: int) -> Iterator[WriteRecord]:
         positions = np.arange(start * _RECORD_DRAWS, (start + n) * _RECORD_DRAWS, dtype=np.uint64)
         draws = splitmix(record_key, positions).reshape(n, _RECORD_DRAWS)
         index = draws[:, 0] % np.uint64(spec.addresses)
-        seen, inverse = np.unique(index, return_inverse=True)
-        seen = seen.tolist()
+        # a stable sort by address keeps each address's records in stream order
+        order = np.argsort(index, kind="stable")
+        sorted_index = index[order]
+        first = np.flatnonzero(np.concatenate(([True], sorted_index[1:] != sorted_index[:-1])))
+        lengths = np.diff(np.append(first, n))
+        seen = sorted_index[first].tolist()
         new = [i for i in seen if i not in rows]
         if new:
             cold_positions = np.array(new, dtype=np.uint64)[:, None] * np.uint64(_COLD_DRAWS)
             cold_positions = cold_positions + np.arange(_COLD_DRAWS, dtype=np.uint64)
             table = _store(table, len(rows), cold(spec, splitmix(cold_key, cold_positions)))
             rows.update(zip(new, range(len(rows), len(rows) + len(new))))
-        record_rows = np.array([rows[i] for i in seen])[inverse]
-        # a stable sort by row keeps each address's records in stream order
-        order = np.argsort(record_rows, kind="stable")
-        sorted_rows = record_rows[order]
-        change = sorted_rows[1:] != sorted_rows[:-1]
-        first = np.flatnonzero(np.concatenate(([True], change)))
-        seg_start = np.repeat(first, np.diff(np.append(first, n)))
-        seg_end = np.concatenate((change, [True]))
-        values = step(spec, table, sorted_rows, draws[order, 1:], seg_start, seg_end)
+        sorted_rows = np.repeat([rows[i] for i in seen], lengths)
+        seg_start = np.repeat(first, lengths)
+        values = step(spec, table, sorted_rows, draws[order, 1:], seg_start, first + lengths - 1)
         payload = np.empty_like(values)
         payload[order] = values
         addrs = (np.uint64(spec.base_addr) + index * np.uint64(BLOCK_BYTES)).tolist()
@@ -205,7 +208,7 @@ def _fields_step(
     rows: np.ndarray,
     draws: np.ndarray,
     seg_start: np.ndarray,
-    seg_end: np.ndarray,
+    seg_last: np.ndarray,
 ) -> np.ndarray:
     """Each record's 16 field values; a field keeps its value until its next rewrite."""
     thresholds, pins, values = table[rows].transpose(1, 0, 2)
@@ -218,7 +221,7 @@ def _fields_step(
     # latest == 0 takes a wrapped index here; np.where discards it
     rewrites = fresh.take((latest - 1) * _FIELDS32 + np.arange(_FIELDS32, dtype=np.int32))
     current = np.where(latest > seg_start[:, None], rewrites, values)
-    table[rows[seg_end], 2] = current[seg_end]
+    table[rows[seg_last], 2] = current[seg_last]
     return current.astype("<u4")
 
 
@@ -245,7 +248,7 @@ def _walk_step(
     rows: np.ndarray,
     draws: np.ndarray,
     seg_start: np.ndarray,
-    seg_end: np.ndarray,
+    seg_last: np.ndarray,
 ) -> np.ndarray:
     """Each record's eight big-endian doubles after its walk step; dead words stand still."""
     base = round((52 + math.log2(spec.walk_scale)) * 65536)
@@ -262,7 +265,7 @@ def _walk_step(
     # per-segment inclusive sums: the chunk's running sum minus its value before the segment
     total = np.cumsum(steps, axis=0)
     position = (state[:, :_WORDS] + total - (total - steps)[seg_start]) % (2 * _BAND)
-    table[rows[seg_end], :_WORDS] = position[seg_end]
+    table[rows[seg_last], :_WORDS] = position[seg_last]
     reflected = np.where(position < _BAND, position, 2 * _BAND - 1 - position)
     return (_BAND_LO + reflected).astype(">i8")
 
@@ -270,9 +273,9 @@ def _walk_step(
 # kind -> (cold-address state rows, chunk step); float64walk is partialvalid
 # with all eight words live, narrowint32 is irregular with one rate and no pins.
 # A step gets a chunk's records sorted stably by address: their table rows and
-# 16 payload draws, the index of each record's segment start and a mask of each
-# segment's last record. It returns their payloads and writes each address's
-# final state back to its row.
+# 16 payload draws, the index of each record's segment start and the indices of
+# each segment's last record. It returns their payloads and writes each
+# address's final state back to its row.
 _KIND_RULES = {
     "float64walk": (_walk_cold, _walk_step),
     "narrowint32": (_fields_cold, _fields_step),

@@ -235,10 +235,10 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         ("trace = {trace}\ntrace_format = xml\npw = 0.999\n", "", 1, "trace_format"),
         ("workload = irregular\nrecords = 10\ntrace_format = jsonl\npw = 0.999\n", None, 1, "trace_format"),
         ("workload = irregular\nrecords = 10\nbase_addr = 0xFFFFFFFFFFFFFFC0\npw = 0.999\n", None, 1,
-         "64-bit range"),
-        ("workload = irregular\nrecords = 500\nbase_addr = -64\npw = 0.999\n", None, 1, "64-bit range"),
+         "base_addr"),
+        ("workload = irregular\nrecords = 500\nbase_addr = -64\npw = 0.999\n", None, 1, "base_addr"),
         ("workload = irregular\nrecords = 10\naddresses = 100000000000000000000000\npw = 0.999\n",
-         None, 1, "64-bit range"),
+         None, 1, "addresses"),
         ("workload = irregular\nrecords = 10\ndevice_t_write = 1\ndevice_mu_b = -1e300\n" + DEVICE,
          None, 1, "mu_b"),
         ("workload = narrowint32\nrecords = 100\npw = 0.999\nwarmup = 100000000000000000000\n",
@@ -250,7 +250,7 @@ DATA_LIST = '{"addr": "0x0", "data": [' + ", ".join(["0"] * 128) + "]}\n"
         ("trace = {trace}\npw = 0.999\n", "[" * 100_000 + "]" * 100_000 + "\n", 2, "record 0"),
         ("trace =\npw = 0.999\n", None, 1, "'trace'"),
         ("workload = irregular\nrecords = 10\npw = 0.999\nwarmup = -1\n", None, 1, "warmup"),
-        ("workload = irregular\nrecords = 10\naddresses = 0\npw = 0.999\n", None, 1, "address count"),
+        ("workload = irregular\nrecords = 10\naddresses = 0\npw = 0.999\n", None, 1, "addresses"),
         ("workload = irregular\nrecords = 10\ndevice_t_write = 1e300\ndevice_mu_b = 1e300\n" + DEVICE,
          None, 1, "exponent"),
         # a device value is named by its key, not by the DeviceParams field it sets
