@@ -6,7 +6,7 @@ closed-form write-failure probabilities, Monte Carlo fault injection, and
 trace-driven transition statistics.
 """
 
-from .injection import InjectionConfig, WriteOutcome, inject_write, mix_seed, monte_carlo_block, monte_carlo_trace
+from .injection import InjectionConfig, WriteOutcome, inject_write, mix_seed, monte_carlo_block
 from .mapping import (
     INTERLEAVED,
     InvalidSchemeError,

@@ -43,14 +43,14 @@ computes the stream one gap at a time and is its specification. The logarithm
 is the platform's, so a gap can differ between machines only where
 ``ln u / ln(1 - q)`` lies within rounding of an integer.
 
-:func:`monte_carlo_block` takes one write or a batch, under one scheme or a
-list of them. A batch is counted with one :func:`robinsim.mapping.scheme_counts`
-call, the counters of all its (record, trial chunk) segments are hashed at
-once, a bounded number of draws at a time, and their failures are classified
-together, scheme by scheme. :class:`MonteCarloAccumulator` feeds it the
-batches of :func:`robinsim.trace.pair_batches`, one call per batch for every
-scheme of ``run_experiment``, and for the one scheme of
-:func:`monte_carlo_trace`.
+:func:`monte_carlo_block` takes a batch, two ``(n, 64)`` uint8 arrays, and
+gives ``(S, n)`` estimates, one row per scheme. A batch is counted with one
+:func:`robinsim.mapping.scheme_counts` call, the counters of all its (record,
+trial chunk) segments are hashed at once, a bounded number of draws at a
+time, and their failures are classified together, scheme by scheme.
+:class:`MonteCarloAccumulator` feeds it batches in record order, one call per
+batch for every scheme of ``run_experiment``; fed by
+:func:`robinsim.trace.pair_batches`, it estimates a whole trace.
 :func:`inject_write` draws one 64-bit key from its generator and places its
 failing cells with the same sampler, so the decoder cross-check runs it too.
 It takes its check words from the counting kernel's check lanes
@@ -63,14 +63,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import secded
-from .bits import BLOCK_BITS, BLOCK_BYTES, _int_setting, block_bytes, stack_blocks
+from .bits import BLOCK_BITS, BLOCK_BYTES, _int_setting, stack_blocks
 from .mapping import CODEWORDS, MappingScheme, block_datawords, check_words, scheme_counts
-from .trace import pair_batches
 
 # splitmix64: golden-gamma increment and the two finalizer multipliers
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -93,8 +92,12 @@ def mix_seed(seed: int, index: int) -> int:
     """The (index+1)-th output of the splitmix64 stream started at ``seed``.
 
     Collision-resistant enough to give every (seed, record) pair an
-    independent, order-insensitive key. numpy integers are accepted.
+    independent, order-insensitive key. ``seed`` and ``index`` must be
+    integers (numpy integers too) in [0, 2**64 - 1]; any other raises
+    ``ValueError`` naming ``seed`` or ``index``.
     """
+    seed = _int_setting("seed", seed, 0, 2**64 - 1)
+    index = _int_setting("index", index, 0, 2**64 - 1)
     # one element, not 0-d: splitmix writes in place with out=, which 0-d results refuse
     return int(splitmix(seed, np.array([index], dtype=np.uint64))[0])
 
@@ -199,45 +202,43 @@ def inject_write(
 
 @dataclass(frozen=True)
 class BlockEstimate:
-    """Monte Carlo estimate of a block write's success probability.
+    """Monte Carlo estimates of a batch of block writes' success probabilities.
 
-    For a batch of writes, ``p_block``, ``stderr`` and ``successes`` are
-    ``(n,)`` arrays, one entry per write.
+    ``p_block``, ``stderr`` and ``successes`` are ``(S, n)`` arrays: row s is
+    scheme s, column i write i of the batch.
     """
 
-    p_block: float | np.ndarray
-    stderr: float | np.ndarray
+    p_block: np.ndarray
+    stderr: np.ndarray
     trials: int
-    successes: int | np.ndarray
+    successes: np.ndarray
 
     @property
-    def error_rate(self) -> float | np.ndarray:
+    def error_rate(self) -> np.ndarray:
         return 1.0 - self.p_block
 
 
 def monte_carlo_block(
-    old: bytes | np.ndarray,
-    new: bytes | np.ndarray,
+    olds: np.ndarray,
+    news: np.ndarray,
     cfg: InjectionConfig,
     record_index: int = 0,
     schemes: Sequence[MappingScheme] | None = None,
 ) -> BlockEstimate:
     """Estimate block write success probabilities by repeated fault injection.
 
-    ``old`` and ``new`` are one write as two 64-byte payloads, or a batch as
-    two ``(n, 64)`` uint8 arrays of equal shape holding records
-    ``record_index`` to ``record_index + n - 1``; for a batch, ``p_block``,
-    ``stderr`` and ``successes`` are ``(n,)`` arrays. Record r draws from the key
+    ``olds`` and ``news`` are two ``(n, 64)`` uint8 arrays of equal shape
+    holding records ``record_index`` to ``record_index + n - 1``; any other
+    input raises ``ValueError`` naming that shape. Record r draws from the key
     ``mix_seed(seed, r)`` (see the module docstring), so a record's estimate
     is the same in any batch. ``record_index`` must be an integer (numpy
     integers too) in [0, 2**64 - n], so every record lies in [0, 2**64); any
-    other raises ``ValueError``: ``record_index must be an integer, got
-    <value!r>`` or ``record_index must lie in [0, 2**64 - n], got <value>``.
+    other raises ``ValueError`` naming ``record_index``.
 
-    ``schemes`` estimates every listed scheme in place of ``cfg.scheme``, on
-    the same draws: the three arrays then get a leading axis of one entry
-    per scheme, ``(S, n)`` for a batch and ``(S,)`` for one write, and each
-    scheme's entries equal its own one-scheme call.
+    Every scheme of ``schemes``, by default ``(cfg.scheme,)``, is estimated on
+    the same draws: ``p_block``, ``stderr`` and ``successes`` are ``(S, n)``
+    arrays, one row per scheme, and each row equals its scheme's own call.
+    One write is the batch ``np.frombuffer(old, np.uint8)[None]``.
 
     Only the transitioning cells of codewords with at least two of them are
     simulated, since a codeword with one can never exceed t = 1. A trial
@@ -246,21 +247,17 @@ def monte_carlo_block(
     scheme, and their failures are drawn once and classified together (see
     :func:`_failed_trials`).
     """
-    batch = np.ndim(old) == 2
-    if batch and np.shape(old) != np.shape(new):
-        raise ValueError(f"old and new batches differ in shape: {np.shape(old)} and {np.shape(new)}")
-    diff = old ^ new if batch else (block_bytes(old) ^ block_bytes(new))[None]
-    first = _int_setting("record_index", record_index, 0, 2**64 - len(diff))
-    cells = scheme_counts((cfg.scheme,) if schemes is None else schemes, diff, cfg.include_ecc)[1]
-    failed = _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, first)
-    successes = cfg.trials - (failed if batch else failed[:, 0])
-    if schemes is None:
-        successes = successes[0]
+    if not (
+        isinstance(olds, np.ndarray) and isinstance(news, np.ndarray) and olds.shape == news.shape
+        and olds.ndim == 2 and olds.shape[1] == BLOCK_BYTES and olds.dtype == news.dtype == np.uint8
+    ):
+        got = [f"{a.shape} {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__ for a in (olds, news)]
+        raise ValueError(f"olds and news must be two (n, 64) uint8 arrays of equal shape, got {got[0]} and {got[1]}")
+    first = _int_setting("record_index", record_index, 0, 2**64 - len(olds))
+    cells = scheme_counts((cfg.scheme,) if schemes is None else schemes, olds ^ news, cfg.include_ecc)[1]
+    successes = cfg.trials - _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, first)
     p = successes / cfg.trials
-    stderr = np.sqrt(p * (1.0 - p) / cfg.trials)
-    if successes.ndim:
-        return BlockEstimate(p_block=p, stderr=stderr, trials=cfg.trials, successes=successes)
-    return BlockEstimate(p_block=float(p), stderr=float(stderr), trials=cfg.trials, successes=int(successes))
+    return BlockEstimate(p_block=p, stderr=np.sqrt(p * (1.0 - p) / cfg.trials), trials=cfg.trials, successes=successes)
 
 
 def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) -> np.ndarray:
@@ -454,7 +451,8 @@ class MonteCarloAccumulator:
     results merge by summing (failure_fraction, variance_term) pairs. With
     ``schemes``, every listed scheme is estimated on the same draws, one
     :func:`monte_carlo_block` call per batch; without, ``cfg.scheme`` alone.
-    :meth:`finalize` returns one estimate per scheme, in scheme order.
+    :meth:`finalize` returns one estimate per scheme, in scheme order. Fed
+    :func:`robinsim.trace.pair_batches`, it estimates a trace.
     """
 
     def __init__(self, cfg: InjectionConfig, schemes: Sequence[MappingScheme] | None = None) -> None:
@@ -486,16 +484,6 @@ class MonteCarloAccumulator:
             )
             for failure_sum, variance_sum in zip(self._failure_sums, self._variance_sums)
         ]
-
-
-def monte_carlo_trace(
-    pairs: Iterable[tuple[bytes, bytes]], cfg: InjectionConfig
-) -> TraceEstimate:
-    """Mean block-failure fraction over (records x trials); the one-scheme MonteCarloAccumulator."""
-    accumulator = MonteCarloAccumulator(cfg)
-    for olds, news in pair_batches(pairs):
-        accumulator.add_batch(olds, news)
-    return accumulator.finalize()[0]
 
 
 @dataclass(frozen=True)

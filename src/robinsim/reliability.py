@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bits import BLOCK_BITS
+from .bits import BLOCK_BITS, _int_setting
 from .mapping import BATCH, CODEWORDS
 from .secded import CHECK_BITS
 
@@ -251,11 +251,13 @@ class TraceAccumulator:
     over writes is one contiguous row ``sum`` per scheme, which numpy adds up
     as it does a 1-D array, so a scheme's results do not depend on the other
     schemes of the batch; they do depend on the batching, as each batch is
-    reduced to one float per sum.
+    reduced to one float per sum. ``schemes`` must be an integer (numpy
+    integers too) of at least 1; any other raises ``ValueError`` naming it.
     """
 
     def __init__(self, pw: float, schemes: int = 1) -> None:
         self._tables = _rate_tables(pw)   # raises ParameterError for a pw outside [0, 1]
+        schemes = _int_setting("schemes", schemes, 1)
         self.writes = 0
         # per scheme: failure, optimal, min-share and max-share sums; live writes; extremes
         self._sums = np.zeros((4, schemes))

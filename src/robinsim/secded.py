@@ -16,11 +16,11 @@ The codec is three tables, read at call time: the check contribution of
 each 16-bit quarter of a dataword, the codeword bit of each syndrome, and the
 dataword and check-word masks each syndrome's correction flips.
 :func:`repair_words` is the one decoder: a syndrome and three lookups.
-:func:`encode` is :func:`encode_words` of one int.
-:func:`encode_words` checks any input but a uint64 array, and has two routes
-to the same check words: fewer than ``_SMALL_WORDS`` words take one gather of
-all their quarters and one XOR reduction, a fixed three numpy calls; more
-take one array lookup per quarter, which costs less per word.
+:func:`encode_words` is the one encoder; one dataword's check word is
+``int(encode_words(np.uint64(x)))``. It checks any input but a uint64 array,
+and has two routes to the same check words: fewer than ``_SMALL_WORDS`` words
+take one gather of all their quarters and one XOR reduction, a fixed three
+numpy calls; more take one array lookup per quarter, which costs less per word.
 """
 
 from __future__ import annotations
@@ -73,16 +73,6 @@ _FIX_CHECK.setflags(write=False)
 _SMALL_WORDS = 64
 # quarter p of a dataword indexes row p of the encoder table, at offset p << 16
 _QUARTER_OFFSETS = np.arange(4) << 16
-
-
-def encode(data: int) -> int:
-    """Compute the 8 check bits of a 64-bit dataword: :func:`encode_words` of one int.
-
-    Equivalent to the GF(2) product of the data part of H with the dataword;
-    linear, so encode(a ^ b) == encode(a) ^ encode(b). A dataword outside
-    [0, 2**64) raises ValueError.
-    """
-    return int(encode_words(data))
 
 
 def encode_words(words: np.ndarray) -> np.ndarray:

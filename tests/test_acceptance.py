@@ -80,7 +80,7 @@ def test_codec_soundness():
     miscorrections = 0
     uncorrected_singles = 0
     for data in datawords:
-        check = secded.encode(data)
+        check = int(secded.encode_words(np.uint64(data)))
         singles = zip(*(flipped(data, check, [bit]) for bit in range(72)))
         _, found, fixed_data, fixed_check = secded.repair_words(*singles)
         uncorrected_singles += int(np.count_nonzero(
@@ -120,9 +120,11 @@ def test_monte_carlo_matches_analytic():
         assert sum(tv) == k
         expected = p_block_success(tv, pw)
         cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=1_000_000, seed=2024, include_ecc=False)
-        estimate = monte_carlo_block(zero, new, cfg, record_index=index)
+        estimate = monte_carlo_block(
+            np.frombuffer(zero, np.uint8)[None], np.frombuffer(new, np.uint8)[None], cfg, record_index=index
+        )
         sigma = math.sqrt(expected * (1.0 - expected) / cfg.trials)
-        if abs(estimate.p_block - expected) <= 3.0 * sigma:
+        if abs(estimate.p_block[0, 0] - expected) <= 3.0 * sigma:
             within += 1
     elapsed = time.monotonic() - start
     ok = within >= 19 and elapsed < 300.0

@@ -16,10 +16,10 @@ from robinsim.injection import (
     inject_write,
     mix_seed,
     monte_carlo_block,
-    monte_carlo_trace,
 )
 from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, block_datawords, check_words, transition_vector
 from robinsim.reliability import p_block_success
+from robinsim.trace import pair_batches
 
 SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
 ZERO = bytes(64)
@@ -35,6 +35,11 @@ def substream(seed, index):
 def constant_hash(value):
     """A stand-in for ``injection.splitmix`` that gives every draw the hash ``value``."""
     return lambda keys, positions: np.full(np.shape(positions), value, dtype=np.uint64)
+
+
+def one_write(payload):
+    """A 64-byte payload as the one row of a batch for monte_carlo_block."""
+    return np.frombuffer(payload, np.uint8)[None]
 
 
 def block_with_flips(flats):
@@ -58,8 +63,10 @@ def test_mix_seed_accepts_numpy_integers():
     assert mix_seed(np.uint64(7), np.int32(3)) == mix_seed(7, 3)
     new = block_with_flips(range(16))
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=500, seed=2, include_ecc=False)
-    assert monte_carlo_block(ZERO, new, cfg, record_index=np.int64(3)) == monte_carlo_block(
-        ZERO, new, cfg, record_index=3
+    olds, news = one_write(ZERO), one_write(new)
+    assert np.array_equal(
+        monte_carlo_block(olds, news, cfg, record_index=np.int64(3)).successes,
+        monte_carlo_block(olds, news, cfg, record_index=3).successes,
     )
 
 
@@ -74,10 +81,10 @@ def test_monte_carlo_block_rejects_records_outside_the_stream(schemes):
             monte_carlo_block(olds, news, cfg, record_index=record_index, schemes=schemes)
     for record_index in (-1, 1.7, 2**64):
         with pytest.raises(ValueError, match="record_index"):
-            monte_carlo_block(ZERO, new, cfg, record_index=record_index, schemes=schemes)
-    last = monte_carlo_block(ZERO, new, cfg, record_index=np.uint64(2**64 - 1), schemes=schemes)
+            monte_carlo_block(olds[:1], news[:1], cfg, record_index=record_index, schemes=schemes)
+    last = monte_carlo_block(olds[:1], news[:1], cfg, record_index=np.uint64(2**64 - 1), schemes=schemes)
     batch = monte_carlo_block(olds, news, cfg, record_index=2**64 - 2, schemes=schemes)
-    assert np.array_equal(batch.successes[..., 1], last.successes)
+    assert np.array_equal(batch.successes[:, 1:], last.successes)
 
 
 def test_mix_seed_distinct_substreams():
@@ -161,10 +168,10 @@ def test_inject_deterministic_per_substream():
 
 def test_monte_carlo_block_exact_when_no_transitions():
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, trials=1000, seed=3)
-    estimate = monte_carlo_block(ZERO, ZERO, cfg)
-    assert estimate.p_block == 1.0
-    assert estimate.stderr == 0.0
-    assert estimate.successes == 1000
+    estimate = monte_carlo_block(one_write(ZERO), one_write(ZERO), cfg)
+    assert estimate.p_block.tolist() == [[1.0]]
+    assert estimate.stderr.tolist() == [[0.0]]
+    assert estimate.successes.tolist() == [[1000]]
 
 
 @pytest.mark.parametrize(
@@ -180,8 +187,10 @@ def test_monte_carlo_block_certain_success_draws_nothing(flats, pw, monkeypatch)
 
     monkeypatch.setattr(injection, "splitmix", no_draws)
     cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=1000, seed=3, include_ecc=False)
-    estimate = monte_carlo_block(ZERO, block_with_flips(flats), cfg)
-    assert (estimate.p_block, estimate.successes, estimate.stderr) == (1.0, 1000, 0.0)
+    estimate = monte_carlo_block(one_write(ZERO), one_write(block_with_flips(flats)), cfg)
+    assert (estimate.p_block.tolist(), estimate.successes.tolist(), estimate.stderr.tolist()) == (
+        [[1.0]], [[1000]], [[0.0]]
+    )
 
 
 @pytest.mark.parametrize(
@@ -198,18 +207,19 @@ def test_monte_carlo_block_pw_zero_fails_iff_a_codeword_has_two_flips(flats, inc
     counts = transition_vector(ROBIN, ZERO, new, include_ecc=include_ecc)
     assert (max(counts) >= 2) == fails
     cfg = InjectionConfig(pw=0.0, scheme=ROBIN, trials=_TRIAL_CHUNK + 5, seed=8, include_ecc=include_ecc)
-    estimate = monte_carlo_block(ZERO, new, cfg)
-    assert estimate.successes == (0 if fails else cfg.trials)
+    estimate = monte_carlo_block(one_write(ZERO), one_write(new), cfg)
+    assert estimate.successes.tolist() == [[0 if fails else cfg.trials]]
 
 
 def test_monte_carlo_block_across_trial_chunks():
     new = block_with_flips(range(0, 512, 5))
     cfg = InjectionConfig(pw=0.99, scheme=INTERLEAVED, trials=_TRIAL_CHUNK + 5, seed=21, include_ecc=True)
-    first = monte_carlo_block(ZERO, new, cfg, record_index=2)
-    assert first == monte_carlo_block(ZERO, new, cfg, record_index=2)
-    assert 0 < first.successes < cfg.trials
+    first = monte_carlo_block(one_write(ZERO), one_write(new), cfg, record_index=2)
+    again = monte_carlo_block(one_write(ZERO), one_write(new), cfg, record_index=2)
+    assert np.array_equal(first.successes, again.successes)
+    assert 0 < first.successes[0, 0] < cfg.trials
     expected = p_block_success(transition_vector(INTERLEAVED, ZERO, new, include_ecc=True), 0.99)
-    assert abs(first.p_block - expected) < 4 * first.stderr
+    assert abs(first.p_block[0, 0] - expected) < 4 * first.stderr[0, 0]
 
 
 def test_failing_cells_draws_until_the_field_is_covered(monkeypatch):
@@ -230,8 +240,8 @@ def test_monte_carlo_block_tiny_fail_prob_does_not_overflow():
     new = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
     cfg = InjectionConfig(pw=1.0 - 2.0**-52, scheme=PER_WORD, trials=3 * _TRIAL_CHUNK, seed=4)
     assert 1.0 - cfg.pw == 2.0**-52
-    estimate = monte_carlo_block(old, new, cfg)
-    assert estimate.successes == cfg.trials
+    estimate = monte_carlo_block(one_write(old), one_write(new), cfg)
+    assert estimate.successes.tolist() == [[cfg.trials]]
 
 
 @pytest.mark.parametrize(
@@ -247,9 +257,9 @@ def test_monte_carlo_block_matches_analytic(flats, pw):
     cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=100_000, seed=11, include_ecc=False)
     tv = transition_vector(ROBIN, ZERO, new, include_ecc=False)
     expected = p_block_success(tv, pw)
-    estimate = monte_carlo_block(ZERO, new, cfg)
-    sigma = max(estimate.stderr, 1e-9)
-    assert abs(estimate.p_block - expected) < 4 * sigma
+    estimate = monte_carlo_block(one_write(ZERO), one_write(new), cfg)
+    sigma = max(estimate.stderr[0, 0], 1e-9)
+    assert abs(estimate.p_block[0, 0] - expected) < 4 * sigma
 
 
 def test_monte_carlo_block_include_ecc_uses_check_transitions():
@@ -257,51 +267,104 @@ def test_monte_carlo_block_include_ecc_uses_check_transitions():
     tv = transition_vector(ROBIN, ZERO, new, include_ecc=True)
     assert sum(tv) > 1  # the single data flip drags check bits along
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, trials=50_000, seed=5, include_ecc=True)
-    estimate = monte_carlo_block(ZERO, new, cfg)
+    estimate = monte_carlo_block(one_write(ZERO), one_write(new), cfg)
     expected = p_block_success(tv, 0.5)
-    assert abs(estimate.p_block - expected) < 4 * estimate.stderr
+    assert abs(estimate.p_block[0, 0] - expected) < 4 * estimate.stderr[0, 0]
 
 
 def test_monte_carlo_block_deterministic():
-    new = block_with_flips(range(32))
+    olds, news = one_write(ZERO), one_write(block_with_flips(range(32)))
     cfg = InjectionConfig(pw=0.95, scheme=PER_WORD, trials=20_000, seed=99, include_ecc=False)
-    first = monte_carlo_block(ZERO, new, cfg, record_index=4)
-    second = monte_carlo_block(ZERO, new, cfg, record_index=4)
-    assert first == second
-    other_record = monte_carlo_block(ZERO, new, cfg, record_index=5)
-    assert other_record.successes != first.successes  # distinct substreams
+    first = monte_carlo_block(olds, news, cfg, record_index=4)
+    second = monte_carlo_block(olds, news, cfg, record_index=4)
+    for name in ("p_block", "stderr", "successes"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    assert first.trials == second.trials
+    other_record = monte_carlo_block(olds, news, cfg, record_index=5)
+    assert other_record.successes[0, 0] != first.successes[0, 0]  # distinct substreams
+
+
+@pytest.mark.parametrize(
+    "olds,news,got",
+    [
+        (ZERO, ZERO, "bytes and bytes"),
+        ([list(ZERO)], [list(ZERO)], "list and list"),
+        (np.zeros(64, np.uint8), np.zeros(64, np.uint8), r"\(64,\) uint8 and \(64,\) uint8"),
+        (np.zeros((2, 63), np.uint8), np.zeros((2, 63), np.uint8), r"\(2, 63\) uint8 and \(2, 63\) uint8"),
+        (np.zeros((2, 64), np.int64), np.zeros((2, 64), np.int64), r"\(2, 64\) int64 and \(2, 64\) int64"),
+        (np.zeros((2, 64), np.uint8), np.zeros((3, 64), np.uint8), r"\(2, 64\) uint8 and \(3, 64\) uint8"),
+    ],
+    ids=["bytes", "lists", "1-D", "63-byte-rows", "int64", "unequal-shapes"],
+)
+def test_monte_carlo_block_takes_only_equal_shape_uint8_batches(olds, news, got):
+    cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10, seed=3)
+    with pytest.raises(ValueError, match=rf"^olds and news must be two \(n, 64\) uint8 arrays of equal shape, got {got}$"):
+        monte_carlo_block(olds, news, cfg)
+
+
+def test_monte_carlo_block_gives_one_row_per_scheme():
+    rng = np.random.default_rng(48)
+    olds = rng.integers(0, 256, (5, 64), dtype=np.uint8)
+    news = olds ^ np.packbits(rng.random((5, 512)) < 0.05, axis=1, bitorder="little")
+    cfg = InjectionConfig(pw=0.9, scheme=INTERLEAVED, trials=300, seed=6)
+    for schemes, rows in ((None, 1), ((INTERLEAVED,), 1), (SCHEMES, 3)):
+        estimate = monte_carlo_block(olds, news, cfg, record_index=2, schemes=schemes)
+        for array in (estimate.p_block, estimate.stderr, estimate.successes, estimate.error_rate):
+            assert array.shape == (rows, 5)
+    # schemes omitted is cfg.scheme alone
+    alone = monte_carlo_block(olds, news, cfg, record_index=2)
+    assert np.array_equal(alone.successes, estimate.successes[1:2])
+
+
+@pytest.mark.parametrize("schemes", [None, SCHEMES], ids=["one-scheme", "three-schemes"])
+def test_monte_carlo_block_row_i_is_the_batch_of_one_at_record_index_plus_i(schemes):
+    rng = np.random.default_rng(49)
+    olds = rng.integers(0, 256, (6, 64), dtype=np.uint8)
+    news = olds ^ np.packbits(rng.random((6, 512)) < 0.05, axis=1, bitorder="little")
+    cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=200, seed=7, include_ecc=True)
+    batch = monte_carlo_block(olds, news, cfg, record_index=40, schemes=schemes)
+    for i in range(len(olds)):
+        one = monte_carlo_block(olds[i : i + 1], news[i : i + 1], cfg, record_index=40 + i, schemes=schemes)
+        for name in ("p_block", "stderr", "successes"):
+            assert np.array_equal(getattr(batch, name)[:, i : i + 1], getattr(one, name))
 
 
 def test_monte_carlo_trace_zero_diff():
-    pairs = [(ZERO, ZERO)] * 10
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, trials=100, seed=1)
-    estimate = monte_carlo_trace(pairs, cfg)
+    accumulator = MonteCarloAccumulator(cfg)
+    for olds, news in pair_batches([(ZERO, ZERO)] * 10):
+        accumulator.add_batch(olds, news)
+    [estimate] = accumulator.finalize()
     assert estimate.error_rate == 0.0
     assert estimate.records == 10
 
 
 def test_monte_carlo_trace_single_record_reduces_to_block():
-    new = block_with_flips(range(24))
+    olds, news = one_write(ZERO), one_write(block_with_flips(range(24)))
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10_000, seed=17, include_ecc=False)
-    block = monte_carlo_block(ZERO, new, cfg, record_index=0)
-    trace = monte_carlo_trace([(ZERO, new)], cfg)
-    assert trace.error_rate == pytest.approx(block.error_rate)
-    assert trace.stderr == pytest.approx(block.stderr)
+    block = monte_carlo_block(olds, news, cfg, record_index=0)
+    accumulator = MonteCarloAccumulator(cfg)
+    accumulator.add_batch(olds, news)
+    [trace] = accumulator.finalize()
+    assert trace.error_rate == pytest.approx(block.error_rate[0, 0])
+    assert trace.stderr == pytest.approx(block.stderr[0, 0])
 
 
 def test_monte_carlo_trace_matches_analytic_on_skewed_trace():
     rng = np.random.default_rng(42)
-    pairs = []
+    news = []
     tvs = []
     for _ in range(10):
         flats = rng.choice(512, size=int(rng.integers(4, 40)), replace=False)
         new = block_with_flips(flats)
-        pairs.append((ZERO, new))
+        news.append(new)
         tvs.append(transition_vector(PER_WORD, ZERO, new, include_ecc=False))
     pw = 0.95
     analytic = float(np.mean([1.0 - p_block_success(tv, pw) for tv in tvs]))
     cfg = InjectionConfig(pw=pw, scheme=PER_WORD, trials=20_000, seed=13, include_ecc=False)
-    estimate = monte_carlo_trace(pairs, cfg)
+    accumulator = MonteCarloAccumulator(cfg)
+    accumulator.add_batch(np.zeros((10, 64), dtype=np.uint8), stack_blocks(news))
+    [estimate] = accumulator.finalize()
     assert abs(estimate.error_rate - analytic) < 4 * max(estimate.stderr, 1e-9)
 
 
@@ -315,7 +378,10 @@ def test_monte_carlo_trace_equals_per_pair_accumulation():
     one_by_one = MonteCarloAccumulator(cfg)
     for old, new in zip(olds, news):
         one_by_one.add_batch(old[None], new[None])
-    estimate = monte_carlo_trace(iter(pairs), cfg)
+    batched = MonteCarloAccumulator(cfg)
+    for batch_olds, batch_news in pair_batches(iter(pairs)):
+        batched.add_batch(batch_olds, batch_news)
+    [estimate] = batched.finalize()
     assert [estimate] == one_by_one.finalize()
     assert estimate.records == 1100 and 0 < estimate.error_rate < 1
 
@@ -326,11 +392,11 @@ def test_monte_carlo_rejects_batches_of_different_shapes(schemes):
     olds = rng.integers(0, 256, (5, 64), dtype=np.uint8)
     news = olds[:1] ^ 1
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10, seed=3)
-    message = r"differ in shape: \(5, 64\) and \(1, 64\)"
+    message = r"equal shape, got \(5, 64\) uint8 and \(1, 64\) uint8"
     with pytest.raises(ValueError, match=message):
         monte_carlo_block(olds, news, cfg, schemes=schemes)
     accumulator = MonteCarloAccumulator(cfg, schemes)
-    with pytest.raises(ValueError, match=r"\(1, 64\) and \(5, 64\)"):
+    with pytest.raises(ValueError, match=r"\(1, 64\) uint8 and \(5, 64\) uint8"):
         accumulator.add_batch(news, olds)
     # nothing was counted: the accumulator still holds no record
     assert accumulator.records == 0
@@ -340,8 +406,11 @@ def test_monte_carlo_rejects_batches_of_different_shapes(schemes):
 
 def test_monte_carlo_trace_rejects_empty():
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_trace([], cfg)
+    accumulator = MonteCarloAccumulator(cfg)
+    for olds, news in pair_batches([]):
+        accumulator.add_batch(olds, news)
+    with pytest.raises(ValueError, match="empty pair stream"):
+        accumulator.finalize()
 
 
 def test_end_to_end_requires_check_bits():

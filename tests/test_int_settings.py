@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from robinsim import ROBIN
-from robinsim.injection import InjectionConfig, monte_carlo_block
+from robinsim.injection import InjectionConfig, mix_seed, monte_carlo_block
+from robinsim.reliability import TraceAccumulator
 from robinsim.report import ConfigError, ExperimentConfig, make_pairs
 from robinsim.trace import WriteRecord, old_new_pairs
 from robinsim.workloads import WorkloadSpec, gen_workload
@@ -24,7 +25,14 @@ def workload(kind, **fields):
 def estimate(trials=40, seed=2, record_index=0):
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=trials, seed=seed)
     result = monte_carlo_block(OLDS, NEWS, cfg, record_index=record_index)
+    # (1, 3): one row, cfg.scheme's, of the three writes
     return result.successes.tolist(), result.trials, cfg
+
+
+def accumulate(schemes):
+    acc = TraceAccumulator(0.9, schemes)
+    acc.add(np.full((4, 3, 8), 2, dtype=np.uint8))   # four writes of three schemes
+    return acc.rates()
 
 
 def experiment(**fields):
@@ -46,6 +54,9 @@ SETTINGS = [
     ("trials", 50, lambda v: estimate(trials=v), ValueError),
     ("seed", 9, lambda v: estimate(seed=v), ValueError),
     ("record_index", 3, lambda v: estimate(record_index=v), ValueError),
+    ("seed", 5, lambda v: mix_seed(v, 2), ValueError),
+    ("index", 2, lambda v: mix_seed(5, v), ValueError),
+    ("schemes", 3, accumulate, ValueError),
     ("warmup", 4, lambda v: list(old_new_pairs(RECORDS, warmup=v)), ValueError),
     ("address", 128, lambda v: WriteRecord(v, bytes(64)), ValueError),
     ("warmup", 4, lambda v: experiment(warmup=v), ConfigError),
@@ -56,7 +67,8 @@ IDS = [
     "WorkloadSpec.records", "WorkloadSpec.addresses", "WorkloadSpec.base_addr", "WorkloadSpec.width",
     "WorkloadSpec.pinned_top_bits", "WorkloadSpec.valid_words_min", "WorkloadSpec.valid_words_max",
     "gen_workload.seed", "InjectionConfig.trials", "InjectionConfig.seed",
-    "monte_carlo_block.record_index", "old_new_pairs.warmup", "WriteRecord.address",
+    "monte_carlo_block.record_index", "mix_seed.seed", "mix_seed.index", "TraceAccumulator.schemes",
+    "old_new_pairs.warmup", "WriteRecord.address",
     "ExperimentConfig.warmup", "ExperimentConfig.seed", "ExperimentConfig.trials",
 ]
 

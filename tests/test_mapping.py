@@ -351,8 +351,8 @@ def test_transition_totals_match_hamming_distance(scheme):
         with_ecc = transition_vector(scheme, old, new, include_ecc=True)
         check_dist = 0
         for n in range(8):
-            c_old = secded.encode(int(datawords(scheme, old)[n]))
-            c_new = secded.encode(int(datawords(scheme, new)[n]))
+            c_old = oracle.encode(int(datawords(scheme, old)[n]))
+            c_new = oracle.encode(int(datawords(scheme, new)[n]))
             check_dist += bin(c_old ^ c_new).count("1")
         assert sum(with_ecc) == hamming + check_dist
 

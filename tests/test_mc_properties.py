@@ -63,8 +63,8 @@ def test_monte_carlo_block_matches_record_by_record_reference(case):
     cfg = InjectionConfig(pw=pw, scheme=scheme, trials=trials, seed=seed, include_ecc=False)
     estimate = monte_carlo_block(olds, news, cfg, record_index=record_index)
     want = [oracle.mc_successes(row, pw, trials, seed, record_index + i) for i, row in enumerate(rows)]
-    assert estimate.successes.tolist() == want
-    assert estimate.p_block.tolist() == [s / trials for s in want]
+    assert estimate.successes.tolist() == [want]
+    assert estimate.p_block.tolist() == [[s / trials for s in want]]
 
 
 @settings(max_examples=15, deadline=None)
@@ -78,10 +78,12 @@ def test_monte_carlo_block_with_check_bits_matches_reference(scheme, n, seed, re
     for i, (old, new) in enumerate(zip(olds, news)):
         data, check = oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), True)
         counts = [d + c for d, c in zip(data, check)]
-        assert estimate.successes[i] == oracle.mc_successes(counts, 0.9, 200, seed, record_index + i)
-        one = monte_carlo_block(old.tobytes(), new.tobytes(), cfg, record_index=record_index + i)
-        assert (one.successes, one.p_block, one.stderr) == (
-            estimate.successes[i], estimate.p_block[i], estimate.stderr[i]
+        assert estimate.successes[0, i] == oracle.mc_successes(counts, 0.9, 200, seed, record_index + i)
+        one = monte_carlo_block(olds[i : i + 1], news[i : i + 1], cfg, record_index=record_index + i)
+        assert (one.successes.tolist(), one.p_block.tolist(), one.stderr.tolist()) == (
+            estimate.successes[:, i : i + 1].tolist(),
+            estimate.p_block[:, i : i + 1].tolist(),
+            estimate.stderr[:, i : i + 1].tolist(),
         )
 
 
@@ -102,10 +104,10 @@ def test_scheme_list_gives_each_schemes_own_successes(case, order, count, includ
     assert shared.successes.shape == shared.p_block.shape == (count, len(rows))
     for s, one_scheme in enumerate(schemes):
         own = monte_carlo_block(olds, news, replace(cfg, scheme=one_scheme), record_index=record_index)
-        assert shared.successes[s].tolist() == own.successes.tolist()
-        assert shared.stderr[s].tolist() == own.stderr.tolist()
-    write = monte_carlo_block(olds[0].tobytes(), news[0].tobytes(), cfg, record_index=record_index, schemes=schemes)
-    assert write.successes.tolist() == shared.successes[:, 0].tolist()
+        assert shared.successes[s : s + 1].tolist() == own.successes.tolist()
+        assert shared.stderr[s : s + 1].tolist() == own.stderr.tolist()
+    write = monte_carlo_block(olds[:1], news[:1], cfg, record_index=record_index, schemes=schemes)
+    assert write.successes.tolist() == shared.successes[:, :1].tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,7 +122,7 @@ def test_split_batches_give_the_same_successes(case, cuts):
         monte_carlo_block(olds[lo:hi], news[lo:hi], cfg, record_index=record_index + lo).successes
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    assert np.concatenate(parts).tolist() == whole.tolist()
+    assert np.concatenate(parts, axis=1).tolist() == whole.tolist()
 
 
 # the one-scheme call, and one call over all three layouts on shared draws

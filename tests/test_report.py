@@ -9,7 +9,7 @@ import pytest
 import oracle
 from robinsim import config
 from robinsim.config import config_from_values, load_config, parse_config_text
-from robinsim.injection import InjectionConfig, monte_carlo_trace
+from robinsim.injection import InjectionConfig, MonteCarloAccumulator
 from robinsim.mapping import MappingScheme, transition_vector
 from robinsim.reliability import DeviceParams, normalized_increase, trace_error_rate
 from robinsim.report import (
@@ -21,7 +21,7 @@ from robinsim.report import (
     make_pairs,
     run_experiment,
 )
-from robinsim.trace import WriteRecord, codeword_stats, old_new_pairs, save_trace
+from robinsim.trace import WriteRecord, codeword_stats, old_new_pairs, pair_batches, save_trace
 from robinsim.workloads import KINDS as WORKLOAD_KINDS
 from robinsim.workloads import WorkloadSpec, gen_workload
 
@@ -232,7 +232,11 @@ def test_run_experiment_monte_carlo_independent_of_batches():
         inj = InjectionConfig(
             pw=cfg.pw, scheme=MappingScheme(report.scheme), trials=cfg.trials, seed=cfg.seed
         )
-        assert report.mc == monte_carlo_trace(pairs, inj)
+        # the scheme alone, fed the pairs in pair_batches' batches
+        accumulator = MonteCarloAccumulator(inj)
+        for olds, news in pair_batches(pairs):
+            accumulator.add_batch(olds, news)
+        assert [report.mc] == accumulator.finalize()
 
 
 def test_csv_emission_schema(tmp_path):

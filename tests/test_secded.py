@@ -16,7 +16,6 @@ from robinsim.secded import (
     COLUMNS,
     DATA_BITS,
     DATA_COLUMNS,
-    encode,
     encode_words,
     repair_words,
 )
@@ -48,26 +47,27 @@ def test_column_construction():
 
 def test_encode_frozen_values():
     for data, expected in FROZEN_ENCODINGS.items():
-        assert encode(data) == expected == matrix_encode(data)
+        assert int(encode_words(np.uint64(data))) == expected == matrix_encode(data)
 
 
 def test_encode_single_bits_are_columns():
     for slot in range(64):
-        assert encode(1 << slot) == DATA_COLUMNS[slot]
+        assert int(encode_words(np.uint64(1 << slot))) == DATA_COLUMNS[slot]
 
 
 def test_encode_linearity():
     rng = np.random.default_rng(21)
     for _ in range(200):
         a, b = (int(v) for v in rng.integers(0, 1 << 63, 2, dtype=np.uint64))
-        assert encode(a ^ b) == encode(a) ^ encode(b)
+        a, b = np.uint64(a), np.uint64(b)
+        assert encode_words(a ^ b) == encode_words(a) ^ encode_words(b)
 
 
 def test_encode_matches_matrix_oracle_random():
     rng = np.random.default_rng(22)
     for _ in range(100):
         data = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        assert encode(data) == matrix_encode(data)
+        assert int(encode_words(np.uint64(data))) == matrix_encode(data)
 
 
 def test_encode_words_matches_scalar():
@@ -75,7 +75,7 @@ def test_encode_words_matches_scalar():
     words = rng.integers(0, 1 << 63, 50, dtype=np.uint64)
     checks = encode_words(words)
     for word, check in zip(words, checks):
-        assert int(check) == encode(int(word)) == matrix_encode(int(word))
+        assert int(check) == int(encode_words(word)) == matrix_encode(int(word))
 
 
 def syndrome(data, check):
@@ -84,9 +84,9 @@ def syndrome(data, check):
 
 def test_encode_rejects_out_of_range():
     with pytest.raises(ValueError):
-        encode(1 << 64)
+        encode_words(1 << 64)
     with pytest.raises(ValueError):
-        encode(-1)
+        encode_words(-1)
     with pytest.raises(ValueError):
         repair_words(0, 256)
 
@@ -99,12 +99,12 @@ def test_encode_rejects_out_of_range():
         (-1, 0, "datawords"),
         (1 << 64, 0, "datawords"),
         # an int64 check word of 256 + c would otherwise wrap to the valid c
-        (np.array([5], dtype=np.int64), np.array([256 + encode(5)], dtype=np.int64), "check words"),
+        (np.array([5], dtype=np.int64), np.array([256 + int(encode_words(np.uint64(5)))], dtype=np.int64), "check words"),
         (np.array([-1, 5], dtype=np.int64), np.array([0, 0], dtype=np.uint8), "datawords"),
         (np.array([0.0, 2.0**64]), np.zeros(2, dtype=np.uint8), "datawords"),
         # a fractional word would otherwise truncate to a valid one
-        (np.array([1.5]), np.array([encode(1)]), "datawords"),
-        (np.array([1]), np.array([encode(1) + 0.5]), "check words"),
+        (np.array([1.5]), np.array([int(encode_words(np.uint64(1)))]), "datawords"),
+        (np.array([1]), np.array([int(encode_words(np.uint64(1))) + 0.5]), "check words"),
     ],
     ids=["check-256", "check-negative", "data-negative", "data-2**64", "int64-check-wraps",
          "int64-data-negative", "float-data-2**64", "float-data-fraction", "float-check-fraction"],
@@ -116,7 +116,7 @@ def test_repair_words_rejects_out_of_range_input(data, check, message):
 
 def test_repair_words_takes_in_range_words_of_any_integer_type():
     data = [0, 5, 0xDEADBEEFCAFEBABE]
-    checks = [encode(d) for d in data]
+    checks = [int(encode_words(np.uint64(d))) for d in data]
     native = repair_words(np.array(data, dtype=np.uint64), np.array(checks, dtype=np.uint8))
     for words, check_words in (
         (data, checks),
@@ -134,12 +134,12 @@ def test_syndrome_zero_for_valid_codewords():
     rng = np.random.default_rng(24)
     for _ in range(50):
         data = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        assert syndrome(data, encode(data)) == 0
+        assert syndrome(data, int(encode_words(np.uint64(data)))) == 0
 
 
 def test_syndrome_single_flip_is_odd_column():
     data = 0xA5A5A5A55A5A5A5A
-    check = encode(data)
+    check = int(encode_words(np.uint64(data)))
     for bit in range(CODEWORD_BITS):
         s = syndrome(*flip(data, check, bit))
         assert s == COLUMNS[bit]
@@ -154,7 +154,8 @@ def flipped_pairs(data, check):
 
 def test_syndrome_double_flip_even_nonzero():
     data = 0x0F0F0F0F33CC55AA
-    syndromes = repair_words(*flipped_pairs(data, encode(data)))[0]
+    check = int(encode_words(np.uint64(data)))
+    syndromes = repair_words(*flipped_pairs(data, check))[0]
     assert syndromes.size == CODEWORD_BITS * (CODEWORD_BITS - 1) // 2
     for s in syndromes.tolist():
         assert s != 0
@@ -165,30 +166,32 @@ def test_syndrome_of_error_pattern_is_data_independent():
     rng = np.random.default_rng(25)
     pattern_data = int(rng.integers(0, 1 << 63, dtype=np.uint64))
     pattern_check = int(rng.integers(0, 256))
-    expected = encode(pattern_data) ^ pattern_check
+    expected = int(encode_words(np.uint64(pattern_data))) ^ pattern_check
     for _ in range(20):
         data = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        check = encode(data)
+        check = int(encode_words(np.uint64(data)))
         assert syndrome(data ^ pattern_data, check ^ pattern_check) == expected
 
 
 def test_decode_clean():
     assert [int(v) for v in repair_words(0, 0)] == [0, -1, 0, 0]
     data = 0x123456789ABCDEF0
-    assert [int(v) for v in repair_words(data, encode(data))] == [0, -1, data, encode(data)]
+    check = int(encode_words(np.uint64(data)))
+    assert [int(v) for v in repair_words(data, check)] == [0, -1, data, check]
 
 
 def test_decode_corrects_bit_5():
     data = 0x00000000DEADBEEF
-    s, bit, fixed_data, fixed_check = repair_words(data ^ (1 << 5), encode(data))
+    check = int(encode_words(np.uint64(data)))
+    s, bit, fixed_data, fixed_check = repair_words(data ^ (1 << 5), check)
     assert s == COLUMNS[5]
     assert bit == 5
-    assert (int(fixed_data), int(fixed_check)) == (data, encode(data))
+    assert (int(fixed_data), int(fixed_check)) == (data, check)
 
 
 def test_decode_detects_bits_3_and_7():
     data = 0x00000000DEADBEEF
-    received = (data ^ (1 << 3) ^ (1 << 7), encode(data))
+    received = (data ^ (1 << 3) ^ (1 << 7), int(encode_words(np.uint64(data))))
     s, bit, fixed_data, fixed_check = repair_words(*received)
     assert s != 0
     assert bit == -1
@@ -200,7 +203,7 @@ def test_single_error_sweep_restores_original():
     rng = np.random.default_rng(26)
     for _ in range(5):
         data = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        check = encode(data)
+        check = int(encode_words(np.uint64(data)))
         for bit in range(CODEWORD_BITS):
             s, found, fixed_data, fixed_check = repair_words(*flip(data, check, bit))
             assert s != 0
@@ -212,7 +215,7 @@ def test_double_error_sweep_never_miscorrects():
     rng = np.random.default_rng(27)
     for _ in range(3):
         data = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        received_data, received_check = flipped_pairs(data, encode(data))
+        received_data, received_check = flipped_pairs(data, int(encode_words(np.uint64(data))))
         syndromes, found, fixed_data, fixed_check = repair_words(received_data, received_check)
         assert np.all(syndromes != 0)
         assert np.all(found == -1)
@@ -224,7 +227,8 @@ words64 = st.integers(0, 2**64 - 1)
 
 @given(words64, words64)
 def test_encode_is_linear_over_gf2(a, b):
-    assert encode(a ^ b) == encode(a) ^ encode(b)
+    a, b = np.uint64(a), np.uint64(b)
+    assert encode_words(a ^ b) == encode_words(a) ^ encode_words(b)
 
 
 word_arrays = hnp.arrays(np.uint64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
@@ -248,7 +252,7 @@ def test_encode_words_matches_scalar_on_any_shape(words):
     checks = encode_words(words)
     assert checks.shape == words.shape
     assert checks.dtype == np.uint8
-    assert [int(c) for c in checks.ravel()] == [encode(int(w)) for w in words.ravel()]
+    assert [int(c) for c in checks.ravel()] == [int(encode_words(w)) for w in words.ravel()]
     assert [int(c) for c in checks.ravel()] == [matrix_encode(int(w)) for w in words.ravel()]
     # a strided view encodes like the copy it views
     assert np.array_equal(encode_words(words.T), checks.T)
@@ -274,7 +278,7 @@ def test_encode_routes_read_the_encoder_table_at_call_time(monkeypatch):
     monkeypatch.setattr(secded, "_ENCODER", table)
     words = seeded_words((2 * secded._SMALL_WORDS,), 6)
     want = [(int(w) >> 24) & 0xFF for w in words]
-    assert [encode(int(w)) for w in words] == want
+    assert [int(encode_words(w)) for w in words] == want
     assert encode_words(words[:8]).tolist() == want[:8]
     assert encode_words(words).tolist() == want
 
@@ -284,11 +288,11 @@ def test_encode_words_gives_a_scalar_for_a_0d_word_and_an_array_for_eight():
     word = np.uint64(0x0123456789ABCDEF)
     for zero_d in (word, np.array(word)):
         check = encode_words(zero_d)
-        assert type(check) is np.uint8 and int(check) == encode(int(word))
+        assert type(check) is np.uint8 and int(check) == matrix_encode(int(word))
     words = seeded_words((8,), 7)
     checks = encode_words(words)
     assert type(checks) is np.ndarray and checks.shape == (8,) and checks.dtype == np.uint8
-    assert checks.tolist() == [encode(int(w)) for w in words]
+    assert checks.tolist() == [int(encode_words(w)) for w in words]
 
 
 @settings(max_examples=40, deadline=None)
@@ -373,7 +377,7 @@ def test_encode_words_takes_uint64_arrays_as_they_are_and_checks_any_other():
         assert not words.flags.c_contiguous
         assert np.array_equal(encode_words(words), encode_words(np.ascontiguousarray(words)))
     valid = np.array([0, 5, np.iinfo(np.int64).max], dtype=np.int64)
-    assert encode_words(valid).tolist() == [encode(int(w)) for w in valid]
+    assert encode_words(valid).tolist() == [int(encode_words(w)) for w in valid]
     for words in (np.array([3, -1], dtype=np.int64), np.array([2.0, 1.5])):
         with pytest.raises(ValueError, match="datawords"):
             encode_words(words)
@@ -382,11 +386,11 @@ def test_encode_words_takes_uint64_arrays_as_they_are_and_checks_any_other():
 def test_encode_words_takes_0d_words():
     for word in (5, np.array(5, dtype=np.int64), np.uint64(5), (1 << 64) - 1):
         check = encode_words(word)
-        assert type(check) is np.uint8 and int(check) == encode(int(word))
+        assert type(check) is np.uint8 and int(check) == matrix_encode(int(word))
 
 
 def test_repair_words_matches_the_oracle_on_every_syndrome():
-    # check = encode(data) ^ s for every s: the zero syndrome, the 72 columns,
+    # check = encode_words(data) ^ s for every s: the zero syndrome, the 72 columns,
     # and every syndrome only double or aliased triple flips produce, so every
     # entry of the correction tables is read
     datawords = [0, (1 << 64) - 1, *seeded_words((4,), 10).tolist()]

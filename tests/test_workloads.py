@@ -116,6 +116,17 @@ def test_partialvalid_all_words_valid_matches_walk_shape():
     assert hist.sum(axis=1).min() > 0
 
 
+# 3000 records span three generator chunks of 1024
+@pytest.mark.parametrize("seed,addresses", [(5, 17), (0, 1), (2**64 - 1, 300), (9, 4096)])
+def test_float64walk_is_partialvalid_with_eight_live_words(seed, addresses):
+    walk = list(gen_workload(WorkloadSpec("float64walk", records=3000, addresses=addresses), seed))
+    partial = WorkloadSpec("partialvalid", records=3000, addresses=addresses, valid_words=(8, 8))
+    assert walk == list(gen_workload(partial, seed))
+    # a word that may go dead gives other records
+    fewer = WorkloadSpec("partialvalid", records=3000, addresses=addresses, valid_words=(7, 8))
+    assert walk != list(gen_workload(fewer, seed))
+
+
 def test_irregular_quiet_pinned_tops():
     spec = WorkloadSpec(kind="irregular", records=1_000, addresses=8, pinned_top_bits=3)
     hist = histogram_for(spec, warmup=200)
