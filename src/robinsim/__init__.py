@@ -13,7 +13,6 @@ from .mapping import (
     MappingScheme,
     PER_WORD,
     ROBIN,
-    codeword_counts,
     transition_vector,
     verify_partition,
 )
@@ -21,8 +20,6 @@ from .reliability import (
     DeviceParams,
     TraceAccumulator,
     normalized_increase,
-    p_block_success,
-    p_block_success_optimal,
     p_write_from_device,
     trace_error_rate,
 )

@@ -200,17 +200,17 @@ def inject_write(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockEstimate:
     """Monte Carlo estimates of a batch of block writes' success probabilities.
 
     ``p_block``, ``stderr`` and ``successes`` are ``(S, n)`` arrays: row s is
-    scheme s, column i write i of the batch.
+    scheme s, column i write i of the batch. Arrays have no one truth value,
+    so estimates compare and hash by identity; compare their arrays instead.
     """
 
     p_block: np.ndarray
     stderr: np.ndarray
-    trials: int
     successes: np.ndarray
 
     @property
@@ -257,7 +257,7 @@ def monte_carlo_block(
     cells = scheme_counts((cfg.scheme,) if schemes is None else schemes, olds ^ news, cfg.include_ecc)[1]
     successes = cfg.trials - _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, first)
     p = successes / cfg.trials
-    return BlockEstimate(p_block=p, stderr=np.sqrt(p * (1.0 - p) / cfg.trials), trials=cfg.trials, successes=successes)
+    return BlockEstimate(p_block=p, stderr=np.sqrt(p * (1.0 - p) / cfg.trials), successes=successes)
 
 
 def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) -> np.ndarray:

@@ -21,11 +21,11 @@ gives each bit's codeword, and :attr:`~MappingScheme.perm` lists the bits in slo
 order. :func:`scheme_counts` is the batch kernel, valid for any assignment of
 bits to codewords: each payload byte is looked up once in a data table and,
 when check bits count, once in a check table, built from ``perm`` with one byte
-lane per codeword of every scheme of the call. :func:`codeword_counts`, the one
-counting rule, is its one-scheme call at every row count; :func:`check_words`
-XORs a payload's check lanes, and :func:`verify_partition` reads the partition
-from a scheme's data lanes. :func:`block_datawords` and :func:`transition_vector`,
-one write's row of eight ints, pack bits by the scheme's slot order.
+lane per codeword of every scheme of the call; it is the one counting rule, at
+every row count and scheme count. :func:`check_words` XORs a payload's check
+lanes, and :func:`verify_partition` reads the partition from a scheme's data
+lanes. :func:`block_datawords` and :func:`transition_vector`, one write's row
+of eight ints, pack bits by the scheme's slot order.
 """
 
 from __future__ import annotations
@@ -226,11 +226,19 @@ def _lane_table(schemes: tuple[MappingScheme, ...], check: bool) -> np.ndarray:
 def scheme_counts(
     schemes: tuple[MappingScheme, ...], diff: np.ndarray, include_ecc: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`codeword_counts` of ``(n, 64)`` uint8 ``diff`` under S schemes at once.
+    """Per-codeword flip counts of a batch of block writes under S schemes at once.
 
-    Returns ``(data, cells)``, both ``(n, S, 8)`` uint8 in the given scheme
-    order. The byte-major ``(64, n * lanes)`` lookups are reduced over their
-    outer axis: data lanes summed, check lanes XORed and then bit-counted.
+    ``diff`` is the ``(n, 64)`` uint8 XOR ``olds ^ news`` of the old and new
+    payloads. Returns ``(data, cells)``, both ``(n, S, 8)`` uint8 in the
+    given scheme order: ``data`` counts the data bits that flip in each
+    codeword, and ``cells`` the cells a write touches, data plus check bits
+    with ``include_ecc`` and ``data`` itself without. The layout only moves
+    bits, so the datawords of ``old ^ new`` are the XOR of the two writes'
+    datawords; since encoding is linear over GF(2), ``encode(old) ^
+    encode(new) == encode(old ^ new)``, and the check bits that flip are
+    those encoded from the dataword diff. The byte-major ``(64, n * lanes)``
+    lookups are reduced over their outer axis: data lanes summed, check
+    lanes XORed and then bit-counted.
     """
     schemes = tuple(schemes)
     if not schemes:
@@ -247,32 +255,13 @@ def scheme_counts(
     return data, data + np.bitwise_count(check).reshape(shape)[:, :used]
 
 
-def codeword_counts(
-    scheme: MappingScheme, diff: np.ndarray, include_ecc: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-codeword flip counts of a batch of block writes: the one counting rule.
-
-    The one-scheme :func:`scheme_counts` of ``diff``, the ``(n, 64)`` uint8
-    XOR ``olds ^ news`` of the old and new payloads. Returns ``(data,
-    cells)``, both ``(n, 8)`` uint8: ``data`` counts the data bits that flip
-    in each codeword, and ``cells`` the cells a write touches, data plus
-    check bits with ``include_ecc`` and ``data`` itself without. The layout
-    only moves bits, so the datawords of ``old ^ new`` are the XOR of the two
-    writes' datawords; since encoding is linear over GF(2), ``encode(old) ^
-    encode(new) == encode(old ^ new)``, and the check bits that flip are
-    those encoded from the dataword diff.
-    """
-    data, cells = scheme_counts((scheme,), diff, include_ecc)
-    return data[:, 0], cells[:, 0]
-
-
 def transition_vector(
     scheme: MappingScheme, old: bytes, new: bytes, include_ecc: bool = True
 ) -> tuple[int, ...]:
     """The cells that must flip in each codeword when `old` is overwritten by `new`.
 
-    The eight counts of one row of :func:`codeword_counts`' ``cells``, from
-    the diff's datawords: with ``include_ecc`` a write touches all k + r
+    The eight counts of one write's ``cells`` row under :func:`scheme_counts`,
+    from the diff's datawords: with ``include_ecc`` a write touches all k + r
     cells of a codeword, so the flips of the words' check bits count too.
     """
     olds, news = np.frombuffer(old, np.uint8), np.frombuffer(new, np.uint8)

@@ -13,17 +13,16 @@ derived from device physics via :func:`p_write_from_device`.
 
 Each formula has one array implementation: :func:`codeword_log_success_array`
 for a codeword, whose sum over a row is the block's log success, and
-:func:`block_log_success_optimal_array` for the uniform-split bound. The
-scalar ``p_*`` functions evaluate those two and nothing else.
-A write's counts are a row of eight, one per codeword, checked by
-:func:`count_rows`. :class:`TraceAccumulator` folds a batch of S schemes'
-rows, as :func:`robinsim.mapping.scheme_counts` returns them, into every
-scheme's mean failure, optimum and codeword spread in one call;
-:func:`trace_error_rate` and :func:`robinsim.trace.codeword_stats` are its
-one-scheme calls. Its counts are whole numbers in [0, 576], 576 being the
-cells of a block, so it evaluates the closed form once per pw, for every
-possible count and block total, and then only looks values up: cached tables
-of those same two arrays, not a second formula. It works codeword-major and
+:func:`block_log_success_optimal_array` for the uniform-split bound.
+A write's counts are a row of eight, one per codeword. :class:`TraceAccumulator`
+folds a batch of S schemes' rows, as :func:`robinsim.mapping.scheme_counts`
+returns them, into every scheme's mean failure, optimum and codeword spread
+in one call; :func:`trace_error_rate`, which also rates a single row, and
+:func:`robinsim.trace.codeword_stats` are its one-scheme calls. Its counts
+are whole numbers in [0, 576], 576 being the cells of a block, so it
+evaluates the closed form once per pw, for every possible count and block
+total, and then only looks values up: cached tables of those same two
+arrays, not a second formula. It works codeword-major and
 adds a write's eight log terms in a fixed order, ``((c0 + c1) + (c2 + c3)) +
 ((c4 + c5) + (c6 + c7))``: the pairwise tree in which numpy sums eight
 contiguous float64 (N. J. Higham, SIAM J. Sci. Comput. 14(4), 1993), so its
@@ -149,16 +148,6 @@ def block_log_success_optimal_array(totals: np.ndarray, pw: float) -> np.ndarray
     return CODEWORDS * codeword_log_success_array(totals / CODEWORDS, pw)
 
 
-def p_block_success(row: Sequence[int], pw: float) -> float:
-    """Probability that all eight codewords of a block write succeed, given their counts."""
-    return float(np.exp(codeword_log_success_array(count_rows([row])[0], pw).sum()))
-
-
-def p_block_success_optimal(total: float, pw: float) -> float:
-    """Scalar :func:`block_log_success_optimal_array`, as a probability."""
-    return float(np.exp(block_log_success_optimal_array(total, pw)))
-
-
 @dataclass(frozen=True)
 class TraceErrorRate:
     """Mean per-write block-failure probability over a trace, and its uniform-split optimum."""
@@ -166,33 +155,6 @@ class TraceErrorRate:
     rate: float
     optimal_rate: float
     writes: int
-
-
-def count_rows(counts: np.ndarray, schemes: int | None = None) -> np.ndarray:
-    """``counts`` as an ``(n, 8)`` int64 array, checked to hold whole numbers in [0, 576].
-
-    With ``schemes``, as ``(n, S, 8)``, a row per scheme per write; ``(n, 8)``
-    counts are also taken for one scheme. Integer and bool counts are
-    converted; so are whole-valued floats, and any other value, or rows of
-    ragged lengths, raises :class:`ParameterError`.
-    """
-    try:
-        counts = np.asarray(counts)
-    except ValueError as exc:
-        raise ParameterError(f"count rows need {CODEWORDS} entries each: {exc}") from exc
-    shape = counts.shape
-    if schemes == 1 and counts.ndim == 2:
-        counts = counts[:, None]
-    if counts.shape[1:] != ((CODEWORDS,) if schemes is None else (schemes, CODEWORDS)):
-        per_scheme = f" for each of {schemes} schemes" if (schemes or 1) > 1 else ""
-        raise ParameterError(f"count rows need {CODEWORDS} entries{per_scheme}, got shape {shape}")
-    # NaN fails both comparisons
-    if counts.size and not (counts.min() >= 0 and counts.max() <= BLOCK_CELLS):
-        raise ParameterError(f"transition counts must lie in [0, {BLOCK_CELLS}]")
-    whole = counts.astype(np.int64, copy=False)
-    if counts.dtype.kind not in "biu" and not np.array_equal(whole, counts):
-        raise ParameterError("transition counts must be whole numbers")
-    return whole
 
 
 @lru_cache(maxsize=16)
@@ -232,14 +194,32 @@ class CodewordStats:
 
 
 def _codeword_major(counts: np.ndarray, schemes: int) -> np.ndarray:
-    """``(n, S, 8)`` counts as a contiguous codeword-major ``(8, S, n)`` array.
+    """``(n, S, 8)`` counts as a contiguous codeword-major ``(8, S, n)`` array, checked.
 
-    uint8 counts, the kernel's, are checked by dtype and shape alone, as [0,
-    255] lies inside [0, 576]; any others go through :func:`count_rows`.
+    A row per scheme per write; one scheme also takes ``(n, 8)`` counts.
+    They must be whole numbers in [0, 576]. uint8 counts, the kernel's, are
+    checked by shape alone, as [0, 255] lies inside that range; other integer
+    and bool counts are converted to int64, so are whole-valued floats, and
+    any other value, or rows of ragged lengths, raises :class:`ParameterError`.
     """
-    kernel = isinstance(counts, np.ndarray) and counts.dtype == np.uint8
-    if not (kernel and counts.shape[1:] == (schemes, CODEWORDS)):
-        counts = count_rows(counts, schemes)
+    try:
+        counts = np.asarray(counts)
+    except ValueError as exc:
+        raise ParameterError(f"count rows need {CODEWORDS} entries each: {exc}") from exc
+    shape = counts.shape
+    if schemes == 1 and counts.ndim == 2:
+        counts = counts[:, None]
+    if counts.shape[1:] != (schemes, CODEWORDS):
+        per_scheme = f" for each of {schemes} schemes" if schemes > 1 else ""
+        raise ParameterError(f"count rows need {CODEWORDS} entries{per_scheme}, got shape {shape}")
+    if counts.dtype != np.uint8:
+        # NaN fails both comparisons
+        if counts.size and not (counts.min() >= 0 and counts.max() <= BLOCK_CELLS):
+            raise ParameterError(f"transition counts must lie in [0, {BLOCK_CELLS}]")
+        whole = counts.astype(np.int64, copy=False)
+        if counts.dtype.kind not in "biu" and not np.array_equal(whole, counts):
+            raise ParameterError("transition counts must be whole numbers")
+        counts = whole
     return np.ascontiguousarray(counts.transpose(2, 1, 0))
 
 
@@ -268,7 +248,8 @@ class TraceAccumulator:
     def add(self, data: np.ndarray, cells: np.ndarray | None = None) -> None:
         """Fold one batch: the spread of ``data``, and the rates of ``cells``, or of ``data``.
 
-        Both are ``(n, S, 8)`` whole numbers in [0, 576] (see :func:`count_rows`).
+        Both are ``(n, S, 8)`` whole numbers in [0, 576], or ``(n, 8)`` for one
+        scheme; any other counts raise :class:`ParameterError`.
         """
         schemes = len(self._live)
         spread = _codeword_major(data, schemes)
@@ -326,10 +307,12 @@ class TraceAccumulator:
 def trace_error_rate(rows: Iterable[Sequence[int]], pw: float) -> TraceErrorRate:
     """Aggregate Eq-style block failure over a stream of rows of eight counts.
 
-    The cache error rate is the mean over writes of (1 - p_block_success);
+    The cache error rate is the mean over writes of each block's failure
+    probability, one minus the product of its eight codewords' success;
     alongside it the same mean is computed against the uniform K/8 bound,
     using each write's own total K. Writes with K = 0 contribute zero to
-    both. A one-scheme :class:`TraceAccumulator`'s rates, BATCH rows at a time.
+    both. A one-scheme :class:`TraceAccumulator`'s rates, BATCH rows at a
+    time; ``trace_error_rate([row], pw).rate`` is one write's failure.
     """
     acc = TraceAccumulator(pw)
     rows = iter(rows)

@@ -98,7 +98,8 @@ class SchemeReport:
     mc: TraceEstimate | None = None
 
 
-@dataclass
+# eq=False: the histogram array has no one truth value, so bundles compare by identity
+@dataclass(eq=False)
 class ReportBundle:
     pw: float
     writes: int

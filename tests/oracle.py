@@ -17,7 +17,8 @@ splitmix64 and classifies each record's trial chunks on their own; one
 injected write places its failing cells the same way, over its data and
 check cells taken one at a time. The per-scheme fold is the exception: it is
 the package's earlier code, kept to pin the accumulator's float order, and
-reads the package's own count check and closed-form tables.
+reads the package's own closed-form tables; it takes the kernel's counts and
+converts them to int64 itself.
 """
 
 import functools
@@ -27,7 +28,7 @@ import math
 
 import numpy as np
 
-from robinsim.reliability import CodewordStats, TraceErrorRate, _rate_tables, count_rows
+from robinsim.reliability import CodewordStats, TraceErrorRate, _rate_tables
 
 
 def block_to_bits(data):
@@ -378,7 +379,7 @@ class RateFold:
         self.optimal_sum = 0.0
 
     def add_counts(self, counts):
-        counts = count_rows(counts)
+        counts = np.asarray(counts, dtype=np.int64)
         log_success, optimal = _rate_tables(self.pw)
         self.failure_sum -= float(np.expm1(log_success.take(counts).sum(axis=-1)).sum())
         self.optimal_sum -= float(optimal.take(counts.sum(axis=1)).sum())
@@ -401,7 +402,7 @@ class SpreadFold:
         self.max_extreme = float("-inf")
 
     def add_counts(self, counts):
-        columns = np.ascontiguousarray(count_rows(counts).T)
+        columns = np.ascontiguousarray(np.asarray(counts, dtype=np.int64).T)
         totals = columns.sum(axis=0)
         mins = columns.min(axis=0)
         maxs = columns.max(axis=0)

@@ -11,6 +11,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
+import oracle
 from robinsim import secded
 from robinsim.cli import main as cli_main
 from robinsim.injection import InjectionConfig, monte_carlo_block
@@ -24,8 +25,6 @@ from robinsim.mapping import (
 from robinsim.reliability import (
     DeviceParams,
     codeword_log_success_array,
-    p_block_success,
-    p_block_success_optimal,
     p_write_from_device,
 )
 from robinsim.report import ExperimentConfig, run_experiment
@@ -118,7 +117,7 @@ def test_monte_carlo_matches_analytic():
         new = bytes(payload)
         tv = transition_vector(ROBIN, zero, new, include_ecc=False)
         assert sum(tv) == k
-        expected = p_block_success(tv, pw)
+        expected = math.prod(oracle.codeword_success(k, pw) for k in tv)
         cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=1_000_000, seed=2024, include_ecc=False)
         estimate = monte_carlo_block(
             np.frombuffer(zero, np.uint8)[None], np.frombuffer(new, np.uint8)[None], cfg, record_index=index
@@ -150,7 +149,8 @@ def test_uniform_split_is_optimal():
     success = np.exp(codeword_log_success_array(np.arange(17), pw)).tolist()
     ok = True
     for total in range(0, 17):
-        bound = p_block_success_optimal(total, pw)
+        # the real-valued K/8 split, in plain float arithmetic
+        bound = oracle.codeword_success(total / 8, pw) ** 8
         best_value = -1.0
         best = None
         for comp in compositions(total, 8):

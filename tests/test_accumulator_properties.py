@@ -75,7 +75,7 @@ def test_rate_accumulator_takes_whole_valued_floats(counts, pw):
 def test_accumulators_take_narrow_integer_and_bool_counts(counts, pw, dtype):
     """uint8, int32 and bool counts give the results of the same counts as int64.
 
-    uint8 counts of shape (n, 1, 8) take the kernel's route past count_rows.
+    uint8 counts of shape (n, 1, 8) take the kernel's route past the range check.
     """
     narrow = np.minimum(counts, np.iinfo(np.uint8).max).astype(dtype)[:, None]
     got, want = TraceAccumulator(pw), TraceAccumulator(pw)
@@ -124,10 +124,12 @@ def _zeros(counts):
     return np.zeros((len(counts), 8), dtype=np.int64)
 
 
-# bad counts as the rates' cells, and as the spread's data
+# bad counts as the rates' cells, as the spread's data, and as the rows of
+# trace_error_rate, whose one-row call is a single write's failure rate
 ADDERS = {
     "rate": lambda counts: TraceAccumulator(0.999).add(_zeros(counts), counts),
     "stats": lambda counts: TraceAccumulator(0.999).add(counts, _zeros(counts)),
+    "trace_error_rate": lambda rows: trace_error_rate(rows, 0.999),
 }
 
 
@@ -194,7 +196,7 @@ def test_accumulator_rejects_data_and_cells_of_different_lengths():
 
 @pytest.mark.parametrize("shape", ((4, 8), (4, 3, 8), (4, 2, 7)))
 def test_accumulator_rejects_rows_of_other_scheme_counts(shape):
-    """Two schemes take (n, 2, 8) counts only; uint8 ones skip count_rows but not the shape check."""
+    """Two schemes take (n, 2, 8) counts only; uint8 ones skip the range check but not the shape check."""
     for dtype in (np.uint8, np.int64):
         with pytest.raises(ParameterError, match=re.escape(f"for each of 2 schemes, got shape {shape}")):
             TraceAccumulator(0.999, 2).add(np.zeros(shape, dtype))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,6 @@ from robinsim.injection import (
     monte_carlo_block,
 )
 from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, block_datawords, check_words, transition_vector
-from robinsim.reliability import p_block_success
 from robinsim.trace import pair_batches
 
 SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
@@ -218,7 +219,8 @@ def test_monte_carlo_block_across_trial_chunks():
     again = monte_carlo_block(one_write(ZERO), one_write(new), cfg, record_index=2)
     assert np.array_equal(first.successes, again.successes)
     assert 0 < first.successes[0, 0] < cfg.trials
-    expected = p_block_success(transition_vector(INTERLEAVED, ZERO, new, include_ecc=True), 0.99)
+    tv = transition_vector(INTERLEAVED, ZERO, new, include_ecc=True)
+    expected = math.prod(oracle.codeword_success(k, 0.99) for k in tv)
     assert abs(first.p_block[0, 0] - expected) < 4 * first.stderr[0, 0]
 
 
@@ -256,7 +258,7 @@ def test_monte_carlo_block_matches_analytic(flats, pw):
     new = block_with_flips(flats)
     cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=100_000, seed=11, include_ecc=False)
     tv = transition_vector(ROBIN, ZERO, new, include_ecc=False)
-    expected = p_block_success(tv, pw)
+    expected = math.prod(oracle.codeword_success(k, pw) for k in tv)
     estimate = monte_carlo_block(one_write(ZERO), one_write(new), cfg)
     sigma = max(estimate.stderr[0, 0], 1e-9)
     assert abs(estimate.p_block[0, 0] - expected) < 4 * sigma
@@ -268,7 +270,7 @@ def test_monte_carlo_block_include_ecc_uses_check_transitions():
     assert sum(tv) > 1  # the single data flip drags check bits along
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, trials=50_000, seed=5, include_ecc=True)
     estimate = monte_carlo_block(one_write(ZERO), one_write(new), cfg)
-    expected = p_block_success(tv, 0.5)
+    expected = math.prod(oracle.codeword_success(k, 0.5) for k in tv)
     assert abs(estimate.p_block[0, 0] - expected) < 4 * estimate.stderr[0, 0]
 
 
@@ -279,7 +281,6 @@ def test_monte_carlo_block_deterministic():
     second = monte_carlo_block(olds, news, cfg, record_index=4)
     for name in ("p_block", "stderr", "successes"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
-    assert first.trials == second.trials
     other_record = monte_carlo_block(olds, news, cfg, record_index=5)
     assert other_record.successes[0, 0] != first.successes[0, 0]  # distinct substreams
 
@@ -360,7 +361,7 @@ def test_monte_carlo_trace_matches_analytic_on_skewed_trace():
         news.append(new)
         tvs.append(transition_vector(PER_WORD, ZERO, new, include_ecc=False))
     pw = 0.95
-    analytic = float(np.mean([1.0 - p_block_success(tv, pw) for tv in tvs]))
+    analytic, _ = oracle.trace_rates(tvs, pw)
     cfg = InjectionConfig(pw=pw, scheme=PER_WORD, trials=20_000, seed=13, include_ecc=False)
     accumulator = MonteCarloAccumulator(cfg)
     accumulator.add_batch(np.zeros((10, 64), dtype=np.uint8), stack_blocks(news))
@@ -588,7 +589,8 @@ def test_inject_write_failure_rate_matches_closed_form():
     cfg = InjectionConfig(pw=0.97, scheme=INTERLEAVED, include_ecc=True)
     trials = 4000
     ok = sum(inject_write(old, new, cfg, substream(6, t)).block_ok for t in range(trials))
-    expected = p_block_success(transition_vector(INTERLEAVED, old, new, include_ecc=True), 0.97)
+    tv = transition_vector(INTERLEAVED, old, new, include_ecc=True)
+    expected = math.prod(oracle.codeword_success(k, 0.97) for k in tv)
     sigma = (expected * (1 - expected) / trials) ** 0.5
     assert 0.05 < expected < 0.95
     assert abs(ok / trials - expected) < 4 * sigma

@@ -26,7 +26,7 @@ def estimate(trials=40, seed=2, record_index=0):
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=trials, seed=seed)
     result = monte_carlo_block(OLDS, NEWS, cfg, record_index=record_index)
     # (1, 3): one row, cfg.scheme's, of the three writes
-    return result.successes.tolist(), result.trials, cfg
+    return result.successes.tolist(), cfg
 
 
 def accumulate(schemes):

@@ -16,7 +16,6 @@ from robinsim.mapping import (
     ROBIN,
     _lane_table,
     block_datawords,
-    codeword_counts,
     scheme_counts,
     transition_vector,
 )
@@ -57,7 +56,7 @@ def write_batches(draw, rows):
 @settings(max_examples=12, deadline=None)
 @given(write_batches(st.integers(1, BATCH + 40)))
 @example(seeded_batch(BATCH + 40, 0, 0, BATCH))
-# one row, and either side of 16 rows, where codeword_counts once changed route
+# one row, and either side of 16 rows, where the one-scheme count once changed route
 @example(seeded_batch(1, 1, 0, 0))
 @example(seeded_batch(15, 6, 0, 14))
 @example(seeded_batch(16, 7, 15, 0))
@@ -65,10 +64,11 @@ def write_batches(draw, rows):
 def test_codeword_counts_match_per_bit_oracle(batch):
     olds, news = batch
     for scheme in SCHEMES:
-        data, cells = codeword_counts(scheme, olds ^ news, include_ecc=True)
-        data_only, data_cells = codeword_counts(scheme, olds ^ news, include_ecc=False)
+        data, cells = scheme_counts((scheme,), olds ^ news, include_ecc=True)
+        data_only, data_cells = scheme_counts((scheme,), olds ^ news, include_ecc=False)
         for counts in (data, cells, data_only, data_cells):
-            assert counts.dtype == np.uint8 and counts.shape == (len(olds), 8)
+            assert counts.dtype == np.uint8 and counts.shape == (len(olds), 1, 8)
+        data, cells, data_only, data_cells = (counts[:, 0] for counts in (data, cells, data_only, data_cells))
         assert np.array_equal(data, data_only)
         # without ECC a write touches only its data cells
         assert np.array_equal(data_cells, data_only)
@@ -97,8 +97,9 @@ def test_scheme_counts_match_codeword_counts_and_oracle(batch):
                 want_data, want_check = want[scheme]
                 assert np.array_equal(data[:, s], want_data)
                 assert np.array_equal(cells[:, s], want_data + want_check if include_ecc else want_data)
-                one_data, one_cells = codeword_counts(scheme, diff, include_ecc)
-                assert np.array_equal(data[:, s], one_data) and np.array_equal(cells[:, s], one_cells)
+                # a scheme's counts do not depend on the other schemes of the call
+                one_data, one_cells = scheme_counts((scheme,), diff, include_ecc)
+                assert np.array_equal(data[:, s], one_data[:, 0]) and np.array_equal(cells[:, s], one_cells[:, 0])
 
 
 @pytest.mark.parametrize("schemes", SCHEME_TUPLES, ids=lambda t: ",".join(s.kind for s in t))
@@ -160,7 +161,7 @@ def test_transition_vector_matches_batch_kernel_and_oracle(old, new):
     for scheme in SCHEMES:
         want_data, want_check = oracle.flip_counts(scheme.kind, old, new, True)
         for include_ecc in (False, True):
-            data, cells = codeword_counts(scheme, diff[None], include_ecc)
+            data, cells = (counts[:, 0] for counts in scheme_counts((scheme,), diff[None], include_ecc))
             assert data.dtype == cells.dtype == np.uint8 and data.shape == cells.shape == (1, 8)
             assert data[0].tolist() == want_data
             assert (cells - data)[0].tolist() == (want_check if include_ecc else [0] * 8)

@@ -20,7 +20,6 @@ from robinsim.mapping import (
     MappingScheme,
     block_datawords,
     check_words,
-    codeword_counts,
     scheme_counts,
     transition_vector,
     verify_partition,
@@ -100,11 +99,11 @@ def test_map_bit_roundtrip_with_codeword_data_bits(scheme):
 
 def test_a_scheme_built_by_name_is_the_constant_and_shares_its_lane_tables():
     diff = np.random.default_rng(11).integers(0, 256, (4, 64), dtype=np.uint8)
-    expected = codeword_counts(ROBIN, diff)
+    expected = scheme_counts((ROBIN,), diff)
     scheme = MappingScheme("robin")
     assert scheme == ROBIN and hash(scheme) == hash(ROBIN)
     misses = _lane_table.cache_info().misses
-    counts = codeword_counts(scheme, diff)
+    counts = scheme_counts((scheme,), diff)
     assert _lane_table.cache_info().misses == misses
     assert all(np.array_equal(got, want) for got, want in zip(counts, expected))
     # the tables are ROBIN's, so the new scheme has still derived nothing
@@ -205,9 +204,10 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
     density = np.linspace(0.0, 1.0, len(olds))[:, None]
     flips = np.packbits(rng.random((len(olds), 512)) < density, axis=1, bitorder="little")
     news = olds ^ flips
-    data, cells = codeword_counts(scheme, olds ^ news, include_ecc)
+    data, cells = scheme_counts((scheme,), olds ^ news, include_ecc)
     assert data.dtype == cells.dtype == np.uint8
-    assert data.shape == cells.shape == (len(olds), 8)
+    assert data.shape == cells.shape == (len(olds), 1, 8)
+    data, cells = data[:, 0], cells[:, 0]
     if not include_ecc:
         assert np.array_equal(cells, data)
     for i, (old, new) in enumerate(zip(olds, news)):
@@ -218,21 +218,21 @@ def test_codeword_counts_match_per_bit_oracle(scheme, include_ecc):
 
 
 def test_codeword_counts_takes_byte_xor_only():
-    # from one row up, either side of 16 rows where codeword_counts once
-    # changed route, through the multi-scheme kernel and through check_words
+    # from one row up, either side of 16 rows where the one-scheme count once
+    # changed route, through one scheme, through two and through check_words
     for n in (1, 15, 16, BATCH):
         for shape, dtype in (((512,), np.uint8), ((63,), np.uint8), ((64,), bool), ((64,), np.int64)):
             diff = np.zeros((n, *shape), dtype=dtype)
             for include_ecc in (False, True):
                 with pytest.raises(ValueError, match=r"payloads must be \(n, 64\) uint8"):
-                    codeword_counts(ROBIN, diff, include_ecc)
+                    scheme_counts((ROBIN,), diff, include_ecc)
                 with pytest.raises(ValueError, match=r"payloads must be \(n, 64\) uint8"):
                     scheme_counts((ROBIN, PER_WORD), diff, include_ecc)
             with pytest.raises(ValueError, match=r"payloads must be \(n, 64\) uint8"):
                 check_words(ROBIN, diff)
     empty = np.zeros((0, 64), dtype=np.uint8)
-    data, cells = codeword_counts(ROBIN, empty)
-    assert data.shape == cells.shape == (0, 8)
+    data, cells = scheme_counts((ROBIN,), empty)
+    assert data.shape == cells.shape == (0, 1, 8)
     words = check_words(ROBIN, empty)
     assert words.shape == (0,) and words.dtype == np.dtype("<u8")
     data, cells = scheme_counts((ROBIN, PER_WORD), empty)
@@ -253,7 +253,7 @@ def test_check_table_built_only_when_check_bits_count():
     data, cells = scheme_counts(SCHEMES, diff, include_ecc=False)
     assert cells is data
     # the data table alone, also on a second ECC-off call
-    codeword_counts(ROBIN, diff, include_ecc=False)
+    scheme_counts((ROBIN,), diff, include_ecc=False)
     scheme_counts(SCHEMES, diff, include_ecc=False)
     assert _lane_table.cache_info().currsize == 2
     _, with_check = scheme_counts(SCHEMES, diff, include_ecc=True)
@@ -269,7 +269,7 @@ def test_transition_vector_is_a_row_of_eight_ints():
             row = transition_vector(scheme, old, new, include_ecc)
             assert type(row) is tuple and len(row) == 8 and all(type(k) is int for k in row)
             diff = (block_bytes(old) ^ block_bytes(new))[None]
-            assert row == tuple(codeword_counts(scheme, diff, include_ecc)[1][0].tolist())
+            assert row == tuple(scheme_counts((scheme,), diff, include_ecc)[1][0, 0].tolist())
 
 
 def test_transition_vector_encodes_its_eight_datawords_once(monkeypatch):
@@ -299,10 +299,10 @@ def test_transition_vector_matches_the_kernel_on_every_single_byte_diff(scheme, 
     diffs = np.zeros((64, 256, 64), dtype=np.uint8)
     diffs[np.arange(64), :, np.arange(64)] = values
     diffs = diffs.reshape(-1, 64)
-    _, cells = codeword_counts(scheme, diffs, include_ecc)
+    _, cells = scheme_counts((scheme,), diffs, include_ecc)
     olds = old.tobytes()
     rows = [transition_vector(scheme, olds, (old ^ diff).tobytes(), include_ecc) for diff in diffs]
-    assert rows == [tuple(row) for row in cells.tolist()]
+    assert rows == [tuple(row) for row in cells[:, 0].tolist()]
 
 
 def test_transition_vector_takes_any_64_byte_buffer():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracle
 from robinsim import injection
 from robinsim.injection import _TRIAL_CHUNK, InjectionConfig, monte_carlo_block
-from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, MappingScheme, codeword_counts
+from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, MappingScheme, scheme_counts
 from robinsim.report import ExperimentConfig, make_pairs, run_experiment
 from robinsim.workloads import WorkloadSpec
 
@@ -172,6 +172,6 @@ def test_run_experiment_monte_carlo_matches_reference_across_batches():
     assert len(pairs) == 1100
     diff = np.array([np.frombuffer(old, np.uint8) ^ np.frombuffer(new, np.uint8) for old, new in pairs])
     for report in bundle.schemes:
-        cells = codeword_counts(MappingScheme(report.scheme), diff, include_ecc=True)[1]
+        cells = scheme_counts((MappingScheme(report.scheme),), diff, include_ecc=True)[1][:, 0]
         rate, stderr = oracle.mc_trace(cells.tolist(), cfg.pw, cfg.trials, cfg.seed)
         assert (report.mc.error_rate, report.mc.stderr, report.mc.records) == (rate, stderr, 1100)

@@ -4,12 +4,13 @@ Every name a module of ``src/robinsim`` imports (its ``__init__.py``
 re-exports, so it is left out) must be read somewhere in that module. Every
 private top-level name of the package must be read somewhere in the package.
 Every public top-level function or class must be read in a module of the
-package other than ``__init__.py`` or in a file of ``bench/``, or be named
-in ``README.md``.
+package other than ``__init__.py`` or in a file of ``bench/``. Naming it in
+``README.md`` or exporting it from ``__init__.py`` does not count: a public
+wrapper that no module and no benchmark calls is a second form of a call
+that already exists.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,7 +49,6 @@ def unused_names(root=ROOT):
     used = set().union(
         *(reads(tree) for path, tree in trees.items() if path.name != "__init__.py"),
         *(reads(parse(path)) for path in sorted((root / "bench").glob("*.py"))),
-        re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")),
     )
     private = set()
     for path, tree in trees.items():
@@ -58,7 +58,7 @@ def unused_names(root=ROOT):
                 if not node.name.startswith("_") and node.name not in used:
                     unused.append(
                         f"{path}:{node.lineno}: public name {node.name} is read outside __init__.py"
-                        " by no module, nor in bench/ or README.md"
+                        " by no module, nor in bench/"
                     )
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]

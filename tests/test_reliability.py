@@ -11,10 +11,9 @@ import oracle
 from robinsim.reliability import (
     DeviceParams,
     ParameterError,
+    block_log_success_optimal_array,
     codeword_log_success_array,
     normalized_increase,
-    p_block_success,
-    p_block_success_optimal,
     p_write_from_device,
     trace_error_rate,
 )
@@ -153,39 +152,46 @@ def test_codeword_log_success_array_matches_scalar():
         assert np.allclose(array[ks == ks.astype(int)], whole, rtol=1e-12, atol=0)
 
 
+def block_success(rows, pw):
+    """Each row's block success: its codewords' log successes summed, as a probability."""
+    return np.exp(codeword_log_success_array(rows, pw).sum(axis=-1))
+
+
 def test_block_success_reference_points():
-    assert p_block_success([0] * 8, 0.9) == 1.0
-    assert p_block_success([2, 0, 0, 0, 0, 0, 0, 0], 0.9) == pytest.approx(0.99)
-    assert p_block_success([2] * 8, 0.9) == pytest.approx(0.99**8)
-    # a kernel row, as codeword_counts returns it
-    assert p_block_success(np.full(8, 2, dtype=np.uint8), 0.9) == pytest.approx(0.9227446944279201)
+    rows = [[0] * 8, [2, 0, 0, 0, 0, 0, 0, 0], [2] * 8]
+    assert block_success(rows, 0.9) == pytest.approx([1.0, 0.99, 0.99**8])
+    assert block_success(rows[0], 0.9) == 1.0
+    # a kernel row, as scheme_counts returns it
+    assert block_success(np.full(8, 2, dtype=np.uint8), 0.9) == pytest.approx(0.9227446944279201)
 
 
 def test_block_success_optimal_reference_points():
-    assert p_block_success_optimal(0, 0.9) == 1.0
-    assert p_block_success_optimal(8, 0.123) == pytest.approx(1.0)
-    assert p_block_success_optimal(16, 0.9) == pytest.approx(0.99**8)
+    optimal = np.exp(block_log_success_optimal_array([0, 8, 16, 12], 0.9))
+    assert optimal[0] == 1.0
+    assert np.exp(block_log_success_optimal_array(8, 0.123)) == pytest.approx(1.0)
+    assert optimal[2] == pytest.approx(0.99**8)
     # non-multiple of 8: the real-valued split bounds the best integer one
-    assert p_block_success_optimal(12, 0.9) >= p_block_success([2] * 4 + [1] * 4, 0.9)
+    assert optimal[3] >= block_success([2] * 4 + [1] * 4, 0.9)
 
 
 def test_uniform_composition_is_optimal_small_k():
     pw = 0.9
     for total in range(2, 11):
-        best = max(compositions(total, 8), key=lambda c: p_block_success(c, pw))
+        comps = np.array(list(compositions(total, 8)))
+        success = block_success(comps, pw)
+        best = comps[np.argmax(success)]
         uniform = tuple(sorted([total // 8 + (1 if i < total % 8 else 0) for i in range(8)]))
-        assert tuple(sorted(best)) == uniform
-        bound = p_block_success_optimal(total, pw)
-        for comp in compositions(total, 8):
-            assert p_block_success(comp, pw) <= bound + 1e-12
+        assert tuple(sorted(best.tolist())) == uniform
+        bound = np.exp(block_log_success_optimal_array(total, pw))
+        assert np.all(success <= bound + 1e-12)
 
 
 def test_block_success_bounded_by_optimal_random():
     rng = np.random.default_rng(32)
     for pw in (0.5, 0.9, 0.999):
-        for _ in range(200):
-            tv = tuple(int(v) for v in rng.integers(0, 65, 8))
-            assert p_block_success(tv, pw) <= p_block_success_optimal(sum(tv), pw) + 1e-12
+        rows = rng.integers(0, 65, (200, 8))
+        bound = np.exp(block_log_success_optimal_array(rows.sum(axis=1), pw))
+        assert np.all(block_success(rows, pw) <= bound + 1e-12)
 
 
 def test_trace_error_rate_reference_points():
@@ -274,8 +280,9 @@ def test_trace_error_rate_rejects_rows_that_are_not_eight_counts(rows):
     ids=("three", "seven", "nine", "nested", "ragged"),
 )
 def test_block_success_rejects_rows_that_are_not_eight_counts(row):
+    # one write's failure rate checks its row as a trace's rows are checked
     with pytest.raises(ParameterError, match="count rows need 8 entries"):
-        p_block_success(row, 0.9)
+        trace_error_rate([row], 0.9)
 
 
 TINY_Q = [10.0**-e for e in range(3, 13)]

@@ -9,7 +9,7 @@ import pytest
 import oracle
 from robinsim import config
 from robinsim.config import config_from_values, load_config, parse_config_text
-from robinsim.injection import InjectionConfig, MonteCarloAccumulator
+from robinsim.injection import InjectionConfig, MonteCarloAccumulator, monte_carlo_block
 from robinsim.mapping import MappingScheme, transition_vector
 from robinsim.reliability import DeviceParams, normalized_increase, trace_error_rate
 from robinsim.report import (
@@ -237,6 +237,19 @@ def test_run_experiment_monte_carlo_independent_of_batches():
         for olds, news in pair_batches(pairs):
             accumulator.add_batch(olds, news)
         assert [report.mc] == accumulator.finalize()
+
+
+def test_results_holding_arrays_compare_by_identity():
+    # an array has no one truth value, so a field-wise == would raise
+    inj = InjectionConfig(pw=0.9, scheme=MappingScheme("robin"), trials=20, seed=3)
+    olds, news = np.zeros((2, 64), np.uint8), np.full((2, 64), 0x0F, np.uint8)
+    estimates = [monte_carlo_block(olds, news, inj) for _ in range(2)]
+    cfg = small_config(workload=WorkloadSpec(kind="irregular", records=200, addresses=8))
+    bundles = [run_experiment(cfg) for _ in range(2)]
+    for first, second in (estimates, bundles):
+        assert first == first and not first != first
+        assert (first == second) is False and first != second
+        assert len({first, second}) == 2
 
 
 def test_csv_emission_schema(tmp_path):
