@@ -43,33 +43,32 @@ computes the stream one gap at a time and is its specification. The logarithm
 is the platform's, so a gap can differ between machines only where
 ``ln u / ln(1 - q)`` lies within rounding of an integer.
 
-:func:`monte_carlo_block` takes a batch, two ``(n, 64)`` uint8 arrays, and
-gives ``(S, n)`` estimates, one row per scheme. A batch is counted with one
-:func:`robinsim.mapping.scheme_counts` call, the counters of all its (record,
-trial chunk) segments are hashed at once, a bounded number of draws at a
-time, and their failures are classified together, scheme by scheme.
-:class:`MonteCarloAccumulator` feeds it batches in record order, one call per
-batch for every scheme of ``run_experiment``; fed by
-:func:`robinsim.trace.pair_batches`, it estimates a whole trace.
-:func:`inject_write` draws one 64-bit key from its generator and places its
-failing cells with the same sampler, so the decoder cross-check runs it too.
-It takes its check words from the counting kernel's check lanes
-(:func:`robinsim.mapping.check_words`), and :func:`end_to_end_check`
-decodes the stored codewords with :mod:`robinsim.secded`'s own encoder, so
-every cross-checked write also checks those two encoders against each other.
+:func:`monte_carlo_block` takes a batch's ``(n, S, 8)`` ``cells`` counts, as
+:func:`robinsim.mapping.scheme_counts` returns them, and gives the ``(S, n)``
+successes: it simulates exactly the cells those counts hold. The counters of
+all its (record, trial chunk) segments are hashed at once, a bounded number
+of draws at a time, and their failures are classified together, scheme by
+scheme. :class:`MonteCarloAccumulator` feeds it batches in record order and
+turns successes into rates; ``run_experiment`` passes it the ``cells`` of its
+own counting pass. :func:`inject_write` draws one 64-bit key from its
+generator and places its failing cells with the same sampler, so the decoder
+cross-check runs it too. It takes its check words from the counting kernel's
+check lanes (:func:`robinsim.mapping.check_words`), and
+:func:`end_to_end_check` decodes the stored codewords with
+:mod:`robinsim.secded`'s own encoder, so every cross-checked write also
+checks those two encoders against each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import secded
 from .bits import BLOCK_BITS, BLOCK_BYTES, _int_setting, stack_blocks
-from .mapping import CODEWORDS, MappingScheme, block_datawords, check_words, scheme_counts
+from .mapping import CODEWORDS, MappingScheme, block_datawords, check_words
 
 # splitmix64: golden-gamma increment and the two finalizer multipliers
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -149,14 +148,13 @@ class WriteOutcome:
 
     ``written`` holds the 64-byte payload as stored (failed bits keep their
     old value); ``written_check`` the eight stored check words when check-bit
-    injection was enabled. ``block_ok`` follows the count rule: at most one
-    failure in every codeword.
+    injection was enabled. By the count rule the block is recoverable when
+    ``max(failures_per_codeword) <= 1``.
     """
 
     written: bytes
     written_check: tuple[int, ...] | None
     failures_per_codeword: tuple[int, ...]
-    block_ok: bool
 
 
 def inject_write(
@@ -196,68 +194,35 @@ def inject_write(
         written=bytes(stored[:BLOCK_BYTES]),
         written_check=tuple(stored[BLOCK_BYTES:]) if cfg.include_ecc else None,
         failures_per_codeword=tuple(counts),
-        block_ok=max(counts) <= 1,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BlockEstimate:
-    """Monte Carlo estimates of a batch of block writes' success probabilities.
+def monte_carlo_block(cells: np.ndarray, record_index: int, cfg: InjectionConfig) -> np.ndarray:
+    """Successful trials out of ``cfg.trials`` of a batch of block writes, as ``(S, n)`` int64.
 
-    ``p_block``, ``stderr`` and ``successes`` are ``(S, n)`` arrays: row s is
-    scheme s, column i write i of the batch. Arrays have no one truth value,
-    so estimates compare and hash by identity; compare their arrays instead.
-    """
+    ``cells`` are the ``(n, S, 8)`` uint8 counts of
+    :func:`robinsim.mapping.scheme_counts`, each at most
+    ``secded.CODEWORD_BITS``; any other input raises ``ValueError`` naming
+    that shape. Row s is scheme s, simulated on the draws of every other row.
+    The batch holds records ``record_index`` to ``record_index + n - 1``, and
+    record r draws from the key ``mix_seed(seed, r)`` (see the module
+    docstring), so its successes are the same in any batch. ``record_index``
+    must be an integer (numpy integers too) in [0, 2**64 - n]; any other
+    raises ``ValueError`` naming ``record_index``.
 
-    p_block: np.ndarray
-    stderr: np.ndarray
-    successes: np.ndarray
-
-    @property
-    def error_rate(self) -> np.ndarray:
-        return 1.0 - self.p_block
-
-
-def monte_carlo_block(
-    olds: np.ndarray,
-    news: np.ndarray,
-    cfg: InjectionConfig,
-    record_index: int = 0,
-    schemes: Sequence[MappingScheme] | None = None,
-) -> BlockEstimate:
-    """Estimate block write success probabilities by repeated fault injection.
-
-    ``olds`` and ``news`` are two ``(n, 64)`` uint8 arrays of equal shape
-    holding records ``record_index`` to ``record_index + n - 1``; any other
-    input raises ``ValueError`` naming that shape. Record r draws from the key
-    ``mix_seed(seed, r)`` (see the module docstring), so a record's estimate
-    is the same in any batch. ``record_index`` must be an integer (numpy
-    integers too) in [0, 2**64 - n], so every record lies in [0, 2**64); any
-    other raises ``ValueError`` naming ``record_index``.
-
-    Every scheme of ``schemes``, by default ``(cfg.scheme,)``, is estimated on
-    the same draws: ``p_block``, ``stderr`` and ``successes`` are ``(S, n)``
-    arrays, one row per scheme, and each row equals its scheme's own call.
-    One write is the batch ``np.frombuffer(old, np.uint8)[None]``.
-
-    Only the transitioning cells of codewords with at least two of them are
-    simulated, since a codeword with one can never exceed t = 1. A trial
-    succeeds when every codeword collects at most one failure. A record that
-    cannot fail draws nothing. All n writes are counted at once under every
-    scheme, and their failures are drawn once and classified together (see
+    Only codewords with at least two cells are simulated, since one can never
+    exceed t = 1. A trial succeeds when every codeword collects at most one
+    failure, and a record that cannot fail draws nothing. The batch's
+    failures are drawn once and classified together (see
     :func:`_failed_trials`).
     """
-    if not (
-        isinstance(olds, np.ndarray) and isinstance(news, np.ndarray) and olds.shape == news.shape
-        and olds.ndim == 2 and olds.shape[1] == BLOCK_BYTES and olds.dtype == news.dtype == np.uint8
-    ):
-        got = [f"{a.shape} {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__ for a in (olds, news)]
-        raise ValueError(f"olds and news must be two (n, 64) uint8 arrays of equal shape, got {got[0]} and {got[1]}")
-    first = _int_setting("record_index", record_index, 0, 2**64 - len(olds))
-    cells = scheme_counts((cfg.scheme,) if schemes is None else schemes, olds ^ news, cfg.include_ecc)[1]
-    successes = cfg.trials - _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, first)
-    p = successes / cfg.trials
-    return BlockEstimate(p_block=p, stderr=np.sqrt(p * (1.0 - p) / cfg.trials), successes=successes)
+    if not (isinstance(cells, np.ndarray) and cells.dtype == np.uint8 and cells.shape[2:] == (CODEWORDS,)):
+        got = f"{cells.shape} {cells.dtype}" if isinstance(cells, np.ndarray) else type(cells).__name__
+        raise ValueError(f"cells must be an (n, S, 8) uint8 array, got {got}")
+    if cells.size and cells.max() > secded.CODEWORD_BITS:
+        raise ValueError(f"cells must be (n, S, 8) counts up to {secded.CODEWORD_BITS}, got {cells.max()}")
+    first = _int_setting("record_index", record_index, 0, 2**64 - len(cells))
+    return cfg.trials - _failed_trials(np.where(cells > 1, cells, 0).transpose(1, 0, 2), cfg, first)
 
 
 def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) -> np.ndarray:
@@ -444,34 +409,36 @@ class TraceEstimate:
 
 
 class MonteCarloAccumulator:
-    """Running trace-level Monte Carlo estimates, fed batches of (old, new) writes in record order.
+    """Running trace-level Monte Carlo estimates, fed batches of ``cells`` counts in record order.
 
     The r-th write added is record r and draws from the key mix_seed(seed, r), so
     the estimates are independent of how the writes are batched; partial
-    results merge by summing (failure_fraction, variance_term) pairs. With
-    ``schemes``, every listed scheme is estimated on the same draws, one
-    :func:`monte_carlo_block` call per batch; without, ``cfg.scheme`` alone.
-    :meth:`finalize` returns one estimate per scheme, in scheme order. Fed
-    :func:`robinsim.trace.pair_batches`, it estimates a trace.
+    results merge by summing (failure_fraction, variance_term) pairs.
+    ``schemes`` is the S of every batch's ``(n, S, 8)`` counts, an integer
+    (numpy integers too) of at least 1; any other raises ``ValueError`` naming
+    it. :meth:`finalize` returns one estimate per scheme, in scheme order.
     """
 
-    def __init__(self, cfg: InjectionConfig, schemes: Sequence[MappingScheme] | None = None) -> None:
+    def __init__(self, cfg: InjectionConfig, schemes: int = 1) -> None:
         self.cfg = cfg
-        self.schemes = (cfg.scheme,) if schemes is None else tuple(schemes)
+        self.schemes = _int_setting("schemes", schemes, 1)
         self.records = 0
-        self._failure_sums = [0.0] * len(self.schemes)
-        self._variance_sums = [0.0] * len(self.schemes)
+        self._failure_sums = [0.0] * self.schemes
+        self._variance_sums = [0.0] * self.schemes
 
-    def add_batch(self, olds: np.ndarray, news: np.ndarray) -> None:
-        """Add the writes of two ``(n, 64)`` uint8 arrays of equal shape as the next n records."""
-        estimate = monte_carlo_block(olds, news, self.cfg, record_index=self.records, schemes=self.schemes)
-        variance = estimate.p_block * (1.0 - estimate.p_block) / self.cfg.trials
-        for s, (failures, terms) in enumerate(zip(estimate.error_rate.tolist(), variance.tolist())):
+    def add_batch(self, cells: np.ndarray) -> None:
+        """Add a batch's ``(n, S, 8)`` uint8 ``cells`` counts as the next n records."""
+        if isinstance(cells, np.ndarray) and cells.ndim == 3 and cells.shape[1] != self.schemes:
+            raise ValueError(f"cells hold {cells.shape[1]} schemes, the accumulator {self.schemes}")
+        # positional: the benchmark's tracer reads the trials of the third argument
+        p = monte_carlo_block(cells, self.records, self.cfg) / self.cfg.trials
+        variance = p * (1.0 - p) / self.cfg.trials
+        for s, (failures, terms) in enumerate(zip((1.0 - p).tolist(), variance.tolist())):
             # one record at a time, so the sums do not depend on the batching
             for failure, term in zip(failures, terms):
                 self._failure_sums[s] += failure
                 self._variance_sums[s] += term
-        self.records += len(olds)
+        self.records += len(cells)
 
     def finalize(self) -> list[TraceEstimate]:
         if self.records == 0:

@@ -8,10 +8,11 @@ One streaming pass over the old/new pair stream, in the batches of up to
 analytic error rate, its uniform-split optimum and its codeword-spread
 statistics, in a fixed float order that makes a scheme's rows independent of
 the schemes run with it), and sums the per-bit transition histogram.
-With Monte Carlo on, each batch's ``olds`` and ``news`` also feed one
-:class:`robinsim.injection.MonteCarloAccumulator` for all schemes, which draws
-a record's failures once and scores every scheme on them (the draws do not
-depend on the scheme), so memory stays bounded in the trace length.
+With Monte Carlo on, the same ``cells`` feed one
+:class:`robinsim.injection.MonteCarloAccumulator` for all schemes, so a batch
+is counted once; it draws a record's failures once and scores every scheme
+on them (the draws do not depend on the scheme), so memory stays bounded in
+the trace length.
 :func:`emit_csv` builds three CSV tables and :func:`emit_svg` three
 self-contained SVG charts, each as text, and each writes its three with one
 ``_write`` call: ASCII with ``\n`` line ends, in a fixed order. Reruns with
@@ -61,8 +62,8 @@ class ExperimentConfig:
         """The run's schemes and Monte Carlo settings; every check raises ``ConfigError``.
 
         The injection config's pw is the run's: ``pw``, or the device point's.
-        Its own scheme is the first one; the run's accumulator scores all of
-        them and does not read it.
+        Its scheme is the first one; Monte Carlo reads neither it nor
+        ``include_ecc``, as it simulates the cells of the run's own counts.
         """
         if not self.schemes:
             raise ConfigError("at least one scheme must be selected")
@@ -122,15 +123,16 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     pw = injection.pw
     acc = TraceAccumulator(pw, len(schemes))
     histogram = np.zeros(BLOCK_BITS, dtype=np.int64)
-    mc = MonteCarloAccumulator(injection, schemes) if cfg.monte_carlo else None
+    mc = MonteCarloAccumulator(injection, len(schemes)) if cfg.monte_carlo else None
 
     for olds, news in pair_batches(make_pairs(cfg)):
         diff = olds ^ news
         # exact: a batch holds at most BATCH <= 65535 flips per bit
         histogram += blocks_to_bits(diff).sum(axis=0, dtype=np.uint16)
-        acc.add(*scheme_counts(schemes, diff, cfg.include_ecc))
+        data, cells = scheme_counts(schemes, diff, cfg.include_ecc)
+        acc.add(data, cells)
         if mc is not None:
-            mc.add_batch(olds, news)
+            mc.add_batch(cells)
 
     if acc.writes == 0:
         raise ConfigError("input produced no write records after warmup")

@@ -328,7 +328,7 @@ def failing_cells(key, chunk, field, q):
 
 
 def inject_write(kind, old, new, pw, include_ecc, key):
-    """(written, check words or None, failures per codeword, block_ok) of one write of ``new`` over ``old``.
+    """(written, check words or None, failures per codeword) of one write of ``new`` over ``old``.
 
     The transitioning cells in cell order (the data bits by flat index, then
     check bit r of codeword n as cell 512 + 8n + r) are the field of trial
@@ -349,7 +349,7 @@ def inject_write(kind, old, new, pw, include_ecc, key):
             n, r = divmod(cell - 512, 8)
             check[n] ^= 1 << r
             failures[n] += 1
-    return bytes(written), tuple(check) if include_ecc else None, tuple(failures), max(failures) <= 1
+    return bytes(written), tuple(check) if include_ecc else None, tuple(failures)
 
 
 def mc_trace(rows, pw, trials, seed):

@@ -19,7 +19,15 @@ from robinsim.injection import (
     mix_seed,
     monte_carlo_block,
 )
-from robinsim.mapping import INTERLEAVED, PER_WORD, ROBIN, block_datawords, check_words, transition_vector
+from robinsim.mapping import (
+    INTERLEAVED,
+    PER_WORD,
+    ROBIN,
+    block_datawords,
+    check_words,
+    scheme_counts,
+    transition_vector,
+)
 from robinsim.trace import pair_batches
 
 SCHEMES = (PER_WORD, INTERLEAVED, ROBIN)
@@ -39,8 +47,29 @@ def constant_hash(value):
 
 
 def one_write(payload):
-    """A 64-byte payload as the one row of a batch for monte_carlo_block."""
+    """A 64-byte payload as the one row of a batch."""
     return np.frombuffer(payload, np.uint8)[None]
+
+
+def cells_of(olds, news, cfg, schemes=None):
+    """A batch's ``(n, S, 8)`` cells, as run_experiment counts them; ``cfg.scheme`` alone by default."""
+    return scheme_counts((cfg.scheme,) if schemes is None else schemes, olds ^ news, cfg.include_ecc)[1]
+
+
+def successes(olds, news, cfg, record_index=0, schemes=None):
+    """monte_carlo_block's ``(S, n)`` successes of a batch of writes."""
+    return monte_carlo_block(cells_of(olds, news, cfg, schemes), record_index, cfg)
+
+
+def estimate(counts, trials):
+    """Success counts as success probabilities and their standard errors."""
+    p = counts / trials
+    return p, np.sqrt(p * (1.0 - p) / trials)
+
+
+def recoverable(outcome):
+    """The count rule: at most one failure in every codeword."""
+    return max(outcome.failures_per_codeword) <= 1
 
 
 def block_with_flips(flats):
@@ -65,27 +94,24 @@ def test_mix_seed_accepts_numpy_integers():
     new = block_with_flips(range(16))
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=500, seed=2, include_ecc=False)
     olds, news = one_write(ZERO), one_write(new)
-    assert np.array_equal(
-        monte_carlo_block(olds, news, cfg, record_index=np.int64(3)).successes,
-        monte_carlo_block(olds, news, cfg, record_index=3).successes,
-    )
+    assert np.array_equal(successes(olds, news, cfg, np.int64(3)), successes(olds, news, cfg, 3))
 
 
-@pytest.mark.parametrize("schemes", [None, (ROBIN, PER_WORD)], ids=["one-scheme", "two-schemes"])
+@pytest.mark.parametrize("schemes", [(ROBIN,), (ROBIN, PER_WORD)], ids=["one-scheme", "two-schemes"])
 def test_monte_carlo_block_rejects_records_outside_the_stream(schemes):
     new = block_with_flips(range(16))
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=50, seed=2, include_ecc=False)
-    olds, news = np.zeros((2, 64), dtype=np.uint8), stack_blocks([new, new])
+    cells = cells_of(np.zeros((2, 64), dtype=np.uint8), stack_blocks([new, new]), cfg, schemes)
     # a batch's last record is record_index + n - 1, which must stay below 2**64
     for record_index in (-1, 1.7, 2**64 - 1, 2**64, "1", None):
         with pytest.raises(ValueError, match="record_index"):
-            monte_carlo_block(olds, news, cfg, record_index=record_index, schemes=schemes)
+            monte_carlo_block(cells, record_index, cfg)
     for record_index in (-1, 1.7, 2**64):
         with pytest.raises(ValueError, match="record_index"):
-            monte_carlo_block(olds[:1], news[:1], cfg, record_index=record_index, schemes=schemes)
-    last = monte_carlo_block(olds[:1], news[:1], cfg, record_index=np.uint64(2**64 - 1), schemes=schemes)
-    batch = monte_carlo_block(olds, news, cfg, record_index=2**64 - 2, schemes=schemes)
-    assert np.array_equal(batch.successes[:, 1:], last.successes)
+            monte_carlo_block(cells[:1], record_index, cfg)
+    last = monte_carlo_block(cells[:1], np.uint64(2**64 - 1), cfg)
+    batch = monte_carlo_block(cells, 2**64 - 2, cfg)
+    assert np.array_equal(batch[:, 1:], last)
 
 
 def test_mix_seed_distinct_substreams():
@@ -116,7 +142,7 @@ def test_inject_pw_one_always_clean():
     for seed in range(5):
         outcome = inject_write(ZERO, new, cfg, substream(0, seed))
         assert outcome.written == new
-        assert outcome.block_ok
+        assert recoverable(outcome)
         assert outcome.failures_per_codeword == (0,) * 8
 
 
@@ -126,10 +152,10 @@ def test_inject_pw_zero_two_flips_same_codeword():
     new2 = block_with_flips([0, 9])  # robin codeword 0 twice: (0-0-0)%8 and (1-0-1)%8
     cfg = InjectionConfig(pw=0.0, scheme=ROBIN, include_ecc=False)
     outcome = inject_write(ZERO, new2, cfg, substream(0, 0))
-    assert not outcome.block_ok
+    assert not recoverable(outcome)
     assert outcome.written == ZERO
     outcome_spread = inject_write(ZERO, new, cfg, substream(0, 0))
-    assert outcome_spread.block_ok  # one failure per codeword is correctable
+    assert recoverable(outcome_spread)  # one failure per codeword is correctable
 
 
 def test_inject_pw_zero_one_flip_per_codeword():
@@ -138,7 +164,7 @@ def test_inject_pw_zero_one_flip_per_codeword():
     cfg = InjectionConfig(pw=0.0, scheme=PER_WORD, include_ecc=False)
     outcome = inject_write(ZERO, new, cfg, substream(1, 0))
     assert outcome.failures_per_codeword == (1,) * 8
-    assert outcome.block_ok
+    assert recoverable(outcome)
 
 
 def test_inject_failure_locality():
@@ -169,10 +195,11 @@ def test_inject_deterministic_per_substream():
 
 def test_monte_carlo_block_exact_when_no_transitions():
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, trials=1000, seed=3)
-    estimate = monte_carlo_block(one_write(ZERO), one_write(ZERO), cfg)
-    assert estimate.p_block.tolist() == [[1.0]]
-    assert estimate.stderr.tolist() == [[0.0]]
-    assert estimate.successes.tolist() == [[1000]]
+    got = successes(one_write(ZERO), one_write(ZERO), cfg)
+    p, stderr = estimate(got, cfg.trials)
+    assert p.tolist() == [[1.0]]
+    assert stderr.tolist() == [[0.0]]
+    assert got.tolist() == [[1000]]
 
 
 @pytest.mark.parametrize(
@@ -188,10 +215,9 @@ def test_monte_carlo_block_certain_success_draws_nothing(flats, pw, monkeypatch)
 
     monkeypatch.setattr(injection, "splitmix", no_draws)
     cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=1000, seed=3, include_ecc=False)
-    estimate = monte_carlo_block(one_write(ZERO), one_write(block_with_flips(flats)), cfg)
-    assert (estimate.p_block.tolist(), estimate.successes.tolist(), estimate.stderr.tolist()) == (
-        [[1.0]], [[1000]], [[0.0]]
-    )
+    got = successes(one_write(ZERO), one_write(block_with_flips(flats)), cfg)
+    p, stderr = estimate(got, cfg.trials)
+    assert (p.tolist(), got.tolist(), stderr.tolist()) == ([[1.0]], [[1000]], [[0.0]])
 
 
 @pytest.mark.parametrize(
@@ -208,20 +234,20 @@ def test_monte_carlo_block_pw_zero_fails_iff_a_codeword_has_two_flips(flats, inc
     counts = transition_vector(ROBIN, ZERO, new, include_ecc=include_ecc)
     assert (max(counts) >= 2) == fails
     cfg = InjectionConfig(pw=0.0, scheme=ROBIN, trials=_TRIAL_CHUNK + 5, seed=8, include_ecc=include_ecc)
-    estimate = monte_carlo_block(one_write(ZERO), one_write(new), cfg)
-    assert estimate.successes.tolist() == [[0 if fails else cfg.trials]]
+    assert successes(one_write(ZERO), one_write(new), cfg).tolist() == [[0 if fails else cfg.trials]]
 
 
 def test_monte_carlo_block_across_trial_chunks():
     new = block_with_flips(range(0, 512, 5))
     cfg = InjectionConfig(pw=0.99, scheme=INTERLEAVED, trials=_TRIAL_CHUNK + 5, seed=21, include_ecc=True)
-    first = monte_carlo_block(one_write(ZERO), one_write(new), cfg, record_index=2)
-    again = monte_carlo_block(one_write(ZERO), one_write(new), cfg, record_index=2)
-    assert np.array_equal(first.successes, again.successes)
-    assert 0 < first.successes[0, 0] < cfg.trials
+    first = successes(one_write(ZERO), one_write(new), cfg, 2)
+    again = successes(one_write(ZERO), one_write(new), cfg, 2)
+    assert np.array_equal(first, again)
+    assert 0 < first[0, 0] < cfg.trials
     tv = transition_vector(INTERLEAVED, ZERO, new, include_ecc=True)
     expected = math.prod(oracle.codeword_success(k, 0.99) for k in tv)
-    assert abs(first.p_block[0, 0] - expected) < 4 * first.stderr[0, 0]
+    p, stderr = estimate(first, cfg.trials)
+    assert abs(p[0, 0] - expected) < 4 * stderr[0, 0]
 
 
 def test_failing_cells_draws_until_the_field_is_covered(monkeypatch):
@@ -242,8 +268,7 @@ def test_monte_carlo_block_tiny_fail_prob_does_not_overflow():
     new = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
     cfg = InjectionConfig(pw=1.0 - 2.0**-52, scheme=PER_WORD, trials=3 * _TRIAL_CHUNK, seed=4)
     assert 1.0 - cfg.pw == 2.0**-52
-    estimate = monte_carlo_block(one_write(old), one_write(new), cfg)
-    assert estimate.successes.tolist() == [[cfg.trials]]
+    assert successes(one_write(old), one_write(new), cfg).tolist() == [[cfg.trials]]
 
 
 @pytest.mark.parametrize(
@@ -259,9 +284,9 @@ def test_monte_carlo_block_matches_analytic(flats, pw):
     cfg = InjectionConfig(pw=pw, scheme=ROBIN, trials=100_000, seed=11, include_ecc=False)
     tv = transition_vector(ROBIN, ZERO, new, include_ecc=False)
     expected = math.prod(oracle.codeword_success(k, pw) for k in tv)
-    estimate = monte_carlo_block(one_write(ZERO), one_write(new), cfg)
-    sigma = max(estimate.stderr[0, 0], 1e-9)
-    assert abs(estimate.p_block[0, 0] - expected) < 4 * sigma
+    p, stderr = estimate(successes(one_write(ZERO), one_write(new), cfg), cfg.trials)
+    sigma = max(stderr[0, 0], 1e-9)
+    assert abs(p[0, 0] - expected) < 4 * sigma
 
 
 def test_monte_carlo_block_include_ecc_uses_check_transitions():
@@ -269,38 +294,43 @@ def test_monte_carlo_block_include_ecc_uses_check_transitions():
     tv = transition_vector(ROBIN, ZERO, new, include_ecc=True)
     assert sum(tv) > 1  # the single data flip drags check bits along
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, trials=50_000, seed=5, include_ecc=True)
-    estimate = monte_carlo_block(one_write(ZERO), one_write(new), cfg)
+    p, stderr = estimate(successes(one_write(ZERO), one_write(new), cfg), cfg.trials)
     expected = math.prod(oracle.codeword_success(k, 0.5) for k in tv)
-    assert abs(estimate.p_block[0, 0] - expected) < 4 * estimate.stderr[0, 0]
+    assert abs(p[0, 0] - expected) < 4 * stderr[0, 0]
 
 
 def test_monte_carlo_block_deterministic():
     olds, news = one_write(ZERO), one_write(block_with_flips(range(32)))
     cfg = InjectionConfig(pw=0.95, scheme=PER_WORD, trials=20_000, seed=99, include_ecc=False)
-    first = monte_carlo_block(olds, news, cfg, record_index=4)
-    second = monte_carlo_block(olds, news, cfg, record_index=4)
-    for name in ("p_block", "stderr", "successes"):
-        assert np.array_equal(getattr(first, name), getattr(second, name))
-    other_record = monte_carlo_block(olds, news, cfg, record_index=5)
-    assert other_record.successes[0, 0] != first.successes[0, 0]  # distinct substreams
+    first = successes(olds, news, cfg, 4)
+    assert np.array_equal(first, successes(olds, news, cfg, 4))
+    other_record = successes(olds, news, cfg, 5)
+    assert other_record[0, 0] != first[0, 0]  # distinct substreams
 
 
 @pytest.mark.parametrize(
-    "olds,news,got",
+    "cells,message",
     [
-        (ZERO, ZERO, "bytes and bytes"),
-        ([list(ZERO)], [list(ZERO)], "list and list"),
-        (np.zeros(64, np.uint8), np.zeros(64, np.uint8), r"\(64,\) uint8 and \(64,\) uint8"),
-        (np.zeros((2, 63), np.uint8), np.zeros((2, 63), np.uint8), r"\(2, 63\) uint8 and \(2, 63\) uint8"),
-        (np.zeros((2, 64), np.int64), np.zeros((2, 64), np.int64), r"\(2, 64\) int64 and \(2, 64\) int64"),
-        (np.zeros((2, 64), np.uint8), np.zeros((3, 64), np.uint8), r"\(2, 64\) uint8 and \(3, 64\) uint8"),
+        (bytes(16), r"an \(n, S, 8\) uint8 array, got bytes"),
+        ([[[0] * 8]], r"an \(n, S, 8\) uint8 array, got list"),
+        (np.zeros(8, np.uint8), r"an \(n, S, 8\) uint8 array, got \(8,\) uint8"),
+        (np.zeros((2, 63), np.uint8), r"an \(n, S, 8\) uint8 array, got \(2, 63\) uint8"),
+        (np.zeros((2, 1, 8), np.int64), r"an \(n, S, 8\) uint8 array, got \(2, 1, 8\) int64"),
+        (np.zeros((2, 1, 7), np.uint8), r"an \(n, S, 8\) uint8 array, got \(2, 1, 7\) uint8"),
+        # a batch of payloads, the kernel's input, is not its counts
+        (np.zeros((2, 64), np.uint8), r"an \(n, S, 8\) uint8 array, got \(2, 64\) uint8"),
+        # a codeword has 72 cells (secded.CODEWORD_BITS)
+        (np.full((2, 1, 8), 73, np.uint8), r"\(n, S, 8\) counts up to 72, got 73"),
     ],
-    ids=["bytes", "lists", "1-D", "63-byte-rows", "int64", "unequal-shapes"],
+    ids=["bytes", "lists", "1-D", "63-byte-rows", "int64", "unequal-shapes", "payloads", "73-cells"],
 )
-def test_monte_carlo_block_takes_only_equal_shape_uint8_batches(olds, news, got):
+def test_monte_carlo_block_takes_only_equal_shape_uint8_batches(cells, message):
+    # a batch is the counting kernel's (n, S, 8) uint8 cells, and nothing else
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10, seed=3)
-    with pytest.raises(ValueError, match=rf"^olds and news must be two \(n, 64\) uint8 arrays of equal shape, got {got}$"):
-        monte_carlo_block(olds, news, cfg)
+    with pytest.raises(ValueError, match=rf"^cells must be {message}$"):
+        monte_carlo_block(cells, 0, cfg)
+    full = np.full((2, 1, 8), 72, np.uint8)
+    assert monte_carlo_block(full, 0, cfg).shape == (1, 2)
 
 
 def test_monte_carlo_block_gives_one_row_per_scheme():
@@ -308,47 +338,44 @@ def test_monte_carlo_block_gives_one_row_per_scheme():
     olds = rng.integers(0, 256, (5, 64), dtype=np.uint8)
     news = olds ^ np.packbits(rng.random((5, 512)) < 0.05, axis=1, bitorder="little")
     cfg = InjectionConfig(pw=0.9, scheme=INTERLEAVED, trials=300, seed=6)
-    for schemes, rows in ((None, 1), ((INTERLEAVED,), 1), (SCHEMES, 3)):
-        estimate = monte_carlo_block(olds, news, cfg, record_index=2, schemes=schemes)
-        for array in (estimate.p_block, estimate.stderr, estimate.successes, estimate.error_rate):
-            assert array.shape == (rows, 5)
-    # schemes omitted is cfg.scheme alone
-    alone = monte_carlo_block(olds, news, cfg, record_index=2)
-    assert np.array_equal(alone.successes, estimate.successes[1:2])
+    for schemes, rows in (((INTERLEAVED,), 1), (SCHEMES, 3)):
+        got = successes(olds, news, cfg, 2, schemes)
+        assert got.shape == (rows, 5) and got.dtype == np.int64
+    # one scheme alone is its row of the three
+    assert np.array_equal(successes(olds, news, cfg, 2, (INTERLEAVED,)), got[1:2])
 
 
-@pytest.mark.parametrize("schemes", [None, SCHEMES], ids=["one-scheme", "three-schemes"])
+@pytest.mark.parametrize("schemes", [(ROBIN,), SCHEMES], ids=["one-scheme", "three-schemes"])
 def test_monte_carlo_block_row_i_is_the_batch_of_one_at_record_index_plus_i(schemes):
     rng = np.random.default_rng(49)
     olds = rng.integers(0, 256, (6, 64), dtype=np.uint8)
     news = olds ^ np.packbits(rng.random((6, 512)) < 0.05, axis=1, bitorder="little")
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=200, seed=7, include_ecc=True)
-    batch = monte_carlo_block(olds, news, cfg, record_index=40, schemes=schemes)
+    cells = cells_of(olds, news, cfg, schemes)
+    batch = monte_carlo_block(cells, 40, cfg)
     for i in range(len(olds)):
-        one = monte_carlo_block(olds[i : i + 1], news[i : i + 1], cfg, record_index=40 + i, schemes=schemes)
-        for name in ("p_block", "stderr", "successes"):
-            assert np.array_equal(getattr(batch, name)[:, i : i + 1], getattr(one, name))
+        assert np.array_equal(batch[:, i : i + 1], monte_carlo_block(cells[i : i + 1], 40 + i, cfg))
 
 
 def test_monte_carlo_trace_zero_diff():
     cfg = InjectionConfig(pw=0.5, scheme=ROBIN, trials=100, seed=1)
     accumulator = MonteCarloAccumulator(cfg)
     for olds, news in pair_batches([(ZERO, ZERO)] * 10):
-        accumulator.add_batch(olds, news)
-    [estimate] = accumulator.finalize()
-    assert estimate.error_rate == 0.0
-    assert estimate.records == 10
+        accumulator.add_batch(cells_of(olds, news, cfg))
+    [trace] = accumulator.finalize()
+    assert trace.error_rate == 0.0
+    assert trace.records == 10
 
 
 def test_monte_carlo_trace_single_record_reduces_to_block():
     olds, news = one_write(ZERO), one_write(block_with_flips(range(24)))
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10_000, seed=17, include_ecc=False)
-    block = monte_carlo_block(olds, news, cfg, record_index=0)
+    p, stderr = estimate(successes(olds, news, cfg, 0), cfg.trials)
     accumulator = MonteCarloAccumulator(cfg)
-    accumulator.add_batch(olds, news)
+    accumulator.add_batch(cells_of(olds, news, cfg))
     [trace] = accumulator.finalize()
-    assert trace.error_rate == pytest.approx(block.error_rate[0, 0])
-    assert trace.stderr == pytest.approx(block.stderr[0, 0])
+    assert trace.error_rate == pytest.approx(1.0 - p[0, 0])
+    assert trace.stderr == pytest.approx(stderr[0, 0])
 
 
 def test_monte_carlo_trace_matches_analytic_on_skewed_trace():
@@ -364,9 +391,9 @@ def test_monte_carlo_trace_matches_analytic_on_skewed_trace():
     analytic, _ = oracle.trace_rates(tvs, pw)
     cfg = InjectionConfig(pw=pw, scheme=PER_WORD, trials=20_000, seed=13, include_ecc=False)
     accumulator = MonteCarloAccumulator(cfg)
-    accumulator.add_batch(np.zeros((10, 64), dtype=np.uint8), stack_blocks(news))
-    [estimate] = accumulator.finalize()
-    assert abs(estimate.error_rate - analytic) < 4 * max(estimate.stderr, 1e-9)
+    accumulator.add_batch(cells_of(np.zeros((10, 64), dtype=np.uint8), stack_blocks(news), cfg))
+    [trace] = accumulator.finalize()
+    assert abs(trace.error_rate - analytic) < 4 * max(trace.stderr, 1e-9)
 
 
 def test_monte_carlo_trace_equals_per_pair_accumulation():
@@ -378,38 +405,37 @@ def test_monte_carlo_trace_equals_per_pair_accumulation():
     cfg = InjectionConfig(pw=0.95, scheme=INTERLEAVED, trials=40, seed=31, include_ecc=True)
     one_by_one = MonteCarloAccumulator(cfg)
     for old, new in zip(olds, news):
-        one_by_one.add_batch(old[None], new[None])
+        one_by_one.add_batch(cells_of(old[None], new[None], cfg))
     batched = MonteCarloAccumulator(cfg)
     for batch_olds, batch_news in pair_batches(iter(pairs)):
-        batched.add_batch(batch_olds, batch_news)
-    [estimate] = batched.finalize()
-    assert [estimate] == one_by_one.finalize()
-    assert estimate.records == 1100 and 0 < estimate.error_rate < 1
+        batched.add_batch(cells_of(batch_olds, batch_news, cfg))
+    [trace] = batched.finalize()
+    assert [trace] == one_by_one.finalize()
+    assert trace.records == 1100 and 0 < trace.error_rate < 1
 
 
-@pytest.mark.parametrize("schemes", [None, (ROBIN, PER_WORD)], ids=["one-scheme", "two-schemes"])
+@pytest.mark.parametrize("schemes", [(ROBIN,), (ROBIN, PER_WORD)], ids=["one-scheme", "two-schemes"])
 def test_monte_carlo_rejects_batches_of_different_shapes(schemes):
     rng = np.random.default_rng(47)
     olds = rng.integers(0, 256, (5, 64), dtype=np.uint8)
-    news = olds[:1] ^ 1
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10, seed=3)
-    message = r"equal shape, got \(5, 64\) uint8 and \(1, 64\) uint8"
-    with pytest.raises(ValueError, match=message):
-        monte_carlo_block(olds, news, cfg, schemes=schemes)
-    accumulator = MonteCarloAccumulator(cfg, schemes)
-    with pytest.raises(ValueError, match=r"\(1, 64\) uint8 and \(5, 64\) uint8"):
-        accumulator.add_batch(news, olds)
+    cells = cells_of(olds, olds ^ 1, cfg, SCHEMES)
+    accumulator = MonteCarloAccumulator(cfg, len(schemes))
+    with pytest.raises(ValueError, match=rf"^cells hold 3 schemes, the accumulator {len(schemes)}$"):
+        accumulator.add_batch(cells)
+    with pytest.raises(ValueError, match=r"\(n, S, 8\) uint8 array, got \(5, 64\) uint8"):
+        accumulator.add_batch(olds)
     # nothing was counted: the accumulator still holds no record
     assert accumulator.records == 0
-    accumulator.add_batch(olds, olds ^ 1)
-    assert [estimate.records for estimate in accumulator.finalize()] == [5] * len(accumulator.schemes)
+    accumulator.add_batch(cells_of(olds, olds ^ 1, cfg, schemes))
+    assert [trace.records for trace in accumulator.finalize()] == [5] * accumulator.schemes
 
 
 def test_monte_carlo_trace_rejects_empty():
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=10, seed=0)
     accumulator = MonteCarloAccumulator(cfg)
     for olds, news in pair_batches([]):
-        accumulator.add_batch(olds, news)
+        accumulator.add_batch(cells_of(olds, news, cfg))
     with pytest.raises(ValueError, match="empty pair stream"):
         accumulator.finalize()
 
@@ -449,7 +475,6 @@ def forced_outcome(new, scheme, failed_flats=(), failed_checks=()):
         written=bits_to_block(bits),
         written_check=tuple(check_words),
         failures_per_codeword=tuple(counts),
-        block_ok=max(counts) <= 1,
     )
 
 
@@ -457,7 +482,7 @@ def test_end_to_end_single_failure_sweep():
     # every possible lone failure, data or check, must decode as a clean correction
     for flat in range(512):
         outcome = forced_outcome(bytes(range(64)), ROBIN, failed_flats=[flat])
-        assert outcome.block_ok
+        assert recoverable(outcome)
         assert end_to_end_check(outcome, bytes(range(64)), ROBIN).agree
     for n in range(8):
         for bit in range(8):
@@ -466,18 +491,18 @@ def test_end_to_end_single_failure_sweep():
 
 
 def test_end_to_end_double_failure_sweep():
-    # sampled pairs inside one codeword: uncorrectable, agreeing with block_ok=False
+    # sampled pairs inside one codeword: uncorrectable, agreeing with the count rule
     new = bytes(range(64))
     slots = codeword_bits("robin", 3)
     for a in range(0, 64, 7):
         for b in range(a + 1, 64, 11):
             outcome = forced_outcome(new, ROBIN, failed_flats=[slots[a], slots[b]])
-            assert not outcome.block_ok
+            assert not recoverable(outcome)
             check = end_to_end_check(outcome, new, ROBIN)
             assert check.agree and check.aliased == 0
     # mixed data + check failure in the same codeword
     outcome = forced_outcome(new, ROBIN, failed_flats=[slots[0]], failed_checks=[(3, 5)])
-    assert not outcome.block_ok
+    assert not recoverable(outcome)
     assert end_to_end_check(outcome, new, ROBIN).agree
 
 
@@ -550,7 +575,6 @@ def test_inject_write_cell_order(monkeypatch):
     assert block_to_bits(outcome.written).tolist() == written.tolist()
     assert outcome.written_check == tuple(stored_check)
     assert outcome.failures_per_codeword == tuple(counts)
-    assert outcome.block_ok == (max(counts) <= 1)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda scheme: scheme.kind)
@@ -578,7 +602,7 @@ def test_inject_write_matches_cell_by_cell_reference(scheme, include_ecc, pw):
         old = old.tobytes()
         key = substream(62, trial).bit_generator.random_raw()
         outcome = inject_write(old, new, cfg, substream(62, trial))
-        got = (outcome.written, outcome.written_check, outcome.failures_per_codeword, outcome.block_ok)
+        got = (outcome.written, outcome.written_check, outcome.failures_per_codeword)
         assert got == oracle.inject_write(scheme.kind, old, new, pw, include_ecc, key)
 
 
@@ -588,7 +612,7 @@ def test_inject_write_failure_rate_matches_closed_form():
     new = bytes(a ^ b for a, b in zip(old, block_with_flips(range(0, 512, 9))))
     cfg = InjectionConfig(pw=0.97, scheme=INTERLEAVED, include_ecc=True)
     trials = 4000
-    ok = sum(inject_write(old, new, cfg, substream(6, t)).block_ok for t in range(trials))
+    ok = sum(recoverable(inject_write(old, new, cfg, substream(6, t))) for t in range(trials))
     tv = transition_vector(INTERLEAVED, old, new, include_ecc=True)
     expected = math.prod(oracle.codeword_success(k, 0.97) for k in tv)
     sigma = (expected * (1 - expected) / trials) ** 0.5

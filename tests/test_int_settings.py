@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from robinsim import ROBIN
-from robinsim.injection import InjectionConfig, mix_seed, monte_carlo_block
+from robinsim.injection import InjectionConfig, MonteCarloAccumulator, mix_seed, monte_carlo_block
+from robinsim.mapping import scheme_counts
 from robinsim.reliability import TraceAccumulator
 from robinsim.report import ConfigError, ExperimentConfig, make_pairs
 from robinsim.trace import WriteRecord, old_new_pairs
 from robinsim.workloads import WorkloadSpec, gen_workload
 
-OLDS = np.zeros((3, 64), dtype=np.uint8)
-NEWS = np.full((3, 64), 0x0F, dtype=np.uint8)
+# the cells of three writes of 0x0F bytes over zero blocks, under ROBIN alone
+CELLS = scheme_counts((ROBIN,), np.full((3, 64), 0x0F, dtype=np.uint8))[1]
 RECORDS = [WriteRecord(64 * (i % 2), bytes([i]) * 64) for i in range(6)]
 
 
@@ -24,15 +25,20 @@ def workload(kind, **fields):
 
 def estimate(trials=40, seed=2, record_index=0):
     cfg = InjectionConfig(pw=0.9, scheme=ROBIN, trials=trials, seed=seed)
-    result = monte_carlo_block(OLDS, NEWS, cfg, record_index=record_index)
-    # (1, 3): one row, cfg.scheme's, of the three writes
-    return result.successes.tolist(), cfg
+    # (1, 3): one row, ROBIN's, of the three writes
+    return monte_carlo_block(CELLS, record_index, cfg).tolist(), cfg
 
 
 def accumulate(schemes):
     acc = TraceAccumulator(0.9, schemes)
     acc.add(np.full((4, 3, 8), 2, dtype=np.uint8))   # four writes of three schemes
     return acc.rates()
+
+
+def mc_accumulate(schemes):
+    acc = MonteCarloAccumulator(InjectionConfig(pw=0.9, scheme=ROBIN, trials=40, seed=2), schemes)
+    acc.add_batch(np.full((4, 3, 8), 2, dtype=np.uint8))   # four writes of three schemes
+    return acc.finalize()
 
 
 def experiment(**fields):
@@ -57,6 +63,7 @@ SETTINGS = [
     ("seed", 5, lambda v: mix_seed(v, 2), ValueError),
     ("index", 2, lambda v: mix_seed(5, v), ValueError),
     ("schemes", 3, accumulate, ValueError),
+    ("schemes", 3, mc_accumulate, ValueError),
     ("warmup", 4, lambda v: list(old_new_pairs(RECORDS, warmup=v)), ValueError),
     ("address", 128, lambda v: WriteRecord(v, bytes(64)), ValueError),
     ("warmup", 4, lambda v: experiment(warmup=v), ConfigError),
@@ -68,7 +75,7 @@ IDS = [
     "WorkloadSpec.pinned_top_bits", "WorkloadSpec.valid_words_min", "WorkloadSpec.valid_words_max",
     "gen_workload.seed", "InjectionConfig.trials", "InjectionConfig.seed",
     "monte_carlo_block.record_index", "mix_seed.seed", "mix_seed.index", "TraceAccumulator.schemes",
-    "old_new_pairs.warmup", "WriteRecord.address",
+    "MonteCarloAccumulator.schemes", "old_new_pairs.warmup", "WriteRecord.address",
     "ExperimentConfig.warmup", "ExperimentConfig.seed", "ExperimentConfig.trials",
 ]
 

@@ -1,7 +1,5 @@
 """Property tests: the batch Monte Carlo kernel against the gap-by-gap reference."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +22,11 @@ def blocks_with_counts(scheme, rows):
         for n, k in enumerate(row):
             bits[i, list(oracle.codeword_bits(scheme.kind, n)[:k])] = 1
     return np.zeros((len(rows), 64), dtype=np.uint8), np.packbits(bits, axis=1, bitorder="little")
+
+
+def cells_of(olds, news, cfg, schemes=None):
+    """A batch's ``(n, S, 8)`` cells, as run_experiment counts them; ``cfg.scheme`` alone by default."""
+    return scheme_counts((cfg.scheme,) if schemes is None else schemes, olds ^ news, cfg.include_ecc)[1]
 
 
 @st.composite
@@ -61,10 +64,9 @@ def test_monte_carlo_block_matches_record_by_record_reference(case):
     olds, news = blocks_with_counts(scheme, rows)
     pw = 1.0 - fail_prob
     cfg = InjectionConfig(pw=pw, scheme=scheme, trials=trials, seed=seed, include_ecc=False)
-    estimate = monte_carlo_block(olds, news, cfg, record_index=record_index)
+    got = monte_carlo_block(cells_of(olds, news, cfg), record_index, cfg)
     want = [oracle.mc_successes(row, pw, trials, seed, record_index + i) for i, row in enumerate(rows)]
-    assert estimate.successes.tolist() == [want]
-    assert estimate.p_block.tolist() == [[s / trials for s in want]]
+    assert got.tolist() == [want]
 
 
 @settings(max_examples=15, deadline=None)
@@ -74,17 +76,14 @@ def test_monte_carlo_block_with_check_bits_matches_reference(scheme, n, seed, re
     olds = rng.integers(0, 256, (n, 64), dtype=np.uint8)
     news = olds ^ np.packbits(rng.random((n, 512)) < rng.random((n, 1)) / 8, axis=1, bitorder="little")
     cfg = InjectionConfig(pw=0.9, scheme=scheme, trials=200, seed=seed, include_ecc=True)
-    estimate = monte_carlo_block(olds, news, cfg, record_index=record_index)
+    cells = cells_of(olds, news, cfg)
+    got = monte_carlo_block(cells, record_index, cfg)
     for i, (old, new) in enumerate(zip(olds, news)):
         data, check = oracle.flip_counts(scheme.kind, old.tobytes(), new.tobytes(), True)
         counts = [d + c for d, c in zip(data, check)]
-        assert estimate.successes[0, i] == oracle.mc_successes(counts, 0.9, 200, seed, record_index + i)
-        one = monte_carlo_block(olds[i : i + 1], news[i : i + 1], cfg, record_index=record_index + i)
-        assert (one.successes.tolist(), one.p_block.tolist(), one.stderr.tolist()) == (
-            estimate.successes[:, i : i + 1].tolist(),
-            estimate.p_block[:, i : i + 1].tolist(),
-            estimate.stderr[:, i : i + 1].tolist(),
-        )
+        assert got[0, i] == oracle.mc_successes(counts, 0.9, 200, seed, record_index + i)
+        one = monte_carlo_block(cells[i : i + 1], record_index + i, cfg)
+        assert one.tolist() == got[:, i : i + 1].tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,14 +99,14 @@ def test_scheme_list_gives_each_schemes_own_successes(case, order, count, includ
     olds, news = blocks_with_counts(scheme, rows)
     schemes = order[:count]
     cfg = InjectionConfig(pw=1.0 - fail_prob, scheme=scheme, trials=trials, seed=seed, include_ecc=include_ecc)
-    shared = monte_carlo_block(olds, news, cfg, record_index=record_index, schemes=schemes)
-    assert shared.successes.shape == shared.p_block.shape == (count, len(rows))
+    cells = cells_of(olds, news, cfg, schemes)
+    shared = monte_carlo_block(cells, record_index, cfg)
+    assert shared.shape == (count, len(rows))
     for s, one_scheme in enumerate(schemes):
-        own = monte_carlo_block(olds, news, replace(cfg, scheme=one_scheme), record_index=record_index)
-        assert shared.successes[s : s + 1].tolist() == own.successes.tolist()
-        assert shared.stderr[s : s + 1].tolist() == own.stderr.tolist()
-    write = monte_carlo_block(olds[:1], news[:1], cfg, record_index=record_index, schemes=schemes)
-    assert write.successes.tolist() == shared.successes[:, :1].tolist()
+        own = monte_carlo_block(cells_of(olds, news, cfg, (one_scheme,)), record_index, cfg)
+        assert shared[s : s + 1].tolist() == own.tolist()
+    write = monte_carlo_block(cells[:1], record_index, cfg)
+    assert write.tolist() == shared[:, :1].tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -116,12 +115,10 @@ def test_split_batches_give_the_same_successes(case, cuts):
     scheme, rows, fail_prob, trials, seed, record_index = case
     olds, news = blocks_with_counts(scheme, rows)
     cfg = InjectionConfig(pw=1.0 - fail_prob, scheme=scheme, trials=trials, seed=seed, include_ecc=False)
-    whole = monte_carlo_block(olds, news, cfg, record_index=record_index).successes
+    cells = cells_of(olds, news, cfg)
+    whole = monte_carlo_block(cells, record_index, cfg)
     bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
-    parts = [
-        monte_carlo_block(olds[lo:hi], news[lo:hi], cfg, record_index=record_index + lo).successes
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    parts = [monte_carlo_block(cells[lo:hi], record_index + lo, cfg) for lo, hi in zip(bounds[:-1], bounds[1:])]
     assert np.concatenate(parts, axis=1).tolist() == whole.tolist()
 
 
@@ -137,11 +134,12 @@ def test_monte_carlo_block_held_position_cap_does_not_change_results(monkeypatch
     # about a million failures in all, so a cap of 300 classifies them many times over
     expected = sum(k for row in rows for k in row if k > 1) * cfg.trials * (1.0 - cfg.pw)
     assert expected > 1000 * 300
-    whole = monte_carlo_block(olds, news, cfg, record_index=17, schemes=schemes)
+    cells = cells_of(olds, news, cfg, schemes)
+    whole = monte_carlo_block(cells, 17, cfg)
     monkeypatch.setattr(injection, "_HELD_POSITIONS", 300)
-    capped = monte_carlo_block(olds, news, cfg, record_index=17, schemes=schemes)
-    assert capped.successes.tolist() == whole.successes.tolist()
-    assert 0 < whole.successes.sum() < whole.successes.size * cfg.trials
+    capped = monte_carlo_block(cells, 17, cfg)
+    assert capped.tolist() == whole.tolist()
+    assert 0 < whole.sum() < whole.size * cfg.trials
 
 
 @SCHEME_LISTS
@@ -150,12 +148,13 @@ def test_monte_carlo_block_single_draw_rounds_do_not_change_results(monkeypatch,
     rows = [[(5 * i + n) % 7 for n in range(8)] for i in range(12)]
     olds, news = blocks_with_counts(INTERLEAVED, rows)
     cfg = InjectionConfig(pw=0.995, scheme=INTERLEAVED, trials=_TRIAL_CHUNK + 40, seed=9, include_ecc=False)
-    whole = monte_carlo_block(olds, news, cfg, record_index=3, schemes=schemes)
+    cells = cells_of(olds, news, cfg, schemes)
+    whole = monte_carlo_block(cells, 3, cfg)
     monkeypatch.setattr(injection, "_draw_count", lambda expected: np.ones(np.shape(expected), dtype=np.int64))
     monkeypatch.setattr(injection, "_HELD_POSITIONS", 5)
-    single = monte_carlo_block(olds, news, cfg, record_index=3, schemes=schemes)
-    assert single.successes.tolist() == whole.successes.tolist()
-    assert 0 < whole.successes.sum() < whole.successes.size * cfg.trials
+    single = monte_carlo_block(cells, 3, cfg)
+    assert single.tolist() == whole.tolist()
+    assert 0 < whole.sum() < whole.size * cfg.trials
 
 
 def test_run_experiment_monte_carlo_matches_reference_across_batches():

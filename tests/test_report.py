@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import oracle
-from robinsim import config
+from robinsim import config, mapping
 from robinsim.config import config_from_values, load_config, parse_config_text
-from robinsim.injection import InjectionConfig, MonteCarloAccumulator, monte_carlo_block
-from robinsim.mapping import MappingScheme, transition_vector
+from robinsim.injection import InjectionConfig, MonteCarloAccumulator
+from robinsim.mapping import MappingScheme, scheme_counts, transition_vector
 from robinsim.reliability import DeviceParams, normalized_increase, trace_error_rate
 from robinsim.report import (
     ConfigError,
@@ -218,38 +218,59 @@ def test_run_experiment_monte_carlo_within_three_sigma():
         assert abs(report.mc.error_rate - report.analytic_rate) <= 3 * max(report.mc.stderr, 1e-9)
 
 
-def test_run_experiment_monte_carlo_independent_of_batches():
-    # 600 records span two 512-write batches of the streaming pass
+@pytest.mark.parametrize("records,warmup", [(600, 0), (750, 150)])
+def test_run_experiment_monte_carlo_independent_of_batches(records, warmup):
+    # 600 writes after warmup span two 512-write batches of the streaming pass
     cfg = small_config(
-        workload=WorkloadSpec(kind="irregular", records=600, addresses=16),
+        workload=WorkloadSpec(kind="irregular", records=records, addresses=16),
         monte_carlo=True,
         trials=20,
+        warmup=warmup,
     )
     bundle = run_experiment(cfg)
     pairs = list(make_pairs(cfg))
     assert len(pairs) == 600
     for report in bundle.schemes:
-        inj = InjectionConfig(
-            pw=cfg.pw, scheme=MappingScheme(report.scheme), trials=cfg.trials, seed=cfg.seed
-        )
-        # the scheme alone, fed the pairs in pair_batches' batches
+        inj = InjectionConfig(pw=cfg.pw, scheme=MappingScheme(report.scheme), trials=cfg.trials, seed=cfg.seed)
+        # the scheme alone, fed the pairs in pair_batches' batches: record 0 is
+        # the first write after warmup
         accumulator = MonteCarloAccumulator(inj)
         for olds, news in pair_batches(pairs):
-            accumulator.add_batch(olds, news)
+            accumulator.add_batch(scheme_counts((inj.scheme,), olds ^ news)[1])
         assert [report.mc] == accumulator.finalize()
+
+
+@pytest.mark.parametrize("include_ecc", [False, True], ids=["data", "ecc"])
+def test_monte_carlo_run_counts_each_batch_once(monkeypatch, include_ecc):
+    # Monte Carlo simulates the cells of the run's own counts: every batch
+    # takes one data-table lookup, and one check-table lookup with ECC on
+    lookups = []
+    lane_table = mapping._lane_table
+
+    def counted(schemes, check):
+        lookups.append(check)
+        return lane_table(schemes, check)
+
+    monkeypatch.setattr(mapping, "_lane_table", counted)
+    # 1100 records are three 512-write batches
+    cfg = small_config(
+        workload=WorkloadSpec(kind="irregular", records=1100, addresses=16),
+        monte_carlo=True,
+        trials=10,
+        include_ecc=include_ecc,
+    )
+    bundle = run_experiment(cfg)
+    assert all(report.mc.records == 1100 for report in bundle.schemes)
+    assert (lookups.count(False), lookups.count(True)) == (3, 3 if include_ecc else 0)
 
 
 def test_results_holding_arrays_compare_by_identity():
     # an array has no one truth value, so a field-wise == would raise
-    inj = InjectionConfig(pw=0.9, scheme=MappingScheme("robin"), trials=20, seed=3)
-    olds, news = np.zeros((2, 64), np.uint8), np.full((2, 64), 0x0F, np.uint8)
-    estimates = [monte_carlo_block(olds, news, inj) for _ in range(2)]
     cfg = small_config(workload=WorkloadSpec(kind="irregular", records=200, addresses=8))
-    bundles = [run_experiment(cfg) for _ in range(2)]
-    for first, second in (estimates, bundles):
-        assert first == first and not first != first
-        assert (first == second) is False and first != second
-        assert len({first, second}) == 2
+    first, second = (run_experiment(cfg) for _ in range(2))
+    assert first == first and not first != first
+    assert (first == second) is False and first != second
+    assert len({first, second}) == 2
 
 
 def test_csv_emission_schema(tmp_path):
