@@ -166,7 +166,7 @@ def config_from_values(values: dict[str, str], out_override: str | None = None) 
 
 def load_config(path: str | Path, out_override: str | None = None) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_values(parse_config_text(text, origin=str(path)), out_override)

@@ -46,17 +46,17 @@ is the platform's, so a gap can differ between machines only where
 :func:`monte_carlo_block` takes a batch's ``(n, S, 8)`` ``cells`` counts, as
 :func:`robinsim.mapping.scheme_counts` returns them, and gives the ``(S, n)``
 successes: it simulates exactly the cells those counts hold. The counters of
-all its (record, trial chunk) segments are hashed at once, a bounded number
-of draws at a time, and their failures are classified together, scheme by
-scheme. :class:`MonteCarloAccumulator` feeds it batches in record order and
-turns successes into rates; ``run_experiment`` passes it the ``cells`` of its
-own counting pass. :func:`inject_write` draws one 64-bit key from its
-generator and places its failing cells with the same sampler, so the decoder
-cross-check runs it too. It takes its check words from the counting kernel's
-check lanes (:func:`robinsim.mapping.check_words`), and
-:func:`end_to_end_check` decodes the stored codewords with
-:mod:`robinsim.secded`'s own encoder, so every cross-checked write also
-checks those two encoders against each other.
+its (record, trial chunk) segments are hashed in bounded groups of draws, and
+the failures with a neighbour near enough to share their codeword are
+classified together, scheme by scheme. :class:`MonteCarloAccumulator` feeds
+it batches in record order and folds the successes into its sums in one array
+pass; ``run_experiment`` passes it the ``cells`` it has counted.
+:func:`inject_write` draws one 64-bit key from its generator and places its
+failing cells with the same sampler, so the decoder cross-check runs it too.
+It takes its check words from the counting kernel's check lanes
+(:func:`robinsim.mapping.check_words`), and :func:`end_to_end_check` decodes
+the stored codewords with :mod:`robinsim.secded`'s own encoder, so every
+cross-checked write also checks those two encoders against each other.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ _U64 = {
 
 # trials are simulated in fixed-size chunks
 _TRIAL_CHUNK = 8192
-# draws a batch holds at once (256 KB per int64 array); one record chunk
-# alone can need more, about 2.4 million at p_write 0.5
+# draws a group holds at once (256 KB per int64 array), plus its last
+# segment's; one record chunk can need about 2.4 million at p_write 0.5
 _HELD_POSITIONS = 1 << 15
 
 
@@ -233,10 +233,11 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
     segment of the stream, drawn once over the widest scheme's field; each
     scheme keeps the failures below its own field, which are the failures a
     draw over that field alone places (see :func:`_gap_sums`). Consecutive
-    segments are drawn together, at most ``_HELD_POSITIONS`` draws at a time
-    (a larger segment alone). A failure is keyed by (segment, trial,
-    codeword), and the keys arrive sorted, so a repeated key is a second
-    failure in one codeword, and its trial fails.
+    segments are drawn in groups cut where the running draw count passes a
+    multiple of ``_HELD_POSITIONS``, each at most that many draws plus its
+    last segment's. A failure is keyed by (segment, trial, codeword), the keys
+    arrive sorted, and a repeated key is a second failure in one codeword, so
+    its trial fails.
     """
     failed = np.zeros(counts.shape[:2], dtype=np.int64)
     fail_prob = 1.0 - cfg.pw
@@ -268,13 +269,9 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
     seg_key = splitmix(cfg.seed, np.uint64(first_record) + rows.astype(np.uint64))[seg_row]
     seg_cell_start = cell_start[:, seg_row]
 
-    bounds, held = [0], 0
-    for j, draws in enumerate(_draw_count(seg_field * fail_prob).tolist()):
-        if held and held + draws > _HELD_POSITIONS:
-            bounds.append(j)
-            held = 0
-        held += draws
-    bounds.append(seg_row.size)
+    draws = _draw_count(seg_field * fail_prob)
+    group = (draws.cumsum() - draws) // _HELD_POSITIONS
+    bounds = [*np.flatnonzero(np.diff(group, prepend=-1)).tolist(), seg_row.size]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         fields = seg_field[lo:hi]
         cell = _failures(seg_key[lo:hi], seg_chunk[lo:hi], fields, fail_prob)
@@ -282,11 +279,10 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
         # its key. A scheme keeps a prefix of each segment's failures, so a
         # neighbour under one scheme is a neighbour in the drawn field too
         near = np.diff(cell) < reach
-        if 4 * np.count_nonzero(near) < near.size:   # dropping the rest pays only then
-            keep = np.zeros(cell.size, dtype=bool)
-            keep[1:] = near
-            keep[:-1] |= near
-            cell = cell[keep]
+        keep = np.zeros(cell.size, dtype=bool)
+        keep[1:] = near
+        keep[:-1] |= near
+        cell = cell[keep]
         # the group's fields lie end to end, so each segment's failures are a run
         ends = np.cumsum(fields)
         found = np.diff(cell.searchsorted(ends), prepend=0)
@@ -412,8 +408,8 @@ class MonteCarloAccumulator:
     """Running trace-level Monte Carlo estimates, fed batches of ``cells`` counts in record order.
 
     The r-th write added is record r and draws from the key mix_seed(seed, r), so
-    the estimates are independent of how the writes are batched; partial
-    results merge by summing (failure_fraction, variance_term) pairs.
+    the estimates are independent of how the writes are batched: each record's
+    (failure_fraction, variance_term) pair is added to the sums in record order.
     ``schemes`` is the S of every batch's ``(n, S, 8)`` counts, an integer
     (numpy integers too) of at least 1; any other raises ``ValueError`` naming
     it. :meth:`finalize` returns one estimate per scheme, in scheme order.
@@ -423,8 +419,7 @@ class MonteCarloAccumulator:
         self.cfg = cfg
         self.schemes = _int_setting("schemes", schemes, 1)
         self.records = 0
-        self._failure_sums = [0.0] * self.schemes
-        self._variance_sums = [0.0] * self.schemes
+        self._sums = np.zeros((2, self.schemes))   # failure and variance-term sums per scheme
 
     def add_batch(self, cells: np.ndarray) -> None:
         """Add a batch's ``(n, S, 8)`` uint8 ``cells`` counts as the next n records."""
@@ -432,12 +427,9 @@ class MonteCarloAccumulator:
             raise ValueError(f"cells hold {cells.shape[1]} schemes, the accumulator {self.schemes}")
         # positional: the benchmark's tracer reads the trials of the third argument
         p = monte_carlo_block(cells, self.records, self.cfg) / self.cfg.trials
-        variance = p * (1.0 - p) / self.cfg.trials
-        for s, (failures, terms) in enumerate(zip((1.0 - p).tolist(), variance.tolist())):
-            # one record at a time, so the sums do not depend on the batching
-            for failure, term in zip(failures, terms):
-                self._failure_sums[s] += failure
-                self._variance_sums[s] += term
+        terms = np.stack((1.0 - p, p * (1.0 - p) / self.cfg.trials))
+        # accumulate adds left to right, a record at a time, so batching cannot change the sums
+        self._sums = np.add.accumulate(np.dstack((self._sums, terms)), axis=2)[:, :, -1]
         self.records += len(cells)
 
     def finalize(self) -> list[TraceEstimate]:
@@ -449,7 +441,7 @@ class MonteCarloAccumulator:
                 stderr=math.sqrt(variance_sum) / self.records,
                 records=self.records,
             )
-            for failure_sum, variance_sum in zip(self._failure_sums, self._variance_sums)
+            for failure_sum, variance_sum in zip(*self._sums.tolist())
         ]
 
 

@@ -91,12 +91,12 @@ def p_write_from_device(params: DeviceParams) -> float:
     """Per-bit transition success probability from the device operating point.
 
     failure = exp(-t_write * 2*mu_b*p*(i_write - i_c0)
-                  / (EULER_GAMMA + ln(pi^2 * delta / 4) * (e * m * (1 + p^2))))
-    and p_write = 1 - failure, clamped to [0, 1].
+                  / ((EULER_GAMMA + ln(pi^2 * delta / 4)) * e * m * (1 + p^2)))
+    (J. Z. Sun, Phys. Rev. B 62, 570, 2000); p_write = 1 - failure, in [0, 1].
     """
     p = params.polarization
     numerator = 2.0 * params.mu_b * p * (params.i_write - params.i_c0)
-    denominator = EULER_GAMMA + math.log(math.pi**2 * params.delta / 4.0) * (
+    denominator = (EULER_GAMMA + math.log(math.pi**2 * params.delta / 4.0)) * (
         params.e_charge * params.magnetic_moment * (1.0 + p * p)
     )
     if not math.isfinite(denominator) or denominator <= 0:

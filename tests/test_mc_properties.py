@@ -137,9 +137,21 @@ def test_monte_carlo_block_held_position_cap_does_not_change_results(monkeypatch
     cells = cells_of(olds, news, cfg, schemes)
     whole = monte_carlo_block(cells, 17, cfg)
     monkeypatch.setattr(injection, "_HELD_POSITIONS", 300)
+    # each group's first-round draws, and the largest of one segment (record, trial chunk)
+    groups = []
+    failures = injection._failures
+
+    def recorded(keys, chunks, fields, fail_prob):
+        draws = injection._draw_count(fields * fail_prob)
+        groups.append((int(draws.sum()), int(draws.max())))
+        return failures(keys, chunks, fields, fail_prob)
+
+    monkeypatch.setattr(injection, "_failures", recorded)
     capped = monte_carlo_block(cells, 17, cfg)
     assert capped.tolist() == whole.tolist()
     assert 0 < whole.sum() < whole.size * cfg.trials
+    assert len(groups) > 1
+    assert all(drawn <= 300 + largest for drawn, largest in groups)
 
 
 @SCHEME_LISTS

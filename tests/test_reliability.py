@@ -18,8 +18,7 @@ from robinsim.reliability import (
     trace_error_rate,
 )
 
-# frozen before the build from an independent mpmath transcription of the
-# failure-probability formula
+# FIXED_DEVICE_P_WRITE is mp_p_write(**FIXED_DEVICE), written out as a number
 FIXED_DEVICE = dict(
     t_write=2.0,
     i_write=1.5,
@@ -30,7 +29,22 @@ FIXED_DEVICE = dict(
     delta=4.0,
     e_charge=2.0,
 )
-FIXED_DEVICE_P_WRITE = 0.22638117613454956
+FIXED_DEVICE_P_WRITE = 0.20749576395419969
+
+
+def mp_p_write(t_write, i_write, i_c0, polarization, magnetic_moment, mu_b, delta, e_charge):
+    """p_write of the device formula in 50-digit mpmath, an independent transcription.
+
+    The denominator is grouped as in J. Z. Sun, Phys. Rev. B 62, 570 (2000):
+    (gamma + ln(pi^2 delta / 4)) * e * m * (1 + p^2).
+    """
+    with mpmath.workdps(50):
+        p = mpmath.mpf(polarization)
+        rate = 2 * mpmath.mpf(mu_b) * p * (mpmath.mpf(i_write) - i_c0) / (
+            (mpmath.euler + mpmath.log(mpmath.pi**2 * mpmath.mpf(delta) / 4))
+            * mpmath.mpf(e_charge) * magnetic_moment * (1 + p**2)
+        )
+        return float(1 - mpmath.exp(-mpmath.mpf(t_write) * rate))
 
 
 def compositions(total, parts):
@@ -51,9 +65,28 @@ def test_p_write_saturates_with_long_pulse():
 
 
 def test_p_write_fixed_vector_matches_frozen_oracle():
+    assert mp_p_write(**FIXED_DEVICE) == FIXED_DEVICE_P_WRITE
     assert p_write_from_device(DeviceParams(**FIXED_DEVICE)) == pytest.approx(
         FIXED_DEVICE_P_WRITE, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("t_write", [2e-9, 5e-9, 10e-9, 20e-9])
+def test_p_write_at_an_si_operating_point_decays_with_the_pulse(t_write):
+    # precessional switching: the failure is exp(-t_write / tau) with
+    # tau = (gamma + ln(pi^2 delta / 4)) e m (1 + p^2) / (2 mu_b p (i_write - i_c0))
+    mu_b, e_charge, delta = 9.2740100783e-24, 1.602176634e-19, 60.0
+    i_write, i_c0, p, m = 2e-4, 1e-4, 0.6, 1e-18
+    tau = (float(mpmath.euler) + math.log(math.pi**2 * delta / 4)) * e_charge * m * (1 + p * p) / (
+        2 * mu_b * p * (i_write - i_c0)
+    )
+    assert 1.09e-9 < tau < 1.093e-9
+    pw = p_write_from_device(
+        DeviceParams(t_write=t_write, i_write=i_write, i_c0=i_c0, polarization=p, magnetic_moment=m)
+    )
+    assert 0.0 < pw < 1.0
+    # 1 - pw carries pw's rounding, about 1e-16, so a q of 1e-8 keeps about 8 digits
+    assert 1.0 - pw == pytest.approx(math.exp(-t_write / tau), rel=1e-6)
 
 
 def test_p_write_monotonic_in_pulse_and_current():

@@ -485,7 +485,8 @@ def test_config_device_params_path():
     )
     cfg = config_from_values(values)
     assert cfg.pw is None
-    assert cfg.validate()[1].pw == pytest.approx(0.22638117613454956, rel=1e-12)
+    # FIXED_DEVICE_P_WRITE of tests/test_reliability.py, its mpmath transcription's value
+    assert cfg.validate()[1].pw == pytest.approx(0.20749576395419969, rel=1e-12)
 
 
 def test_config_device_params_incomplete():
@@ -496,6 +497,14 @@ def test_config_device_params_incomplete():
 def test_config_workload_keys_without_kind():
     with pytest.raises(ConfigError, match="without a workload kind"):
         config_from_values(parse_config_text("trace = x.jsonl\npw = 0.9\nrecords = 10"))
+
+
+def test_load_config_reads_past_a_byte_order_mark(tmp_path):
+    text = "trace = x.trace\npw = 0.99\nmonte_carlo = true\ntrials = 20\n"
+    (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
+    (tmp_path / "marked.cfg").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "marked.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(tmp_path / "marked.cfg") == load_config(tmp_path / "plain.cfg")
 
 
 def test_load_config_missing_file(tmp_path):
