@@ -45,18 +45,18 @@ is the platform's, so a gap can differ between machines only where
 
 :func:`monte_carlo_block` takes a batch's ``(n, S, 8)`` ``cells`` counts, as
 :func:`robinsim.mapping.scheme_counts` returns them, and gives the ``(S, n)``
-successes: it simulates exactly the cells those counts hold. The counters of
-its (record, trial chunk) segments are hashed in bounded groups of draws, and
-the failures with a neighbour near enough to share their codeword are
-classified together, scheme by scheme. :class:`MonteCarloAccumulator` feeds
-it batches in record order and folds the successes into its sums in one array
-pass; ``run_experiment`` passes it the ``cells`` it has counted.
-:func:`inject_write` draws one 64-bit key from its generator and places its
-failing cells with the same sampler, so the decoder cross-check runs it too.
-It takes its check words from the counting kernel's check lanes
-(:func:`robinsim.mapping.check_words`), and :func:`end_to_end_check` decodes
-the stored codewords with :mod:`robinsim.secded`'s own encoder, so every
-cross-checked write also checks those two encoders against each other.
+successes: it simulates exactly the cells those counts hold. Its (record,
+trial chunk) segments are drawn in bounded groups, in rounds for all those
+still short of their fields, and the failures with a neighbour near enough
+to share their codeword are classified together, scheme by scheme.
+:class:`MonteCarloAccumulator` feeds it batches in record order and folds the
+successes into its sums in one array pass; ``run_experiment`` passes it the
+``cells`` it has counted. :func:`inject_write` places the failing cells of
+trial chunk 0 of a key from its generator, so the decoder cross-check runs
+the same stream. It takes its check words from the counting kernel's check
+lanes (:func:`robinsim.mapping.check_words`), and :func:`end_to_end_check`
+decodes the stored codewords with :mod:`robinsim.secded`'s own encoder, so
+every cross-checked write also checks those two encoders against each other.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ _U64 = {
 
 # trials are simulated in fixed-size chunks
 _TRIAL_CHUNK = 8192
-# draws a group holds at once (256 KB per int64 array), plus its last
+# draws a group's first round holds (256 KB per int64 array), plus its last
 # segment's; one record chunk can need about 2.4 million at p_write 0.5
 _HELD_POSITIONS = 1 << 15
 
@@ -185,7 +185,7 @@ def inject_write(
     key = rng.bit_generator.random_raw()
     counts = [0] * CODEWORDS
     if cfg.pw < 1.0 and flipping.size:
-        failed = flipping[_field_failures(key, 0, -1, flipping.size, 1.0 - cfg.pw)]
+        failed = flipping[_field_failures(key, flipping.size, 1.0 - cfg.pw)]
         for cell in failed.tolist():
             # a failed cell keeps its old value, the complement of the new one
             stored[cell >> 3] ^= 1 << (cell & 7)
@@ -233,11 +233,11 @@ def _failed_trials(counts: np.ndarray, cfg: InjectionConfig, first_record: int) 
     segment of the stream, drawn once over the widest scheme's field; each
     scheme keeps the failures below its own field, which are the failures a
     draw over that field alone places (see :func:`_gap_sums`). Consecutive
-    segments are drawn in groups cut where the running draw count passes a
-    multiple of ``_HELD_POSITIONS``, each at most that many draws plus its
-    last segment's. A failure is keyed by (segment, trial, codeword), the keys
-    arrive sorted, and a repeated key is a second failure in one codeword, so
-    its trial fails.
+    segments are drawn in groups cut where the running count of first-round
+    draws passes a multiple of ``_HELD_POSITIONS``: a first round holds at most
+    that many plus its last segment's, and a later one fewer. A failure is keyed
+    by (segment, trial, codeword), the keys arrive sorted, and a repeated key is
+    a second failure in one codeword, so its trial fails.
     """
     failed = np.zeros(counts.shape[:2], dtype=np.int64)
     fail_prob = 1.0 - cfg.pw
@@ -320,8 +320,8 @@ def _gap_sums(h: np.ndarray, fail_prob: float, cap: float) -> np.ndarray:
     """Running sums of the gaps of the uint64 hashes ``h``, in ``h``'s buffer.
 
     A gap is 1 + min(floor(ln u / ln(1 - q)), ``cap``); any ``cap`` at least
-    the cells left to cover places the same failures, since a longer gap
-    passes the field.
+    the cells a segment has left places the same failures, since a longer
+    gap passes its field, so one cap serves a round over many segments.
     """
     h >>= _U64[11]
     h += _U64[1]
@@ -336,26 +336,24 @@ def _gap_sums(h: np.ndarray, fail_prob: float, cap: float) -> np.ndarray:
     return gaps.cumsum(out=gaps)
 
 
-def _field_failures(key: int, counter: int, last: int, end: int, fail_prob: float) -> np.ndarray:
-    """Positions of one segment's failing cells after ``last`` and below ``end``.
+def _field_failures(key: int, end: int, fail_prob: float) -> np.ndarray:
+    """Positions of the failing cells below ``end`` in trial chunk 0 of ``key``.
 
-    Draws come from the segment's ``counter`` on, a round at a time, until a
-    position reaches ``end``.
+    One write's draws, from counter 0 on, a round at a time until a position
+    reaches ``end``: :func:`_failures` of one segment, without its array passes.
     """
     if fail_prob == 1.0:
-        return np.arange(last + 1, end)
-    cap = float(end - 1 - last)
-    rounds = []
+        return np.arange(end)
+    counter, last, rounds = 0, -1, []
     while last < end:
         n = int(_draw_count((end - 1 - last) * fail_prob))
         hashes = splitmix(key, np.arange(counter, counter + n, dtype=np.uint64))
-        position = _gap_sums(hashes, fail_prob, cap)
+        position = _gap_sums(hashes, fail_prob, end)
         position += last
-        rounds.append(position)
+        rounds.append(position[position < end])
         counter += n
         last = int(position[-1])
-    position = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
-    return position[: position.searchsorted(end)]
+    return np.concatenate(rounds)
 
 
 def _failures(keys: np.ndarray, chunks: np.ndarray, fields: np.ndarray, fail_prob: float) -> np.ndarray:
@@ -363,36 +361,30 @@ def _failures(keys: np.ndarray, chunks: np.ndarray, fields: np.ndarray, fail_pro
 
     Segment j is trial chunk ``chunks[j]`` of the record keyed ``keys[j]``, a
     field of ``fields[j]`` cells that starts where segment j - 1 ends;
-    ``0 < fail_prob < 1``. The first draws of all segments are hashed at
-    once; a segment whose positions fall short of its field draws the rest
-    on its own, from its next counters.
+    ``0 < fail_prob < 1``. Each round hashes the next draws of every segment
+    whose positions still fall short of its field at once, until none does;
+    a lone segment, a first round and every top-up are this one loop.
     """
-    first = chunks << 32   # each segment's first counter
-    if len(fields) == 1:
-        # a segment alone, often a large one, needs no per-draw keys and bases
-        return _field_failures(keys[0], int(first[0]), -1, int(fields[0]), fail_prob)
     ends = np.cumsum(fields)
-    n = _draw_count(fields * fail_prob)
-    stop = n.cumsum()
-    index = np.arange(stop[-1]) + (first - (stop - n)).repeat(n)
-    hashes = splitmix(keys.repeat(n), index.view(np.uint64))
-    # a gap that passes its segment's field ends the segment, so clipping at the
-    # largest field places the same failures as clipping at each one
-    position = _gap_sums(hashes, fail_prob, float(fields.max()))
-    # each segment's running sum, started at its first cell
-    before = np.zeros(len(n), dtype=np.int64)
-    before[1:] = position[stop[:-1] - 1]
-    position += (ends - fields - 1 - before).repeat(n)
-    last = position[stop - 1]
-    position = position[position < ends.repeat(n)]
-    short = np.flatnonzero(last < ends).tolist()
-    if short:
-        tails = [
-            _field_failures(keys[j], int(first[j] + n[j]), int(last[j]), int(ends[j]), fail_prob)
-            for j in short
-        ]
-        position = np.sort(np.concatenate([position, *tails]))
-    return position
+    last = ends - fields - 1   # each short segment's last position so far
+    counter = chunks << 32     # and its next draw counter
+    rounds = []
+    while ends.size:
+        left = ends - 1 - last
+        n = _draw_count(left * fail_prob)
+        stop = n.cumsum()
+        index = np.arange(stop[-1]) + (counter - (stop - n)).repeat(n)
+        hashes = splitmix(keys.repeat(n), index.view(np.uint64))
+        # a gap that passes its segment's field ends the segment, so clipping at the
+        # most cells any segment has left places the same failures as clipping at each
+        position = _gap_sums(hashes, fail_prob, float(left.max()))
+        # each segment's running sum, continued from its last position
+        position += (last - np.r_[0, position[stop[:-1] - 1]]).repeat(n)
+        rounds.append(position[position < ends.repeat(n)])
+        last = position[stop - 1]
+        short = last < ends
+        keys, counter, last, ends = keys[short], (counter + n)[short], last[short], ends[short]
+    return rounds[0] if len(rounds) == 1 else np.sort(np.concatenate(rounds))
 
 
 @dataclass(frozen=True)

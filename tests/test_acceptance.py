@@ -75,7 +75,11 @@ def flipped(data, check, bits):
 def test_codec_soundness():
     start = time.monotonic()
     rng = np.random.default_rng(0xACCE97)
-    datawords = [int(v) for v in rng.integers(0, 1 << 63, 100, dtype=np.uint64)]
+    drawn = rng.integers(0, 1 << 64, 100, dtype=np.uint64)
+    # each of the 64 bits, the top one too, is set in some dataword and clear in another
+    bits = np.unpackbits(drawn.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    assert bits.any(axis=0).all() and not bits.all(axis=0).any()
+    datawords = [int(v) for v in drawn]
 
     miscorrections = 0
     uncorrected_singles = 0

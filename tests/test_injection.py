@@ -258,7 +258,8 @@ def test_failing_cells_draws_until_the_field_is_covered(monkeypatch):
     # the second field starts at position 40
     cells = injection._failures(keys, chunks, np.array([40, 7]), 0.5)
     assert cells.tolist() == list(range(1, 40, 2)) + [41, 43, 45]
-    assert injection._field_failures(keys[0], 0, -1, 40, 0.5).tolist() == list(range(1, 40, 2))
+    assert injection._failures(keys[:1], chunks[:1], np.array([40]), 0.5).tolist() == list(range(1, 40, 2))
+    assert injection._field_failures(5, 40, 0.5).tolist() == list(range(1, 40, 2))
 
 
 def test_monte_carlo_block_tiny_fail_prob_does_not_overflow():

@@ -122,6 +122,33 @@ def test_split_batches_give_the_same_successes(case, cuts):
     assert np.concatenate(parts, axis=1).tolist() == whole.tolist()
 
 
+@st.composite
+def segment_groups(draw):
+    """(keys, trial chunks, fields, failure probability) of a group of one to six segments."""
+    n = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    chunks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    fields = draw(st.lists(st.integers(1, 3000), min_size=n, max_size=n))
+    return keys, chunks, fields, draw(st.sampled_from([1e-3, 0.05, 0.3, 0.9]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(segment_groups())
+def test_failures_are_each_segments_reference_cells_from_its_start(group):
+    """The segments' failing cells, laid end to end, at any number of draws per round."""
+    keys, chunks, fields, fail_prob = group
+    want, start = [], 0
+    for key, chunk, field in zip(keys, chunks, fields):
+        want += [start + position for position in oracle.failing_cells(key, chunk, field, fail_prob)]
+        start += field
+    args = np.array(keys, dtype=np.uint64), np.array(chunks, dtype=np.int64), np.array(fields), fail_prob
+    assert injection._failures(*args).tolist() == want
+    for per_round in (1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(injection, "_draw_count", lambda expected: np.full(np.shape(expected), per_round))
+            assert injection._failures(*args).tolist() == want
+
+
 # the one-scheme call, and one call over all three layouts on shared draws
 SCHEME_LISTS = pytest.mark.parametrize("schemes", [None, SCHEMES], ids=("one-scheme", "three-schemes"))
 
